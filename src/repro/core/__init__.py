@@ -19,7 +19,6 @@ from repro.core.backends import (
     resolve_backend,
     set_default_backend,
 )
-from repro.core.chunked import compute_chunked
 from repro.core.partial import PartialFdCounts
 from repro.core.statistics import FdStatistics
 from repro.core.violation import G2Measure, G3Measure, G3PrimeMeasure, RhoMeasure
@@ -68,7 +67,6 @@ __all__ = [
     "TauMeasure",
     "all_measures",
     "available_backends",
-    "compute_chunked",
     "default_measures",
     "get_default_backend",
     "get_measure",

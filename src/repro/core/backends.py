@@ -1,36 +1,43 @@
-"""Pluggable statistics backends.
+"""Pluggable statistics backends: one partial kernel each.
 
 The sufficient-statistics pass (:meth:`FdStatistics.compute`) is the hot
 loop of every experiment in the paper: the 50x50 sensitivity grids, the
 RWDe sweep, lattice discovery and — most directly — the runtime
 experiment of Table V all compute one :class:`FdStatistics` per candidate
-FD.  This module makes that pass pluggable:
+FD.  The pass is one chunked map-merge (:mod:`repro.core.chunked`); a
+backend contributes exactly one kernel, which turns one
+:class:`~repro.relation.chunked.CodeChunk` of dictionary codes into
+mergeable partial counts:
 
-* :class:`PythonBackend` (``"python"``) — the portable reference path:
-  row scans into ``Counter``s, no dependencies, always available.
-* :class:`NumpyBackend` (``"numpy"``) — the vectorised path: NULL
-  restriction, row packing and grouping are array operations over the
-  relation's cached columnar view (:mod:`repro.relation.columnar`), and
-  the integer statistics (squared tuple counts, violating pair/tuple
-  counts, ``max_subrelation_size``) plus the ``Σ p²`` probability sums
-  are derived vectorised and pre-seeded into the statistics cache.
+* :class:`PythonBackend` (``"python"``) — the portable reference kernel:
+  code tuples counted into dicts
+  (:class:`~repro.core.partial.PartialFdCounts`), no dependencies, always
+  available.  It also serves the numpy backend when the relation's
+  global radix product would pass the ``int64`` packing limit;
+* :class:`NumpyBackend` (``"numpy"``) — the vectorised kernel: NULL
+  restriction, mixed-radix row packing and grouping are array operations
+  (:class:`~repro.core.partial.ArrayFdCounts`); the integer statistics
+  (violating pair/tuple counts, ``max_subrelation_size``) plus the
+  ``Σ p²`` probability sums are then derived vectorised from the merged
+  arrays and pre-seeded into the statistics cache.
 
 **Bit-identity contract.**  Both backends produce *identical*
 ``FdStatistics`` — the same counts under the same keys in the same
-``Counter`` insertion order (first occurrence in row order) — and every
-floating-point derivation either runs in shared scalar code over that
-shared order, or (for the vectorised ``Σ p²`` sums) reproduces the
-scalar path exactly: elementwise IEEE division/multiplication followed
-by a sequential ``cumsum`` reduction, which bit-matches the scalar
-left-to-right accumulation.  Integer statistics are exact in both paths
-(arbitrary-precision ``int`` vs ``int64``).  Consequently every measure
-scores bit-identically on both backends — enforced by the parity
-property tests in ``tests/test_backends.py``.  This is also why the
-Shannon entropies and the permutation expectation remain shared scalar
-code: ``np.log`` and ``math.log`` may differ in the last ulp, and those
-reductions operate on the already-reduced distinct-count arrays
-(O(distinct), not O(rows)), so vectorising them would trade the
-bit-identity guarantee for a negligible win.
+``Counter`` insertion order (first occurrence in row order), and the same
+exact ``Σ_w R(w)²`` — and every floating-point derivation either runs in
+shared scalar code over that shared order, or (for the vectorised
+``Σ p²`` sums) reproduces the scalar path exactly: elementwise IEEE
+division/multiplication followed by a sequential ``cumsum`` reduction,
+which bit-matches the scalar left-to-right accumulation.  Integer
+statistics are exact in both paths (arbitrary-precision ``int`` vs
+``int64``).  Consequently every measure scores bit-identically on both
+backends — enforced by the parity property tests in
+``tests/test_backends.py``.  This is also why the Shannon entropies and
+the permutation expectation remain shared scalar code: ``np.log`` and
+``math.log`` may differ in the last ulp, and those reductions operate on
+the already-reduced distinct-count arrays (O(distinct), not O(rows)), so
+vectorising them would trade the bit-identity guarantee for a negligible
+win.
 
 Backend selection (first match wins):
 
@@ -46,16 +53,11 @@ automatically — scores are identical either way, only slower.
 from __future__ import annotations
 
 import os
-from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.partial import ArrayFdCounts, PartialFdCounts
-from repro.core.statistics import FdStatistics
 from repro.relation.chunked import CodeChunk
-from repro.relation.columnar import _PACK_LIMIT, _dense_first_occurrence
 from repro.relation.fd import FunctionalDependency
-from repro.relation.operations import joint_counts
-from repro.relation.relation import Relation
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -71,21 +73,18 @@ _BACKEND_NAMES = ("python", "numpy")
 _DEFAULT_BACKEND: Optional[str] = None
 
 
-def _fd_covers_schema(attributes: Tuple[str, ...], fd: FunctionalDependency) -> bool:
-    """True when the schema is exactly ``lhs + rhs`` in order.
+def covers_schema(attributes: Sequence[str], fd: FunctionalDependency) -> bool:
+    """True when ``X ∪ Y`` is every attribute of the schema.
 
-    Then every full tuple is the concatenation of its x and y keys, the
-    NULL restriction on ``X ∪ Y`` restricts on every attribute, and the
-    first occurrence of a full tuple is the first occurrence of its
-    ``(x, y)`` pair — so the full-tuple counts can be re-keyed from the
-    joint counts instead of being counted separately, with identical
-    counts in identical order.
+    Then a full tuple is determined by its ``(x, y)`` pair and vice
+    versa, so the kernels skip the full-tuple counts and ``Σ_w R(w)²``
+    is read off the joint counts.
     """
-    return tuple(attributes) == fd.lhs + fd.rhs
+    return set(fd.attributes) == set(attributes)
 
 
 class PythonBackend:
-    """Counter-based reference backend (always available)."""
+    """Dict-based reference kernel (always available)."""
 
     name = "python"
 
@@ -93,50 +92,34 @@ class PythonBackend:
     def available() -> bool:
         return True
 
-    def compute(self, relation: Relation, fd: FunctionalDependency) -> FdStatistics:
-        restricted = relation.drop_nulls(fd.attributes)
-        return FdStatistics.from_joint_counts(
-            fd,
-            restricted.num_rows,
-            joint_counts(restricted, fd.lhs, fd.rhs),
-            restricted.frequencies(),
-            relation_name=relation.name,
-        )
-
-    def compute_partial(self, chunk: CodeChunk, fd: FunctionalDependency) -> PartialFdCounts:
+    def partial(self, chunk: CodeChunk, fd: FunctionalDependency) -> PartialFdCounts:
         """Code-keyed partial counts of one chunk (scalar scan).
 
-        Counts are keyed by tuples of dictionary codes — ``(x_codes,
-        y_codes)`` for the joint counts, the full code tuple for the
-        full-tuple counts (NULL stays ``-1`` there; rows NULL on
-        ``X ∪ Y`` are dropped entirely) — in first-occurrence order
-        within the chunk, so chunk-ordered merging reproduces a
-        monolithic scan's ``Counter`` order exactly.
+        Joint counts are keyed by ``(x_codes, y_codes)`` in
+        first-occurrence order within the chunk, so chunk-ordered merging
+        reproduces a single scan's ``Counter`` order exactly; full-tuple
+        counts are keyed by the full code tuple (NULL stays ``-1`` there;
+        rows NULL on ``X ∪ Y`` are dropped entirely).
         """
         lists = {a: chunk.column_list(a) for a in chunk.attributes}
         lhs_columns = [lists[a] for a in fd.lhs]
         rhs_columns = [lists[a] for a in fd.rhs]
-        partial = PartialFdCounts.empty()
+        partial = PartialFdCounts()
         xy_counts = partial.xy_counts
-        full_counts = partial.full_tuple_counts
         kept = 0
-        if _fd_covers_schema(chunk.attributes, fd):
-            # The full tuple IS the (x, y) concatenation: count xy only
-            # and re-key afterwards (same counts, same first-occurrence
-            # order) — half the hot-loop dict work.
+        if covers_schema(chunk.attributes, fd):
             for xy_key in zip(zip(*lhs_columns), zip(*rhs_columns)):
                 if -1 in xy_key[0] or -1 in xy_key[1]:
                     continue
                 kept += 1
                 previous = xy_counts.get(xy_key)
                 xy_counts[xy_key] = 1 if previous is None else previous + 1
-            for (x_key, y_key), count in xy_counts.items():
-                full_counts[x_key + y_key] = count
             partial.num_rows = kept
             return partial
+        tuple_counts: Dict[Tuple, int] = {}
         all_columns = [lists[a] for a in chunk.attributes]
         # One zip-of-zips scan: all three key tuples per row are built at
-        # C level — this loop is the chunked path's entire per-row cost.
+        # C level — this loop is the kernel's entire per-row cost.
         for x_key, y_key, w_key in zip(
             zip(*lhs_columns), zip(*rhs_columns), zip(*all_columns)
         ):
@@ -146,14 +129,15 @@ class PythonBackend:
             xy_key = (x_key, y_key)
             previous = xy_counts.get(xy_key)
             xy_counts[xy_key] = 1 if previous is None else previous + 1
-            previous = full_counts.get(w_key)
-            full_counts[w_key] = 1 if previous is None else previous + 1
+            previous = tuple_counts.get(w_key)
+            tuple_counts[w_key] = 1 if previous is None else previous + 1
         partial.num_rows = kept
+        partial.tuple_counts = tuple_counts
         return partial
 
 
 class NumpyBackend:
-    """Vectorised backend over the relation's cached columnar view."""
+    """Vectorised kernel over packed ``int64`` keys."""
 
     name = "numpy"
 
@@ -161,157 +145,20 @@ class NumpyBackend:
     def available() -> bool:
         return np is not None
 
-    def compute(self, relation: Relation, fd: FunctionalDependency) -> FdStatistics:
-        columnar = relation.columnar()
-        if columnar is None:  # pragma: no cover - numpy vanished mid-process
-            return PythonBackend().compute(relation, fd)
-        rows = relation._rows
-        lhs, rhs = fd.lhs, fd.rhs
-
-        # NULL restriction as a boolean mask (None = nothing to drop).
-        mask = columnar.non_null_mask(fd.attributes)
-        row_indices = np.flatnonzero(mask) if mask is not None else None
-        num_rows = int(row_indices.shape[0]) if row_indices is not None else relation.num_rows
-
-        # Group-bys: X, Y, their pair, and the full tuple — all in
-        # first-occurrence order over the restricted rows, mirroring the
-        # Counter insertion order of the python backend.
-        x_groups = columnar.grouped(lhs, mask)
-        y_groups = columnar.grouped(rhs, mask)
-        xy_groups = columnar.group_pair(x_groups, y_groups)
-        w_groups = columnar.grouped(relation.attributes, mask)
-
-        # Rebuild the value-tuple keys — O(1) Python work per *group*
-        # (not per row) via each group's first-occurrence row.
-        x_keys = _group_keys(columnar, rows, lhs, x_groups)
-        y_keys = _group_keys(columnar, rows, rhs, y_groups)
-
-        # Per-xy-group parent ids: index the dense X/Y codes at each xy
-        # group's first selection-local position.
-        xy_counts_array = xy_groups.counts
-        x_of_xy = x_groups.codes[xy_groups.first_rows]
-        y_of_xy = y_groups.codes[xy_groups.first_rows]
-
-        xy_counter: Counter = Counter()
-        for x_id, y_id, count in zip(
-            x_of_xy.tolist(), y_of_xy.tolist(), xy_counts_array.tolist()
-        ):
-            xy_counter[(x_keys[x_id], y_keys[y_id])] = count
-
-        full_counter: Counter = Counter()
-        for row_index, count in zip(w_groups.first_rows.tolist(), w_groups.counts.tolist()):
-            full_counter[rows[row_index]] = count
-
-        statistics = FdStatistics.from_joint_counts(
-            fd, num_rows, xy_counter, full_counter, relation_name=relation.name
-        )
-        _seed_vectorised_statistics(
-            statistics,
-            num_rows,
-            x_counts=x_groups.counts,
-            y_counts=y_groups.counts,
-            xy_counts=xy_counts_array,
-            x_of_xy=x_of_xy,
-            w_counts=w_groups.counts,
-        )
-        return statistics
-
-    def compute_partial(self, chunk: CodeChunk, fd: FunctionalDependency) -> PartialFdCounts:
-        """Code-keyed partial counts of one chunk (vectorised group-bys).
-
-        Same keys, counts and first-occurrence order as the python
-        backend's ``compute_partial`` — the per-chunk analogue of the
-        whole-relation bit-identity contract.  Packing radices are
-        per-chunk (derived from each chunk's observed code maxima); that
-        is safe because packing only groups rows *within* the chunk —
-        the emitted keys are the original global code tuples.
-        """
-        if np is None:  # pragma: no cover - numpy vanished mid-process
-            return PythonBackend().compute_partial(chunk, fd)
-        partial = PartialFdCounts.empty()
-        if chunk.num_rows == 0:
-            return partial
-        arrays = {a: np.asarray(chunk.column(a)) for a in chunk.attributes}
-
-        mask = None
-        for attribute in fd.attributes:
-            column_mask = arrays[attribute] >= 0
-            if not column_mask.all():
-                mask = column_mask if mask is None else mask & column_mask
-        if mask is not None:
-            arrays = {a: codes[mask] for a, codes in arrays.items()}
-        num_rows = int(arrays[fd.rhs[0]].shape[0])
-        partial.num_rows = num_rows
-        if num_rows == 0:
-            return partial
-
-        lhs_arrays = [arrays[a] for a in fd.lhs]
-        rhs_arrays = [arrays[a] for a in fd.rhs]
-        _, xy_group_counts, xy_firsts = _dense_first_occurrence(
-            _pack_arrays(lhs_arrays + rhs_arrays)
-        )
-        lhs_keys = [codes[xy_firsts].tolist() for codes in lhs_arrays]
-        rhs_keys = [codes[xy_firsts].tolist() for codes in rhs_arrays]
-        xy_counts = partial.xy_counts
-        for group, count in enumerate(xy_group_counts.tolist()):
-            xy_counts[
-                (
-                    tuple(column[group] for column in lhs_keys),
-                    tuple(column[group] for column in rhs_keys),
-                )
-            ] = count
-
-        full_counts = partial.full_tuple_counts
-        if _fd_covers_schema(chunk.attributes, fd):
-            for (x_key, y_key), count in xy_counts.items():
-                full_counts[x_key + y_key] = count
-            return partial
-        all_arrays = [arrays[a] for a in chunk.attributes]
-        _, w_group_counts, w_firsts = _dense_first_occurrence(_pack_arrays(all_arrays))
-        w_keys = [codes[w_firsts].tolist() for codes in all_arrays]
-        for group, count in enumerate(w_group_counts.tolist()):
-            full_counts[tuple(column[group] for column in w_keys)] = count
-        return partial
-
-    def compute_partial_array(
+    def partial(
         self, chunk: CodeChunk, fd: FunctionalDependency, radices: Dict[str, int]
     ) -> ArrayFdCounts:
         """Array-keyed partial counts of one chunk — no Python tuples.
 
         ``radices`` is the *global* mixed-radix scheme of the whole
         relation (radix per attribute = decode-table cardinality + 1,
-        codes shifted by +1 so ``-1``-NULL packs as 0), so the emitted
-        packed keys mean the same code tuple in every chunk and unpack
-        by ``divmod`` after the merge.  The key arrays are in
-        first-occurrence-within-chunk order — decoding the merged
-        arrays reproduces :meth:`compute_partial`'s ``Counter`` order
-        exactly.  The caller guarantees the radix products fit the
-        packing limit (see ``repro.core.chunked._array_pack_plan``).
+        codes shifted by +1 so ``-1``-NULL packs as 0), so the packed
+        keys mean the same code tuple in every chunk and unpack by
+        ``divmod`` after the merge.  The caller guarantees the radix
+        products fit the packing limit (see
+        ``repro.core.chunked._pack_radices``).
         """
-        num_rows, xy_raw, w_raw = self.pack_partial_keys(chunk, fd, radices)
-        return ArrayFdCounts.from_raw_keys(num_rows, xy_raw, w_raw)
-
-    def pack_partial_keys(
-        self, chunk: CodeChunk, fd: FunctionalDependency, radices: Dict[str, int]
-    ) -> Tuple[int, "np.ndarray", Optional["np.ndarray"]]:
-        """NULL-restrict and pack one chunk to raw per-row key arrays.
-
-        Returns ``(num_rows, xy_raw, w_raw)``: the chunk's restricted
-        row count and one packed key per restricted row (row order) for
-        the ``(X, Y)`` projection and the full tuple.  ``w_raw is None``
-        when the FD covers the schema (the full tuple *is* the packed
-        ``(x, y)``).  Packing is O(rows) with no grouping — the chunked
-        driver concatenates raw keys across a band of chunks and pays
-        :meth:`ArrayFdCounts.from_raw_keys`'s sort once per band.
-        """
-        if np is None:  # pragma: no cover - callers gate on numpy
-            raise RuntimeError("pack_partial_keys requires numpy")
-        covering = _fd_covers_schema(chunk.attributes, fd)
-        empty = np.empty(0, dtype=np.int64)
-        if chunk.num_rows == 0:
-            return 0, empty, None if covering else empty
         arrays = {a: np.asarray(chunk.column(a)) for a in chunk.attributes}
-
         mask = None
         for attribute in fd.attributes:
             column_mask = arrays[attribute] >= 0
@@ -320,123 +167,30 @@ class NumpyBackend:
         if mask is not None:
             arrays = {a: codes[mask] for a, codes in arrays.items()}
         num_rows = int(arrays[fd.rhs[0]].shape[0])
-        if num_rows == 0:
-            return 0, empty, None if covering else empty
-
         fd_attributes = fd.lhs + fd.rhs
-        xy_raw = _pack_with_radices(
-            [arrays[a] for a in fd_attributes], [radices[a] for a in fd_attributes]
-        )
-        if covering:
-            return num_rows, xy_raw, None
-        w_raw = _pack_with_radices(
-            [arrays[a] for a in chunk.attributes],
-            [radices[a] for a in chunk.attributes],
-        )
-        return num_rows, xy_raw, w_raw
+        xy_raw = _pack(arrays, fd_attributes, radices)
+        if covers_schema(chunk.attributes, fd):
+            return ArrayFdCounts.from_raw_keys(num_rows, xy_raw)
+        w_raw = _pack(arrays, chunk.attributes, radices)
+        return ArrayFdCounts.from_raw_keys(num_rows, xy_raw, w_raw)
 
 
-def _pack_with_radices(
-    arrays: List["np.ndarray"], radices: List[int]
+def _pack(
+    arrays: Dict[str, "np.ndarray"], attributes: Sequence[str], radices: Dict[str, int]
 ) -> "np.ndarray":
-    """Mixed-radix packing under a fixed global radix per position.
+    """Mixed-radix packing under a fixed global radix per attribute.
 
-    Unlike :func:`_pack_arrays` (per-chunk observed radices, re-densify
-    on overflow) the scheme here is cross-chunk stable and invertible:
-    the caller has already proven ``prod(radices)`` fits the packing
-    limit, and :func:`repro.core.partial.unpack_key_columns` recovers
-    the original code arrays by ``divmod``.
+    Cross-chunk stable and invertible: the caller has proven the radix
+    product fits the packing limit, and
+    :func:`repro.core.partial.unpack_key_columns` recovers the original
+    code arrays by ``divmod``.
     """
-    accumulator = arrays[0].astype(np.int64) + 1
-    for codes, radix in zip(arrays[1:], radices[1:]):
-        accumulator = accumulator * radix + (codes.astype(np.int64) + 1)
+    accumulator = arrays[attributes[0]].astype(np.int64) + 1
+    for attribute in attributes[1:]:
+        accumulator = accumulator * radices[attribute] + (
+            arrays[attribute].astype(np.int64) + 1
+        )
     return accumulator
-
-
-def _pack_arrays(arrays: List["np.ndarray"]) -> "np.ndarray":
-    """Pairwise mixed-radix packing of raw code arrays (overflow-safe).
-
-    The chunk-level analogue of :meth:`ColumnarRelation._pack`: radices
-    come from each array's observed maximum (codes shifted by +1 so
-    ``-1``-NULL packs as 0), re-densifying via ``np.unique`` whenever the
-    accumulator would overflow the packing limit.
-    """
-    accumulator = arrays[0].astype(np.int64) + 1
-    maximum = int(accumulator.max(initial=0))
-    for codes in arrays[1:]:
-        shifted = codes.astype(np.int64) + 1
-        radix = int(shifted.max(initial=0)) + 1
-        if maximum >= _PACK_LIMIT // radix:
-            _, accumulator = np.unique(accumulator, return_inverse=True)
-            maximum = int(accumulator.max(initial=0))
-        accumulator = accumulator * radix + shifted
-        maximum = maximum * radix + radix - 1
-    return accumulator
-
-
-def _group_keys(columnar, rows, attributes: Tuple[str, ...], groups) -> List[Tuple]:
-    """Value tuples of each group, in dense group-id order."""
-    if len(attributes) == 1:
-        attribute_index = columnar.attributes.index(attributes[0])
-        return [(rows[r][attribute_index],) for r in groups.first_rows.tolist()]
-    indices = [columnar.attributes.index(attribute) for attribute in attributes]
-    return [tuple(rows[r][i] for i in indices) for r in groups.first_rows.tolist()]
-
-
-def _sequential_sum(values: "np.ndarray") -> float:
-    """Left-to-right float sum, bit-matching a scalar accumulation loop.
-
-    ``cumsum`` materialises every prefix sum and is therefore necessarily
-    a sequential reduction — unlike ``np.sum``, whose pairwise reduction
-    rounds differently from the scalar code it would stand in for.
-    """
-    if values.shape[0] == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
-
-
-def _seed_vectorised_statistics(
-    statistics: FdStatistics,
-    num_rows: int,
-    x_counts: "np.ndarray",
-    y_counts: "np.ndarray",
-    xy_counts: "np.ndarray",
-    x_of_xy: "np.ndarray",
-    w_counts: "np.ndarray",
-) -> None:
-    """Eagerly derive the vectorisable statistics and seed the cache.
-
-    Integer quantities are exact (``int64`` — overflow-safe for every
-    relation below ~3e9 rows, far beyond the 2**53 float ceiling the
-    cache used to impose); the ``Σ p²`` float sums reproduce the scalar
-    path bit-for-bit (see the module docstring).
-    """
-    cache = statistics._cache
-    w = w_counts.astype(np.int64)
-    cache["sum_sq_w"] = int((w * w).sum())
-
-    counts = xy_counts.astype(np.int64)
-    num_x_groups = x_counts.shape[0]
-    totals = np.zeros(num_x_groups, dtype=np.int64)
-    np.add.at(totals, x_of_xy, counts)
-    squares = np.zeros(num_x_groups, dtype=np.int64)
-    np.add.at(squares, x_of_xy, counts * counts)
-    distinct_y_per_x = np.bincount(x_of_xy, minlength=num_x_groups)
-    maxima = np.zeros(num_x_groups, dtype=np.int64)
-    np.maximum.at(maxima, x_of_xy, counts)
-
-    cache["violating_pairs"] = int((totals * totals - squares).sum())
-    cache["violating_tuples"] = int(totals[distinct_y_per_x > 1].sum())
-    cache["max_subrelation"] = int(maxima.sum())
-
-    if num_rows > 0:
-        for key, array in (
-            ("sum_sq_x", x_counts),
-            ("sum_sq_y", y_counts),
-            ("sum_sq_xy", counts),
-        ):
-            probabilities = array / num_rows
-            cache[key] = _sequential_sum(probabilities * probabilities)
 
 
 _BACKENDS = {

@@ -1,60 +1,53 @@
-"""Chunked map-merge statistics: per-chunk partial counts, merged in order.
+"""The statistics pass: per-chunk partial counts, merged in chunk order.
 
-The driver behind ``FdStatistics.compute(..., chunk_size=, jobs=)``:
-split the relation into row chunks of dictionary codes, have the active
-backend compute one partial per chunk, merge the partials **in chunk
-order** (which reproduces the global first-occurrence ``Counter`` order
-of a monolithic scan, see :mod:`repro.core.partial`), decode the merged
-keys to value tuples once, and funnel through
-``FdStatistics.from_joint_counts`` — the same constructor the monolithic
-backends use, so the resulting statistics and every measure scored from
-them are bit-identical (``==``) to ``compute`` without chunking.
+:meth:`FdStatistics.compute` runs :func:`map_merge`: the source is read
+as a stream of :class:`~repro.relation.chunked.CodeChunk`\\ s of
+dictionary codes, the backend's one partial kernel turns each chunk into
+mergeable counts, the partials merge **in chunk order** (which reproduces
+the global first-occurrence ``Counter`` order of a single scan, see
+:mod:`repro.core.partial`), the merged ``(x, y)`` keys decode to value
+tuples once, and ``FdStatistics.from_joint_counts`` assembles the result.
+Every chunking of the same rows therefore yields ``==`` statistics and
+bit-identical scores.
 
-Two partial representations share that contract:
+Kernels (:mod:`repro.core.backends`):
 
-* **array partials** (numpy backend) — each chunk yields an
-  :class:`~repro.core.partial.ArrayFdCounts` of globally packed
-  ``int64`` key arrays (:meth:`compute_partial_array`); the merge is
-  ``np.concatenate`` + one stable first-seen ``np.unique`` pass and the
-  only Python-tuple work left is the single O(distinct) decode after
-  the final merge.  Selected automatically whenever the numpy backend
-  runs and the global radix products fit the packing limit;
-* **tuple partials** (python backend, and the fallback when packing
-  would overflow) — code-tuple-keyed ``Counter`` partials merged by
-  dict probes (:meth:`compute_partial`).
+* ``numpy`` — each chunk packs to one ``int64`` key per row under a
+  global mixed-radix scheme and groups vectorised; the merge is
+  ``np.concatenate`` plus one first-seen grouping, and the integer and
+  ``Σ p²`` statistics are pre-seeded from the merged arrays;
+* ``python`` — code tuples counted into dicts.  It also serves the numpy
+  backend when the relation's radix product would pass the packing
+  limit.
 
-Chunk sources, in preference order:
+Chunk sources:
 
 * a :class:`~repro.relation.chunked.ChunkedRelation` — its stored chunks
-  and decode tables are used directly (its own ``chunk_size`` wins);
-* a :class:`~repro.relation.relation.Relation` with numpy available —
-  zero-copy slices of the cached columnar ``int32`` code arrays;
-* a plain :class:`Relation` without numpy — re-encoded through the
-  streaming ingest (``array.array`` codes), the pure-python compat path.
-
-``jobs > 1`` distributes chunks over a **shared, module-level**
-``ProcessPoolExecutor`` (spawned once, reused across FDs and sessions —
-:func:`pool_info` exposes the spawn/reuse counters) with the repo's
-established discipline: picklable work units (compact code buffers or
-packed key arrays, not row tuples), module-level workers, bounded
-in-flight submissions, and a strictly chunk-ordered merge of results
-regardless of completion order — so parallel results are bit-identical
-to serial.
+  and decode tables;
+* a :class:`~repro.relation.relation.Relation` with numpy — zero-copy
+  slices of the cached columnar ``int32`` code arrays,
+  :data:`~repro.relation.chunked.DEFAULT_CHUNK_SIZE` rows each, so a
+  relation of up to 65,536 rows is one chunk;
+* a :class:`Relation` without numpy — its cached ``array.array``
+  encoding (:meth:`Relation.chunked`), built once per relation.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.partial import ArrayFdCounts, PartialFdCounts, unpack_key_columns
+from repro.core.backends import covers_schema, resolve_backend
+from repro.core.partial import (
+    ArrayFdCounts,
+    PartialFdCounts,
+    dense_first_occurrence,
+    unpack_key_columns,
+)
 from repro.core.statistics import FdStatistics
-from repro.relation.chunked import ChunkedRelation, CodeChunk
+from repro.obs.metrics import get_registry
+from repro.relation.chunked import DEFAULT_CHUNK_SIZE, ChunkedRelation, CodeChunk
+from repro.relation.columnar import _PACK_LIMIT
 from repro.relation.fd import FunctionalDependency
 from repro.relation.relation import Relation
 
@@ -63,20 +56,6 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-#: Default rows per map-merge work unit when ``chunk_size`` is not given.
-DEFAULT_CHUNK_SIZE = 65_536
-
-#: Extra tasks kept in flight beyond the worker count (bounds the
-#: number of pickled chunks alive at once without starving the pool).
-_INFLIGHT_SLACK = 2
-
-#: Consecutive chunks pre-merged inside one worker task.  Within a band
-#: the keys of neighbouring chunks largely overlap, so shipping one
-#: band-merged partial back costs a fraction of shipping each chunk's
-#: counts individually; bands are contiguous and merged in band order,
-#: so the final key order is untouched.
-_BAND_CHUNKS = 4
-
 #: Buffered distinct keys that trigger an intermediate collapse of the
 #: pending array partials: bounds merge memory on very long chunk
 #: streams (10M+ rows) without changing the final first-occurrence
@@ -84,96 +63,19 @@ _BAND_CHUNKS = 4
 _COLLAPSE_KEYS = 4_000_000
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be None or >= 0, got {jobs}")
-    if jobs > 1 and multiprocessing.current_process().daemon:
-        # Daemonic processes (the service's forked shard workers being
-        # the in-repo case) may not have children; the serial map-merge
-        # is bit-identical, so degrade instead of crashing the request.
-        return 1
-    return jobs
-
-
-# ----------------------------------------------------------------------
-# Shared worker pool
-# ----------------------------------------------------------------------
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_WORKERS = 0
-_POOL_SPAWNS = 0
-_POOL_REUSES = 0
-
-
-def _shared_pool(jobs: int) -> ProcessPoolExecutor:
-    """The module-level worker pool, (re)spawned only when it must grow.
-
-    Every ``compute(..., jobs=N)`` call used to pay a full pool spawn;
-    sharing one executor across FDs and sessions amortises worker
-    start-up to once per process (the in-flight limit, not the pool
-    width, bounds a call's effective parallelism).  Correctness is
-    unaffected: tasks are pure functions of their payload and results
-    merge in chunk order regardless of which worker answered.
-    """
-    global _POOL, _POOL_WORKERS, _POOL_SPAWNS, _POOL_REUSES
-    from repro.obs.metrics import get_registry
-
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_WORKERS < jobs:
-            if _POOL is not None:
-                _POOL.shutdown(wait=True)
-            _POOL = ProcessPoolExecutor(max_workers=jobs)
-            _POOL_WORKERS = jobs
-            _POOL_SPAWNS += 1
-            get_registry().inc("pool_spawns_total")
-        else:
-            _POOL_REUSES += 1
-            get_registry().inc("pool_reuses_total")
-        return _POOL
-
-
-def shutdown_pool() -> None:
-    """Shut down the shared worker pool (tests, explicit teardown)."""
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-            _POOL = None
-            _POOL_WORKERS = 0
-
-
-def pool_info() -> Dict[str, object]:
-    """Spawn/reuse counters of the shared pool (``AfdSession.describe``)."""
-    with _POOL_LOCK:
-        return {
-            "active": _POOL is not None,
-            "workers": _POOL_WORKERS,
-            "spawns": _POOL_SPAWNS,
-            "reuses": _POOL_REUSES,
-        }
-
-
-# ----------------------------------------------------------------------
-# Chunk sources
-# ----------------------------------------------------------------------
 def _chunk_stream(
-    source, chunk_size: int
+    source,
 ) -> Tuple[Tuple[str, ...], Dict[str, List[object]], Iterable[CodeChunk]]:
     """Resolve ``(attributes, decode tables, chunk iterator)`` for a source."""
     if isinstance(source, ChunkedRelation):
         return source.attributes, source.decode_tables(), source.iter_chunks()
     if not isinstance(source, Relation):
         raise TypeError(
-            f"chunked compute needs a Relation or ChunkedRelation, "
-            f"got {type(source).__name__}"
+            f"statistics need a Relation or ChunkedRelation, got {type(source).__name__}"
         )
     columnar = source.columnar()
     if columnar is None:
-        # No numpy: re-encode through the streaming ingest (array.array
-        # codes).  Compat path — correct everywhere `python` backend is.
-        encoded = ChunkedRelation.from_relation(source, chunk_size=chunk_size)
+        encoded = source.chunked()
         return encoded.attributes, encoded.decode_tables(), encoded.iter_chunks()
 
     attributes = source.attributes
@@ -182,8 +84,8 @@ def _chunk_stream(
     def chunks() -> Iterator[CodeChunk]:
         codes = {a: columnar.codes(a) for a in attributes}
         total = source.num_rows
-        for start in range(0, total, chunk_size):
-            stop = min(start + chunk_size, total)
+        for start in range(0, total, DEFAULT_CHUNK_SIZE):
+            stop = min(start + DEFAULT_CHUNK_SIZE, total)
             yield CodeChunk(
                 attributes,
                 {a: column[start:stop] for a, column in codes.items()},
@@ -193,144 +95,32 @@ def _chunk_stream(
     return attributes, tables, chunks()
 
 
-# ----------------------------------------------------------------------
-# Array-partial planning
-# ----------------------------------------------------------------------
-def _array_pack_plan(
+def _pack_radices(
     attributes: Tuple[str, ...],
     fd: FunctionalDependency,
     tables: Dict[str, List[object]],
 ) -> Optional[Dict[str, int]]:
-    """Global radices for the array-partial pack, or ``None`` if unsafe.
+    """Global radices for the numpy kernel, or ``None`` if packing overflows.
 
     Radix per attribute = decode-table cardinality + 1 (the +1 shift
-    reserves 0 for NULL).  ``None`` — meaning: fall back to tuple
-    partials — when numpy is absent or a needed radix product would
-    exceed the ``int64`` packing limit (the full-tuple product is only
-    needed when the FD does not cover the schema).
+    reserves 0 for NULL).  ``None`` — the python kernel runs instead —
+    when a needed radix product would exceed the ``int64`` packing limit
+    (the full-tuple product is only needed when the FD does not cover
+    the schema).
     """
-    from repro.core.backends import _fd_covers_schema
-    from repro.relation.columnar import _PACK_LIMIT
-
-    if np is None:
-        return None
     radices = {a: len(tables[a]) + 1 for a in attributes}
-    product = 1
-    for attribute in fd.lhs + fd.rhs:
-        product *= radices[attribute]
-        if product > _PACK_LIMIT:
-            return None
-    if not _fd_covers_schema(attributes, fd):
+    packed = [fd.lhs + fd.rhs]
+    if not covers_schema(attributes, fd):
+        packed.append(attributes)
+    for group in packed:
         product = 1
-        for attribute in attributes:
+        for attribute in group:
             product *= radices[attribute]
             if product > _PACK_LIMIT:
                 return None
     return radices
 
 
-def uses_array_partials(source, fd: FunctionalDependency, backend: Optional[str] = None) -> bool:
-    """True when :func:`compute_chunked` would take the array-merge path.
-
-    False — the tuple-partial path, bit-identical but slower — when the
-    resolved backend is not numpy (including the automatic no-numpy
-    degrade) or the relation's cardinalities would overflow the pack.
-    """
-    from repro.core.backends import resolve_backend
-
-    if np is None or resolve_backend(backend).name != "numpy":
-        return False
-    attributes, tables, _ = _chunk_stream(source, DEFAULT_CHUNK_SIZE)
-    return _array_pack_plan(attributes, fd, tables) is not None
-
-
-# ----------------------------------------------------------------------
-# Workers
-# ----------------------------------------------------------------------
-def _partial_task(
-    task: Tuple[int, List[CodeChunk], str, FunctionalDependency],
-) -> Tuple[int, PartialFdCounts]:
-    """Worker: tuple-keyed partial counts of one band of chunks.
-
-    Module-level (picklable under every start method); the band is
-    merged in chunk order inside the worker, so the parent only has to
-    fold whole bands in band order.
-    """
-    from repro.core.backends import resolve_backend
-
-    index, chunks, backend_name, fd = task
-    backend = resolve_backend(backend_name)
-    merged = PartialFdCounts.empty()
-    for chunk in chunks:
-        merged.merge(backend.compute_partial(chunk, fd))
-    return index, merged
-
-
-def _band_array_partial(
-    band: List[CodeChunk], fd, backend, radices: Dict[str, int]
-) -> ArrayFdCounts:
-    """One compressed array partial for a whole band of chunks.
-
-    Each chunk is packed to raw per-row keys (O(rows), no grouping);
-    the band's raw arrays concatenate in chunk order — which is row
-    order — and compress with a single first-occurrence grouping.
-    Identical to merging per-chunk partials in chunk order, but the
-    sort is paid once per band instead of once per chunk, which is what
-    keeps the serial array path within ~10% of the monolithic scan.
-    """
-    num_rows = 0
-    xy_parts: List["np.ndarray"] = []
-    w_parts: List["np.ndarray"] = []
-    covering = True
-    for chunk in band:
-        chunk_rows, xy_raw, w_raw = backend.pack_partial_keys(chunk, fd, radices)
-        if chunk_rows == 0:
-            continue
-        num_rows += chunk_rows
-        xy_parts.append(xy_raw)
-        if w_raw is not None:
-            covering = False
-            w_parts.append(w_raw)
-    if num_rows == 0:
-        return ArrayFdCounts.empty()
-    xy_all = xy_parts[0] if len(xy_parts) == 1 else np.concatenate(xy_parts)
-    if covering:
-        return ArrayFdCounts.from_raw_keys(num_rows, xy_all, None)
-    w_all = w_parts[0] if len(w_parts) == 1 else np.concatenate(w_parts)
-    return ArrayFdCounts.from_raw_keys(num_rows, xy_all, w_all)
-
-
-def _array_partial_task(
-    task: Tuple[int, List[CodeChunk], str, FunctionalDependency, Dict[str, int]],
-) -> Tuple[int, ArrayFdCounts]:
-    """Worker: array-keyed partial counts of one band of chunks.
-
-    The band compresses vectorised in-worker (one grouping over its raw
-    packed keys); the returned partial pickles as compact ``int64``
-    buffers (keys + counts), a fraction of the tuple-counter pickle for
-    the same chunks.
-    """
-    from repro.core.backends import resolve_backend
-
-    index, chunks, backend_name, fd, radices = task
-    backend = resolve_backend(backend_name)
-    return index, _band_array_partial(chunks, fd, backend, radices)
-
-
-def _bands(chunks: Iterable[CodeChunk], band_size: int) -> Iterator[List[CodeChunk]]:
-    band: List[CodeChunk] = []
-    for chunk in chunks:
-        band.append(chunk)
-        if len(band) == band_size:
-            yield band
-            band = []
-    if band:
-        yield band
-
-
-# ----------------------------------------------------------------------
-# Merge drivers
-# ----------------------------------------------------------------------
 class _ArrayMergeAccumulator:
     """Ordered array-partial buffer with bounded-memory collapses.
 
@@ -345,162 +135,57 @@ class _ArrayMergeAccumulator:
         self._pending: List[ArrayFdCounts] = []
         self._buffered = 0
 
-    @staticmethod
-    def _keys(partial: ArrayFdCounts) -> int:
-        keys = int(partial.xy_keys.shape[0])
-        if not partial.covering:
-            keys += int(partial.w_keys.shape[0])
-        return keys
-
     def add(self, partial: ArrayFdCounts) -> None:
+        if partial.num_rows == 0:
+            return
         self._pending.append(partial)
-        self._buffered += self._keys(partial)
+        self._buffered += partial.num_keys
         if self._buffered > _COLLAPSE_KEYS and len(self._pending) > 1:
             collapsed = ArrayFdCounts.merge_all(self._pending)
             self._pending = [collapsed]
-            self._buffered = self._keys(collapsed)
+            self._buffered = collapsed.num_keys
 
-    def result(self) -> ArrayFdCounts:
-        return ArrayFdCounts.merge_all(self._pending)
-
-
-def _map_parallel(
-    chunks: Iterable[CodeChunk],
-    jobs: int,
-    task_function: Callable,
-    task_args: Tuple,
-    fold: Callable,
-) -> None:
-    """Map bands over the shared pool, fold results in band order.
-
-    Submission is bounded (``jobs + slack`` bands in flight) so a long
-    chunk stream never pickles itself into memory all at once; completed
-    partials are buffered by index and folded in strictly ascending
-    band order, preserving the serial merge's key order bit-for-bit.
-    """
-    pending_results: Dict[int, object] = {}
-    next_to_fold = 0
-
-    def drain() -> None:
-        nonlocal next_to_fold
-        while next_to_fold in pending_results:
-            fold(pending_results.pop(next_to_fold))
-            next_to_fold += 1
-
-    iterator = enumerate(_bands(chunks, _BAND_CHUNKS))
-    limit = jobs + _INFLIGHT_SLACK
-    pool = _shared_pool(jobs)
-    in_flight = set()
-    exhausted = False
-    try:
-        while not exhausted or in_flight:
-            while not exhausted and len(in_flight) < limit:
-                try:
-                    index, band = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    break
-                in_flight.add(pool.submit(task_function, (index, band) + task_args))
-            if not in_flight:
-                break
-            done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                index, partial = future.result()
-                pending_results[index] = partial
-            drain()
-    except BrokenProcessPool:
-        # A dead worker poisons the executor; drop it so the next call
-        # spawns a fresh one instead of failing forever.
-        shutdown_pool()
-        raise
-    drain()
+    def result(self) -> Optional[ArrayFdCounts]:
+        """The merged partial, or ``None`` when no row survived."""
+        return ArrayFdCounts.merge_all(self._pending) if self._pending else None
 
 
-def _merge_serial(chunks, fd, backend) -> PartialFdCounts:
-    merged = PartialFdCounts.empty()
-    for chunk in chunks:
-        merged.merge(backend.compute_partial(chunk, fd))
-    return merged
-
-
-def _merge_parallel(chunks, fd, backend, jobs: int) -> PartialFdCounts:
-    merged = PartialFdCounts.empty()
-    _map_parallel(chunks, jobs, _partial_task, (backend.name, fd), merged.merge)
-    return merged
-
-
-def _merge_serial_array(chunks, fd, backend, radices: Dict[str, int]) -> ArrayFdCounts:
-    accumulator = _ArrayMergeAccumulator()
-    for band in _bands(chunks, _BAND_CHUNKS):
-        accumulator.add(_band_array_partial(band, fd, backend, radices))
-    return accumulator.result()
-
-
-def _merge_parallel_array(
-    chunks, fd, backend, jobs: int, radices: Dict[str, int]
-) -> ArrayFdCounts:
-    accumulator = _ArrayMergeAccumulator()
-    _map_parallel(
-        chunks, jobs, _array_partial_task, (backend.name, fd, radices), accumulator.add
-    )
-    return accumulator.result()
-
-
-# ----------------------------------------------------------------------
-# Decoding
-# ----------------------------------------------------------------------
 def _decode_counts(
-    merged: PartialFdCounts,
-    fd: FunctionalDependency,
-    attributes: Tuple[str, ...],
-    tables: Dict[str, List[object]],
-) -> Tuple[Counter, Counter]:
+    merged: Counter, fd: FunctionalDependency, tables: Dict[str, List[object]]
+) -> Counter:
     """Translate code-tuple keys to value-tuple keys, preserving order.
 
     Decoding is order-preserving and injective (the dictionary encoding
     dedupes ``==``-equal values, so distinct codes mean distinct
-    values), hence the decoded counters carry exactly the keys — in
-    exactly the order — a monolithic value-keyed scan produces.
+    values), hence the decoded counter carries exactly the keys — in
+    exactly the order — a value-keyed scan produces.
     """
     lhs_tables = [tables[a] for a in fd.lhs]
     rhs_tables = [tables[a] for a in fd.rhs]
     xy_counts: Counter = Counter()
-    for (x_codes, y_codes), count in merged.xy_counts.items():
+    for (x_codes, y_codes), count in merged.items():
         xy_counts[
             (
                 tuple(table[code] for table, code in zip(lhs_tables, x_codes)),
                 tuple(table[code] for table, code in zip(rhs_tables, y_codes)),
             )
         ] = count
-    all_tables = [tables[a] for a in attributes]
-    full_counts: Counter = Counter()
-    for codes, count in merged.full_tuple_counts.items():
-        full_counts[
-            tuple(
-                table[code] if code >= 0 else None
-                for table, code in zip(all_tables, codes)
-            )
-        ] = count
-    return xy_counts, full_counts
+    return xy_counts
 
 
 def _decode_array_counts(
     merged: ArrayFdCounts,
     fd: FunctionalDependency,
-    attributes: Tuple[str, ...],
     tables: Dict[str, List[object]],
     radices: Dict[str, int],
-) -> Tuple[Counter, Counter]:
-    """Unpack and decode the merged key arrays, preserving order.
+) -> Counter:
+    """Unpack and decode the merged joint keys, preserving order.
 
     The single place the array path touches Python tuples: one divmod
-    unpack plus one O(distinct) loop per counter — the same order-
-    preserving, injective decode as :func:`_decode_counts`.
+    unpack plus one O(distinct) loop — the same order-preserving,
+    injective decode as :func:`_decode_counts`.
     """
-    fd_attributes = fd.lhs + fd.rhs
-    columns = unpack_key_columns(
-        merged.xy_keys, [radices[a] for a in fd_attributes]
-    )
+    columns = unpack_key_columns(merged.xy_keys, [radices[a] for a in fd.lhs + fd.rhs])
     lhs_tables = [tables[a] for a in fd.lhs]
     rhs_tables = [tables[a] for a in fd.rhs]
     split = len(fd.lhs)
@@ -510,37 +195,27 @@ def _decode_array_counts(
         x_table, y_table = lhs_tables[0], rhs_tables[0]
         for x_code, y_code, count in zip(columns[0].tolist(), columns[1].tolist(), counts):
             xy_counts[((x_table[x_code],), (y_table[y_code],))] = count
-    else:
-        lhs_codes = [column.tolist() for column in columns[:split]]
-        rhs_codes = [column.tolist() for column in columns[split:]]
-        for group, count in enumerate(counts):
-            xy_counts[
-                (
-                    tuple(table[codes[group]] for table, codes in zip(lhs_tables, lhs_codes)),
-                    tuple(table[codes[group]] for table, codes in zip(rhs_tables, rhs_codes)),
-                )
-            ] = count
-
-    full_counts: Counter = Counter()
-    if merged.covering:
-        # Same re-key as the per-chunk covering fast path: identical
-        # counts in identical first-occurrence order.
-        for (x_key, y_key), count in xy_counts.items():
-            full_counts[x_key + y_key] = count
-        return xy_counts, full_counts
-    all_tables = [tables[a] for a in attributes]
-    w_columns = [
-        column.tolist()
-        for column in unpack_key_columns(merged.w_keys, [radices[a] for a in attributes])
-    ]
-    for row in zip(*w_columns, merged.w_counts.tolist()):
-        full_counts[
-            tuple(
-                table[code] if code >= 0 else None
-                for table, code in zip(all_tables, row)
+        return xy_counts
+    lhs_codes = [column.tolist() for column in columns[:split]]
+    rhs_codes = [column.tolist() for column in columns[split:]]
+    for group, count in enumerate(counts):
+        xy_counts[
+            (
+                tuple(table[codes[group]] for table, codes in zip(lhs_tables, lhs_codes)),
+                tuple(table[codes[group]] for table, codes in zip(rhs_tables, rhs_codes)),
             )
-        ] = row[-1]
-    return xy_counts, full_counts
+        ] = count
+    return xy_counts
+
+
+def _sequential_sum(values: "np.ndarray") -> float:
+    """Left-to-right float sum, bit-matching a scalar accumulation loop.
+
+    ``cumsum`` materialises every prefix sum and is therefore necessarily
+    a sequential reduction — unlike ``np.sum``, whose pairwise reduction
+    rounds differently from the scalar code it would stand in for.
+    """
+    return float(np.cumsum(values)[-1])
 
 
 def _seed_from_array_merge(
@@ -549,146 +224,92 @@ def _seed_from_array_merge(
     fd: FunctionalDependency,
     radices: Dict[str, int],
 ) -> None:
-    """Pre-seed the vectorisable statistics from the merged arrays.
+    """Eagerly derive the vectorisable statistics and seed the cache.
 
-    The chunked analogue of the monolithic numpy backend's cache
-    seeding: the parent X/Y group counts fall out of the packed keys by
-    divmod (first-occurrence order is preserved — an X value's first
-    ``(X, Y)`` group is its first restricted row), so the seeded values
-    are bit-identical to the monolithic pass's.
+    The parent X/Y group ids fall out of the packed joint keys by divmod
+    (first-occurrence order is preserved — an X value's first ``(X, Y)``
+    group is its first restricted row).  Integer quantities are exact
+    ``int64``; the ``Σ p²`` float sums reproduce the scalar path
+    bit-for-bit (see :mod:`repro.core.backends`).
     """
-    from repro.core.backends import _seed_vectorised_statistics
-    from repro.relation.columnar import _dense_first_occurrence
-
-    if merged.xy_keys.shape[0] == 0:
-        return
     rhs_product = 1
     for attribute in fd.rhs:
         rhs_product *= radices[attribute]
-    xy_counts = merged.xy_counts
-    x_of_xy, _, _ = _dense_first_occurrence(merged.xy_keys // rhs_product)
-    y_of_xy, _, _ = _dense_first_occurrence(merged.xy_keys % rhs_product)
-    x_counts = np.zeros(int(x_of_xy.max()) + 1, dtype=np.int64)
-    np.add.at(x_counts, x_of_xy, xy_counts)
+    counts = merged.xy_counts
+    x_of_xy, _, _ = dense_first_occurrence(merged.xy_keys // rhs_product)
+    y_of_xy, _, _ = dense_first_occurrence(merged.xy_keys % rhs_product)
+    num_x = int(x_of_xy.max()) + 1
+    x_counts = np.zeros(num_x, dtype=np.int64)
+    np.add.at(x_counts, x_of_xy, counts)
     y_counts = np.zeros(int(y_of_xy.max()) + 1, dtype=np.int64)
-    np.add.at(y_counts, y_of_xy, xy_counts)
-    _seed_vectorised_statistics(
-        statistics,
-        merged.num_rows,
-        x_counts=x_counts,
-        y_counts=y_counts,
-        xy_counts=xy_counts,
-        x_of_xy=x_of_xy,
-        w_counts=merged.w_counts,
-    )
+    np.add.at(y_counts, y_of_xy, counts)
+    squares = np.zeros(num_x, dtype=np.int64)
+    np.add.at(squares, x_of_xy, counts * counts)
+    maxima = np.zeros(num_x, dtype=np.int64)
+    np.maximum.at(maxima, x_of_xy, counts)
+    distinct_y_per_x = np.bincount(x_of_xy, minlength=num_x)
+
+    cache = statistics._cache
+    cache["violating_pairs"] = int((x_counts * x_counts - squares).sum())
+    cache["violating_tuples"] = int(x_counts[distinct_y_per_x > 1].sum())
+    cache["max_subrelation"] = int(maxima.sum())
+    for key, array in (("sum_sq_x", x_counts), ("sum_sq_y", y_counts), ("sum_sq_xy", counts)):
+        probabilities = array / merged.num_rows
+        cache[key] = _sequential_sum(probabilities * probabilities)
 
 
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
-def compute_chunked(
-    source,
-    fd: FunctionalDependency,
-    chunk_size: Optional[int] = None,
-    jobs: int = 1,
-    backend: Optional[str] = None,
-    array_partials: Optional[bool] = None,
+def map_merge(
+    source, fd: FunctionalDependency, backend: Optional[str] = None
 ) -> FdStatistics:
-    """Compute ``FdStatistics`` by chunked map-merge.
+    """Compute ``FdStatistics`` of ``fd`` on ``source`` by chunked map-merge.
 
-    Parameters
-    ----------
-    source:
-        A :class:`Relation` or :class:`ChunkedRelation`.
-    fd:
-        The candidate FD.
-    chunk_size:
-        Rows per work unit (default :data:`DEFAULT_CHUNK_SIZE`); ignored
-        for a :class:`ChunkedRelation`, whose stored chunking is used.
-    jobs:
-        1 = serial in-process map-merge; N > 1 = N workers of the shared
-        process pool; ``None``/0 = one worker per CPU.
-    backend:
-        Statistics backend name (resolved like
-        :meth:`FdStatistics.compute`).
-    array_partials:
-        ``None`` (default) auto-selects the vectorised array-partial
-        merge whenever the numpy backend runs and the relation's
-        cardinalities fit the packing limit; ``False`` forces the
-        tuple-partial path (results are ``==`` either way); ``True``
-        asserts the array path is available and raises when it is not.
-
-    Returns statistics ``==`` to a monolithic ``compute`` on the same
-    rows, for every measure, on both backends and both partial
-    representations.
+    ``source`` is a :class:`Relation` or :class:`ChunkedRelation`;
+    ``backend`` is resolved like :meth:`FdStatistics.compute`.  The
+    result is ``==`` across backends and chunkings.
     """
-    from repro.core.backends import resolve_backend
-
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    jobs = _resolve_jobs(jobs)
     backend_object = resolve_backend(backend)
+    attributes, tables, chunks = _chunk_stream(source)
     for attribute in fd.attributes:
-        if attribute not in source.attributes:
+        if attribute not in attributes:
             raise KeyError(
-                f"FD attribute {attribute!r} not in relation schema "
-                f"{list(source.attributes)}"
+                f"FD attribute {attribute!r} not in relation schema {list(attributes)}"
             )
-
-    from repro.obs.metrics import get_registry
-
-    attributes, tables, chunks = _chunk_stream(source, chunk_size)
-
-    def counted(stream):
-        registry = get_registry()
-        for chunk in stream:
-            registry.inc("chunked_chunks_total")
-            yield chunk
-
-    chunks = counted(chunks)
-    plan = None
-    if array_partials is not False and backend_object.name == "numpy":
-        plan = _array_pack_plan(attributes, fd, tables)
-    if array_partials is True and plan is None:
-        raise ValueError(
-            "array partials need the numpy backend and pack-safe radix "
-            f"products; unavailable for backend {backend_object.name!r} "
-            f"on {getattr(source, 'name', '') or 'this relation'}"
-        )
     relation_name = getattr(source, "name", "")
-    get_registry().inc(
-        "chunked_passes_total", path="array" if plan is not None else "tuple"
-    )
-    if plan is not None:
-        if jobs > 1:
-            merged_arrays = _merge_parallel_array(chunks, fd, backend_object, jobs, plan)
-        else:
-            merged_arrays = _merge_serial_array(chunks, fd, backend_object, plan)
-        xy_counts, full_counts = _decode_array_counts(
-            merged_arrays, fd, attributes, tables, plan
-        )
-        statistics = FdStatistics.from_joint_counts(
+    radices = None
+    if backend_object.name == "numpy":
+        radices = _pack_radices(attributes, fd, tables)
+    registry = get_registry()
+    registry.inc("chunked_passes_total", path="tuple" if radices is None else "array")
+
+    if radices is None:
+        kernel = resolve_backend("python")
+        merged = PartialFdCounts()
+        for chunk in chunks:
+            registry.inc("chunked_chunks_total")
+            merged.merge(kernel.partial(chunk, fd))
+        return FdStatistics.from_joint_counts(
             fd,
-            merged_arrays.num_rows,
-            xy_counts,
-            full_counts,
+            merged.num_rows,
+            _decode_counts(merged.xy_counts, fd, tables),
+            merged.square_sum(),
             relation_name=relation_name,
         )
-        _seed_from_array_merge(statistics, merged_arrays, fd, plan)
-        return statistics
 
-    if jobs > 1:
-        merged = _merge_parallel(chunks, fd, backend_object, jobs)
-    else:
-        merged = _merge_serial(chunks, fd, backend_object)
-
-    xy_counts, full_counts = _decode_counts(merged, fd, attributes, tables)
-    return FdStatistics.from_joint_counts(
+    accumulator = _ArrayMergeAccumulator()
+    for chunk in chunks:
+        registry.inc("chunked_chunks_total")
+        accumulator.add(backend_object.partial(chunk, fd, radices))
+    merged_arrays = accumulator.result()
+    if merged_arrays is None:
+        return FdStatistics.from_joint_counts(
+            fd, 0, Counter(), 0, relation_name=relation_name
+        )
+    statistics = FdStatistics.from_joint_counts(
         fd,
-        merged.num_rows,
-        xy_counts,
-        full_counts,
+        merged_arrays.num_rows,
+        _decode_array_counts(merged_arrays, fd, tables, radices),
+        merged_arrays.square_sum(),
         relation_name=relation_name,
     )
+    _seed_from_array_merge(statistics, merged_arrays, fd, radices)
+    return statistics

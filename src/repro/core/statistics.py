@@ -2,19 +2,18 @@
 
 Every measure in the paper is a function of the group structure that an
 FD ``X -> Y`` induces on a relation ``R``: the multiplicities of distinct
-``x`` values, distinct ``y`` values, distinct ``(x, y)`` pairs, and (for
-the normalised g1 variant) of full tuples ``w``.  :class:`FdStatistics`
-computes this once so that scoring all measures on the same candidate FD
-shares the work, which is also how the runtime experiment (Table V of the
-paper) is structured.
+``x`` values, distinct ``y`` values and distinct ``(x, y)`` pairs, plus
+one integer for the normalised g1 variant — ``Σ_w R(w)²`` over distinct
+full tuples ``w``.  :class:`FdStatistics` computes this once so that
+scoring all measures on the same candidate FD shares the work, which is
+also how the runtime experiment (Table V of the paper) is structured.
 
-*How* the count structures are computed is delegated to a pluggable
-backend (:mod:`repro.core.backends`): the portable ``python`` backend
-scans rows into ``Counter``s, the ``numpy`` backend group-bys
-dictionary-encoded code arrays (:mod:`repro.relation.columnar`).  Both
-produce bit-identical statistics — including ``Counter`` insertion order,
-on which the floating-point summation order (and hence bit-identical
-scores) depends.
+:meth:`FdStatistics.compute` is one chunked map-merge pass
+(:mod:`repro.core.chunked`) with one partial kernel per backend
+(:mod:`repro.core.backends`): code tuples for ``python``, packed
+``int64`` arrays for ``numpy``.  Both produce bit-identical statistics —
+including ``Counter`` insertion order, on which the floating-point
+summation order (and hence bit-identical scores) depends.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from repro.relation.fd import FunctionalDependency
-from repro.relation.relation import Relation
 
 
 @dataclass
@@ -49,7 +47,8 @@ class FdStatistics:
     y_counts: Counter
     xy_counts: Counter
     groups: Dict[Tuple, Counter]
-    full_tuple_counts: Counter
+    #: ``Σ_w R(w)²`` over distinct full tuples ``w`` (exact ``int``).
+    tuple_square_sum: int
     relation_name: str = ""
     # Excluded from __eq__: which lazy derivations happen to have been
     # materialised (or pre-seeded by a backend) is not part of a
@@ -65,36 +64,23 @@ class FdStatistics:
     @classmethod
     def compute(
         cls,
-        relation: Relation,
+        source,
         fd: FunctionalDependency,
         backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-        jobs: int = 1,
     ) -> "FdStatistics":
-        """Compute statistics of ``fd`` on ``relation`` (NULLs dropped).
+        """Compute statistics of ``fd`` on ``source`` (NULLs dropped).
 
-        ``backend`` selects the computation engine: ``"python"``,
-        ``"numpy"`` or ``"auto"``/``None`` (the process default — see
+        ``source`` is a :class:`~repro.relation.relation.Relation` or a
+        :class:`~repro.relation.chunked.ChunkedRelation`.  ``backend``
+        selects the partial kernel: ``"python"``, ``"numpy"`` or
+        ``"auto"``/``None`` (the process default — see
         :func:`repro.core.backends.set_default_backend` and the
         ``REPRO_STATS_BACKEND`` environment variable).  Scores derived
-        from the result are bit-identical across backends.
-
-        ``chunk_size`` (or ``jobs > 1``) routes through the chunked
-        map-merge driver (:func:`repro.core.chunked.compute_chunked`):
-        per-chunk partial counts over slices of the code arrays, merged
-        in chunk order — bit-identical (``==``) to the monolithic scan,
-        and the only path accepting a
-        :class:`~repro.relation.chunked.ChunkedRelation`.
+        from the result are bit-identical across backends and chunkings.
         """
-        from repro.core.backends import resolve_backend
+        from repro.core.chunked import map_merge
 
-        if chunk_size is not None or jobs != 1 or not isinstance(relation, Relation):
-            from repro.core.chunked import compute_chunked
-
-            return compute_chunked(
-                relation, fd, chunk_size=chunk_size, jobs=jobs, backend=backend
-            )
-        return resolve_backend(backend).compute(relation, fd)
+        return map_merge(source, fd, backend)
 
     @classmethod
     def from_joint_counts(
@@ -102,16 +88,17 @@ class FdStatistics:
         fd: FunctionalDependency,
         num_rows: int,
         xy_counts: Counter,
-        full_tuple_counts: Counter,
+        tuple_square_sum: int,
         relation_name: str = "",
     ) -> "FdStatistics":
-        """Assemble statistics from joint ``(x, y)`` and full-tuple counts.
+        """Assemble statistics from joint ``(x, y)`` counts and ``Σ_w R(w)²``.
 
         The marginals and the per-``x`` group structure are derived here,
         in one pass over ``xy_counts`` in its insertion order — both
-        backends funnel through this constructor, which pins down the
-        ``Counter`` insertion orders (and therefore every downstream
-        floating-point summation order) once, for all backends.
+        backends and the incremental tracker funnel through this
+        constructor, which pins down the ``Counter`` insertion orders (and
+        therefore every downstream floating-point summation order) once,
+        for all backends.
         """
         x_counts: Counter = Counter()
         y_counts: Counter = Counter()
@@ -137,7 +124,7 @@ class FdStatistics:
             y_counts=y_counts,
             xy_counts=xy_counts,
             groups=groups,
-            full_tuple_counts=full_tuple_counts,
+            tuple_square_sum=tuple_square_sum,
             relation_name=relation_name,
         )
 
@@ -199,10 +186,7 @@ class FdStatistics:
 
     def sum_squared_tuple_counts(self) -> int:
         """``Σ_w R(w)²`` over full tuples ``w`` of the restricted relation."""
-        return self._cached(
-            "sum_sq_w",
-            lambda: sum(count * count for count in self.full_tuple_counts.values()),
-        )
+        return self.tuple_square_sum
 
     def violating_pair_count(self) -> int:
         """``|G1(X -> Y, R)|``: ordered pairs equal on X but different on Y."""

@@ -6,9 +6,8 @@ which requires materialised row indices and therefore an in-memory
 :class:`Relation`.  At the scale the chunked layer exists for (millions
 of rows, no row list) that is exactly what must not happen, so
 :func:`chunked_discover` runs the **single-LHS** candidate screen from
-chunked map-merge statistics alone: one
-:func:`~repro.core.chunked.compute_chunked` pass per candidate
-``A -> B``, every measure scored from that one shared
+chunked statistics alone: one :meth:`FdStatistics.compute` pass per
+candidate ``A -> B``, every measure scored from that one shared
 :class:`FdStatistics`, no partitions, no row list, peak memory bounded
 by the chunk size and the merged distinct counts.
 
@@ -16,9 +15,9 @@ Parity is a hard contract, not an approximation: for ``max_lhs_size=1``
 the scores, exactness flags and candidate order are identical (``==``)
 to :func:`~repro.discovery.lattice.lattice_discover` /
 :func:`~repro.discovery.lattice.brute_force_afds` on the materialised
-relation, because chunked statistics are bit-identical to monolithic
-ones and the lattice's partition prunes only replace scores that are
-exactly 1.0 by the repo's satisfied-FD convention.  The two deliberate
+relation, because statistics are bit-identical across chunkings and
+the lattice's partition prunes only replace scores that are exactly 1.0
+by the repo's satisfied-FD convention.  The two deliberate
 non-features:
 
 * ``max_lhs_size > 1`` is rejected — multi-attribute LHS traversal
@@ -37,6 +36,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.core.base import AfdMeasure
 from repro.core.registry import all_measures
+from repro.core.statistics import FdStatistics
 from repro.discovery.single import (
     CandidateScore,
     DiscoveryResult,
@@ -54,8 +54,6 @@ def chunked_discover(
     rhs_attributes: Optional[Sequence[str]] = None,
     max_lhs_size: int = 1,
     g3_bound: Optional[float] = None,
-    chunk_size: Optional[int] = None,
-    jobs: int = 1,
     backend: Optional[str] = None,
     statistics_provider=None,
 ) -> DiscoveryResult:
@@ -69,17 +67,13 @@ def chunked_discover(
     ``exact`` is the statistics-level check (``satisfied or is_empty``),
     identical to the lattice's statistics path.
 
-    ``chunk_size`` / ``jobs`` / ``backend`` forward to
-    :func:`~repro.core.chunked.compute_chunked` (a ChunkedRelation's own
-    chunking wins, jobs > 1 uses the shared worker pool).
+    ``backend`` forwards to :meth:`FdStatistics.compute`.
     ``statistics_provider`` is the session's artifact-sharing hook,
     ``(source, fd) -> (FdStatistics, computed)``, replacing the direct
-    chunked compute; ``max_lhs_size`` must be 1 and ``g3_bound`` must be
+    compute; ``max_lhs_size`` must be 1 and ``g3_bound`` must be
     ``None`` (see the module docstring for why both are rejected rather
     than emulated).
     """
-    from repro.core.chunked import compute_chunked
-
     if max_lhs_size != 1:
         raise ValueError(
             "chunked discovery is a single-LHS screen (partition-free); "
@@ -115,13 +109,7 @@ def chunked_discover(
                 continue
             fd = FunctionalDependency(lhs, rhs)
             if statistics_provider is None:
-                statistics = compute_chunked(
-                    source,
-                    fd,
-                    chunk_size=chunk_size,
-                    jobs=jobs,
-                    backend=backend,
-                )
+                statistics = FdStatistics.compute(source, fd, backend=backend)
                 result.statistics_computed += 1
             else:
                 statistics, computed = statistics_provider(source, fd)

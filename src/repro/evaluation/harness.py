@@ -48,13 +48,7 @@ def _score_spec(task: Tuple[TableSpec, MeasureConfig]) -> TableScore:
 
     spec, config = task
     table = spec.materialize()
-    session = AfdSession(
-        table.relation,
-        measures=config.build(),
-        backend=config.backend,
-        chunk_size=config.chunk_size,
-        jobs=config.chunk_jobs,
-    )
+    session = AfdSession(table.relation, measures=config.build(), backend=config.backend)
     profile = session.score(SYNTHETIC_FD)
     return TableScore(
         table=spec.name,
@@ -208,11 +202,7 @@ def evaluate_benchmark(
     rows: List[TableScore] = []
     for position, table in enumerate(benchmark.tables):
         session = AfdSession(
-            table.relation,
-            measures=dict(measures),
-            backend=config.backend,
-            chunk_size=config.chunk_size,
-            jobs=config.chunk_jobs,
+            table.relation, measures=dict(measures), backend=config.backend
         )
         result = session.score(benchmark.fd)
         rows.append(

@@ -26,10 +26,7 @@ class MeasureConfig:
     ``backend`` selects the statistics backend used for the shared
     sufficient-statistics pass (``None`` = the process default; scores
     are bit-identical across backends, so the choice only affects
-    runtime).  ``chunk_size``/``chunk_jobs`` route that pass through the
-    chunked map-merge driver (``None``/1 = monolithic; also bit-identical
-    — ``chunk_jobs`` is per-statistics-pass parallelism, distinct from
-    the harness's per-table ``jobs``).
+    runtime).
     """
 
     expectation: str = "exact"
@@ -37,8 +34,6 @@ class MeasureConfig:
     sfi_alpha: float = 0.5
     seed: Optional[int] = 0
     backend: Optional[str] = None
-    chunk_size: Optional[int] = None
-    chunk_jobs: int = 1
 
     def build(self) -> Dict[str, AfdMeasure]:
         return dict(

@@ -35,7 +35,7 @@ from repro.experiments.plotting import PLOT_FORMATS, run_plot
 from repro.experiments.properties import PropertiesConfig, run_properties
 from repro.experiments.runtime import (
     SMOKE_CHUNK_SIZE,
-    SMOKE_CHUNKED_SIZES,
+    SMOKE_CHUNKED_DISCOVERY_ROWS,
     SMOKE_REPEATS,
     SMOKE_SIZES,
     RuntimeConfig,
@@ -197,24 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="timed repetitions per (relation, backend) cell (default: 5)",
     )
     parser.add_argument(
-        "--runtime-chunked-sizes",
-        default="1000000",
-        help="comma-separated relation sizes of the chunked-scaling section "
-        "of the runtime benchmark; '-' disables it (default: 1000000; pass "
-        "e.g. 1000000,10000000 for the 10M point)",
+        "--runtime-chunked-discovery-rows",
+        type=int,
+        default=RuntimeConfig.chunked_discovery_rows,
+        help="row count of the runtime benchmark's chunked-discovery parity "
+        "section; 0 disables it (default: %(default)s)",
     )
     parser.add_argument(
         "--runtime-chunk-size",
         type=int,
-        default=100_000,
-        help="rows per map-merge chunk in the chunked-scaling section "
-        "(default: 100000)",
-    )
-    parser.add_argument(
-        "--runtime-chunked-jobs",
-        default="1,2",
-        help="comma-separated worker counts of the chunked-scaling section "
-        "(default: 1,2; 1 = serial map-merge)",
+        default=RuntimeConfig.chunk_size,
+        help="rows per stored chunk of the runtime benchmark's chunked "
+        "relations (default: %(default)s)",
     )
     parser.add_argument(
         "--runtime-discovery-rows",
@@ -438,28 +432,15 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
     if args.smoke:
         sizes: tuple = SMOKE_SIZES
         repeats = SMOKE_REPEATS
-        chunked_sizes: tuple = SMOKE_CHUNKED_SIZES
+        chunked_discovery_rows = SMOKE_CHUNKED_DISCOVERY_ROWS
         chunk_size = SMOKE_CHUNK_SIZE
-        chunked_repeats = SMOKE_REPEATS
     else:
         sizes = tuple(
             int(part) for part in args.runtime_sizes.split(",") if part.strip()
         )
         repeats = args.runtime_repeats
-        chunked_sizes = (
-            ()
-            if args.runtime_chunked_sizes.strip() == "-"
-            else tuple(
-                int(part)
-                for part in args.runtime_chunked_sizes.split(",")
-                if part.strip()
-            )
-        )
+        chunked_discovery_rows = args.runtime_chunked_discovery_rows
         chunk_size = args.runtime_chunk_size
-        chunked_repeats = 3
-    chunked_jobs = tuple(
-        int(part) for part in args.runtime_chunked_jobs.split(",") if part.strip()
-    )
     backends: tuple = ()
     if args.backend is not None and args.backend != "auto":
         backends = (args.backend,)
@@ -470,10 +451,8 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         expectation=args.expectation,
         mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
-        chunked_sizes=chunked_sizes,
+        chunked_discovery_rows=chunked_discovery_rows,
         chunk_size=chunk_size,
-        chunked_jobs=chunked_jobs,
-        chunked_repeats=chunked_repeats,
         discovery_rows=args.runtime_discovery_rows,
     )
     bench_path = _bench_path(args, "runtime")
@@ -500,42 +479,6 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         print(
             f"largest relation statistics speedup (python/numpy): "
             f"{payload['speedup']:.1f}x"
-        )
-    chunked = payload.get("chunked")
-    if chunked is not None:
-        print(
-            f"\nChunked scaling (chunk_size={chunked['chunk_size']}, "  # type: ignore[index]
-            f"statistics pass, bit-identical to monolithic)"
-        )
-        header = f"{'relation':<18} {'backend':<8} {'variant':<14} {'stats ms':>10}"
-        print(header)
-        print("-" * len(header))
-        for entry in chunked["relations"]:  # type: ignore[index]
-            for backend, cell in entry["backends"].items():
-                print(
-                    f"{entry['name']:<18} {backend:<8} {'single-chunk':<14} "
-                    f"{cell['single_chunk_seconds_median'] * 1000:>10.2f}"
-                )
-                for jobs, timing in cell["jobs"].items():
-                    print(
-                        f"{'':<18} {'':<8} {'chunked x' + jobs:<14} "
-                        f"{timing['statistics_seconds_median'] * 1000:>10.2f}"
-                    )
-        if payload.get("chunked_speedup") is not None:
-            best = chunked["largest"]["best"]  # type: ignore[index]
-            print(
-                f"largest chunked relation: chunked jobs>1 over single-chunk "
-                f"{payload['chunked_speedup']:.2f}x ({best['backend']} backend)"
-            )
-    array_merge = payload.get("array_merge")
-    if array_merge is not None:
-        print(
-            f"array merge ({array_merge['name']}): numpy serial-chunked "  # type: ignore[index]
-            f"{array_merge['serial_chunked_seconds_median'] * 1000:.2f} ms vs "  # type: ignore[index]
-            f"monolithic {array_merge['monolithic_seconds_median'] * 1000:.2f} ms "  # type: ignore[index]
-            f"(ratio {array_merge['serial_over_monolithic']:.2f}, "  # type: ignore[index]
-            f"array partials {'on' if array_merge['array_partials'] else 'off'}, "  # type: ignore[index]
-            f"within 10%: {array_merge['within_10pct']})"  # type: ignore[index]
         )
     discovery = payload.get("chunked_discovery")
     if discovery is not None:

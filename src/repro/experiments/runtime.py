@@ -68,14 +68,13 @@ class RuntimeConfig:
     mc_samples: int = 50
     sfi_alpha: float = 0.5
     measure_seed: int = 0
-    #: Row counts of the chunked-scaling section (empty tuple disables
-    #: it).  Each relation is timed single-chunk (monolithic compute) vs
-    #: chunked map-merge at every ``chunked_jobs`` worker count, per
-    #: backend, with the chunked statistics asserted ``==`` monolithic.
-    chunked_sizes: Tuple[int, ...] = (1_000_000,)
-    chunk_size: int = 100_000
-    chunked_jobs: Tuple[int, ...] = (1, 2)
-    chunked_repeats: int = 3
+    #: Row count of the chunked-discovery parity section (0 disables
+    #: it): partition-free discovery on a :class:`ChunkedRelation`,
+    #: asserted ``==`` brute force on the materialised relation.
+    chunked_discovery_rows: int = 20_000
+    #: Rows per stored chunk of the ChunkedRelations the discovery
+    #: sections build.
+    chunk_size: int = 8_192
     #: Row count of the out-of-core chunked-discovery smoke (0 disables
     #: it; CLI-gated via ``--runtime-discovery-rows``).  The smoke
     #: streams a block-generated synthetic relation straight into a
@@ -107,8 +106,8 @@ class RuntimeConfig:
 #: fewer repeats — same code path, same artifact schema.
 SMOKE_SIZES: Tuple[int, ...] = (500, 2_000)
 SMOKE_REPEATS = 2
-SMOKE_CHUNKED_SIZES: Tuple[int, ...] = (20_000,)
-SMOKE_CHUNK_SIZE = 5_000
+SMOKE_CHUNKED_DISCOVERY_ROWS = 5_000
+SMOKE_CHUNK_SIZE = 1_024
 
 
 def fixed_relation_parameters(num_rows: int) -> GenerationParameters:
@@ -184,157 +183,10 @@ def _speedup(baseline: Optional[float], contender: Optional[float]) -> Optional[
     return baseline / contender
 
 
-def _time_chunked_cell(relation, config: RuntimeConfig, backend: str) -> Dict[str, object]:
-    """Single-chunk vs chunked×jobs statistics-pass timings for one backend.
-
-    "Single-chunk" is today's monolithic whole-relation ``compute`` — the
-    baseline the chunked map-merge path is measured against.  Every
-    chunked variant's statistics are asserted ``==`` to the monolithic
-    pass, and the fourteen measure scores are compared exactly, so the
-    recorded speedups are speedups of a *bit-identical* result.
-    """
-    from repro.core.chunked import uses_array_partials
-    from repro.core.statistics import FdStatistics
-
-    def timed(compute):
-        result = compute()  # warm-up: columnar encode, allocator, pool fork
-        runs: List[float] = []
-        for _ in range(config.chunked_repeats):
-            started = time.perf_counter()
-            result = compute()
-            runs.append(time.perf_counter() - started)
-        return result, runs
-
-    monolithic, single_runs = timed(
-        lambda: FdStatistics.compute(relation, SYNTHETIC_FD, backend=backend)
-    )
-    single_median = median(single_runs)
-    measures = config.measure_config(backend).build()
-    monolithic_scores = {
-        name: measure.score_from_statistics(monolithic)
-        for name, measure in measures.items()
-    }
-    per_jobs: Dict[str, Dict[str, object]] = {}
-    best_parallel: Optional[float] = None
-    for jobs in config.chunked_jobs:
-        chunked, runs = timed(
-            lambda jobs=jobs: FdStatistics.compute(
-                relation,
-                SYNTHETIC_FD,
-                backend=backend,
-                chunk_size=config.chunk_size,
-                jobs=jobs,
-            )
-        )
-        if chunked != monolithic:
-            raise AssertionError(
-                f"chunked statistics (backend={backend}, jobs={jobs}) differ "
-                f"from the monolithic pass on {relation.name}"
-            )
-        chunked_scores = {
-            name: measure.score_from_statistics(chunked)
-            for name, measure in measures.items()
-        }
-        if chunked_scores != monolithic_scores:
-            raise AssertionError(
-                f"chunked scores (backend={backend}, jobs={jobs}) differ "
-                f"from the monolithic pass on {relation.name}"
-            )
-        jobs_median = median(runs)
-        per_jobs[str(jobs)] = {
-            "statistics_seconds_median": jobs_median,
-            "statistics_seconds_runs": runs,
-            "speedup_vs_single_chunk": _speedup(single_median, jobs_median),
-        }
-        if jobs > 1:
-            best_parallel = (
-                jobs_median if best_parallel is None else min(best_parallel, jobs_median)
-            )
-    return {
-        "single_chunk_seconds_median": single_median,
-        "single_chunk_seconds_runs": single_runs,
-        "jobs": per_jobs,
-        "identical": True,
-        "chunked_speedup": _speedup(single_median, best_parallel),
-        # Whether the chunked runs above took the vectorised array-
-        # partial merge (numpy backend, pack-safe radix products) or the
-        # tuple-partial fallback — both bit-identical, very different
-        # constants.
-        "array_partials": uses_array_partials(relation, SYNTHETIC_FD, backend=backend),
-    }
-
-
-def _run_chunked_section(
-    config: RuntimeConfig, backends: Tuple[str, ...]
-) -> Optional[Dict[str, object]]:
-    """The scaling-curve section of the payload (None when disabled)."""
-    if not config.chunked_sizes:
-        return None
-    entries: List[Dict[str, object]] = []
-    for num_rows in config.chunked_sizes:
-        relation = build_fixed_relation(num_rows, config.seed)
-        per_backend = {
-            name: _time_chunked_cell(relation, config, name) for name in backends
-        }
-        best: Optional[Dict[str, object]] = None
-        for name, cell in per_backend.items():
-            speedup = cell["chunked_speedup"]
-            if speedup is not None and (best is None or speedup > best["speedup"]):  # type: ignore[index,operator]
-                best = {"backend": name, "speedup": speedup}
-        entries.append(
-            {
-                "name": relation.name,
-                "num_rows": relation.num_rows,
-                "parameters": asdict(fixed_relation_parameters(num_rows)),
-                "backends": per_backend,
-                "best": best,
-            }
-        )
-    largest = max(entries, key=lambda entry: entry["num_rows"])
-    return {
-        "chunk_size": config.chunk_size,
-        "jobs": list(config.chunked_jobs),
-        "repeats": config.chunked_repeats,
-        "relations": entries,
-        "largest": {
-            "name": largest["name"],
-            "num_rows": largest["num_rows"],
-            "best": largest["best"],
-        },
-    }
-
-
-def _array_merge_summary(chunked: Optional[Dict[str, object]]) -> Optional[Dict[str, object]]:
-    """The array-merge headline: numpy serial-chunked vs monolithic.
-
-    Distilled from the chunked section's largest relation — the number
-    the "within 10% of monolithic" acceptance bar is checked against.
-    """
-    if chunked is None:
-        return None
-    entries: List[Dict[str, object]] = chunked["relations"]  # type: ignore[assignment]
-    largest = max(entries, key=lambda entry: entry["num_rows"])
-    cell = largest["backends"].get("numpy")  # type: ignore[union-attr]
-    if cell is None or "1" not in cell["jobs"]:
-        return None
-    monolithic = cell["single_chunk_seconds_median"]
-    serial = cell["jobs"]["1"]["statistics_seconds_median"]
-    ratio = serial / monolithic if monolithic > 0 else None
-    return {
-        "name": largest["name"],
-        "num_rows": largest["num_rows"],
-        "array_partials": cell["array_partials"],
-        "monolithic_seconds_median": monolithic,
-        "serial_chunked_seconds_median": serial,
-        "serial_over_monolithic": ratio,
-        "within_10pct": ratio is not None and ratio <= 1.1,
-    }
-
-
 def _run_chunked_discovery_section(
     config: RuntimeConfig, backends: Tuple[str, ...]
 ) -> Optional[Dict[str, object]]:
-    """Partition-free discovery on the largest chunked relation, per backend.
+    """Partition-free discovery on a chunked relation, per backend.
 
     The chunked screen runs on a :class:`ChunkedRelation` encoding of
     the relation while :func:`brute_force_afds` (``max_lhs_size=1``)
@@ -346,9 +198,9 @@ def _run_chunked_discovery_section(
     from repro.discovery import brute_force_afds, chunked_discover
     from repro.relation.chunked import ChunkedRelation
 
-    if not config.chunked_sizes:
+    if not config.chunked_discovery_rows:
         return None
-    num_rows = max(config.chunked_sizes)
+    num_rows = config.chunked_discovery_rows
     relation = build_fixed_relation(num_rows, config.seed)
     chunked_relation = ChunkedRelation.from_relation(
         relation, chunk_size=config.chunk_size
@@ -560,8 +412,6 @@ def run_runtime(
             }
         )
     largest = max(relations, key=lambda entry: entry["num_rows"]) if relations else None
-    chunked = _run_chunked_section(config, backends)
-    chunked_best = None if chunked is None else chunked["largest"]["best"]  # type: ignore[index]
     chunked_discovery = _run_chunked_discovery_section(config, backends)
     if config.discovery_rows:
         smoke = run_discovery_smoke(
@@ -578,8 +428,6 @@ def run_runtime(
         "experiment": "runtime",
         "config": asdict(config),
         "backends": list(backends),
-        # Hardware context for the parallel numbers: a jobs=2 speedup
-        # from a single-core runner is noise, not signal.
         "metadata": {"cpu_count": os.cpu_count()},
         "relations": relations,
         "largest": None
@@ -594,18 +442,9 @@ def run_runtime(
         # wall-clock of the shared statistics pass on the largest fixed
         # relation (None when only one backend ran).
         "speedup": None if largest is None else largest["statistics_speedup"],
-        # Scaling curve: single-chunk vs chunked×jobs per backend on the
-        # large fixed relations, all variants asserted bit-identical.
-        "chunked": chunked,
-        # Best chunked-jobs>1-over-single-chunk speedup on the largest
-        # chunked relation (None when the section is disabled).
-        "chunked_speedup": None if chunked_best is None else chunked_best["speedup"],  # type: ignore[index]
-        # Array-merge headline: numpy serial-chunked over monolithic on
-        # the largest chunked relation (the within-10% acceptance bar).
-        "array_merge": _array_merge_summary(chunked),
-        # Partition-free discovery on the largest chunked relation
-        # (parity-asserted against brute force), plus the optional
-        # out-of-core smoke when ``discovery_rows`` is set.
+        # Partition-free discovery on a chunked relation (parity-asserted
+        # against brute force), plus the optional out-of-core smoke when
+        # ``discovery_rows`` is set.
         "chunked_discovery": chunked_discovery,
     }
     if output_dir is not None:
@@ -645,24 +484,5 @@ def _write_artifacts(directory: Path, payload: Dict[str, object]) -> None:
                         "metric": measure,
                         "median_seconds": seconds,
                     }
-        chunked = payload.get("chunked")
-        if chunked is not None:
-            for entry in chunked["relations"]:  # type: ignore[index]
-                for backend, cell in entry["backends"].items():
-                    yield {
-                        "relation": entry["name"],
-                        "num_rows": entry["num_rows"],
-                        "backend": backend,
-                        "metric": "statistics_single_chunk",
-                        "median_seconds": cell["single_chunk_seconds_median"],
-                    }
-                    for jobs, timing in cell["jobs"].items():
-                        yield {
-                            "relation": entry["name"],
-                            "num_rows": entry["num_rows"],
-                            "backend": backend,
-                            "metric": f"statistics_chunked_jobs{jobs}",
-                            "median_seconds": timing["statistics_seconds_median"],
-                        }
 
     write_csv(directory / "summary.csv", fields, rows())

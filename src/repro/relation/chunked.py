@@ -11,13 +11,13 @@ with the same extendable value -> code tables the dynamic store grows
 :class:`CodeChunk`\\ s of ``int32`` code arrays — 4 bytes per cell plus
 one decode table per attribute, never a full row list.
 
-The chunk iterator feeds the map-merge statistics driver
-(:mod:`repro.core.chunked`) directly: each chunk becomes one
-:class:`~repro.core.partial.PartialFdCounts`, merged in chunk order into
-statistics bit-identical to a monolithic scan.  Because the encoding is
+The chunk iterator feeds the statistics pass (:mod:`repro.core.chunked`)
+directly: each chunk becomes one partial count, merged in chunk order
+into statistics bit-identical to the same rows held as a
+:class:`~repro.relation.relation.Relation`.  Because the encoding is
 global (one growing table per attribute, first-occurrence codes), the
-per-chunk counts are keyed by code tuples that mean the same thing in
-every chunk.
+per-chunk counts are keyed by codes that mean the same thing in every
+chunk.
 
 Without numpy the chunks fall back to ``array.array("i")`` — same 4-byte
 cells, pure stdlib — so the chunked path works wherever the ``python``
@@ -40,7 +40,8 @@ except ImportError:  # pragma: no cover
 #: Reserved code for NULL cells (the columnar convention).
 NULL_CODE = -1
 
-#: Default rows per stored chunk: big enough that per-chunk numpy
+#: Default rows per stored chunk (and per slice of a relation's code
+#: arrays in the statistics pass): big enough that per-chunk numpy
 #: group-bys amortise, small enough that one chunk's transient Python
 #: objects stay a rounding error next to the relation.
 DEFAULT_CHUNK_SIZE = 65_536
@@ -70,9 +71,7 @@ class CodeChunk:
 
     ``columns[attribute]`` holds the chunk's codes for that attribute —
     an ``int32`` numpy array, an ``array.array("i")``, or a plain list —
-    with ``-1`` marking NULL.  Chunks are cheap to pickle (raw 4-byte
-    buffers), which is what lets the map-merge driver ship them to
-    worker processes instead of Python row tuples.
+    with ``-1`` marking NULL.
     """
 
     __slots__ = ("attributes", "columns", "num_rows")
@@ -145,7 +144,7 @@ class ChunkedRelation:
     name:
         Relation name stamped on derived statistics.
     chunk_size:
-        Rows per stored chunk (and per map-merge work unit).
+        Rows per stored chunk (and per statistics-pass partial).
     """
 
     def __init__(

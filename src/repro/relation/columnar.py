@@ -5,20 +5,16 @@ of Python tuples — ideal for the paper's formal definitions, hopeless for
 the runtime experiment (Table V), where one relation is scanned once per
 candidate FD.  :class:`ColumnarRelation` dictionary-encodes each
 attribute **once per relation** into an ``int32`` code array (NULL is the
-reserved code ``-1``) so that every later scan — NULL restriction,
-projection, grouping, partitioning — becomes an array operation:
+reserved code ``-1``) so that every later scan becomes an array
+operation: the statistics pass slices the code arrays into chunks
+(:mod:`repro.core.chunked`), and :meth:`packed` row-packs several
+attributes into one dense ``int64`` code per row for the partition
+layer (iterated pairwise with overflow-safe re-densification).
 
-* :meth:`non_null_mask` replaces a Python ``drop_nulls`` row scan;
-* :meth:`packed` row-packs several attributes into one dense ``int64``
-  code per row (iterated pairwise with overflow-safe re-densification);
-* :meth:`grouped` is a first-occurrence-ordered group-by built on
-  ``np.unique`` over packed codes.
-
-Crucially for the pluggable statistics backends
-(:mod:`repro.core.backends`), codes are assigned in **first-occurrence
-order**: the group enumeration order of the columnar group-by is exactly
-the insertion order of the ``Counter``-based Python path, which is what
-makes cross-backend bit-identical scores possible.
+Crucially for the statistics backends (:mod:`repro.core.backends`),
+codes are assigned in **first-occurrence order**, the same order as the
+streaming chunked ingest, so both kinds of chunk source feed the kernels
+identical codes.
 
 The view is cached on the relation (see :meth:`Relation.columnar`) and
 requires numpy; :func:`numpy_available` gates every caller so the pure
@@ -27,7 +23,7 @@ Python paths keep working when numpy is absent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -37,7 +33,7 @@ except ImportError:  # pragma: no cover
 #: Reserved code for NULL cells in every encoded column.
 NULL_CODE = -1
 
-#: Re-densify packed codes before the accumulator could overflow int64.
+#: Largest packed key any mixed-radix pack may produce (int64 headroom).
 _PACK_LIMIT = 2**62
 
 
@@ -49,18 +45,11 @@ def numpy_available() -> bool:
 class _EncodedColumn:
     """One dictionary-encoded attribute: codes, decode table, null count."""
 
-    __slots__ = ("codes", "values", "first_rows", "null_count")
+    __slots__ = ("codes", "values", "null_count")
 
-    def __init__(
-        self,
-        codes: "np.ndarray",
-        values: List[object],
-        first_rows: List[int],
-        null_count: int,
-    ):
+    def __init__(self, codes: "np.ndarray", values: List[object], null_count: int):
         self.codes = codes
         self.values = values
-        self.first_rows = first_rows
         self.null_count = null_count
 
     @property
@@ -69,67 +58,23 @@ class _EncodedColumn:
         return len(self.values)
 
 
-class GroupBy:
-    """Result of a first-occurrence-ordered group-by over packed codes.
-
-    ``codes[i]`` is the dense group id (``0 .. num_groups - 1``) of the
-    ``i``-th *selected* row (all rows, or the rows of the mask given to
-    :meth:`ColumnarRelation.grouped`); group ids are assigned in order of
-    each group's first selected row.  ``counts[g]`` is the group's
-    multiplicity and ``first_rows[g]`` the original row index of its
-    first occurrence, so callers can rebuild the group's value tuple in
-    O(1) per group instead of O(1) per row.
-    """
-
-    __slots__ = ("codes", "counts", "first_rows")
-
-    def __init__(self, codes: "np.ndarray", counts: "np.ndarray", first_rows: "np.ndarray"):
-        self.codes = codes
-        self.counts = counts
-        self.first_rows = first_rows
-
-    @property
-    def num_groups(self) -> int:
-        return int(self.counts.shape[0])
-
-
-def _dense_first_occurrence(packed: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Densify arbitrary int codes into first-occurrence-ordered group ids.
-
-    Returns ``(dense_codes, counts, first_positions)`` where
-    ``first_positions`` indexes into ``packed``.
-    """
-    unique, first, inverse, counts = np.unique(
-        packed, return_index=True, return_inverse=True, return_counts=True
-    )
-    del unique
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(order.shape[0], dtype=np.int64)
-    rank[order] = np.arange(order.shape[0], dtype=np.int64)
-    return rank[inverse], counts[order], first[order]
-
-
 class ColumnarRelation:
     """Dictionary-encoded columns of one relation.
 
     Build via :meth:`encode` (or, preferably, :meth:`Relation.columnar`,
-    which caches the view on the relation).  The view holds a reference
-    to the relation's row list for O(1) value-tuple reconstruction; it
-    never mutates the relation.
+    which caches the view on the relation).
     """
 
     def __init__(
         self,
         attributes: Tuple[str, ...],
-        rows: Sequence[Tuple[object, ...]],
+        num_rows: int,
         columns: Dict[str, _EncodedColumn],
     ):
         self.attributes = attributes
-        self._rows = rows
         self._columns = columns
-        self.num_rows = len(rows)
+        self.num_rows = num_rows
         self._pack_cache: Dict[Tuple[str, ...], "np.ndarray"] = {}
-        self._group_cache: Dict[Tuple[str, ...], GroupBy] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -150,7 +95,6 @@ class ColumnarRelation:
             codes = np.empty(num_rows, dtype=np.int32)
             mapping: Dict[object, int] = {}
             values: List[object] = []
-            first_rows: List[int] = []
             null_count = 0
             for index, row in enumerate(rows):
                 value = row[position]
@@ -163,10 +107,9 @@ class ColumnarRelation:
                     code = len(values)
                     mapping[value] = code
                     values.append(value)
-                    first_rows.append(index)
                 codes[index] = code
-            columns[attribute] = _EncodedColumn(codes, values, first_rows, null_count)
-        return cls(tuple(relation.attributes), rows, columns)
+            columns[attribute] = _EncodedColumn(codes, values, null_count)
+        return cls(tuple(relation.attributes), num_rows, columns)
 
     # ------------------------------------------------------------------
     # Column access
@@ -198,25 +141,7 @@ class ColumnarRelation:
             ) from None
 
     # ------------------------------------------------------------------
-    # NULL restriction
-    # ------------------------------------------------------------------
-    def non_null_mask(self, attributes: Sequence[str]) -> Optional["np.ndarray"]:
-        """Boolean row mask: non-NULL on *every* given attribute.
-
-        Returns ``None`` when no row is masked out (the common case),
-        letting callers skip the fancy-indexing copy entirely.
-        """
-        mask: Optional["np.ndarray"] = None
-        for attribute in attributes:
-            column = self._column(attribute)
-            if column.null_count == 0:
-                continue
-            column_mask = column.codes >= 0
-            mask = column_mask if mask is None else (mask & column_mask)
-        return mask
-
-    # ------------------------------------------------------------------
-    # Row packing and grouping
+    # Row packing
     # ------------------------------------------------------------------
     def packed(self, attributes: Sequence[str]) -> "np.ndarray":
         """One dense ``int64`` code per row over the attribute combination.
@@ -224,91 +149,31 @@ class ColumnarRelation:
         NULL participates as an ordinary value (matching dict grouping,
         where ``None`` is a regular key); codes are densified via
         ``np.unique`` and therefore **sorted-order** dense, not
-        first-occurrence-ordered — use :meth:`grouped` when enumeration
-        order matters.  Cached per attribute tuple.
+        first-occurrence-ordered.  Cached per attribute tuple.
         """
         key = tuple(attributes)
         cached = self._pack_cache.get(key)
         if cached is not None:
             return cached
-        packed = self._pack([self._column(a) for a in key], mask=None)
+        packed = self._pack([self._column(a) for a in key])
         if len(key) > 1:
             _, packed = np.unique(packed, return_inverse=True)
         self._pack_cache[key] = packed
         return packed
 
-    def _pack(self, columns: List[_EncodedColumn], mask: Optional["np.ndarray"]) -> "np.ndarray":
+    def _pack(self, columns: List[_EncodedColumn]) -> "np.ndarray":
         """Pairwise mixed-radix packing with overflow-safe densification."""
         first = columns[0]
-        accumulator = first.codes.astype(np.int64)
-        if mask is not None:
-            accumulator = accumulator[mask]
-        accumulator = accumulator + 1  # NULL_CODE -> 0
+        accumulator = first.codes.astype(np.int64) + 1  # NULL_CODE -> 0
         maximum = first.cardinality  # codes now in [0, cardinality]
         for column in columns[1:]:
             radix = column.cardinality + 2  # room for the NULL slot
             if maximum >= _PACK_LIMIT // radix:
                 _, accumulator = np.unique(accumulator, return_inverse=True)
                 maximum = int(accumulator.max(initial=0))
-            codes = column.codes
-            if mask is not None:
-                codes = codes[mask]
-            accumulator = accumulator * radix + (codes.astype(np.int64) + 1)
+            accumulator = accumulator * radix + (column.codes.astype(np.int64) + 1)
             maximum = maximum * radix + column.cardinality + 1
         return accumulator
-
-    def grouped(self, attributes: Sequence[str], mask: Optional["np.ndarray"] = None) -> GroupBy:
-        """First-occurrence-ordered group-by over an attribute combination.
-
-        With ``mask`` given, only the masked rows participate and group
-        order follows first occurrence *within the masked subset* (NULL
-        restriction can reorder first occurrences, so masked grouping
-        never reuses the unmasked dense codes).
-
-        Unmasked group-bys are cached per attribute tuple: the
-        FD-independent groupings (single attributes, the full-tuple
-        grouping of NULL-free relations) are computed once per relation
-        and shared by every candidate FD.  Callers must not mutate the
-        returned arrays.
-        """
-        key = tuple(attributes)
-        if mask is None:
-            cached = self._group_cache.get(key)
-            if cached is not None:
-                return cached
-        columns = [self._column(a) for a in key]
-        if mask is None and len(columns) == 1 and columns[0].null_count == 0:
-            # The encoding itself already is a dense first-occurrence
-            # group-by of a single NULL-free attribute.
-            column = columns[0]
-            counts = np.bincount(column.codes, minlength=column.cardinality)
-            result = GroupBy(
-                column.codes.astype(np.int64),
-                counts.astype(np.int64),
-                np.asarray(column.first_rows, dtype=np.int64),
-            )
-        else:
-            packed = self._pack(columns, mask)
-            dense, counts, first_positions = _dense_first_occurrence(packed)
-            if mask is not None:
-                first_positions = np.flatnonzero(mask)[first_positions]
-            result = GroupBy(dense, counts, first_positions)
-        if mask is None:
-            self._group_cache[key] = result
-        return result
-
-    def group_pair(self, left: GroupBy, right: GroupBy) -> GroupBy:
-        """Group-by of the pair of two already-dense groupings.
-
-        Both groupings must cover the same row selection.  Unlike
-        :meth:`grouped`, the result's ``first_rows`` are *selection-local*
-        positions (indices into ``left.codes``/``right.codes``), which is
-        what pair-level callers need to look up each pair group's parent
-        group ids.
-        """
-        packed = left.codes * np.int64(right.num_groups + 1) + right.codes
-        dense, counts, first_positions = _dense_first_occurrence(packed)
-        return GroupBy(dense, counts, first_positions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

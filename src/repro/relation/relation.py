@@ -56,6 +56,7 @@ class Relation:
         self._index_cache: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
         self._frequency_cache: Dict[Tuple[str, ...], Counter] = {}
         self._columnar_cache: Optional[object] = None
+        self._chunked_cache: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -164,23 +165,25 @@ class Relation:
     # Cache invalidation
     # ------------------------------------------------------------------
     def invalidate_caches(self) -> None:
-        """Drop every derived cache: frequencies, attribute indices, columnar view.
+        """Drop every derived cache: frequencies, attribute indices, encodings.
 
         The public API never mutates a relation, so the caches are
         normally valid for the relation's lifetime.  Anything that *does*
         change the row store in place — external code reaching into
         ``_rows``, or future mutable wrappers — must call this before the
-        next read, or cached frequencies and the cached columnar view
-        keep answering for the old rows (``repro.stream`` sidesteps the
-        problem entirely: :class:`~repro.stream.dynamic.DynamicRelation`
-        copies the rows it wraps and re-snapshots instead of mutating).
+        next read, or cached frequencies and the cached columnar and
+        chunked encodings keep answering for the old rows
+        (``repro.stream`` sidesteps the problem entirely:
+        :class:`~repro.stream.dynamic.DynamicRelation` copies the rows it
+        wraps and re-snapshots instead of mutating).
         """
         self._index_cache.clear()
         self._frequency_cache.clear()
         self._columnar_cache = None
+        self._chunked_cache = None
 
     # ------------------------------------------------------------------
-    # Columnar view
+    # Encoded views
     # ------------------------------------------------------------------
     def columnar(self, build: bool = True):
         """The dictionary-encoded columnar view of this relation, or ``None``.
@@ -202,6 +205,20 @@ class Relation:
                 return None
             self._columnar_cache = ColumnarRelation.encode(self)
         return self._columnar_cache
+
+    def chunked(self):
+        """This relation encoded as a :class:`~repro.relation.chunked.ChunkedRelation`.
+
+        Built on first request and cached like :meth:`columnar`: it is the
+        statistics pass's chunk source when numpy is absent (``array.array``
+        codes), so every candidate FD scored on the relation shares one
+        encoding instead of re-encoding the rows per FD.
+        """
+        if self._chunked_cache is None:
+            from repro.relation.chunked import ChunkedRelation
+
+            self._chunked_cache = ChunkedRelation.from_relation(self)
+        return self._chunked_cache
 
     # ------------------------------------------------------------------
     # Frequencies and active domains

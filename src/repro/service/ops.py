@@ -69,14 +69,12 @@ class ServiceState:
         window = payload.get("window")
         dynamic = bool(payload.get("dynamic", False)) or window is not None
         chunk_size = payload.get("chunk_size")
-        jobs = payload.get("jobs", 1)
         chunked = bool(payload.get("chunked", False)) or chunk_size is not None
         if dynamic and chunked:
             raise ValueError(
                 "a relation cannot be both dynamic and chunked; dynamic "
                 "sessions scale through incremental trackers"
             )
-        session_options: Dict[str, object] = {}
         if dynamic:
             from repro.stream.dynamic import DynamicRelation
 
@@ -93,17 +91,10 @@ class ServiceState:
                 {} if chunk_size is None else {"chunk_size": int(chunk_size)}  # type: ignore[arg-type]
             )
             relation = ChunkedRelation(attributes, rows, name=name, **chunk_options)  # type: ignore[arg-type]
-            session_options["jobs"] = int(jobs)  # type: ignore[arg-type]
         else:
             relation = Relation(attributes, rows, name=name)  # type: ignore[arg-type]
-            if jobs != 1:
-                session_options["jobs"] = int(jobs)  # type: ignore[arg-type]
         session = AfdSession(
-            relation,
-            backend=self._backend,
-            name=name,
-            **session_options,
-            **self._measure_options,
+            relation, backend=self._backend, name=name, **self._measure_options
         )
         self.register_session(name, session, replace=bool(payload.get("replace", False)))
         return session
@@ -166,9 +157,7 @@ def _op_metrics(state: ServiceState, payload: Dict[str, object]) -> Tuple[int, D
 
 
 def _op_stats(state: ServiceState, payload: Dict[str, object]) -> Tuple[int, Dict]:
-    """Operational JSON snapshot: caches, pool counters, metric totals."""
-    from repro.core.chunked import pool_info
-
+    """Operational JSON snapshot: caches and metric totals."""
     sessions = []
     for name in state.session_names():
         session = state.session(name)
@@ -182,7 +171,6 @@ def _op_stats(state: ServiceState, payload: Dict[str, object]) -> Tuple[int, Dic
     return 200, {
         "pid": os.getpid(),
         "sessions": sessions,
-        "pool": pool_info(),
         "metrics_totals": get_registry().totals(),
     }
 

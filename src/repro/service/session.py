@@ -61,14 +61,6 @@ from repro.service.model import (
 
 FdLike = Union[FunctionalDependency, str, Mapping]
 
-#: Static relations above this row count score through the chunked
-#: map-merge path automatically (results are ``==`` either way; chunking
-#: bounds the per-pass working set on huge relations).
-AUTO_CHUNK_THRESHOLD = 250_000
-
-#: Chunk size used by the automatic selection above the threshold.
-AUTO_CHUNK_SIZE = 65_536
-
 
 class AfdSession:
     """A profiling session over one relation with shared artifact caches.
@@ -89,18 +81,11 @@ class AfdSession:
         process default).  Scores are bit-identical either way.
     name:
         Session name (defaults to the relation's name).
-    chunk_size / jobs:
-        Route the statistics pass through the chunked map-merge driver
-        (:func:`repro.core.chunked.compute_chunked`): ``chunk_size`` rows
-        per work unit, ``jobs`` worker processes (1 = serial in-process).
-        Results are bit-identical (``==``) to the monolithic pass.  When
-        neither is given, static relations above
-        :data:`AUTO_CHUNK_THRESHOLD` rows auto-select chunking (serial),
-        so ``/score`` and ``/profile`` on huge relations just work.
-        Sessions over a :class:`~repro.relation.chunked.ChunkedRelation`
-        always score through the chunked path (its stored chunking
-        wins); dynamic sessions scale via incremental trackers instead
-        and reject these knobs.
+
+    Static and :class:`~repro.relation.chunked.ChunkedRelation` sessions
+    compute statistics with :meth:`FdStatistics.compute` (one chunked
+    pass, so huge relations just work); dynamic sessions refresh through
+    incremental trackers.
     """
 
     def __init__(
@@ -109,8 +94,6 @@ class AfdSession:
         measures: Optional[Mapping[str, AfdMeasure]] = None,
         backend: Optional[str] = None,
         name: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-        jobs: int = 1,
         **measure_options,
     ):
         from repro.relation.chunked import ChunkedRelation
@@ -132,17 +115,6 @@ class AfdSession:
                 f"AfdSession requires a Relation, ChunkedRelation or "
                 f"DynamicRelation, got {type(relation).__name__}"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {jobs}")
-        if self._dynamic is not None and (chunk_size is not None or jobs != 1):
-            raise ValueError(
-                "chunk_size/jobs apply to static or chunked sessions; dynamic "
-                "sessions scale through incremental trackers instead"
-            )
-        self._chunk_size = chunk_size
-        self._jobs = jobs
         self.name = name if name is not None else relation.name
         self._backend = backend
         self._measures: Dict[str, AfdMeasure] = (
@@ -260,8 +232,6 @@ class AfdSession:
 
     def describe(self) -> Dict[str, object]:
         """A JSON-ready summary of the session (the server's listing row)."""
-        from repro.core.chunked import pool_info
-
         with self._lock:
             return {
                 "name": self.name,
@@ -269,21 +239,14 @@ class AfdSession:
                 "num_rows": self.num_rows,
                 "dynamic": self.is_dynamic,
                 "chunked": self.is_chunked,
-                # A ChunkedRelation's stored chunking wins (the driver
-                # ignores the knob for it), so report what actually runs.
+                # The stored chunking of a ChunkedRelation (None otherwise).
                 "chunk_size": (
-                    self._chunked.chunk_size
-                    if self._chunked is not None
-                    else self._chunk_size
+                    self._chunked.chunk_size if self._chunked is not None else None
                 ),
-                "jobs": self._jobs,
                 "epoch": self._epoch,
                 "backend": self._backend,
                 "measures": list(self._measures),
                 "cache": self.cache_info(),
-                # Process-wide shared worker pool (jobs > 1 map-merge):
-                # spawns should stay at 1 across a session's FDs.
-                "pool": pool_info(),
             }
 
     # ------------------------------------------------------------------
@@ -348,41 +311,16 @@ class AfdSession:
                 )
         else:
             self._counters["statistics_misses"] += 1
-            statistics = self._compute_statistics(fd)
+            statistics = FdStatistics.compute(
+                self._chunked if self._chunked is not None else self._static,
+                fd,
+                backend=self._backend,
+            )
         seconds = time.perf_counter() - started
         registry.inc("session_statistics_total", relation=self.name, result=result_label)
         add_span("statistics", seconds, fd=str(fd), cache_hit=False)
         self._statistics[fd] = statistics
         return statistics, seconds, False
-
-    def _compute_statistics(self, fd: FunctionalDependency) -> FdStatistics:
-        """One fresh statistics pass on a static or chunked session.
-
-        Chunked sessions always route through the map-merge driver;
-        static sessions do when the knobs ask for it — or automatically
-        above :data:`AUTO_CHUNK_THRESHOLD` rows.  Either way the result
-        is ``==`` to the monolithic pass.
-        """
-        if self._chunked is not None:
-            return FdStatistics.compute(
-                self._chunked,
-                fd,
-                backend=self._backend,
-                chunk_size=self._chunk_size,
-                jobs=self._jobs,
-            )
-        chunk_size = self._chunk_size
-        if chunk_size is None and self._jobs == 1:
-            if self._static.num_rows <= AUTO_CHUNK_THRESHOLD:  # type: ignore[union-attr]
-                return FdStatistics.compute(self._static, fd, backend=self._backend)
-            chunk_size = AUTO_CHUNK_SIZE
-        return FdStatistics.compute(
-            self._static,
-            fd,
-            backend=self._backend,
-            chunk_size=chunk_size,
-            jobs=self._jobs,
-        )
 
     def _select(self, names: Optional[Sequence[str]]) -> Dict[str, AfdMeasure]:
         if names is None:

@@ -409,7 +409,7 @@ class DynamicRelation:
             attribute: _redensify_column(column, live)
             for attribute, column in zip(self._attributes, self._columns)
         }
-        return ColumnarRelation(self._attributes, relation._rows, columns)
+        return ColumnarRelation(self._attributes, relation.num_rows, columns)
 
 
 def _redensify_column(column: _DynamicColumn, live: "np.ndarray"):
@@ -420,8 +420,7 @@ def _redensify_column(column: _DynamicColumn, live: "np.ndarray"):
     first-encounter them in a different order.  This maps the live slice
     to exactly what :meth:`ColumnarRelation.encode` would assign on the
     snapshot: dense ``int32`` codes in live-first-occurrence order, NULL
-    staying ``-1``, plus the matching decode table, first-occurrence
-    positions and null count.
+    staying ``-1``, plus the matching decode table and null count.
     """
     from repro.relation.columnar import NULL_CODE, _EncodedColumn
 
@@ -436,10 +435,8 @@ def _redensify_column(column: _DynamicColumn, live: "np.ndarray"):
     dense = rank[inverse].astype(np.int32)
     if null_count == 0:
         codes = dense
-        first_positions = first[order]
     else:
         codes = np.full(historical.shape[0], NULL_CODE, dtype=np.int32)
         codes[non_null] = dense
-        first_positions = np.flatnonzero(non_null)[first[order]]
     values = [column.values[code] for code in unique[order].tolist()]
-    return _EncodedColumn(codes, values, first_positions.tolist(), null_count)
+    return _EncodedColumn(codes, values, null_count)

@@ -4,21 +4,23 @@ A from-scratch :meth:`FdStatistics.compute` pays O(rows) per candidate:
 NULL restriction, the joint ``(x, y)`` scan and the full-tuple scan all
 walk the relation.  :class:`IncrementalFdStatistics` maintains exactly
 the inputs of :meth:`FdStatistics.from_joint_counts` — the restricted
-row count, the joint ``(x, y)`` multiplicities and the full-tuple
-multiplicities — under inserts and deletes, so refreshing the statistics
+row count, the joint ``(x, y)`` multiplicities and ``Σ_w R(w)²`` (a
+running sum over a plain full-tuple count dict: one ``±(2c ± 1)`` step
+per mutation) — under inserts and deletes, so refreshing the statistics
 after a batch of Δ mutations costs O(Δ) maintenance plus O(distinct)
 re-assembly instead of O(rows).  All fourteen measures then score the
 refreshed statistics exactly as they would a computed one.
 
 **Bit-identity.**  Both statistics backends funnel through
 ``from_joint_counts``, whose ``Counter`` insertion orders pin down every
-downstream floating-point summation order; matching them is therefore
-sufficient for bit-identical (``==``) scores.  A from-scratch pass
-inserts each key at its *first occurrence in live row order*, and
-deletions can disturb that order in two ways the counts alone cannot
-see: a key whose last copy dies must vanish, and a key whose **first**
-live occurrence dies keeps its count but moves to a later row —
-potentially behind keys it used to precede.  :class:`_OrderedCounts`
+downstream floating-point summation order; matching the joint counts'
+order (``Σ_w R(w)²`` is an exact integer) is therefore sufficient for
+bit-identical (``==``) scores.  A from-scratch pass inserts each key at
+its *first occurrence in live row order*, and deletions can disturb that
+order in two ways the counts alone cannot see: a key whose last copy
+dies must vanish, and a key whose **first** live occurrence dies keeps
+its count but moves to a later row — potentially behind keys it used to
+precede.  :class:`_OrderedCounts`
 tracks, per key, the ascending list of its row ids with a lazily
 advancing head pointer (amortised O(1) per deletion): appends of novel
 keys keep the order sorted by construction (fresh ids exceed all live
@@ -168,7 +170,9 @@ class IncrementalFdStatistics:
         )
         self._num_rows = 0
         self._xy = _OrderedCounts()
-        self._full = _OrderedCounts()
+        #: Full-tuple multiplicities and their running ``Σ_w R(w)²``.
+        self._full: Dict[Row, int] = {}
+        self._square_sum = 0
         for row_id, row in dynamic.live_items():
             self._on_insert(row_id, row)
         dynamic._register(self)
@@ -189,7 +193,9 @@ class IncrementalFdStatistics:
         x = tuple(row[i] for i in self._lhs_indices)
         y = tuple(row[i] for i in self._rhs_indices)
         self._xy.add((x, y), row_id)
-        self._full.add(row, row_id)
+        count = self._full.get(row, 0)
+        self._full[row] = count + 1
+        self._square_sum += 2 * count + 1
 
     def _on_delete(self, row_id: int, row: Row) -> None:
         for index in self._fd_indices:
@@ -200,12 +206,16 @@ class IncrementalFdStatistics:
         x = tuple(row[i] for i in self._lhs_indices)
         y = tuple(row[i] for i in self._rhs_indices)
         self._xy.remove((x, y), row_id, is_live)
-        self._full.remove(row, row_id, is_live)
+        count = self._full[row]
+        if count == 1:
+            del self._full[row]
+        else:
+            self._full[row] = count - 1
+        self._square_sum -= 2 * count - 1
 
     def _on_compact(self, mapping: Mapping[int, int]) -> None:
         """Rewrite id-keyed state after a history compaction (O(live))."""
         self._xy.remap(mapping)
-        self._full.remap(mapping)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -215,14 +225,15 @@ class IncrementalFdStatistics:
 
         O(distinct) assembly through the same
         :meth:`FdStatistics.from_joint_counts` constructor both backends
-        use, with the same ``Counter`` contents in the same insertion
-        order — every measure therefore scores the result bit-identically
-        (``==``) to a from-scratch ``compute()`` on the snapshot.
+        use, with the same joint ``Counter`` contents in the same
+        insertion order and the same ``Σ_w R(w)²`` — every measure
+        therefore scores the result bit-identically (``==``) to a
+        from-scratch ``compute()`` on the snapshot.
         """
         return FdStatistics.from_joint_counts(
             self.fd,
             self._num_rows,
             self._xy.ordered_counter(),
-            self._full.ordered_counter(),
+            self._square_sum,
             relation_name=self._dynamic.name,
         )

@@ -97,7 +97,6 @@ def _assert_identical_statistics(left: FdStatistics, right: FdStatistics) -> Non
     assert list(left.xy_counts.items()) == list(right.xy_counts.items())
     assert list(left.x_counts.items()) == list(right.x_counts.items())
     assert list(left.y_counts.items()) == list(right.y_counts.items())
-    assert list(left.full_tuple_counts.items()) == list(right.full_tuple_counts.items())
     assert list(left.groups) == list(right.groups)
     for key in left.groups:
         assert list(left.groups[key].items()) == list(right.groups[key].items())
@@ -212,6 +211,107 @@ def test_numpy_request_falls_back_without_numpy(monkeypatch):
     assert resolve_backend("auto").name == "python"
 
 
+def test_relation_encoded_once_without_numpy(monkeypatch):
+    """Without numpy a relation is encoded into chunks once, not per FD."""
+    import repro.relation.columnar as columnar_module
+    from repro.relation.chunked import ChunkedRelation
+
+    monkeypatch.setattr(backends, "np", None)
+    monkeypatch.setattr(columnar_module, "np", None)
+    calls = []
+    encode = ChunkedRelation.from_relation
+
+    def counting_encode(relation, *args, **kwargs):
+        calls.append(relation)
+        return encode(relation, *args, **kwargs)
+
+    monkeypatch.setattr(ChunkedRelation, "from_relation", counting_encode)
+    relation = random_relation(5)
+    for lhs in relation.attributes:
+        for rhs in relation.attributes:
+            if lhs != rhs:
+                FdStatistics.compute(relation, FunctionalDependency(lhs, rhs))
+    assert calls == [relation]
+    relation.invalidate_caches()
+    FdStatistics.compute(relation, FunctionalDependency(*relation.attributes[:2]))
+    assert len(calls) == 2
+
+
+# ----------------------------------------------------------------------
+# Σ_w R(w)² against its definition
+# ----------------------------------------------------------------------
+def _square_sum_cases():
+    rng = random.Random(7)
+    rows = [
+        (rng.choice([None, 1, 2, 3]), rng.randrange(3), rng.choice([None, "p", "q"]))
+        for _ in range(120)
+    ]
+    wide_attributes = [f"a{i}" for i in range(16)]
+    wide_rows = [tuple(rng.randrange(30) for _ in wide_attributes) for _ in range(150)]
+    covering_rows = [(rng.randrange(9), rng.choice(["u", "v", None])) for _ in range(150)]
+    return [
+        (
+            "nulls-outside",
+            Relation(["A", "B", "C"], rows + rows[:40]),
+            FunctionalDependency("A", "B"),
+        ),
+        (
+            "duplicates",
+            Relation(["A", "B", "C"], [(i % 3, i % 2, i % 5) for i in range(60)] * 3),
+            FunctionalDependency("B", "A"),
+        ),
+        ("covering", Relation(["X", "Y"], covering_rows), FunctionalDependency("Y", "X")),
+        (
+            "covering-multi-lhs",
+            Relation(["A", "B", "C"], [row for row in rows if row[2] is not None]),
+            FunctionalDependency(["C", "A"], "B"),
+        ),
+        (
+            "wide-overflow",
+            Relation(wide_attributes, wide_rows + wide_rows[:50]),
+            FunctionalDependency("a0", "a1"),
+        ),
+    ]
+
+
+def _streamed(relation: Relation, fd: FunctionalDependency, seed: int):
+    """A seeded insert/delete/window stream over ``relation``'s rows."""
+    from repro.stream import DynamicRelation
+
+    rng = random.Random(seed)
+    rows = relation.rows()
+    dynamic = DynamicRelation(relation.attributes, rows[:20], window=len(rows) // 2)
+    tracker = dynamic.track(fd)
+    for start in range(20, len(rows), 25):
+        dynamic.append(rows[start : start + 25])
+        live = dynamic.live_ids()
+        dynamic.delete(rng.sample(live, min(6, len(live))))
+    return dynamic.snapshot(), tracker.statistics()
+
+
+@pytest.mark.parametrize("source", ["relation", "chunked-1", "chunked-7", "incremental"])
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+)
+@pytest.mark.parametrize("case", _square_sum_cases(), ids=lambda case: case[0])
+def test_tuple_square_sum_matches_definition(case, backend, source):
+    from repro.relation import ChunkedRelation
+
+    _, relation, fd = case
+    if source == "incremental":
+        relation, statistics = _streamed(relation, fd, seed=len(relation))
+        assert statistics == FdStatistics.compute(relation, fd, backend=backend)
+    elif source == "relation":
+        statistics = FdStatistics.compute(relation, fd, backend=backend)
+    else:
+        chunk_size = int(source.split("-")[1])
+        store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+        statistics = FdStatistics.compute(store, fd, backend=backend)
+    expected = sum(c * c for c in Counter(relation.drop_nulls(fd.attributes)).values())
+    assert statistics.sum_squared_tuple_counts() == expected
+    assert isinstance(statistics.tuple_square_sum, int)
+
+
 # ----------------------------------------------------------------------
 # Integer precision (the 2**53 cache fix)
 # ----------------------------------------------------------------------
@@ -223,7 +323,7 @@ def test_integer_statistics_are_exact_beyond_float_precision():
         fd,
         num_rows=huge + 2,
         xy_counts=Counter({(("a",), ("p",)): huge, (("a",), ("q",)): 2}),
-        full_tuple_counts=Counter({("a", "p"): huge, ("a", "q"): 2}),
+        tuple_square_sum=huge * huge + 4,
     )
     assert statistics.sum_squared_tuple_counts() == huge * huge + 4
     assert statistics.violating_pair_count() == (huge + 2) ** 2 - (huge * huge + 4)
@@ -250,20 +350,21 @@ def test_columnar_encoding_round_trip():
     assert columnar.decode_table("A") == ["x", "y", "z"]
     assert columnar.null_count("A") == 1 and columnar.null_count("B") == 1
     assert columnar.has_nulls(["A"]) and columnar.has_nulls(["A", "B"])
-    mask = columnar.non_null_mask(["A", "B"])
-    assert mask.tolist() == [True, False, True, False, True]
-    assert columnar.non_null_mask([]) is None
 
 
 @requires_numpy
 def test_columnar_grouped_matches_counter_order():
+    """The encoding is a first-occurrence group-by: code order == Counter order."""
+    import numpy as np
+
     relation = random_relation(23)
     columnar = relation.columnar()
     for attribute in relation.attributes:
-        groups = columnar.grouped((attribute,))
-        expected = Counter(relation.column(attribute))
-        keys = [relation.column(attribute)[r] for r in groups.first_rows.tolist()]
-        assert [expected[k] for k in keys] == groups.counts.tolist()
+        expected = Counter(v for v in relation.column(attribute) if v is not None)
+        codes = columnar.codes(attribute)
+        counts = np.bincount(codes[codes >= 0], minlength=columnar.cardinality(attribute))
+        assert columnar.decode_table(attribute) == list(expected)
+        assert counts.tolist() == list(expected.values())
 
 
 @requires_numpy

@@ -1,13 +1,14 @@
 """Chunked map-merge statistics and out-of-core ingest.
 
 The central contract under test: for every registered measure, on both
-statistics backends, ``compute_chunked`` (any chunk size, serial or
-process-pool) produces ``FdStatistics`` **bit-identical** (``==``, same
-``Counter`` key order) to the monolithic scan — so chunking is purely an
-execution strategy, never a semantics change.  Alongside it: the
-streamed CSV ingest (``ChunkedRelation.read_csv``) matches ``read_csv``
-row for row, NaN cells become NULL, ``max_rows``/``.gz`` work, and the
-out-of-core path actually stays out of core (tracemalloc peak guard).
+statistics backends, ``FdStatistics.compute`` over a ``ChunkedRelation``
+of any chunk size produces ``FdStatistics`` **bit-identical** (``==``,
+same ``Counter`` key order) to the same rows as one ``Relation`` — so
+chunking is purely a storage choice, never a semantics change.
+Alongside it: the streamed CSV ingest (``ChunkedRelation.read_csv``)
+matches ``read_csv`` row for row, NaN cells become NULL,
+``max_rows``/``.gz`` work, and the out-of-core path actually stays out
+of core (tracemalloc peak guard).
 
 Tests that need numpy are marked; the remainder also run in the
 no-numpy CI job.
@@ -20,7 +21,6 @@ import tracemalloc
 import pytest
 
 from repro.core import all_measures
-from repro.core.chunked import compute_chunked
 from repro.core.partial import PartialFdCounts, merge_counts
 from repro.core.statistics import FdStatistics
 from repro.relation import ChunkedRelation, FunctionalDependency, Relation
@@ -80,12 +80,22 @@ FD = FunctionalDependency(("A",), ("B",))
 
 
 def assert_identical(chunked: FdStatistics, monolithic: FdStatistics) -> None:
-    """``==`` plus explicit key-order checks (the bit-identity contract)."""
+    """``==`` plus an explicit key-order check (the bit-identity contract)."""
     assert chunked == monolithic
     assert list(chunked.xy_counts.items()) == list(monolithic.xy_counts.items())
-    assert list(chunked.full_tuple_counts.items()) == list(
-        monolithic.full_tuple_counts.items()
-    )
+
+
+def compute_chunked(relation: Relation, fd, chunk_size: int, backend=None) -> FdStatistics:
+    """Statistics of ``relation`` stored as chunks of ``chunk_size`` rows."""
+    store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+    return FdStatistics.compute(store, fd, backend=backend)
+
+
+def chunked_passes(path: str) -> float:
+    """Statistics passes run so far by one kernel (``array`` or ``tuple``)."""
+    from repro.obs.metrics import get_registry
+
+    return get_registry().value("chunked_passes_total", path=path)
 
 
 # ----------------------------------------------------------------------
@@ -117,11 +127,12 @@ class TestPartialCounts:
             part = PartialFdCounts.empty()
             part.num_rows = offset + 1
             part.xy_counts[((offset,), (0,))] = offset + 1
-            part.full_tuple_counts[(offset, 0)] = offset + 1
+            part.tuple_counts = {(offset, 0): offset + 1}
             parts.append(part)
         merged = PartialFdCounts.merge_all(parts)
         assert merged.num_rows == 6
         assert list(merged.xy_counts) == [((0,), (0,)), ((1,), (0,)), ((2,), (0,))]
+        assert merged.square_sum() == 1 + 4 + 9
 
 
 # ----------------------------------------------------------------------
@@ -177,59 +188,33 @@ class TestChunkedParity:
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("jobs", [4])
-    def test_process_pool_identical_to_serial(self, backend, jobs):
-        relation = null_relation(seed=23, num_rows=1500)
-        monolithic = FdStatistics.compute(relation, FD, backend=backend)
-        chunked = compute_chunked(
-            relation, FD, chunk_size=100, jobs=jobs, backend=backend
-        )
-        assert_identical(chunked, monolithic)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_chunked_relation_source(self, backend):
         relation = null_relation(seed=31)
         store = ChunkedRelation.from_relation(relation, chunk_size=53)
         monolithic = FdStatistics.compute(relation, FD, backend=backend)
-        assert_identical(compute_chunked(store, FD, backend=backend), monolithic)
+        assert_identical(FdStatistics.compute(store, FD, backend=backend), monolithic)
 
     def test_compute_dispatches_on_chunk_knobs(self):
+        # The source decides the chunking; compute has no knob for it.
         relation = random_relation(seed=41, num_rows=200)
         monolithic = FdStatistics.compute(relation, FD)
-        via_compute = FdStatistics.compute(relation, FD, chunk_size=19)
-        assert_identical(via_compute, monolithic)
         store = ChunkedRelation.from_relation(relation, chunk_size=19)
         assert_identical(FdStatistics.compute(store, FD), monolithic)
-
-    def test_jobs_degrade_serial_inside_daemonic_process(self):
-        # The service's forked shard workers are daemonic and may not
-        # have children; jobs>1 must degrade to the (bit-identical)
-        # serial merge there instead of crashing the request.
-        import multiprocessing
-
-        def worker(queue):
-            relation = Relation(("A", "B"), [(i % 5, i % 3) for i in range(200)])
-            statistics = compute_chunked(
-                relation, FunctionalDependency(("A",), ("B",)), chunk_size=32, jobs=2
-            )
-            queue.put(statistics.num_rows)
-
-        context = multiprocessing.get_context("fork")
-        queue = context.Queue()
-        process = context.Process(target=worker, args=(queue,), daemon=True)
-        process.start()
-        process.join(timeout=30)
-        assert queue.get(timeout=5) == 200
+        for knob in ({"chunk_size": 19}, {"jobs": 2}):
+            with pytest.raises(TypeError):
+                FdStatistics.compute(relation, FD, **knob)
+        with pytest.raises(TypeError, match="Relation or ChunkedRelation"):
+            FdStatistics.compute(relation.rows(), FD)
 
     def test_unknown_attribute_raises(self):
         relation = random_relation(seed=1, num_rows=10)
         with pytest.raises(KeyError, match="not in relation schema"):
-            compute_chunked(relation, FunctionalDependency(("Z",), ("B",)))
+            FdStatistics.compute(relation, FunctionalDependency(("Z",), ("B",)))
 
     def test_invalid_chunk_size_raises(self):
         relation = random_relation(seed=1, num_rows=10)
         with pytest.raises(ValueError, match="chunk_size"):
-            compute_chunked(relation, FD, chunk_size=0)
+            ChunkedRelation.from_relation(relation, chunk_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +260,7 @@ class TestChunkedRelation:
         # ...and the statistics computed from the stream match too.
         fd = FunctionalDependency(("A",), ("B",))
         assert_identical(
-            compute_chunked(streamed, fd), FdStatistics.compute(materialised, fd)
+            FdStatistics.compute(streamed, fd), FdStatistics.compute(materialised, fd)
         )
 
 
@@ -342,7 +327,7 @@ class TestPeakMemory:
 
         tracemalloc.start()
         store = ChunkedRelation.read_csv(path, chunk_size=4_096)
-        chunked_stats = compute_chunked(store, fd)
+        chunked_stats = FdStatistics.compute(store, fd)
         _, streamed_peak = tracemalloc.get_traced_memory()
         del store
         tracemalloc.stop()
@@ -363,58 +348,36 @@ class TestPeakMemory:
 
 
 # ----------------------------------------------------------------------
-# Array-keyed partials (the vectorised numpy merge path)
+# Array-keyed partials (the numpy kernel)
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestArrayPartials:
-    """The array path is bit-identical to the tuple path — and selected
-    exactly when the numpy backend runs with pack-safe cardinalities."""
+    """The numpy kernel is bit-identical to the python kernel — and runs
+    exactly when the numpy backend is chosen with pack-safe cardinalities."""
 
     @pytest.mark.parametrize("builder", RELATION_BUILDERS)
     @pytest.mark.parametrize("chunk_size", [1, 7, 1000])
     def test_array_equals_tuple_partials(self, builder, chunk_size):
         relation = builder(seed=31)
         for fd in (FD, FunctionalDependency(("A", "C"), ("B",))):
-            via_arrays = compute_chunked(
-                relation, fd, chunk_size=chunk_size, backend="numpy",
-                array_partials=True,
-            )
-            via_tuples = compute_chunked(
-                relation, fd, chunk_size=chunk_size, backend="numpy",
-                array_partials=False,
-            )
+            via_arrays = compute_chunked(relation, fd, chunk_size, backend="numpy")
+            via_tuples = compute_chunked(relation, fd, chunk_size, backend="python")
             assert_identical(via_arrays, via_tuples)
             assert_identical(
                 via_arrays, FdStatistics.compute(relation, fd, backend="numpy")
             )
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_array_partials_across_pool_jobs(self, jobs):
-        relation = null_relation(seed=5, num_rows=700)
-        chunked = compute_chunked(
-            relation, FD, chunk_size=64, jobs=jobs, backend="numpy",
-            array_partials=True,
-        )
-        assert_identical(chunked, FdStatistics.compute(relation, FD, backend="numpy"))
-
     def test_uses_array_partials_per_backend(self):
         relation = random_relation(seed=2)
-        from repro.core.chunked import uses_array_partials
-
-        assert uses_array_partials(relation, FD, backend="numpy") is True
-        assert uses_array_partials(relation, FD, backend="python") is False
-
-    def test_python_backend_force_raises(self):
-        relation = random_relation(seed=3)
-        with pytest.raises(ValueError, match="array partials"):
-            compute_chunked(relation, FD, backend="python", array_partials=True)
+        for backend, path in (("numpy", "array"), ("python", "tuple")):
+            before = chunked_passes(path)
+            FdStatistics.compute(relation, FD, backend=backend)
+            assert chunked_passes(path) == before + 1, backend
 
     def test_pack_overflow_falls_back_to_tuple_partials(self):
         # 16 attributes x cardinality ~30 pushes the full-tuple radix
-        # product past 2**62: the auto gate must degrade to tuple
-        # partials (identical results), and forcing must refuse.
-        from repro.core.chunked import uses_array_partials
-
+        # product past 2**62: the numpy backend must run the python
+        # kernel instead (identical results).
         rng = random.Random(13)
         attributes = tuple(f"a{i}" for i in range(16))
         rows = [
@@ -422,16 +385,15 @@ class TestArrayPartials:
         ]
         relation = Relation(attributes, rows, name="wide")
         fd = FunctionalDependency(("a0",), ("a1",))
-        assert uses_array_partials(relation, fd, backend="numpy") is False
-        chunked = compute_chunked(relation, fd, chunk_size=50, backend="numpy")
-        assert_identical(chunked, FdStatistics.compute(relation, fd, backend="numpy"))
-        with pytest.raises(ValueError, match="array partials"):
-            compute_chunked(relation, fd, backend="numpy", array_partials=True)
+        before = chunked_passes("tuple")
+        chunked = compute_chunked(relation, fd, 50, backend="numpy")
+        assert chunked_passes("tuple") == before + 1
+        assert_identical(chunked, FdStatistics.compute(relation, fd, backend="python"))
 
     def test_covering_fd_aliases_survive_merge(self):
-        # Schema == lhs + rhs: per-chunk partials alias w arrays to xy
-        # arrays, and the merge must preserve the aliasing (half the
-        # merge work on the benchmark shape).
+        # Schema == X ∪ Y: the kernel skips the full-tuple keys, the
+        # merge keeps skipping them, and Σ_w R(w)² comes from the joint
+        # counts.
         import numpy as np
 
         from repro.core.backends import NumpyBackend
@@ -459,42 +421,13 @@ class TestArrayPartials:
                 2,
             ),
         ]
-        partials = [backend.compute_partial_array(c, fd, radices) for c in chunks]
+        partials = [backend.partial(c, fd, radices) for c in chunks]
         assert all(p.covering for p in partials)
         merged = ArrayFdCounts.merge_all(partials)
         assert merged.covering
         assert merged.num_rows == 5
         assert merged.xy_counts.tolist() == [2, 2, 1]
-
-
-# ----------------------------------------------------------------------
-# Shared worker pool
-# ----------------------------------------------------------------------
-class TestSharedPool:
-    def test_pool_reused_across_fds(self):
-        from repro.core import chunked as chunked_module
-
-        relation = random_relation(seed=7)
-        chunked_module.shutdown_pool()
-        before = chunked_module.pool_info()
-        compute_chunked(relation, FD, chunk_size=32, jobs=2)
-        compute_chunked(
-            relation, FunctionalDependency(("A",), ("C",)), chunk_size=32, jobs=2
-        )
-        info = chunked_module.pool_info()
-        assert info["active"] is True
-        assert info["workers"] == 2
-        assert info["spawns"] == before["spawns"] + 1
-        assert info["reuses"] >= before["reuses"] + 1
-        chunked_module.shutdown_pool()
-        assert chunked_module.pool_info()["active"] is False
-
-    def test_session_describe_exposes_pool_counters(self):
-        from repro.service.session import AfdSession
-
-        session = AfdSession(random_relation(seed=8))
-        pool = session.describe()["pool"]
-        assert set(pool) == {"active", "workers", "spawns", "reuses"}
+        assert merged.square_sum() == 2 * 2 + 2 * 2 + 1
 
 
 # ----------------------------------------------------------------------

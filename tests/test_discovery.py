@@ -134,9 +134,7 @@ def test_chunked_discovery_matches_materialised(backend):
 
     relation = RELATION
     chunked = ChunkedRelation.from_relation(relation, chunk_size=2)
-    streamed = chunked_discover(
-        chunked, threshold=0.0, chunk_size=2, backend=backend
-    )
+    streamed = chunked_discover(chunked, threshold=0.0, backend=backend)
     materialised = brute_force_afds(
         relation, threshold=0.0, max_lhs_size=1, backend=backend
     )

@@ -610,6 +610,19 @@ def test_server_score_matches_library(service):
     assert again["cache_hit"] is True and again["scores"] == body["scores"]
 
 
+def test_registration_cannot_start_processes(service):
+    """A payload's ``jobs`` key is ignored: serving stays in-process."""
+    import multiprocessing
+
+    base, _ = service
+    status, _, _ = _register(base, jobs=4)
+    assert status == 201
+    status, body, _ = _post(f"{base}/v1/relations/demo/score", {"fd": "zip -> city"})
+    assert status == 200 and body["kind"] == "profile_result"
+    assert multiprocessing.active_children() == []
+    assert "pool" not in _get(f"{base}/v1/stats")[1]
+
+
 def test_server_batch_score_matches_sequential(service):
     base, state = service
     _register(base)
