@@ -13,22 +13,21 @@ remaining attributes.
   information under the fixed-marginals permutation model has an exact
   hypergeometric expression (Roulston 1999; the same formula underlies the
   adjusted-mutual-information literature and the algorithms of Mandros et
-  al.); a seeded Monte-Carlo estimator is provided as a faster
-  approximation for large inputs.
+  al.).  It depends only on the multisets of marginal counts, so it is
+  summed once per distinct pair of counts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
-
-try:  # numpy is only needed by the Monte-Carlo estimator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.core.statistics import FdStatistics
-from repro.info.shannon import DEFAULT_LOG_BASE, entropy_of_counts
+from repro.info.shannon import DEFAULT_LOG_BASE
+
+#: A pmf tail is dropped once its geometric bound falls below this
+#: fraction of the mass accumulated so far (one unit in the last place).
+_TAIL_TOLERANCE = 2.0 ** -53
 
 
 # ----------------------------------------------------------------------
@@ -60,9 +59,69 @@ def expected_tau(statistics: FdStatistics) -> float:
 # ----------------------------------------------------------------------
 # Expected mutual information under the permutation model
 # ----------------------------------------------------------------------
+def _count_groups(counts: Iterable[int]) -> Tuple[Dict[int, int], int]:
+    """``{count: multiplicity}`` of the positive counts, and their sum.
+
+    The dict keeps first-occurrence order, so the summation order below
+    is a function of the input order alone.
+    """
+    groups: Dict[int, int] = {}
+    total = 0
+    for count in counts:
+        if count > 0:
+            count = int(count)
+            groups[count] = groups.get(count, 0) + 1
+            total += count
+    return groups, total
+
+
+def _hypergeometric_cell(a: int, b: int, n: int) -> float:
+    """``Σ_k P(k) k ln(n k / (a b))`` for ``k ~ Hypergeometric(n, a, b)``.
+
+    The pmf is built by ratio recurrence outward from the mode, which gets
+    the unnormalised weight 1, and is normalised by its own sum: no
+    factorial table, and no underflow of the support's far ends (for
+    ``a = b = 1000, n = 2000``, ``P(1)`` is below the smallest float).
+    The pmf is log-concave, so beyond the mode each ratio ``r`` bounds all
+    later ones and the rest of a tail weighs at most ``p / (1 - r)``; a
+    tail stops once that bound is below ``_TAIL_TOLERANCE`` of the mass
+    accumulated so far.
+    """
+    log = math.log
+    low = max(0, a + b - n)
+    high = min(a, b)
+    mode = min(max((a + 1) * (b + 1) // (n + 2), low), high)
+    scale = n / (a * b)
+    slack = n - a - b
+    mass = 1.0
+    weighted = mode * log(mode * scale) if mode else 0.0
+    p = 1.0
+    k = mode
+    while k < high:
+        r = (a - k) * (b - k) / ((k + 1) * (k + 1 + slack))
+        if p < _TAIL_TOLERANCE * mass * (1.0 - r):
+            break
+        p *= r
+        k += 1
+        mass += p
+        weighted += p * k * log(k * scale)
+    p = 1.0
+    k = mode
+    while k > low:
+        r = k * (k + slack) / ((a - k + 1) * (b - k + 1))
+        if p < _TAIL_TOLERANCE * mass * (1.0 - r):
+            break
+        p *= r
+        k -= 1
+        mass += p
+        if k:
+            weighted += p * k * log(k * scale)
+    return weighted / mass
+
+
 def expected_mutual_information_exact(
-    x_counts: Sequence[int],
-    y_counts: Sequence[int],
+    x_counts: Iterable[int],
+    y_counts: Iterable[int],
     base: float = DEFAULT_LOG_BASE,
 ) -> float:
     """Exact ``E[I(X; Y)]`` under random permutations with fixed marginals.
@@ -74,118 +133,36 @@ def expected_mutual_information_exact(
 
     with ``P(n_ij) = C(b_j, n_ij) C(N - b_j, a_i - n_ij) / C(N, a_i)``.
 
-    This is the exact expectation used by reliable fraction of information;
-    its cost is the reason RFI+/RFI'+ are slow (Table V of the paper).
+    The inner sum depends on ``(a_i, b_j)`` only, so it is evaluated once
+    per distinct pair of counts and weighted by the pair's multiplicity:
+    the cost scales with the number of distinct marginal counts (at most
+    ``~√(2N)`` per side), not with the number of rows or values.
     """
-    a = [int(count) for count in x_counts if count > 0]
-    b = [int(count) for count in y_counts if count > 0]
-    n = sum(a)
-    if n == 0 or n != sum(b):
+    a_groups, n = _count_groups(x_counts)
+    b_groups, b_total = _count_groups(y_counts)
+    if n == 0 or n != b_total:
         raise ValueError("x_counts and y_counts must be non-empty and sum to the same total")
-    if n == 1:
-        return 0.0
-    log_base = math.log(base)
-    log_factorial = [0.0] * (n + 1)
-    for value in range(2, n + 1):
-        log_factorial[value] = log_factorial[value - 1] + math.log(value)
-
-    def log_choose(total: int, chosen: int) -> float:
-        if chosen < 0 or chosen > total:
-            return float("-inf")
-        return log_factorial[total] - log_factorial[chosen] - log_factorial[total - chosen]
-
     expected = 0.0
-    log_n = math.log(n)
-    for a_i in a:
-        log_denominator = log_choose(n, a_i)
-        for b_j in b:
-            start = max(0, a_i + b_j - n)
-            end = min(a_i, b_j)
-            for n_ij in range(max(start, 1), end + 1):
-                log_probability = (
-                    log_choose(b_j, n_ij) + log_choose(n - b_j, a_i - n_ij) - log_denominator
-                )
-                probability = math.exp(log_probability)
-                if probability <= 0.0:
-                    continue
-                term = (n_ij / n) * (
-                    (log_n + math.log(n_ij) - math.log(a_i) - math.log(b_j)) / log_base
-                )
-                expected += probability * term
-    return max(expected, 0.0)
-
-
-def expected_mutual_information_monte_carlo(
-    x_counts: Sequence[int],
-    y_counts: Sequence[int],
-    samples: int = 200,
-    rng: Optional[np.random.Generator] = None,
-    base: float = DEFAULT_LOG_BASE,
-) -> float:
-    """Monte-Carlo estimate of ``E[I(X; Y)]`` under the permutation model.
-
-    Materialises the two marginal columns and averages the mutual
-    information of ``samples`` random pairings.  Deterministic for a given
-    ``rng``.  The joint counting of each pairing is vectorised (one
-    ``np.unique`` over packed codes per sample instead of a Python dict
-    scan); both marginals are permutation-invariant, so their entropies
-    are computed once.
-    """
-    if np is None:
-        raise ImportError(
-            "the monte-carlo permutation expectation requires numpy; "
-            "use the exact expectation or install numpy"
-        )
-    if rng is None:
-        rng = np.random.default_rng(0)
-    x_column = np.repeat(np.arange(len(x_counts)), np.asarray(x_counts, dtype=int))
-    y_column = np.repeat(np.arange(len(y_counts)), np.asarray(y_counts, dtype=int))
-    if x_column.size != y_column.size:
-        raise ValueError("x_counts and y_counts must sum to the same total")
-    if x_column.size == 0:
-        return 0.0
-    num_rows = x_column.size
-    radix = np.int64(len(y_counts))
-    packed_x = x_column.astype(np.int64) * radix
-    h_x = entropy_of_counts({i: c for i, c in enumerate(x_counts) if c > 0}, base=base)
-    h_y = entropy_of_counts({i: c for i, c in enumerate(y_counts) if c > 0}, base=base)
-    log_base = math.log(base)
-    total = 0.0
-    for _ in range(samples):
-        permuted = rng.permutation(y_column)
-        _, counts = np.unique(packed_x + permuted, return_counts=True)
-        probabilities = counts / num_rows
-        h_xy = float(-(probabilities * np.log(probabilities)).sum()) / log_base
-        total += max(h_y - max(h_xy - h_x, 0.0), 0.0)
-    return total / samples
+    for a, a_multiplicity in a_groups.items():
+        for b, b_multiplicity in b_groups.items():
+            expected += a_multiplicity * b_multiplicity * _hypergeometric_cell(a, b, n)
+    return max(expected / (n * math.log(base)), 0.0)
 
 
 def expected_fraction_of_information(
-    statistics: FdStatistics,
-    method: str = "exact",
-    samples: int = 200,
-    rng: Optional[np.random.Generator] = None,
-    base: float = DEFAULT_LOG_BASE,
+    statistics: FdStatistics, base: float = DEFAULT_LOG_BASE
 ) -> float:
     """``E_R[FI(X -> Y, R)] = E_R[I(X;Y)] / H_R(Y)`` under permutations.
 
     ``H_R(Y)`` is invariant under (X; Y)-permutations, so the expectation
-    only involves the mutual information.  ``method`` is ``"exact"`` or
-    ``"monte-carlo"``.
+    only involves the mutual information.
     """
     h_y = statistics.shannon_entropy_y(base=base)
     if h_y <= 0.0:
         return 1.0
-    x_counts = list(statistics.x_counts.values())
-    y_counts = list(statistics.y_counts.values())
-    if method == "exact":
-        expected_mi = expected_mutual_information_exact(x_counts, y_counts, base=base)
-    elif method == "monte-carlo":
-        expected_mi = expected_mutual_information_monte_carlo(
-            x_counts, y_counts, samples=samples, rng=rng, base=base
-        )
-    else:
-        raise ValueError(f"unknown expectation method {method!r}; use 'exact' or 'monte-carlo'")
+    expected_mi = expected_mutual_information_exact(
+        statistics.x_counts.values(), statistics.y_counts.values(), base=base
+    )
     return min(expected_mi / h_y, 1.0)
 
 

@@ -115,17 +115,12 @@ def iter_measures(**kwargs) -> Iterator[Tuple[str, AfdMeasure]]:
     yield from all_measures(**kwargs).items()
 
 
-def all_measures(
-    expectation: str = "exact",
-    mc_samples: int = 200,
-    sfi_alpha: float = 0.5,
-    seed: Optional[int] = 0,
-) -> Dict[str, AfdMeasure]:
+def all_measures(sfi_alpha: float = 0.5) -> Dict[str, AfdMeasure]:
     """Fresh instances of all fourteen measures, keyed by name.
 
-    ``expectation`` selects the permutation-expectation strategy used by
-    RFI+ and RFI'+ (``"exact"`` or ``"monte-carlo"``).  Measures added via
-    :func:`register_measure` are appended after the canonical fourteen.
+    ``sfi_alpha`` is SFI's smoothing pseudo-count (the paper evaluates
+    α ∈ {0.5, 1, 2}).  Measures added via :func:`register_measure` are
+    appended after the canonical fourteen.
     """
     measures: List[AfdMeasure] = [
         RhoMeasure(),
@@ -134,8 +129,8 @@ def all_measures(
         G3PrimeMeasure(),
         GS1Measure(),
         FIMeasure(),
-        RfiPlusMeasure(expectation=expectation, samples=mc_samples, seed=seed),
-        RfiPrimePlusMeasure(expectation=expectation, samples=mc_samples, seed=seed),
+        RfiPlusMeasure(),
+        RfiPrimePlusMeasure(),
         SfiMeasure(alpha=sfi_alpha),
         G1Measure(),
         G1PrimeMeasure(),
@@ -161,15 +156,6 @@ def all_measures(
 def default_measures(**kwargs) -> Dict[str, AfdMeasure]:
     """Alias of :func:`all_measures` with default parameters."""
     return all_measures(**kwargs)
-
-
-def fast_measures() -> Dict[str, AfdMeasure]:
-    """Only the efficiently computable measures (Table III, 'Efficiently computable')."""
-    return {
-        name: measure
-        for name, measure in all_measures().items()
-        if measure.efficiently_computable
-    }
 
 
 def get_measure(name: str, **kwargs) -> AfdMeasure:

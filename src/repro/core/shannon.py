@@ -3,35 +3,19 @@
 These measures are based on Shannon entropy and mutual information
 (Section IV-C of the paper).  RFI+ and the paper's new normalised variant
 RFI'+ correct the fraction of information for its chance-level value
-under random (X; Y)-permutations; the expectation can be computed exactly
-(hypergeometric model) or estimated by Monte-Carlo sampling.
+under random (X; Y)-permutations, computed exactly (hypergeometric
+model, :mod:`repro.core.expectations`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Iterable
 
 from repro.core.base import AfdMeasure, MeasureClass
 from repro.core.expectations import expected_fraction_of_information
-from repro.core.smoothing import smoothed_joint_counts
 from repro.core.statistics import FdStatistics
-
-# The canonical entropy helpers live in :mod:`repro.info.shannon`; a
-# parallel implementation used to be kept here.  Deprecated: import
-# ``DEFAULT_LOG_BASE`` / ``entropy_of_counts`` / ``conditional_entropy``
-# / ``mutual_information`` from ``repro.info.shannon`` directly — these
-# re-exports remain only for backwards compatibility and will be removed.
-from repro.info.shannon import (  # noqa: F401
-    DEFAULT_LOG_BASE,
-    conditional_entropy,
-    entropy_of_counts,
-    mutual_information,
-)
-
-try:  # numpy is only needed for the Monte-Carlo expectation's RNG
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+from repro.info.shannon import DEFAULT_LOG_BASE
 
 
 class GS1Measure(AfdMeasure):
@@ -77,52 +61,23 @@ class FIMeasure(AfdMeasure):
 
 
 class _PermutationCorrectedMeasure(AfdMeasure):
-    """Shared machinery for RFI+ and RFI'+ (expectation strategy handling)."""
+    """Shared machinery for RFI+ and RFI'+ (FI and its expectation)."""
 
     measure_class = MeasureClass.SHANNON
     has_baselines = True
     efficiently_computable = False
-
-    def __init__(
-        self,
-        expectation: str = "exact",
-        samples: int = 200,
-        seed: Optional[int] = 0,
-    ):
-        if expectation not in ("exact", "monte-carlo"):
-            raise ValueError(
-                f"expectation must be 'exact' or 'monte-carlo', got {expectation!r}"
-            )
-        self.expectation = expectation
-        self.samples = samples
-        self.seed = seed
 
     def _fi_and_expectation(self, statistics: FdStatistics) -> tuple:
         h_y = statistics.shannon_entropy_y()
         if h_y <= 0.0:
             return 1.0, 1.0
         fi = 1.0 - statistics.shannon_conditional_entropy() / h_y
-
-        # The permutation expectation dominates the cost of RFI+/RFI'+ and
-        # is identical for both (it only depends on the marginals and the
-        # expectation configuration), so it is cached on the shared
-        # statistics object.  The Monte-Carlo estimator reseeds per call,
-        # which keeps the cached value deterministic.
-        def compute() -> float:
-            rng = None
-            if self.expectation == "monte-carlo" and self.seed is not None:
-                if np is None:
-                    raise ImportError(
-                        "the monte-carlo permutation expectation requires numpy; "
-                        "use expectation='exact' or install numpy"
-                    )
-                rng = np.random.default_rng(self.seed)
-            return expected_fraction_of_information(
-                statistics, method=self.expectation, samples=self.samples, rng=rng
-            )
-
-        key = f"E_fi_{self.expectation}_{self.samples}_{self.seed}"
-        return fi, statistics._cached(key, compute)
+        # The permutation expectation is identical for RFI+ and RFI'+ (it
+        # only depends on the marginals), so it is cached on the shared
+        # statistics object.
+        return fi, statistics._cached(
+            "E_fi", lambda: expected_fraction_of_information(statistics)
+        )
 
 
 class RfiPlusMeasure(_PermutationCorrectedMeasure):
@@ -182,16 +137,30 @@ class SfiMeasure(AfdMeasure):
         self.name = f"sfi_{alpha:g}" if alpha != 0.5 else "sfi"
 
     def _score_violated(self, statistics: FdStatistics) -> float:
-        smoothed = smoothed_joint_counts(statistics, self.alpha)
-        y_counts: dict = {}
-        x_counts: dict = {}
-        for (x, y), count in smoothed.items():
-            x_counts[x] = x_counts.get(x, 0.0) + count
-            y_counts[y] = y_counts.get(y, 0.0) + count
-        h_y = entropy_of_counts(y_counts)
+        # Every unseen (x, y) cell holds the same alpha, so the smoothed
+        # entropies follow from the non-zero cells plus a count of unseen
+        # ones: O(|xy_counts|), not O(|dom X| * |dom Y|).  FI is a ratio of
+        # entropies, so natural logarithms serve for any base.
+        alpha = self.alpha
+        kx = len(statistics.x_counts)
+        ky = len(statistics.y_counts)
+        total = statistics.num_rows + alpha * kx * ky
+        h_y = _entropy((count + alpha * kx for count in statistics.y_counts.values()), total)
         if h_y <= 0.0:
             return 1.0
-        h_xy = entropy_of_counts(smoothed)
-        h_x = entropy_of_counts(x_counts)
-        h_y_given_x = max(h_xy - h_x, 0.0)
-        return 1.0 - h_y_given_x / h_y
+        h_xy = _entropy((count + alpha for count in statistics.xy_counts.values()), total)
+        unseen = kx * ky - len(statistics.xy_counts)
+        if unseen:
+            p = alpha / total
+            h_xy -= unseen * p * math.log(p)
+        h_x = _entropy((count + alpha * ky for count in statistics.x_counts.values()), total)
+        return 1.0 - max(h_xy - h_x, 0.0) / h_y
+
+
+def _entropy(pseudo_counts: Iterable[float], total: float) -> float:
+    """Shannon entropy (nats) of the pseudo-counts normalised by ``total``."""
+    result = 0.0
+    for count in pseudo_counts:
+        p = count / total
+        result -= p * math.log(p)
+    return result

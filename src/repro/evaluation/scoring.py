@@ -29,21 +29,11 @@ class MeasureConfig:
     runtime).
     """
 
-    expectation: str = "exact"
-    mc_samples: int = 200
     sfi_alpha: float = 0.5
-    seed: Optional[int] = 0
     backend: Optional[str] = None
 
     def build(self) -> Dict[str, AfdMeasure]:
-        return dict(
-            iter_measures(
-                expectation=self.expectation,
-                mc_samples=self.mc_samples,
-                sfi_alpha=self.sfi_alpha,
-                seed=self.seed,
-            )
-        )
+        return dict(iter_measures(sfi_alpha=self.sfi_alpha))
 
 
 @dataclass

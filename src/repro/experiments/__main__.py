@@ -7,7 +7,7 @@ Examples::
 
     # the full-paper configuration (same code path, bigger grid)
     python -m repro.experiments --benchmark err --steps 50 --tables-per-step 50 \
-        --max-rows 10000 --expectation exact --jobs 8
+        --max-rows 10000 --jobs 8
 
     # multi-attribute lattice discovery over the RWD benchmark
     python -m repro.experiments --benchmark discovery --max-lhs-size 2
@@ -113,19 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1000,
         help="maximum table size (paper: 10000; default: 1000 for laptop runs)",
-    )
-    parser.add_argument(
-        "--expectation",
-        choices=("exact", "monte-carlo"),
-        default="monte-carlo",
-        help="permutation-expectation strategy for RFI+/RFI'+ "
-        "(default: monte-carlo; the paper uses exact)",
-    )
-    parser.add_argument(
-        "--mc-samples",
-        type=int,
-        default=100,
-        help="Monte-Carlo samples for the permutation expectation (default: 100)",
     )
     parser.add_argument(
         "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
@@ -333,8 +320,6 @@ def _run_sensitivity(
         seed=args.seed,
         min_rows=args.min_rows,
         max_rows=args.max_rows,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )
@@ -359,8 +344,6 @@ def _run_rwde(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         num_rows=args.rwde_num_rows,
         seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )
@@ -386,8 +369,6 @@ def _run_discovery(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         max_lhs_size=args.max_lhs_size,
         threshold=args.discovery_threshold,
         g3_bound=args.g3_bound,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )
@@ -448,8 +429,6 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         sizes=sizes,
         backends=backends,
         repeats=repeats,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         chunked_discovery_rows=chunked_discovery_rows,
         chunk_size=chunk_size,
@@ -525,8 +504,6 @@ def _run_streaming(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         batches=batches,
         batch_size=args.streaming_batch_size,
         delete_fraction=args.streaming_delete_fraction,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
     )
     bench_path = _bench_path(args, "streaming")
@@ -588,8 +565,6 @@ def _run_service(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         requests_per_thread=requests,
         repeats=repeats,
         workers=workers,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=backend,
     )
@@ -674,8 +649,6 @@ def _run_properties(
         seed=args.seed,
         min_rows=args.min_rows,
         max_rows=args.max_rows,
-        expectation=args.expectation,
-        mc_samples=args.mc_samples,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )

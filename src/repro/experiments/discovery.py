@@ -41,20 +41,11 @@ class DiscoveryConfig:
     max_lhs_size: int = 2
     threshold: float = 0.9
     g3_bound: Optional[float] = None
-    expectation: str = "monte-carlo"
-    mc_samples: int = 100
     sfi_alpha: float = 0.5
-    measure_seed: int = 0
     backend: Optional[str] = None
 
     def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(
-            expectation=self.expectation,
-            mc_samples=self.mc_samples,
-            sfi_alpha=self.sfi_alpha,
-            seed=self.measure_seed,
-            backend=self.backend,
-        )
+        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=self.backend)
 
 
 def _run_relation(rwd, config: DiscoveryConfig, measures) -> Dict[str, object]:

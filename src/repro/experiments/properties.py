@@ -47,20 +47,11 @@ class PropertiesConfig:
     seed: Optional[int] = None
     min_rows: int = 100
     max_rows: int = 1000
-    expectation: str = "monte-carlo"
-    mc_samples: int = 100
     sfi_alpha: float = 0.5
-    measure_seed: int = 0
     backend: Optional[str] = None
 
     def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(
-            expectation=self.expectation,
-            mc_samples=self.mc_samples,
-            sfi_alpha=self.sfi_alpha,
-            seed=self.measure_seed,
-            backend=self.backend,
-        )
+        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=self.backend)
 
 
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

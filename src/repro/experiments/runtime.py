@@ -52,11 +52,7 @@ class RuntimeConfig:
     ``sizes`` are the row counts of the fixed relations (ascending; the
     last one is "the largest fixed relation" the speedup headline is
     reported for).  ``backends`` restricts the backend set (default:
-    every backend available in the process).  The default expectation is
-    Monte-Carlo: the exact hypergeometric expectation is Table V's
-    documented pain point and would dominate the wall-clock of every
-    backend equally, drowning the statistics-pass comparison this
-    benchmark exists to track.
+    every backend available in the process).
     """
 
     sizes: Tuple[int, ...] = (1_000, 5_000, 20_000)
@@ -64,10 +60,7 @@ class RuntimeConfig:
     repeats: int = 5
     warmup_runs: int = 1
     seed: int = 97
-    expectation: str = "monte-carlo"
-    mc_samples: int = 50
     sfi_alpha: float = 0.5
-    measure_seed: int = 0
     #: Row count of the chunked-discovery parity section (0 disables
     #: it): partition-free discovery on a :class:`ChunkedRelation`,
     #: asserted ``==`` brute force on the materialised relation.
@@ -93,13 +86,7 @@ class RuntimeConfig:
         return tuple(chosen)
 
     def measure_config(self, backend: str) -> MeasureConfig:
-        return MeasureConfig(
-            expectation=self.expectation,
-            mc_samples=self.mc_samples,
-            sfi_alpha=self.sfi_alpha,
-            seed=self.measure_seed,
-            backend=backend,
-        )
+        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=backend)
 
 
 #: Smoke-scale override used by ``--smoke`` (CI): small fixed relations,
@@ -318,23 +305,19 @@ def run_discovery_smoke(
     under 48 bytes/row (plus a fixed block-transient allowance) — a
     ceiling a materialised list of 10M row tuples (≥ 500 MB of tuple+int
     overhead alone) cannot fit, so passing proves the pipeline never
-    built one.  Scoring uses the paper's "efficiently computable"
-    measure subset: SFI's smoothed ``|dom(X)| x |dom(Y)|`` table and the
-    permutation expectations' O(rows) sampling columns are inherent to
-    those measures (not to the pipeline) and would dominate the traced
-    peak without touching the row-list property under test.  Returns the
-    timings, peak and discovery counters for the bench payload.
+    built one.  Scoring uses all fourteen measures by default.  Returns
+    the timings, peak and discovery counters for the bench payload.
     """
     import tracemalloc
 
-    from repro.core.registry import fast_measures
+    from repro.core.registry import all_measures
     from repro.discovery import chunked_discover
     from repro.relation.chunked import ChunkedRelation
 
     if num_rows < 1:
         raise ValueError(f"discovery smoke needs num_rows >= 1, got {num_rows}")
     if measures is None:
-        measures = fast_measures()
+        measures = all_measures()
     budget_bytes = num_rows * 48 + _SMOKE_FIXED_ALLOWANCE
     tracemalloc.start()
     try:

@@ -42,20 +42,11 @@ class RwdeConfig:
     num_rows: int = 400
     seed: int = 0
     jobs: int = 1
-    expectation: str = "monte-carlo"
-    mc_samples: int = 100
     sfi_alpha: float = 0.5
-    measure_seed: int = 0
     backend: Optional[str] = None
 
     def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(
-            expectation=self.expectation,
-            mc_samples=self.mc_samples,
-            sfi_alpha=self.sfi_alpha,
-            seed=self.measure_seed,
-            backend=self.backend,
-        )
+        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=self.backend)
 
 
 @lru_cache(maxsize=4)

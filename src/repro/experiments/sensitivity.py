@@ -24,8 +24,8 @@ class SensitivityConfig:
     """Everything that determines one sensitivity run (and its cache key).
 
     The defaults are laptop-scale; ``steps=50, tables_per_step=50,
-    max_rows=10_000, expectation="exact"`` is the full-paper configuration
-    on the identical code path.
+    max_rows=10_000`` is the full-paper configuration on the identical
+    code path.
     """
 
     benchmark: str = "err"
@@ -35,20 +35,11 @@ class SensitivityConfig:
     seed: Optional[int] = None
     min_rows: int = 100
     max_rows: int = 1000
-    expectation: str = "monte-carlo"
-    mc_samples: int = 100
     sfi_alpha: float = 0.5
-    measure_seed: int = 0
     backend: Optional[str] = None
 
     def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(
-            expectation=self.expectation,
-            mc_samples=self.mc_samples,
-            sfi_alpha=self.sfi_alpha,
-            seed=self.measure_seed,
-            backend=self.backend,
-        )
+        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=self.backend)
 
 
 def run_sensitivity(

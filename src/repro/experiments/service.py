@@ -61,17 +61,11 @@ class ServiceConfig:
     repeats: int = 7
     workers: int = 4
     seed: int = 97
-    expectation: str = "monte-carlo"
-    mc_samples: int = 50
     sfi_alpha: float = 0.5
     backend: Optional[str] = None
 
     def measure_options(self) -> Dict[str, object]:
-        return {
-            "expectation": self.expectation,
-            "mc_samples": self.mc_samples,
-            "sfi_alpha": self.sfi_alpha,
-        }
+        return {"sfi_alpha": self.sfi_alpha}
 
     def session(self, relation) -> AfdSession:
         return AfdSession(relation, backend=self.backend, **self.measure_options())

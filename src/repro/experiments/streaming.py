@@ -67,10 +67,7 @@ class StreamingConfig:
     delete_fraction: float = 0.25
     novel_fraction: float = 0.1
     seed: int = 97
-    expectation: str = "monte-carlo"
-    mc_samples: int = 50
     sfi_alpha: float = 0.5
-    measure_seed: int = 0
 
     def resolved_backends(self) -> Tuple[str, ...]:
         chosen = self.backends if self.backends else available_backends()
@@ -85,12 +82,7 @@ class StreamingConfig:
     def build_measures(self):
         from repro.core.registry import all_measures
 
-        return all_measures(
-            expectation=self.expectation,
-            mc_samples=self.mc_samples,
-            sfi_alpha=self.sfi_alpha,
-            seed=self.measure_seed,
-        )
+        return all_measures(sfi_alpha=self.sfi_alpha)
 
 
 #: Smoke-scale override used by ``--smoke`` (CI): small fixed relations,

@@ -192,9 +192,8 @@ class ProfileRequest:
     """One scoring request: an FD plus an optional measure subset.
 
     ``measures=None`` means "every measure the session holds" — the
-    session, not the request, owns the measure parameterisation
-    (expectation strategy, smoothing, backend), so requests stay small
-    and cacheable.
+    session, not the request, owns the measure parameterisation (SFI
+    smoothing, backend), so requests stay small and cacheable.
     """
 
     fd: FunctionalDependency

@@ -545,18 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="statistics backend for every session (default: process default)",
     )
     parser.add_argument(
-        "--expectation",
-        choices=("exact", "monte-carlo"),
-        default="monte-carlo",
-        help="permutation-expectation strategy for RFI+/RFI'+ (default: monte-carlo)",
-    )
-    parser.add_argument(
-        "--mc-samples",
-        type=int,
-        default=100,
-        help="Monte-Carlo samples for the permutation expectation (default: 100)",
-    )
-    parser.add_argument(
         "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
     )
     parser.add_argument(
@@ -579,11 +567,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workers < 0:
         print("--workers must be >= 0", file=sys.stderr)
         return 2
-    measure_options = {
-        "expectation": args.expectation,
-        "mc_samples": args.mc_samples,
-        "sfi_alpha": args.sfi_alpha,
-    }
+    measure_options = {"sfi_alpha": args.sfi_alpha}
     # Request log policy: --verbose logs every request; --slow-ms alone
     # logs only the slow ones; neither = no request log.
     logger = None

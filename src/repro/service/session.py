@@ -74,8 +74,7 @@ class AfdSession:
     measures:
         Optional pre-built ``name -> AfdMeasure`` mapping.  When omitted,
         the full registry is built from ``measure_options`` (the
-        ``expectation`` / ``mc_samples`` / ``sfi_alpha`` / ``seed``
-        vocabulary of :func:`repro.core.registry.all_measures`).
+        ``sfi_alpha`` option of :func:`repro.core.registry.all_measures`).
     backend:
         Statistics backend (``"python"`` / ``"numpy"`` / ``None`` for the
         process default).  Scores are bit-identical either way.

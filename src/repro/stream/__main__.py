@@ -100,18 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated measure names (default: all fourteen)",
     )
     parser.add_argument(
-        "--expectation",
-        choices=("exact", "monte-carlo"),
-        default="monte-carlo",
-        help="permutation-expectation strategy for RFI+/RFI'+ (default: monte-carlo)",
-    )
-    parser.add_argument(
-        "--mc-samples",
-        type=int,
-        default=100,
-        help="Monte-Carlo samples for the permutation expectation (default: 100)",
-    )
-    parser.add_argument(
         "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
     )
     parser.add_argument(
@@ -221,14 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     try:
-        measures = select_measures(
-            all_measures(
-                expectation=args.expectation,
-                mc_samples=args.mc_samples,
-                sfi_alpha=args.sfi_alpha,
-            ),
-            args.measures,
-        )
+        measures = select_measures(all_measures(sfi_alpha=args.sfi_alpha), args.measures)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2

@@ -126,7 +126,7 @@ def test_backend_parity_on_random_relations(seed):
     python_statistics = FdStatistics.compute(relation, fd, backend="python")
     numpy_statistics = FdStatistics.compute(relation, fd, backend="numpy")
     _assert_identical_statistics(python_statistics, numpy_statistics)
-    for name, measure in all_measures(expectation="exact").items():
+    for name, measure in all_measures().items():
         python_score = measure.score_from_statistics(python_statistics)
         numpy_score = measure.score_from_statistics(numpy_statistics)
         assert python_score == numpy_score, (name, python_score, numpy_score)
@@ -139,24 +139,10 @@ def test_backend_parity_on_degenerate_relations(case):
     python_statistics = FdStatistics.compute(case, fd, backend="python")
     numpy_statistics = FdStatistics.compute(case, fd, backend="numpy")
     _assert_identical_statistics(python_statistics, numpy_statistics)
-    for name, measure in all_measures(expectation="exact").items():
+    for name, measure in all_measures().items():
         assert measure.score_from_statistics(
             python_statistics
         ) == measure.score_from_statistics(numpy_statistics), name
-
-
-@requires_numpy
-def test_backend_parity_with_monte_carlo_expectation():
-    """The seeded Monte-Carlo expectation is deterministic per backend pair."""
-    relation = random_relation(3)
-    fd = random_fd(relation, 42)
-    python_statistics = FdStatistics.compute(relation, fd, backend="python")
-    numpy_statistics = FdStatistics.compute(relation, fd, backend="numpy")
-    measures = all_measures(expectation="monte-carlo", mc_samples=25)
-    for name in ("rfi_plus", "rfi_prime_plus"):
-        assert measures[name].score_from_statistics(
-            python_statistics
-        ) == measures[name].score_from_statistics(numpy_statistics), name
 
 
 @requires_numpy
@@ -437,7 +423,7 @@ def test_evaluate_specs_bit_identical_across_backends():
     from repro.synthetic.benchmarks import benchmark_specs
 
     specs = benchmark_specs("err", steps=2, tables_per_step=1, max_rows=120)
-    config = MeasureConfig(expectation="monte-carlo", mc_samples=10)
+    config = MeasureConfig()
     python_result = evaluate_specs(specs, config, backend="python")
     numpy_result = evaluate_specs(specs, config, backend="numpy")
     for python_row, numpy_row in zip(python_result.rows, numpy_result.rows):
@@ -466,7 +452,7 @@ def test_runtime_driver_smoke(tmp_path):
 
     bench_path = tmp_path / "BENCH_runtime.json"
     payload = run_runtime(
-        RuntimeConfig(sizes=(120, 300), repeats=2, warmup_runs=1, mc_samples=5),
+        RuntimeConfig(sizes=(120, 300), repeats=2, warmup_runs=1),
         output_dir=str(tmp_path / "results"),
         bench_path=str(bench_path),
     )
@@ -494,7 +480,7 @@ def test_runtime_single_backend_has_no_speedup(tmp_path):
     from repro.experiments.runtime import RuntimeConfig, run_runtime
 
     payload = run_runtime(
-        RuntimeConfig(sizes=(80,), backends=("python",), repeats=1, mc_samples=5),
+        RuntimeConfig(sizes=(80,), backends=("python",), repeats=1),
         output_dir=None,
         bench_path=None,
     )

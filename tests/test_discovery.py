@@ -185,3 +185,26 @@ def test_chunked_discovery_rejects_partition_features():
         chunked_discover(chunked, max_lhs_size=2)
     with pytest.raises(ValueError, match="g3_bound"):
         chunked_discover(chunked, g3_bound=0.1)
+
+
+def test_discovery_cli_rfi_scores_equal_session_scores(tmp_path):
+    """The CLI scores RFI+/RFI'+ exactly like the library: ``==``, not close."""
+    import json
+
+    from repro.discovery.__main__ import main
+    from repro.rwd.datasets import build_dataset
+    from repro.service.session import AfdSession
+
+    path = tmp_path / "accepted.json"
+    argv = ["--dataset", "R1", "--rows", "400", "--threshold", "0.0"]
+    argv += ["--measures", "rfi_plus,rfi_prime_plus", "--output", str(path)]
+    assert main(argv) == 0
+    accepted = json.loads(path.read_text())["accepted"]
+    session = AfdSession(build_dataset("R1", num_rows=400, seed=0).relation)
+    checked = 0
+    for measure in ("rfi_plus", "rfi_prime_plus"):
+        for record in accepted[measure]:
+            fd = FunctionalDependency(record["lhs"], record["rhs"])
+            assert record["score"] == session.score(fd).scores[measure], (measure, fd)
+            checked += 1
+    assert checked > 0

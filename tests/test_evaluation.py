@@ -20,7 +20,7 @@ from repro.evaluation import (
 from repro.evaluation.harness import EvaluationResult
 from repro.synthetic import benchmark_specs, build_err_benchmark
 
-FAST_CONFIG = MeasureConfig(expectation="monte-carlo", mc_samples=20)
+FAST_CONFIG = MeasureConfig()
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import main
 
-TINY = dict(steps=2, tables_per_step=1, max_rows=300, expectation="monte-carlo", mc_samples=20)
+TINY = dict(steps=2, tables_per_step=1, max_rows=300)
 
 
 def test_run_sensitivity_writes_all_artifacts(tmp_path):
@@ -59,7 +59,6 @@ def test_run_rwde_grid(tmp_path):
         error_types=("copy",),
         error_levels=(0.02,),
         num_rows=200,
-        mc_samples=20,
     )
     payload = run_rwde(config, output_dir=str(tmp_path))
     assert len(payload["cells"]) == 1
@@ -74,9 +73,7 @@ def test_run_rwde_grid(tmp_path):
 
 
 def test_run_discovery_lattice_mode(tmp_path):
-    config = DiscoveryConfig(
-        datasets=("R1",), num_rows=150, max_lhs_size=2, mc_samples=20
-    )
+    config = DiscoveryConfig(datasets=("R1",), num_rows=150, max_lhs_size=2)
     payload = run_discovery(config, output_dir=str(tmp_path))
     assert len(payload["relations"]) == 1
     entry = payload["relations"][0]
@@ -101,8 +98,6 @@ def test_cli_discovery_benchmark(tmp_path):
             "150",
             "--max-lhs-size",
             "2",
-            "--mc-samples",
-            "20",
             "--output-dir",
             str(tmp_path),
         ]
@@ -114,7 +109,7 @@ def test_cli_discovery_benchmark(tmp_path):
 
 def test_run_properties_static_consistency(tmp_path):
     payload = run_properties(
-        PropertiesConfig(steps=2, tables_per_step=1, max_rows=300, mc_samples=20),
+        PropertiesConfig(steps=2, tables_per_step=1, max_rows=300),
         output_dir=str(tmp_path),
     )
     assert payload["static_catalogue_consistent"] is True
@@ -142,8 +137,6 @@ def test_cli_acceptance_configuration(tmp_path, jobs):
             str(jobs),
             "--max-rows",
             "300",
-            "--mc-samples",
-            "20",
             "--output-dir",
             str(tmp_path / f"jobs{jobs}"),
         ]
@@ -167,8 +160,6 @@ def test_cli_jobs_do_not_change_scores(tmp_path):
                 str(jobs),
                 "--max-rows",
                 "300",
-                "--mc-samples",
-                "20",
                 "--output-dir",
                 str(tmp_path / f"jobs{jobs}"),
             ]
@@ -195,8 +186,6 @@ def test_cli_dash_output_dir_skips_artifacts(tmp_path, monkeypatch):
             "1",
             "--max-rows",
             "300",
-            "--mc-samples",
-            "20",
             "--output-dir",
             "-",
         ]

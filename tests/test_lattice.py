@@ -11,11 +11,11 @@ from repro.discovery import brute_force_afds, discover_afds, lattice_discover
 from repro.discovery.__main__ import main as discovery_main
 from repro.relation import FunctionalDependency, Relation
 
-FAST_MEASURES = ("rho", "g2", "g3", "g3_prime", "g1", "g1_prime", "pdep", "tau", "mu_plus")
+LATTICE_MEASURES = ("rho", "g2", "g3", "g3_prime", "g1", "g1_prime", "pdep", "tau", "mu_plus")
 
 
-def fast_measures():
-    return subset(FAST_MEASURES)
+def lattice_measures():
+    return subset(LATTICE_MEASURES)
 
 
 def random_relation(seed, num_rows=30, attributes=("a", "b", "c", "d"), null_rate=0.0):
@@ -64,7 +64,7 @@ def wide_relation(num_rows=60, seed=3):
 def test_lattice_scores_match_brute_force(null_rate):
     """Property check: every lattice candidate scores bit-identically to a
     direct FdStatistics pass, with and without the NULL fall-through."""
-    measures = fast_measures()
+    measures = lattice_measures()
     for seed in range(5):
         relation = random_relation(seed, null_rate=null_rate)
         lattice = discover_afds(relation, measures=measures, threshold=0.0, max_lhs_size=2)
@@ -79,7 +79,7 @@ def test_lattice_scores_match_brute_force(null_rate):
 
 def test_lattice_candidate_grid_without_keys_is_exhaustive():
     relation = random_relation(1)  # 4 attributes, no keys at 30 rows
-    result = discover_afds(relation, measures=fast_measures(), threshold=0.0, max_lhs_size=2)
+    result = discover_afds(relation, measures=lattice_measures(), threshold=0.0, max_lhs_size=2)
     # level 1: 4*3 ordered pairs; level 2: C(4,2)=6 LHS sets x 2 remaining RHS.
     assert result.pruned_key == 0
     assert len(result.candidates) == 12 + 12
@@ -89,12 +89,12 @@ def test_lattice_candidate_grid_without_keys_is_exhaustive():
 
 def test_multi_attribute_candidates_flow_through_measures():
     relation = random_relation(2)
-    result = discover_afds(relation, measures=fast_measures(), threshold=0.0, max_lhs_size=3)
+    result = discover_afds(relation, measures=lattice_measures(), threshold=0.0, max_lhs_size=3)
     deep = [candidate for candidate in result.candidates if len(candidate.fd.lhs) == 3]
     assert deep
     for candidate in deep:
         statistics = FdStatistics.compute(relation, candidate.fd)
-        for name, measure in fast_measures().items():
+        for name, measure in lattice_measures().items():
             assert candidate.scores[name] == measure.score_from_statistics(statistics)
 
 
@@ -103,7 +103,7 @@ def test_multi_attribute_candidates_flow_through_measures():
 # ----------------------------------------------------------------------
 def test_key_lhs_candidates_score_one_and_are_not_expanded():
     relation = wide_relation()
-    result = discover_afds(relation, measures=fast_measures(), threshold=0.0, max_lhs_size=2)
+    result = discover_afds(relation, measures=lattice_measures(), threshold=0.0, max_lhs_size=2)
     assert result.pruned_key >= 9  # the key column against every other attribute
     for candidate in result.candidates:
         if "a0" in candidate.fd.lhs:
@@ -118,7 +118,7 @@ def test_supersets_of_exact_lhs_are_pruned_and_score_one():
     relation = wide_relation()
     # a1 -> a2 holds exactly and a1 is not a key.
     assert relation.satisfies(FunctionalDependency("a1", "a2"))
-    result = discover_afds(relation, measures=fast_measures(), threshold=0.0, max_lhs_size=2)
+    result = discover_afds(relation, measures=lattice_measures(), threshold=0.0, max_lhs_size=2)
     supersets = [
         candidate
         for candidate in result.candidates
@@ -161,7 +161,7 @@ def test_statistics_counter_beats_brute_force_on_wide_relation():
 
 def test_g3_bound_drops_only_low_g3_candidates():
     relation = random_relation(4)
-    measures = fast_measures()
+    measures = lattice_measures()
     unbounded = discover_afds(relation, measures=measures, threshold=0.0, max_lhs_size=2)
     bounded = discover_afds(
         relation, measures=measures, threshold=0.0, max_lhs_size=2, g3_bound=0.9
@@ -199,7 +199,7 @@ def test_nulls_fall_through_to_statistics_path():
 # ----------------------------------------------------------------------
 def test_max_lhs_size_one_reproduces_linear_search():
     relation = random_relation(5)
-    linear = discover_afds(relation, measures=fast_measures(), threshold=0.0)
+    linear = discover_afds(relation, measures=lattice_measures(), threshold=0.0)
     assert linear.max_lhs_size == 1
     assert all(len(candidate.fd.lhs) == 1 for candidate in linear.candidates)
     assert len(linear.candidates) == 12
@@ -219,7 +219,7 @@ def test_lhs_restriction_bounds_the_lattice():
     relation = random_relation(7)
     result = discover_afds(
         relation,
-        measures=fast_measures(),
+        measures=lattice_measures(),
         threshold=0.0,
         max_lhs_size=2,
         lhs_attributes=["a", "b"],

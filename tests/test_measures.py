@@ -8,10 +8,20 @@ partition/entropy bookkeeping cannot cancel out.
 """
 
 import math
+import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
-from repro.core import FdStatistics, MeasureClass, all_measures, get_measure, measure_names
+from repro.core import (
+    FdStatistics,
+    MeasureClass,
+    SfiMeasure,
+    all_measures,
+    get_measure,
+    measure_names,
+)
 from repro.core.expectations import (
     expected_mutual_information_exact,
     expected_value_by_enumeration,
@@ -19,17 +29,6 @@ from repro.core.expectations import (
 from repro.core.registry import MEASURE_ORDER, register_measure, unregister_measure
 from repro.info.shannon import mutual_information
 from repro.relation import FunctionalDependency, Relation
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-#: The Monte-Carlo permutation expectation needs numpy; everything else
-#: here runs on the pure-python backend and stays in the no-numpy job.
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 # The quickstart relation: N=4, groups zip=1000 -> {Brussels: 2, Bruxelles: 1},
 # zip=3590 -> {Diepenbeek: 1}.
@@ -113,6 +112,145 @@ def test_sfi_golden_value():
 
 
 # ----------------------------------------------------------------------
+# Expected mutual information against its definition
+# ----------------------------------------------------------------------
+def reference_expected_mutual_information(x_counts, y_counts):
+    """Ungrouped hypergeometric sum over every (x, y) pair (bits).
+
+    One ``exp`` of log-factorials per term, over an O(N) table: the
+    textbook form the grouped kernel must reproduce.
+    """
+    n = sum(x_counts)
+    if n <= 1:
+        return 0.0
+    log_factorial = [0.0] * (n + 1)
+    for value in range(2, n + 1):
+        log_factorial[value] = log_factorial[value - 1] + math.log(value)
+
+    def log_choose(total, chosen):
+        return log_factorial[total] - log_factorial[chosen] - log_factorial[total - chosen]
+
+    expected = 0.0
+    for a in x_counts:
+        log_denominator = log_choose(n, a)
+        for b in y_counts:
+            for k in range(max(1, a + b - n), min(a, b) + 1):
+                probability = math.exp(
+                    log_choose(b, k) + log_choose(n - b, a - k) - log_denominator
+                )
+                expected += probability * (k / n) * math.log2(n * k / (a * b))
+    return max(expected, 0.0)
+
+
+def random_marginal(rng, total, parts):
+    """``parts`` positive counts summing to ``total``."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [high - low for low, high in zip([0] + cuts, cuts + [total])]
+
+
+TINY_MARGINALS = {
+    "n=2": ([1, 1], [1, 1]),
+    "a+b>n": ([3, 1], [3, 1]),
+    "constant-x": ([5], [2, 3]),
+    "key-x": ([1] * 6, [3, 2, 1]),
+    "n=8": ([2, 2, 4], [5, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_MARGINALS))
+def test_emi_matches_permutation_enumeration(name):
+    """E[I] equals the average of I over all N! pairings of the two columns."""
+    x_counts, y_counts = TINY_MARGINALS[name]
+    x_column = [i for i, count in enumerate(x_counts) for _ in range(count)]
+    y_column = [j for j, count in enumerate(y_counts) for _ in range(count)]
+    joint = Counter(zip(x_column, y_column))
+    brute_force = expected_value_by_enumeration(joint, mutual_information)
+    exact = expected_mutual_information_exact(x_counts, y_counts)
+    assert exact == pytest.approx(brute_force, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_emi_matches_ungrouped_reference(seed):
+    rng = random.Random(seed)
+    half = rng.randint(1, 1_500)
+    # X repeats every count once, so the grouping has work to do.
+    x_counts = random_marginal(rng, half, rng.randint(1, min(half, 30))) * 2
+    y_counts = random_marginal(rng, 2 * half, rng.randint(1, min(2 * half, 60)))
+    assert expected_mutual_information_exact(x_counts, y_counts) == pytest.approx(
+        reference_expected_mutual_information(x_counts, y_counts), rel=1e-11, abs=1e-15
+    )
+
+
+def test_emi_does_not_underflow_at_the_support_ends():
+    """For a = b = 1000, n = 2000, P(1) is below the smallest float."""
+    exact = expected_mutual_information_exact([1_000, 1_000], [1_000, 1_000])
+    assert exact > 0.0
+    assert exact == pytest.approx(
+        reference_expected_mutual_information([1_000, 1_000], [1_000, 1_000]), rel=1e-11
+    )
+
+
+def test_emi_of_a_key_against_a_balanced_column_is_one_bit():
+    """A key X fixes Y under every pairing: E[I] = H(Y) = 1 bit exactly."""
+    x_counts = [1] * 200_000
+    y_counts = [100_000] * 2
+    tracemalloc.start()
+    try:
+        emi = expected_mutual_information_exact(x_counts, y_counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(emi - 1.0) < 1e-12
+    assert peak < 1_000_000
+
+
+# ----------------------------------------------------------------------
+# Sparse SFI against the dense smoothed table
+# ----------------------------------------------------------------------
+def dense_sfi(statistics, alpha):
+    """FI of the full alpha-smoothed dom(X) x dom(Y) table."""
+    smoothed = {}
+    for x in statistics.x_counts:
+        for y in statistics.y_counts:
+            smoothed[(x, y)] = statistics.xy_counts.get((x, y), 0) + alpha
+    x_marginal = Counter()
+    y_marginal = Counter()
+    for (x, y), count in smoothed.items():
+        x_marginal[x] += count
+        y_marginal[y] += count
+    h_y_given_x = entropy2(smoothed.values()) - entropy2(x_marginal.values())
+    return 1.0 - max(h_y_given_x, 0.0) / entropy2(y_marginal.values())
+
+
+def sfi_relations():
+    rng = random.Random(7)
+    yield "random", [(rng.randrange(12), rng.randrange(7)) for _ in range(300)]
+    yield "null-heavy", [
+        (
+            None if rng.random() < 0.4 else rng.randrange(9),
+            None if rng.random() < 0.3 else rng.randrange(5),
+        )
+        for _ in range(300)
+    ]
+    yield "skewed", [
+        (min(int(rng.expovariate(0.3)), 40), min(int(rng.expovariate(1.0)), 15))
+        for _ in range(500)
+    ]
+    yield "key-y", [(rng.randrange(20), row) for row in range(200)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("case", ["random", "null-heavy", "skewed", "key-y"])
+def test_sparse_sfi_matches_dense_smoothing(case, alpha):
+    rows = dict(sfi_relations())[case]
+    relation = Relation(["zip", "city"], rows)
+    statistics = FdStatistics.compute(relation, FD)
+    assert not statistics.satisfied
+    score = SfiMeasure(alpha).score_from_statistics(statistics)
+    assert score == pytest.approx(dense_sfi(statistics, alpha), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
 # Edge cases shared by all fourteen measures
 # ----------------------------------------------------------------------
 def test_exact_fd_scores_one_for_every_measure():
@@ -136,24 +274,20 @@ def test_single_rhs_value_is_satisfied():
         assert measure.score(relation, FD) == 1.0, name
 
 
-@requires_numpy
 def test_independence_pushes_corrected_measures_to_zero():
     """On an X-independent Y column the chance-corrected measures vanish."""
     rows = [(i % 10, (i // 10) % 10) for i in range(400)]  # full 10x10 grid, 4x each
     relation = Relation(["zip", "city"], [(str(x), str(y)) for x, y in rows])
     assert get_measure("mu_plus").score(relation, FD) == pytest.approx(0.0, abs=0.05)
     assert get_measure("tau").score(relation, FD) == pytest.approx(0.0, abs=0.05)
-    assert get_measure("rfi_plus", expectation="monte-carlo", mc_samples=50).score(
-        relation, FD
-    ) == pytest.approx(0.0, abs=0.05)
+    assert get_measure("rfi_plus").score(relation, FD) == pytest.approx(0.0, abs=0.05)
 
 
-@requires_numpy
 def test_scores_stay_in_unit_interval_on_noisy_relation():
     rows = [(str(i % 7), str((i * 13 + i // 7) % 5)) for i in range(200)]
     relation = Relation(["zip", "city"], rows)
     statistics = FdStatistics.compute(relation, FD)
-    for name, measure in all_measures(expectation="monte-carlo", mc_samples=30).items():
+    for name, measure in all_measures().items():
         score = measure.score_from_statistics(statistics)
         assert 0.0 <= score <= 1.0, name
 

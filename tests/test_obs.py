@@ -305,7 +305,7 @@ def test_request_logger_slow_flag_and_filtering():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_score_and_discover_identical_with_instrumentation_off(backend):
     def run():
-        session = AfdSession(small_relation(), backend=backend, expectation="exact")
+        session = AfdSession(small_relation(), backend=backend)
         result = session.score("zip -> city")
         discovered = session.discover(threshold=0.1, max_lhs_size=2)
         return result.scores, [scored.to_dict() for scored in discovered.candidates]

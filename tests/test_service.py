@@ -64,7 +64,7 @@ requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed"
 
 BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
-MEASURES = all_measures(expectation="exact")
+MEASURES = all_measures()
 
 
 def small_relation(name="demo"):
@@ -488,7 +488,7 @@ def test_concurrent_access_is_bit_identical_to_serial():
 
     shared = AfdSession(
         Relation(relation.attributes, relation.rows(), name=relation.name),
-        measures=all_measures(expectation="exact"),
+        measures=all_measures(),
     )
     results = {}
     discoveries = {}
@@ -895,7 +895,6 @@ def test_streaming_benchmark_survives_total_delete_churn():
         batches=25,
         batch_size=16,
         delete_fraction=1.0,
-        expectation="exact",
     )
     payload = run_streaming(config, output_dir=None, bench_path=None)
     assert payload["scores_verified"] is True

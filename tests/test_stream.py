@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
-MEASURES = all_measures(expectation="exact")
+MEASURES = all_measures()
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +374,7 @@ def test_streaming_driver_smoke(tmp_path):
 
     bench_path = tmp_path / "BENCH_streaming.json"
     payload = run_streaming(
-        StreamingConfig(sizes=(150, 400), batches=3, batch_size=8, mc_samples=5),
+        StreamingConfig(sizes=(150, 400), batches=3, batch_size=8),
         output_dir=str(tmp_path / "results"),
         bench_path=str(bench_path),
     )
@@ -402,7 +402,7 @@ def test_streaming_driver_single_backend(tmp_path):
     from repro.experiments.streaming import StreamingConfig, run_streaming
 
     payload = run_streaming(
-        StreamingConfig(sizes=(120,), backends=("python",), batches=2, mc_samples=5),
+        StreamingConfig(sizes=(120,), backends=("python",), batches=2),
         output_dir=None,
         bench_path=None,
     )
