@@ -37,7 +37,6 @@ from repro.core import (
     FdStatistics,
     MeasureClass,
     all_measures,
-    default_measures,
     get_measure,
     measure_names,
     measures_by_class,
@@ -69,7 +68,6 @@ _LAZY_ATTRIBUTES = {
     "benchmark_specs": "repro.synthetic",
     "DynamicRelation": "repro.stream",
     "IncrementalFdStatistics": "repro.stream",
-    "IncrementalPartition": "repro.stream",
     "AfdSession": "repro.service",
     "ProfileRequest": "repro.service",
     "ProfileResult": "repro.service",
@@ -84,7 +82,6 @@ __all__ = [
     "FdStatistics",
     "FunctionalDependency",
     "IncrementalFdStatistics",
-    "IncrementalPartition",
     "MeasureClass",
     "ProfileRequest",
     "ProfileResult",
@@ -95,7 +92,6 @@ __all__ = [
     "all_measures",
     "benchmark_specs",
     "brute_force_afds",
-    "default_measures",
     "discover_afds",
     "lattice_discover",
     "minimal_cover",

@@ -155,11 +155,11 @@ def _extract_routes(tree: ast.Module) -> Tuple[List[Dict[str, object]], int]:
             ):
                 raise SchemaExtractionError("every ROUTES row must be a Route(...) call")
             positional = ("method", "pattern", "op")
-            row: Dict[str, object] = {"deprecated": False, "successor": None}
+            row: Dict[str, object] = {}
             for name, arg in zip(positional, element.args):
                 row[name] = _route_value(arg, name)
             for keyword in element.keywords:
-                if keyword.arg in ("method", "pattern", "op", "deprecated", "successor"):
+                if keyword.arg in positional:
                     row[keyword.arg] = _route_value(keyword.value, keyword.arg)
             missing = [name for name in positional if name not in row]
             if missing:

@@ -38,7 +38,6 @@ from repro.core.shannon import (
 )
 from repro.core.registry import (
     all_measures,
-    default_measures,
     get_measure,
     measure_names,
     measures_by_class,
@@ -67,7 +66,6 @@ __all__ = [
     "TauMeasure",
     "all_measures",
     "available_backends",
-    "default_measures",
     "get_default_backend",
     "get_measure",
     "measure_names",

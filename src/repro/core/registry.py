@@ -153,11 +153,6 @@ def all_measures(sfi_alpha: float = 0.5) -> Dict[str, AfdMeasure]:
     return result
 
 
-def default_measures(**kwargs) -> Dict[str, AfdMeasure]:
-    """Alias of :func:`all_measures` with default parameters."""
-    return all_measures(**kwargs)
-
-
 def get_measure(name: str, **kwargs) -> AfdMeasure:
     """A single measure instance by name (raises ``KeyError`` if unknown)."""
     measures = all_measures(**kwargs)

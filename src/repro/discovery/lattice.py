@@ -33,6 +33,12 @@ g3-bound rules only apply to NULL-free candidates; the rest fall through
 to the statistics path.  Key pruning and exactness propagation to
 superset LHSs remain sound under NULLs: dropping tuples and enlarging
 the LHS both preserve FD satisfaction.
+
+A :class:`PartitionCache` can outlive one traversal: an
+:class:`~repro.service.AfdSession` keeps one per relation snapshot, so a
+dynamic relation's partitions are rebuilt from its latest snapshot on
+the next discovery rather than maintained row by row.  Cache lookups
+are counted by the ``partitions_total{result}`` metric.
 """
 
 from __future__ import annotations
@@ -66,16 +72,14 @@ class PartitionCache:
     guarantees that both size-``(k-1)`` parents of a level-``k`` node are
     already cached, so products combine two maximally refined partitions
     (whose cached probe tables are reused across all the products they
-    participate in) instead of rebuilding from column scans.
+    participate in) instead of rebuilding from column scans.  Lookups
+    are counted by the ``partitions_total{result}`` metric.
     """
 
     def __init__(self, relation: Relation):
         self._relation = relation
         self._partitions: Dict[Tuple[str, ...], StrippedPartition] = {}
         self._null_flags: Dict[str, bool] = {}
-        #: Cache effectiveness counters (read by ``AfdSession.cache_info``).
-        self.hits = 0
-        self.misses = 0
 
     @property
     def relation(self) -> Relation:
@@ -96,12 +100,8 @@ class PartitionCache:
         key = canonical_attributes(attributes)
         cached = self._partitions.get(key)
         if cached is not None:
-            # `.hits`/`.misses` stay as the deprecated per-cache fields;
-            # `partitions_total{result}` is the canonical metric.
-            self.hits += 1
             get_registry().inc("partitions_total", result="hit")
             return cached
-        self.misses += 1
         get_registry().inc("partitions_total", result="miss")
         if len(key) == 1:
             computed = StrippedPartition.from_relation(self._relation, key)

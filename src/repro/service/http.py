@@ -107,11 +107,9 @@ class AsyncHttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         handler: Optional[Handler] = None,
-        quiet: bool = True,
         max_body_bytes: int = MAX_BODY_BYTES,
     ):
         self.handler: Handler = handler if handler is not None else _default_handler
-        self.quiet = quiet
         self.max_body_bytes = max_body_bytes
         self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -147,6 +145,7 @@ class AsyncHttpServer:
         self._selector.register(fileobj, selectors.EVENT_READ, ("reader", callback))
 
     def remove_reader(self, fileobj) -> None:
+        """Stop watching ``fileobj`` (idempotent; a worker pipe at EOF)."""
         try:
             self._selector.unregister(fileobj)
         except (KeyError, ValueError):  # pragma: no cover - already gone

@@ -40,7 +40,7 @@ from repro.relation.fd import FunctionalDependency
 
 #: Version stamped into every ``to_dict()`` payload.  Bump on any
 #: backwards-incompatible schema change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------

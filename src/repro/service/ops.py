@@ -157,17 +157,11 @@ def _op_metrics(state: ServiceState, payload: Dict[str, object]) -> Tuple[int, D
 
 
 def _op_stats(state: ServiceState, payload: Dict[str, object]) -> Tuple[int, Dict]:
-    """Operational JSON snapshot: caches and metric totals."""
+    """Operational JSON snapshot: cache levels and metric totals."""
     sessions = []
     for name in state.session_names():
-        session = state.session(name)
-        sessions.append(
-            {
-                "name": name,
-                "num_rows": session.num_rows,
-                "cache": session.cache_info(),
-            }
-        )
+        row = state.session(name).describe()
+        sessions.append({"name": name, "num_rows": row["num_rows"], "cache": row["cache"]})
     return 200, {
         "pid": os.getpid(),
         "sessions": sessions,

@@ -21,11 +21,9 @@ The wire API is versioned under ``/v1/``:
 ``/v1/relations/<name>/delta``              POST    apply a mutation
 ==========================================  ======  ====================
 
-The PR-5 unversioned routes (``/healthz``, ``/relations``, ``/score``,
-``/discover``, ``/stream/<name>/delta``) remain as deprecated aliases:
-they serve identical payloads, carry a ``Deprecation: true`` header plus
-a ``Link: <successor>; rel="successor-version"`` pointer, and log once
-per route.  Failures use the envelope contract of
+``{name}`` is percent-decoded, so any registered name is addressable.
+There are no unversioned routes: any other path answers
+``unknown_route``.  Failures use the envelope contract of
 :mod:`repro.service.model`: ``{"error": {"code", "message", "detail"}}``
 with the stable codes in ``ERROR_CODES``.
 """
@@ -34,11 +32,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import re
 import signal
 import sys
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -76,16 +74,12 @@ class Route:
     """One row of the routing table: ``method`` + ``pattern`` → ``op``.
 
     ``pattern`` uses ``{name}`` placeholders captured into the payload
-    (the URL wins over any body field of the same meaning).  Deprecated
-    rows alias a ``successor`` ``/v1`` route and answer with a
-    ``Deprecation`` header.
+    (the URL wins over any body field of the same meaning).
     """
 
     method: str
     pattern: str
     op: str
-    deprecated: bool = False
-    successor: Optional[str] = None
     regex: "re.Pattern" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -104,31 +98,17 @@ ROUTES: Tuple[Route, ...] = (
     Route("POST", "/v1/relations/{name}/score", "score"),
     Route("POST", "/v1/relations/{name}/discover", "discover"),
     Route("POST", "/v1/relations/{name}/delta", "delta"),
-    # PR-5 unversioned aliases (deprecated; removal tracked in README).
-    Route("GET", "/healthz", "healthz", deprecated=True, successor="/v1/healthz"),
-    Route("GET", "/relations", "relations", deprecated=True, successor="/v1/relations"),
-    Route("POST", "/relations", "register", deprecated=True, successor="/v1/relations"),
-    Route(
-        "POST", "/score", "score",
-        deprecated=True, successor="/v1/relations/{name}/score",
-    ),
-    Route(
-        "POST", "/discover", "discover",
-        deprecated=True, successor="/v1/relations/{name}/discover",
-    ),
-    Route(
-        "POST", "/stream/{name}/delta", "delta",
-        deprecated=True, successor="/v1/relations/{name}/delta",
-    ),
 )
 
 
 def match_route(method: str, path: str) -> Tuple[Route, Dict[str, str]]:
     """Resolve ``method path`` against :data:`ROUTES`.
 
-    Raises :class:`ServiceError` ``unknown_route`` (404) for an unknown
-    path and ``method_not_allowed`` (405, with the allowed verbs in the
-    detail) for a known path addressed with the wrong verb.
+    The captured ``{name}`` is percent-decoded (a client addresses the
+    relation ``"a b"`` as ``a%20b``).  Raises :class:`ServiceError`
+    ``unknown_route`` (404) for an unknown path and
+    ``method_not_allowed`` (405, with the allowed verbs in the detail)
+    for a known path addressed with the wrong verb.
     """
     allowed: List[str] = []
     for route in ROUTES:
@@ -136,7 +116,10 @@ def match_route(method: str, path: str) -> Tuple[Route, Dict[str, str]]:
         if match is None:
             continue
         if route.method == method:
-            return route, match.groupdict()
+            return route, {
+                key: urllib.parse.unquote(value)
+                for key, value in match.groupdict().items()
+            }
         allowed.append(route.method)
     if allowed:
         raise ServiceError(
@@ -165,7 +148,6 @@ class ServiceApp:
         self,
         state: Optional[ServiceState] = None,
         dispatcher: Optional[ShardDispatcher] = None,
-        quiet: bool = True,
         logger: Optional[RequestLogger] = None,
         healthz_timeout: float = 0.5,
         schedule: Optional[Callable[[float, Callable[[], None]], None]] = None,
@@ -174,7 +156,6 @@ class ServiceApp:
             raise ValueError("pass exactly one of state= (inline) or dispatcher= (sharded)")
         self.state = state
         self.dispatcher = dispatcher
-        self.quiet = quiet
         #: Structured request log (one JSON line per request); None = off.
         self.logger = logger
         #: Budget for the sharded-healthz worker ping before answering
@@ -184,30 +165,12 @@ class ServiceApp:
         #: (wired by :func:`make_sharded_server`); None degrades the
         #: healthz ping deadline to best-effort (reply-driven only).
         self.schedule = schedule
-        self._deprecation_logged: set = set()
         #: Sharded mode: relation name -> owning worker id (filled on
         #: successful registration; single-threaded on the event loop).
         self._routing: Dict[str, int] = {}
         self._started = time.time()
 
     # -- plumbing -------------------------------------------------------
-    def _deprecation_headers(self, route: Route) -> List[Tuple[str, str]]:
-        headers = [("Deprecation", "true")]
-        if route.successor:
-            headers.append(("Link", f'<{route.successor}>; rel="successor-version"'))
-        get_registry().inc("deprecated_requests_total", route=route.pattern)
-        if route.pattern not in self._deprecation_logged:
-            self._deprecation_logged.add(route.pattern)
-            # The warning belongs to the serving front end alone: a
-            # ServiceApp embedded in a forked child (benchmark harness,
-            # CLI subprocess) must not re-warn per process.
-            if not self.quiet and multiprocessing.parent_process() is None:
-                sys.stderr.write(
-                    f"deprecated route {route.method} {route.pattern} used; "
-                    f"migrate to {route.successor or '/v1'}\n"
-                )
-        return headers
-
     @staticmethod
     def _parse_body(method: str, body: Optional[bytes]) -> Dict[str, object]:
         if body is None or not body:
@@ -267,7 +230,6 @@ class ServiceApp:
         except ServiceError as error:
             answer(error.status, error.envelope())
             return
-        extra = self._deprecation_headers(route) if route.deprecated else []
         if "name" in params:
             # The URL names the relation authoritatively.
             payload["relation"] = params["name"]
@@ -275,22 +237,22 @@ class ServiceApp:
         if op == "score" and "requests" in payload:
             op = "score_batch"
         if op == "metrics":
-            self._serve_metrics(answer, extra)
+            self._serve_metrics(answer)
             return
         if op == "stats":
-            self._serve_stats(answer, extra)
+            self._serve_stats(answer)
             return
         if self.dispatcher is None:
             with use_trace(trace):
                 status, out = execute(self.state, op, payload)
-            answer(status, out, extra)
+            answer(status, out)
         else:
-            self._dispatch_sharded(op, payload, answer, extra, trace)
+            self._dispatch_sharded(op, payload, answer, trace)
 
     # -- observability routes -------------------------------------------
-    def _serve_metrics(self, answer, extra) -> None:
+    def _serve_metrics(self, answer) -> None:
         """``GET /v1/metrics``: Prometheus text, fleet-aggregated."""
-        prometheus = list(extra) + [("Content-Type", PROMETHEUS_CONTENT_TYPE)]
+        prometheus = [("Content-Type", PROMETHEUS_CONTENT_TYPE)]
         if self.dispatcher is None:
             text = render_prometheus(get_registry().to_dict())
             answer(200, text.encode("utf-8"), prometheus)
@@ -307,23 +269,22 @@ class ServiceApp:
 
         def on_merged(status: int, merged: object) -> None:
             if status != 200 or not isinstance(merged, dict):
-                answer(status, merged, extra)
+                answer(status, merged)
                 return
             answer(200, render_prometheus(merged).encode("utf-8"), prometheus)
 
         self.dispatcher.submit_broadcast("metrics", {}, on_merged, merge)
 
-    def _serve_stats(self, answer, extra) -> None:
+    def _serve_stats(self, answer) -> None:
         """``GET /v1/stats``: operational JSON (caches, pools, dispatcher)."""
         if self.dispatcher is None:
             status, out = execute(self.state, "stats", {})
             if status != 200:
-                answer(status, out, extra)
+                answer(status, out)
                 return
             answer(
                 200,
                 {"mode": "inline", "workers": [out], "frontend": get_registry().totals()},
-                extra,
             )
             return
 
@@ -339,12 +300,10 @@ class ServiceApp:
                 "frontend": get_registry().totals(),
             }
 
-        self.dispatcher.submit_broadcast(
-            "stats", {}, lambda status, out: answer(status, out, extra), merge
-        )
+        self.dispatcher.submit_broadcast("stats", {}, answer, merge)
 
     # -- sharded dispatch ----------------------------------------------
-    def _sharded_healthz(self, respond, extra) -> None:
+    def _sharded_healthz(self, respond) -> None:
         """Per-worker liveness detail: pid, pipe ping, owned relations.
 
         A dead worker *process* turns the status ``degraded``.  A live
@@ -384,7 +343,6 @@ class ServiceApp:
                     "workers": pool.num_workers,
                     "worker_detail": detail,
                 },
-                extra,
             )
 
         def on_info(worker_id: int):
@@ -412,14 +370,10 @@ class ServiceApp:
         if self.schedule is not None:
             self.schedule(self.healthz_timeout, finish)
 
-    def _dispatch_sharded(self, op, payload, respond, extra, trace=None) -> None:
+    def _dispatch_sharded(self, op, payload, respond, trace=None) -> None:
         pool = self.dispatcher.pool
-
-        def answer(status: int, out: object) -> None:
-            respond(status, out, extra)
-
         if op == "healthz":
-            self._sharded_healthz(respond, extra)
+            self._sharded_healthz(respond)
             return
         if op == "relations":
             def merge(replies):
@@ -431,20 +385,20 @@ class ServiceApp:
                 merged.sort(key=lambda entry: str(entry.get("name")))
                 return 200, {"relations": merged}
 
-            self.dispatcher.submit_broadcast(op, payload, answer, merge)
+            self.dispatcher.submit_broadcast(op, payload, respond, merge)
             return
         if op == "register":
             name = payload.get("name")
             if not isinstance(name, str) or not name:
                 error = ServiceError("malformed_record", "relation name must be non-empty")
-                respond(error.status, error.envelope(), extra)
+                respond(error.status, error.envelope())
                 return
             worker_id = pool.owner(name)
 
             def on_registered(status: int, out: object) -> None:
                 if status == 201:
                     self._routing[name] = worker_id
-                respond(status, out, extra)
+                respond(status, out)
 
             self.dispatcher.submit(worker_id, op, payload, on_registered, trace=trace)
             return
@@ -455,7 +409,7 @@ class ServiceApp:
             error = ServiceError(
                 "malformed_record", "the request must name the target relation"
             )
-            respond(error.status, error.envelope(), extra)
+            respond(error.status, error.envelope())
             return
         worker_id = self._routing.get(name)
         if worker_id is None:
@@ -464,9 +418,9 @@ class ServiceApp:
                 f"unknown relation {name!r}",
                 detail={"relation": name, "registered": sorted(self._routing)},
             )
-            respond(error.status, error.envelope(), extra)
+            respond(error.status, error.envelope())
             return
-        self.dispatcher.submit(worker_id, op, payload, answer, trace=trace)
+        self.dispatcher.submit(worker_id, op, payload, respond, trace=trace)
 
 
 # ----------------------------------------------------------------------
@@ -476,19 +430,16 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
     state: Optional[ServiceState] = None,
-    quiet: bool = True,
     logger: Optional[RequestLogger] = None,
 ) -> Tuple[AsyncHttpServer, ServiceState]:
     """Build a ready-to-serve in-process server + state pair.
 
     ``port=0`` binds an ephemeral port (read it back from
     ``server.server_address``) — the in-process testing and benchmarking
-    entry point.  The ``(server, state)`` return contract is unchanged
-    from the threaded PR-5 server.
+    entry point.
     """
     state = state if state is not None else ServiceState()
-    app = ServiceApp(state=state, quiet=quiet, logger=logger)
-    server = AsyncHttpServer(host, port, handler=app, quiet=quiet)
+    server = AsyncHttpServer(host, port, handler=ServiceApp(state=state, logger=logger))
     return server, state
 
 
@@ -498,7 +449,6 @@ def make_sharded_server(
     workers: int = 2,
     backend: Optional[str] = None,
     measure_options: Optional[Dict[str, object]] = None,
-    quiet: bool = True,
     logger: Optional[RequestLogger] = None,
 ) -> Tuple[AsyncHttpServer, ShardPool]:
     """Build a sharded server: ``workers`` processes behind one front end.
@@ -508,10 +458,10 @@ def make_sharded_server(
     a thread).  ``server_close()`` stops the pool.
     """
     pool = ShardPool(workers, backend=backend, measure_options=measure_options)
-    server = AsyncHttpServer(host, port, quiet=quiet)
-    dispatcher = ShardDispatcher(pool, server.add_reader)
+    server = AsyncHttpServer(host, port)
+    dispatcher = ShardDispatcher(pool, server.add_reader, server.remove_reader)
     server.handler = ServiceApp(
-        dispatcher=dispatcher, quiet=quiet, logger=logger, schedule=server.call_later
+        dispatcher=dispatcher, logger=logger, schedule=server.call_later
     )
     server.on_close.append(pool.stop)
     return server, pool
@@ -557,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--verbose", action="store_true", help="log deprecations and server events"
+        "--verbose", action="store_true", help="log every request as a JSON line"
     )
     return parser
 
@@ -580,15 +530,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers,
             backend=args.backend,
             measure_options=measure_options,
-            quiet=not args.verbose,
             logger=logger,
         )
         mode = f"sharded across {args.workers} workers"
     else:
         state = ServiceState(backend=args.backend, measure_options=measure_options)
-        server, _ = make_server(
-            args.host, args.port, state=state, quiet=not args.verbose, logger=logger
-        )
+        server, _ = make_server(args.host, args.port, state=state, logger=logger)
         mode = "in-process"
     host, port = server.server_address[:2]
 

@@ -19,15 +19,19 @@ with every expensive artifact derived from it:
 
 Scoring an FD after discovery, re-scoring after a stream batch, or
 discovering twice therefore never recomputes what the session already
-holds; :meth:`cache_info` exposes hit/miss counters proving it.
+holds.  The ``repro.obs`` counters prove it:
+``session_statistics_total{relation,result}`` (``hit`` / ``miss`` /
+``incremental``), ``session_operations_total{relation,op}`` and
+``partitions_total{result}``; :meth:`describe` reports the cache sizes.
 
 **Bit-identity.**  Every cached artifact is exactly what the direct call
 path would produce — :meth:`score` equals ``FdStatistics.compute`` +
 ``score_from_statistics``, :meth:`discover` equals
-:func:`~repro.discovery.single.discover_afds`, and dynamic re-scoring
-equals a from-scratch recompute on the snapshot (the ``repro.stream``
-contract) — so session results are ``==``-identical to the legacy
-surfaces on both statistics backends.
+:func:`~repro.discovery.single.discover_afds` (or
+:func:`~repro.discovery.chunked.chunked_discover` on a chunked
+session), and dynamic re-scoring equals a from-scratch recompute on the
+snapshot (the ``repro.stream`` contract) — so session results are
+``==``-identical to the direct calls on both statistics backends.
 
 **Concurrency.**  All public methods serialise on one reentrant
 per-session lock: concurrent callers (the HTTP server's worker threads)
@@ -131,16 +135,6 @@ class AfdSession:
         #: ``dynamic.version`` the statistics cache was built against.
         self._cache_version = None if self._dynamic is None else self._dynamic.version
         self._last_discovery: Optional[DiscoveryResult] = None
-        self._counters: Dict[str, int] = {
-            "statistics_hits": 0,
-            "statistics_misses": 0,
-            "incremental_refreshes": 0,
-            "partition_hits": 0,
-            "partition_misses": 0,
-            "scores": 0,
-            "discoveries": 0,
-            "deltas": 0,
-        }
 
     # ------------------------------------------------------------------
     # Introspection
@@ -214,21 +208,6 @@ class AfdSession:
         with self._lock:
             return list(self._trackers)
 
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters plus current cache sizes, one flat mapping."""
-        with self._lock:
-            info = dict(self._counters)
-            if self._partition_cache is not None:
-                info["partition_hits"] += self._partition_cache.hits
-                info["partition_misses"] += self._partition_cache.misses
-            info["cached_statistics"] = len(self._statistics)
-            info["cached_partitions"] = (
-                0 if self._partition_cache is None else len(self._partition_cache)
-            )
-            info["trackers"] = len(self._trackers)
-            info["epoch"] = self._epoch
-            return info
-
     def describe(self) -> Dict[str, object]:
         """A JSON-ready summary of the session (the server's listing row)."""
         with self._lock:
@@ -245,21 +224,19 @@ class AfdSession:
                 "epoch": self._epoch,
                 "backend": self._backend,
                 "measures": list(self._measures),
-                "cache": self.cache_info(),
+                # Cache levels only; hit/miss counts live in repro.obs.
+                "cache": {
+                    "cached_statistics": len(self._statistics),
+                    "cached_partitions": (
+                        0 if self._partition_cache is None else len(self._partition_cache)
+                    ),
+                    "trackers": len(self._trackers),
+                },
             }
 
     # ------------------------------------------------------------------
     # Statistics cache
     # ------------------------------------------------------------------
-    def seed_statistics(self, fd: FdLike, statistics: FdStatistics) -> None:
-        """Pre-seed the statistics cache for ``fd`` at the current epoch.
-
-        The caller asserts the statistics describe this session's current
-        relation (a precomputed pass being reused across sessions).
-        """
-        with self._lock:
-            self._statistics[fd_from_value(fd)] = statistics
-
     def _statistics_for(
         self, fd: FunctionalDependency, track: bool = True
     ) -> Tuple[FdStatistics, float, bool]:
@@ -286,10 +263,6 @@ class AfdSession:
         registry = get_registry()
         cached = self._statistics.get(fd)
         if cached is not None:
-            # The `_counters` dict keys are the deprecated PR-5 aliases;
-            # `session_statistics_total{relation,result}` is the
-            # canonical surface (same numbers, one naming scheme).
-            self._counters["statistics_hits"] += 1
             registry.inc("session_statistics_total", relation=self.name, result="hit")
             return cached, 0.0, True
         result_label = "miss"
@@ -297,19 +270,14 @@ class AfdSession:
         if self._dynamic is not None:
             tracker = self._trackers.get(fd)
             if tracker is not None:
-                if enrolled:
-                    self._counters["statistics_misses"] += 1
-                else:
-                    self._counters["incremental_refreshes"] += 1
+                if not enrolled:
                     result_label = "incremental"
                 statistics = tracker.statistics()
             else:
-                self._counters["statistics_misses"] += 1
                 statistics = FdStatistics.compute(
                     self._dynamic.snapshot(), fd, backend=self._backend
                 )
         else:
-            self._counters["statistics_misses"] += 1
             statistics = FdStatistics.compute(
                 self._chunked if self._chunked is not None else self._static,
                 fd,
@@ -353,7 +321,6 @@ class AfdSession:
                 started = time.perf_counter()
                 scores[name] = measure.score_from_statistics(statistics)
                 runtimes[name] = time.perf_counter() - started
-            self._counters["scores"] += 1
             get_registry().inc("session_operations_total", relation=self.name, op="score")
             add_span("scoring", sum(runtimes.values()), fd=str(fd))
             exact = statistics.satisfied or statistics.is_empty
@@ -431,10 +398,6 @@ class AfdSession:
         from repro.discovery.lattice import PartitionCache
 
         if self._partition_cache is None or self._partition_cache.relation is not self.relation:
-            if self._partition_cache is not None:
-                # Carry the retired cache's counters into the totals.
-                self._counters["partition_hits"] += self._partition_cache.hits
-                self._counters["partition_misses"] += self._partition_cache.misses
             self._partition_cache = PartitionCache(self.relation)
         return self._partition_cache
 
@@ -461,62 +424,9 @@ class AfdSession:
         computed from chunked statistics without materialising a row
         list; ``max_lhs_size > 1`` and ``g3_bound`` are rejected there.
         """
-        from repro.discovery.cover import minimal_cover as reduce_cover
-        from repro.discovery.lattice import lattice_discover
-
-        if self._chunked is not None:
-            return self._discover_chunked(
-                threshold=threshold,
-                max_lhs_size=max_lhs_size,
-                lhs_attributes=lhs_attributes,
-                rhs_attributes=rhs_attributes,
-                g3_bound=g3_bound,
-                minimal_cover=minimal_cover,
-                measures=measures,
-            )
-        with self._lock:
-            chosen = self._select(measures)
-
-            def provider(relation: Relation, fd: FunctionalDependency):
-                statistics, _, cache_hit = self._statistics_for(fd, track=False)
-                return statistics, not cache_hit
-
-            with span("discovery", relation=self.name, kind="lattice"):
-                raw = lattice_discover(
-                    self.relation,
-                    measures=chosen,
-                    threshold=threshold,
-                    max_lhs_size=max_lhs_size,
-                    lhs_attributes=lhs_attributes,
-                    rhs_attributes=rhs_attributes,
-                    g3_bound=g3_bound,
-                    backend=self._backend,
-                    partition_cache=self._partitions(),
-                    statistics_provider=provider,
-                )
-            if minimal_cover:
-                raw = reduce_cover(raw)
-            self._counters["discoveries"] += 1
-            get_registry().inc(
-                "session_operations_total", relation=self.name, op="discover"
-            )
-            result = DiscoveryResult.from_discovery(raw, epoch=self._epoch)
-            self._last_discovery = result
-            return result
-
-    def _discover_chunked(
-        self,
-        threshold,
-        max_lhs_size: int,
-        lhs_attributes: Optional[Sequence[str]],
-        rhs_attributes: Optional[Sequence[str]],
-        g3_bound: Optional[float],
-        minimal_cover: bool,
-        measures: Optional[Sequence[str]],
-    ) -> DiscoveryResult:
-        """Chunked-session discovery: the partition-free screen."""
         from repro.discovery.chunked import chunked_discover
         from repro.discovery.cover import minimal_cover as reduce_cover
+        from repro.discovery.lattice import lattice_discover
 
         with self._lock:
             chosen = self._select(measures)
@@ -525,21 +435,27 @@ class AfdSession:
                 statistics, _, cache_hit = self._statistics_for(fd, track=False)
                 return statistics, not cache_hit
 
-            with span("discovery", relation=self.name, kind="chunked"):
-                raw = chunked_discover(
-                    self._chunked,
-                    measures=chosen,
-                    threshold=threshold,
-                    lhs_attributes=lhs_attributes,
-                    rhs_attributes=rhs_attributes,
-                    max_lhs_size=max_lhs_size,
-                    g3_bound=g3_bound,
-                    backend=self._backend,
-                    statistics_provider=provider,
-                )
+            options = dict(
+                measures=chosen,
+                threshold=threshold,
+                max_lhs_size=max_lhs_size,
+                lhs_attributes=lhs_attributes,
+                rhs_attributes=rhs_attributes,
+                g3_bound=g3_bound,
+                backend=self._backend,
+                statistics_provider=provider,
+            )
+            chunked = self._chunked is not None
+            with span("discovery", relation=self.name, kind="chunked" if chunked else "lattice"):
+                if chunked:
+                    # A chunked store has no row list: never touch self.relation.
+                    raw = chunked_discover(self._chunked, **options)
+                else:
+                    raw = lattice_discover(
+                        self.relation, partition_cache=self._partitions(), **options
+                    )
             if minimal_cover:
                 raw = reduce_cover(raw)
-            self._counters["discoveries"] += 1
             get_registry().inc(
                 "session_operations_total", relation=self.name, op="discover"
             )
@@ -649,7 +565,6 @@ class AfdSession:
                 dynamic.append(inserts)
             self._epoch += 1
             self._statistics.clear()
-            self._counters["deltas"] += 1
             get_registry().inc("session_operations_total", relation=self.name, op="delta")
             scores, restricted = self._score_tracked(list(self._trackers), measures)
             return StreamUpdate(

@@ -345,10 +345,21 @@ class ShardDispatcher:
     worker-pipe readers registered via ``add_reader``), so no locking is
     needed.  Callbacks receive ``(status, body)`` where ``body`` is
     pre-encoded JSON bytes (or a dict for locally-generated errors).
+
+    A worker pipe at EOF (the worker died) is handed back to
+    ``remove_reader`` so the event loop stops polling it; its in-flight
+    and queued callbacks fail with ``internal_error``, and later
+    submissions fail fast when the send hits the closed pipe.
     """
 
-    def __init__(self, pool: ShardPool, add_reader: Callable[[object, Callable], None]):
+    def __init__(
+        self,
+        pool: ShardPool,
+        add_reader: Callable[[object, Callable], None],
+        remove_reader: Callable[[object], None],
+    ):
         self._pool = pool
+        self._remove_reader = remove_reader
         workers = pool.num_workers
         self._queues: List[Deque[_Queued]] = [deque() for _ in range(workers)]
         self._busy = [False] * workers
@@ -522,15 +533,8 @@ class ShardDispatcher:
         connection = self._pool.connections[worker_id]
         try:
             reply = connection.recv()
-        except (EOFError, OSError):  # pragma: no cover - worker died
-            inflight = self._inflight[worker_id]
-            self._inflight[worker_id] = None
-            error = ServiceError("internal_error", f"shard worker {worker_id} died")
-            if inflight is not None:
-                kind, target = inflight[0], inflight[1]
-                callbacks = target if kind == "split" else [target]
-                for callback in callbacks:
-                    callback(error.status, error.envelope())
+        except (EOFError, OSError):
+            self._on_worker_died(worker_id, connection)
             return
         kind_target = self._inflight[worker_id]
         self._inflight[worker_id] = None
@@ -553,3 +557,20 @@ class ShardDispatcher:
             else:
                 target(reply.get("status", 500), reply.get("json"))
         self._pump(worker_id)
+
+    def _on_worker_died(self, worker_id: int, connection) -> None:
+        """Stop polling a dead worker's pipe and fail everything it owed."""
+        self._remove_reader(connection)
+        inflight = self._inflight[worker_id]
+        self._inflight[worker_id] = None
+        self._busy[worker_id] = False
+        callbacks: List[Callable] = []
+        if inflight is not None:
+            kind, target = inflight[0], inflight[1]
+            callbacks.extend(target if kind == "split" else [target])
+        queue = self._queues[worker_id]
+        callbacks.extend(item.callback for item in queue)
+        queue.clear()
+        error = ServiceError("internal_error", f"shard worker {worker_id} died")
+        for callback in callbacks:
+            callback(error.status, error.envelope())

@@ -10,9 +10,10 @@ deletes, sliding windows — without re-paying that pass per batch:
   view), and delta notification to trackers;
 * :class:`IncrementalFdStatistics` — O(Δ)-maintained joint counts that
   re-assemble into an :class:`~repro.core.statistics.FdStatistics`
-  bit-identical to a from-scratch ``compute()`` on either backend;
-* :class:`IncrementalPartition` — value-keyed stripped-partition
-  maintenance with buffered deletes and a replay-vs-rebuild cost model.
+  bit-identical to a from-scratch ``compute()`` on either backend.
+
+Stripped partitions are not maintained under mutation: discovery on a
+dynamic session builds them from the current snapshot.
 
 ``python -m repro.stream`` is the monitoring front end: it replays a CSV
 file or a named RWD dataset as a stream and emits per-batch measure
@@ -21,11 +22,9 @@ streaming`` benchmarks incremental re-scoring against full recompute.
 """
 
 from repro.stream.dynamic import DynamicRelation
-from repro.stream.partition import IncrementalPartition
 from repro.stream.statistics import IncrementalFdStatistics
 
 __all__ = [
     "DynamicRelation",
     "IncrementalFdStatistics",
-    "IncrementalPartition",
 ]

@@ -3,18 +3,16 @@
 :class:`DynamicRelation` is the subsystem's source of truth for a
 relation under **inserts and deletes**.  Every row ever appended gets a
 monotonically increasing *row id*; deletion tombstones the id instead of
-shifting positions, so the derived structures (incremental statistics,
-incremental partitions) can refer to rows stably across mutations.  The
-live rows, in ascending id order, define the *current* relation — the
-one a from-scratch :meth:`FdStatistics.compute` would see.
+shifting positions, so the incremental statistics trackers can refer to
+rows stably across mutations.  The live rows, in ascending id order,
+define the *current* relation — the one a from-scratch
+:meth:`FdStatistics.compute` would see.
 
 Three design points carry the subsystem:
 
 * **Delta notification.**  Trackers created via :meth:`track` (one
-  :class:`~repro.stream.statistics.IncrementalFdStatistics` per FD) and
-  :meth:`track_partition` (one
-  :class:`~repro.stream.partition.IncrementalPartition` per attribute
-  set) receive every ``(row_id, row)`` insert/delete exactly once, in
+  :class:`~repro.stream.statistics.IncrementalFdStatistics` per FD)
+  receive every ``(row_id, row)`` insert/delete exactly once, in
   mutation order, so their caches stay in lockstep with the store in
   O(Δ) per batch.
 * **Extendable dictionary encoding.**  When numpy is available the
@@ -66,7 +64,6 @@ from repro.relation.chunked import assign_code
 from repro.relation.relation import Relation, Row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.stream.partition import IncrementalPartition
     from repro.stream.statistics import IncrementalFdStatistics
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
@@ -177,7 +174,6 @@ class DynamicRelation:
         )
         self._trackers: List[object] = []
         self._snapshot_cache: Optional[Relation] = None
-        self._positions_cache: Optional[Dict[int, int]] = None
         #: Monotone mutation counter: bumped on every append/delete/compact,
         #: so derived caches (e.g. an ``AfdSession``'s statistics cache)
         #: can cheaply detect *any* mutation, including out-of-band ones.
@@ -230,14 +226,6 @@ class DynamicRelation:
         """``(row_id, row)`` pairs of the live rows, in ascending id order."""
         for row_id in self._live:
             yield row_id, self._all_rows[row_id]
-
-    def live_positions(self) -> Dict[int, int]:
-        """Row id -> snapshot position of every live row (cached per epoch)."""
-        if self._positions_cache is None:
-            self._positions_cache = {
-                row_id: position for position, row_id in enumerate(self._live)
-            }
-        return self._positions_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         label = self.name or "DynamicRelation"
@@ -299,7 +287,6 @@ class DynamicRelation:
 
     def _invalidate(self) -> None:
         self._snapshot_cache = None
-        self._positions_cache = None
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -357,16 +344,6 @@ class DynamicRelation:
         from repro.stream.statistics import IncrementalFdStatistics
 
         return IncrementalFdStatistics(self, fd)
-
-    def track_partition(self, attributes, **options) -> "IncrementalPartition":
-        """Maintain the stripped partition of ``attributes`` under mutations.
-
-        ``options`` are forwarded to :class:`IncrementalPartition`
-        (``rebuild_fraction`` / ``rebuild_min`` tune the cost model).
-        """
-        from repro.stream.partition import IncrementalPartition
-
-        return IncrementalPartition(self, attributes, **options)
 
     def _register(self, tracker: object) -> None:
         """Subscribe a tracker to mutation deltas (called by constructors)."""

@@ -571,10 +571,17 @@ def test_rpr104_error_code_edit_trips(tmp_path):
 
 
 def test_rpr104_version_bump_asks_for_refreeze_then_clean(tmp_path):
+    from repro.service.model import SCHEMA_VERSION
+
     root = make_service_repo(tmp_path)
     lock = root / "schemas.lock.json"
     update_lock(root, lock)
-    _edit(root, "src/repro/service/model.py", "SCHEMA_VERSION = 1", "SCHEMA_VERSION = 2")
+    _edit(
+        root,
+        "src/repro/service/model.py",
+        f"SCHEMA_VERSION = {SCHEMA_VERSION}\n",
+        f"SCHEMA_VERSION = {SCHEMA_VERSION + 1}\n",
+    )
     _edit(root, "src/repro/service/model.py", "    cache_hit: bool = False\n", "")
     findings = rpr104_findings(root)
     assert [f.code for f in findings] == ["RPR104"]
@@ -614,8 +621,6 @@ def test_extract_wire_schema_matches_runtime_model():
         assert row["method"] == route.method
         assert row["pattern"] == route.pattern
         assert row["op"] == route.op
-        assert row["deprecated"] == route.deprecated
-        assert row["successor"] == route.successor
 
 
 # ----------------------------------------------------------------------

@@ -437,6 +437,10 @@ def test_sharded_healthz_degrades_when_a_worker_dies(sharded_service):
     victim = pool.pids()[0]
     os.kill(victim, signal.SIGKILL)
     assert _wait_for(lambda: pool.alive()[0] is False)
+    # The dead worker's pipe leaves the event loop: no busy spin.
+    started = time.process_time()
+    time.sleep(1.0)
+    assert time.process_time() - started < 0.25
     status, _, body = _request(base, "GET", "/v1/healthz")
     health = json.loads(body)
     assert status == 200

@@ -10,12 +10,13 @@ Contracts under test:
   ``discover_afds``, from-scratch recompute on the snapshot) on every
   available backend;
 * the session's artifact caches are shared — across calls, across
-  discovery-then-score, and across concurrent threads, with hit/miss
-  counters proving it;
+  discovery-then-score, and across concurrent threads, with the
+  ``repro.obs`` hit/miss counters proving it;
 * the HTTP server serves the same numbers over ``urllib`` on the
-  versioned ``/v1`` routes (and their deprecated unversioned aliases)
-  and fails with the ``{"error": {"code", "message", "detail"}}``
-  envelope (400/404/405/409/413) on bad input;
+  versioned ``/v1`` routes (the only routes; ``{name}`` is
+  percent-decoded) and fails with the
+  ``{"error": {"code", "message", "detail"}}`` envelope
+  (400/404/405/409/413) on bad input;
 * ``python -m repro`` dispatches to the subsystem CLIs.
 
 Sharded serving (``--workers N``) is covered in ``test_shard.py``.
@@ -28,6 +29,7 @@ import json
 import random
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -35,6 +37,7 @@ import pytest
 from repro.core import all_measures
 from repro.core.statistics import FdStatistics
 from repro.discovery import discover_afds, minimal_cover
+from repro.obs.metrics import get_registry
 from repro.relation import FunctionalDependency, Relation
 from repro.service import (
     ERROR_CODES,
@@ -50,7 +53,13 @@ from repro.service import (
     record_from_dict,
     stable_view,
 )
-from repro.service.server import ROUTES, ServiceState, make_server, match_route
+from repro.service.server import (
+    ROUTES,
+    ServiceState,
+    make_server,
+    make_sharded_server,
+    match_route,
+)
 from repro.stream import DynamicRelation
 
 try:
@@ -277,6 +286,27 @@ def test_discover_matches_discover_afds(backend):
     assert result.counters == reference.counters()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_chunked_session_discover_matches_chunked_discover(backend):
+    from repro.discovery import chunked_discover
+    from repro.relation.chunked import ChunkedRelation
+
+    store = ChunkedRelation.from_relation(random_relation(5), chunk_size=7)
+    session = AfdSession(store, measures=MEASURES, backend=backend)
+    # A chunked session has no row list; discovery must not ask for one.
+    with pytest.raises(ValueError, match="chunked"):
+        session.relation
+    result = session.discover(threshold=0.5)
+    reference = chunked_discover(store, measures=MEASURES, threshold=0.5, backend=backend)
+    assert result == DiscoveryResult.from_discovery(reference)
+    # The session kept every statistics pass: a rerun computes none.
+    again = session.discover(threshold=0.5)
+    assert again.candidates == result.candidates
+    assert again.counters["statistics_computed"] == 0
+    with pytest.raises(ValueError, match="single-LHS"):
+        session.discover(max_lhs_size=2)
+
+
 def test_minimal_cover_matches_cover_reduction():
     relation = small_relation()
     session = AfdSession(relation, measures=MEASURES)
@@ -321,23 +351,49 @@ def test_session_rejects_non_relations():
 # ----------------------------------------------------------------------
 # AfdSession: artifact caching
 # ----------------------------------------------------------------------
+def cache_counters(relation):
+    """Hit/miss counts of ``relation``'s session, from the metrics registry.
+
+    The registry is process-wide and cumulative, so tests compare two
+    readings with :func:`counters_since`.
+    """
+    registry = get_registry()
+    return {
+        "statistics_hits": registry.value(
+            "session_statistics_total", relation=relation, result="hit"
+        ),
+        "statistics_misses": registry.value(
+            "session_statistics_total", relation=relation, result="miss"
+        ),
+        "partition_hits": registry.value("partitions_total", result="hit"),
+        "partition_misses": registry.value("partitions_total", result="miss"),
+    }
+
+
+def counters_since(start, relation):
+    now = cache_counters(relation)
+    return {key: now[key] - start[key] for key in now}
+
+
 def test_repeat_score_hits_cache():
     session = AfdSession(small_relation(), measures=MEASURES)
+    start = cache_counters(session.name)
     first = session.score("zip -> city")
     second = session.score("zip -> city")
     assert second.scores == first.scores
     assert second.cache_hit and second.statistics_seconds == 0.0
-    info = session.cache_info()
+    info = counters_since(start, session.name)
     assert info["statistics_misses"] == 1
     assert info["statistics_hits"] == 1
-    assert info["cached_statistics"] == 1
+    assert session.describe()["cache"]["cached_statistics"] == 1
 
 
 def test_score_after_discovery_hits_cache():
     session = AfdSession(random_relation(3), measures=MEASURES)
+    start = cache_counters(session.name)
     result = session.discover(threshold=0.5, max_lhs_size=2)
     computed = result.counters["statistics_computed"]
-    assert session.cache_info()["statistics_misses"] == computed
+    assert counters_since(start, session.name)["statistics_misses"] == computed
     # Any non-pruned candidate was already computed inside discover().
     non_exact = next(c for c in result.candidates if not c.exact)
     profile = session.score(non_exact.fd)
@@ -347,24 +403,15 @@ def test_score_after_discovery_hits_cache():
 
 def test_repeat_discovery_reuses_partitions():
     session = AfdSession(random_relation(4), measures=MEASURES)
+    start = cache_counters(session.name)
     session.discover(threshold=0.5, max_lhs_size=2)
-    first = session.cache_info()
+    first = counters_since(start, session.name)
     session.discover(threshold=0.5, max_lhs_size=2)
-    second = session.cache_info()
+    second = counters_since(start, session.name)
     # Second traversal probes the same lattice nodes: all hits, no new misses.
     assert second["partition_misses"] == first["partition_misses"]
     assert second["partition_hits"] > first["partition_hits"]
     assert second["statistics_misses"] == first["statistics_misses"]
-
-
-def test_seed_statistics_short_circuits_compute():
-    relation = small_relation()
-    fd = FunctionalDependency("zip", "city")
-    statistics = FdStatistics.compute(relation, fd)
-    session = AfdSession(relation, measures=MEASURES)
-    session.seed_statistics(fd, statistics)
-    result = session.score(fd)
-    assert result.cache_hit and result.statistics_seconds == 0.0
 
 
 def test_score_many_matches_sequential_scores():
@@ -482,9 +529,11 @@ def test_concurrent_access_is_bit_identical_to_serial():
         for rhs in relation.attributes
         if lhs != rhs
     ]
+    start = cache_counters(relation.name)
     serial_session = AfdSession(relation, measures=MEASURES)
     serial_scores = {fd: serial_session.score(fd).scores for fd in fds}
     serial_discovery = serial_session.discover(threshold=0.6, max_lhs_size=2)
+    serial_info = counters_since(start, relation.name)
 
     shared = AfdSession(
         Relation(relation.attributes, relation.rows(), name=relation.name),
@@ -508,6 +557,7 @@ def test_concurrent_access_is_bit_identical_to_serial():
         except BaseException as error:  # pragma: no cover - failure reporting
             errors.append(error)
 
+    start = cache_counters(relation.name)
     threads = [
         threading.Thread(target=worker, args=(index,)) for index in range(num_threads)
     ]
@@ -521,13 +571,13 @@ def test_concurrent_access_is_bit_identical_to_serial():
         assert [(c.fd, c.scores) for c in discoveries[index].candidates] == [
             (c.fd, c.scores) for c in serial_discovery.candidates
         ]
-    info = shared.cache_info()
+    info = counters_since(start, relation.name)
     # Artifact sharing: every FD's statistics were computed exactly once
     # across all eight threads; everything else was a cache hit.
     total_statistics = info["statistics_misses"]
-    assert total_statistics == serial_session.cache_info()["statistics_misses"]
+    assert total_statistics == serial_info["statistics_misses"]
     assert info["statistics_hits"] >= num_threads * len(fds) - total_statistics
-    assert info["partition_misses"] == serial_session.cache_info()["partition_misses"]
+    assert info["partition_misses"] == serial_info["partition_misses"]
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +625,7 @@ def _error_envelope(excinfo):
     return body["error"]
 
 
-def _register(base, name="demo", prefix="/v1", **extra):
+def _register(base, name="demo", **extra):
     relation = small_relation(name)
     payload = {
         "name": name,
@@ -583,7 +633,7 @@ def _register(base, name="demo", prefix="/v1", **extra):
         "rows": [list(row) for row in relation.rows()],
     }
     payload.update(extra)
-    return _post(f"{base}{prefix}/relations", payload)
+    return _post(f"{base}/v1/relations", payload)
 
 
 def test_server_healthz_and_relations(service):
@@ -669,12 +719,6 @@ def test_routing_table_dispatch():
         ("POST", "/v1/relations/demo/score"): "score",
         ("POST", "/v1/relations/demo/discover"): "discover",
         ("POST", "/v1/relations/demo/delta"): "delta",
-        ("GET", "/healthz"): "healthz",
-        ("GET", "/relations"): "relations",
-        ("POST", "/relations"): "register",
-        ("POST", "/score"): "score",
-        ("POST", "/discover"): "discover",
-        ("POST", "/stream/demo/delta"): "delta",
     }
     assert len(cases) == len(ROUTES)
     for (method, path), op in cases.items():
@@ -682,9 +726,18 @@ def test_routing_table_dispatch():
         assert route.op == op
         if "{name}" in route.pattern:
             assert params == {"name": "demo"}
-        assert route.deprecated == (not path.startswith("/v1"))
-        if route.deprecated:
-            assert route.successor.startswith("/v1")
+    # The former unversioned aliases are gone, not redirected.
+    for method, path in (
+        ("GET", "/healthz"),
+        ("GET", "/relations"),
+        ("POST", "/relations"),
+        ("POST", "/score"),
+        ("POST", "/discover"),
+        ("POST", "/stream/demo/delta"),
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            match_route(method, path)
+        assert excinfo.value.code == "unknown_route"
     with pytest.raises(ServiceError) as excinfo:
         match_route("POST", "/v1/healthz")
     assert excinfo.value.code == "method_not_allowed"
@@ -697,23 +750,31 @@ def test_routing_table_dispatch():
     assert excinfo.value.code == "unknown_route"
 
 
-def test_legacy_aliases_serve_with_deprecation_header(service):
-    base, state = service
-    status, body, headers = _register(base, prefix="")
-    assert status == 201 and headers.get("Deprecation") == "true"
-    assert 'rel="successor-version"' in headers.get("Link", "")
-    reference = state.session("demo").score("zip -> city").scores
-    for path, payload in (
-        ("/score", {"relation": "demo", "fd": "zip -> city"}),
-        ("/v1/relations/demo/score", {"fd": "zip -> city"}),
-    ):
-        status, body, headers = _post(f"{base}{path}", payload)
-        assert status == 200 and body["scores"] == reference
-        assert (headers.get("Deprecation") == "true") == (not path.startswith("/v1"))
-    status, health, headers = _get(f"{base}/healthz")
-    assert status == 200 and health["sessions"] == ["demo"]
-    assert headers.get("Deprecation") == "true"
-    assert headers.get("Link") == '</v1/healthz>; rel="successor-version"'
+@pytest.mark.parametrize("mode", ["inline", "sharded"])
+@pytest.mark.parametrize("name", ["a b", "a/b", "é"])
+def test_percent_encoded_relation_names_are_addressable(mode, name):
+    """``/v1/relations/<quote(name)>/...`` reaches the relation ``name``."""
+    if mode == "inline":
+        server, _ = make_server()
+    else:
+        server, _ = make_sharded_server(workers=2)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = "http://{0}:{1}".format(*server.server_address)
+    try:
+        status, body, _ = _register(base, name=name)
+        assert status == 201 and body["name"] == name
+        quoted = urllib.parse.quote(name, safe="")
+        status, scored, _ = _post(
+            f"{base}/v1/relations/{quoted}/score", {"fd": "zip -> city"}
+        )
+        assert status == 200 and scored["relation"] == name
+        reference = AfdSession(small_relation(name), measures=MEASURES).score("zip -> city")
+        assert scored["scores"] == reference.scores
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
 
 
 def test_server_error_paths(service):
@@ -757,6 +818,7 @@ def test_server_error_paths(service):
 def test_server_concurrent_clients_share_one_session(service):
     base, state = service
     _register(base)
+    start = cache_counters("demo")
     reference = state.session("demo").score("zip -> city").scores
     payloads = []
     errors = []
@@ -778,7 +840,7 @@ def test_server_concurrent_clients_share_one_session(service):
     assert not errors
     assert len(payloads) == 20
     assert all(body["scores"] == reference for body in payloads)
-    info = state.session("demo").cache_info()
+    info = counters_since(start, "demo")
     assert info["statistics_misses"] == 1
     assert info["statistics_hits"] >= 20
 

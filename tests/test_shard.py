@@ -10,6 +10,8 @@ Contracts under test:
   relation-scoped message reaches a non-owner;
 * the dispatcher coalesces queued same-relation scores into one
   ``score_batch`` round trip and splits the reply per client;
+* a worker that dies fails its in-flight and queued requests with a
+  500, its pipe leaves the event loop, and later requests fail fast;
 * an 8-worker sharded server is bit-identical (volatile timing fields
   aside — :func:`stable_view`) to single-process serial serving over
   plain ``urllib``, including under concurrent clients, and deltas
@@ -17,6 +19,8 @@ Contracts under test:
 """
 
 import json
+import os
+import signal
 import threading
 import urllib.error
 import urllib.request
@@ -125,7 +129,9 @@ def test_dispatcher_coalesces_queued_scores_into_one_batch():
     pool = ShardPool(1)
     try:
         readers = {}
-        dispatcher = ShardDispatcher(pool, lambda conn, cb: readers.update(cb=cb))
+        dispatcher = ShardDispatcher(
+            pool, lambda conn, cb: readers.update(cb=cb), lambda conn: None
+        )
         connection = pool.connections[0]
 
         registered = []
@@ -155,6 +161,55 @@ def test_dispatcher_coalesces_queued_scores_into_one_batch():
         assert all(status == 200 for status, _ in answers)
         assert all(body["kind"] == "profile_result" for body in bodies)
         assert stable_view(bodies[0]) == stable_view(bodies[1]) == stable_view(bodies[2])
+    finally:
+        pool.stop()
+
+
+def test_dispatcher_fails_inflight_and_queued_work_when_worker_dies():
+    pool = ShardPool(1)
+    try:
+        readers = {}
+        removed = []
+        dispatcher = ShardDispatcher(
+            pool, lambda conn, cb: readers.update(cb=cb), removed.append
+        )
+        connection = pool.connections[0]
+        registered = []
+        dispatcher.submit(
+            0, "register", relation_payload("t"),
+            lambda status, body: registered.append(status),
+        )
+        assert connection.poll(10)
+        readers["cb"]()
+        assert registered == [201]
+
+        # A stopped worker cannot answer: the first score stays in
+        # flight and the second waits in the queue behind it.
+        pid = pool.pids()[0]
+        os.kill(pid, signal.SIGSTOP)
+        answers = []
+        for _ in range(2):
+            dispatcher.submit(
+                0, "score", {"relation": "t", "fd": "X -> Y"},
+                lambda status, body: answers.append((status, body)),
+            )
+        assert answers == []
+        os.kill(pid, signal.SIGKILL)
+        assert connection.poll(10)  # EOF makes the pipe readable
+        readers["cb"]()
+        assert [status for status, _ in answers] == [500, 500]
+        assert all(body["error"]["code"] == "internal_error" for _, body in answers)
+        assert removed == [connection]
+
+        # Later submissions fail at once through the closed pipe.
+        later = []
+        dispatcher.submit(
+            0, "score", {"relation": "t", "fd": "X -> Y"},
+            lambda status, body: later.append(status),
+        )
+        assert later == [500]
+        assert dispatcher.stats()["busy"] == [False]
+        assert dispatcher.stats()["queue_depth"] == [0]
     finally:
         pool.stop()
 

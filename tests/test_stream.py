@@ -7,8 +7,6 @@ bit-identity contract: after *any* interleaving of appends and deletes,
   counts, same ``Counter`` insertion order, same scores under all
   fourteen measures — to a from-scratch ``FdStatistics.compute`` on the
   snapshot, on both backends;
-* :meth:`IncrementalPartition.as_stripped` equals
-  ``StrippedPartition.from_relation`` on the snapshot;
 * the snapshot's pre-seeded columnar view is indistinguishable from a
   fresh ``ColumnarRelation.encode``.
 
@@ -27,8 +25,7 @@ import pytest
 from repro.core import all_measures
 from repro.core.statistics import FdStatistics
 from repro.relation import FunctionalDependency, Relation
-from repro.relation.partition import StrippedPartition
-from repro.stream import DynamicRelation, IncrementalPartition
+from repro.stream import DynamicRelation
 
 try:
     import numpy  # noqa: F401
@@ -207,16 +204,18 @@ def test_delete_rejects_dead_or_unknown_ids():
 
 
 def test_sliding_window_evicts_oldest_live_rows():
-    dynamic = DynamicRelation(["A"], [(i,) for i in range(5)], window=3)
-    assert dynamic.snapshot().rows() == [(2,), (3,), (4,)]
-    dynamic.append([(9,)])
-    assert dynamic.snapshot().rows() == [(3,), (4,), (9,)]
+    dynamic = DynamicRelation(["A", "B"], [(i, i % 2) for i in range(5)], window=3)
+    assert dynamic.snapshot().rows() == [(2, 0), (3, 1), (4, 0)]
+    dynamic.append([(9, 1)])
+    assert dynamic.snapshot().rows() == [(3, 1), (4, 0), (9, 1)]
     # Eviction goes through the delete path, so trackers observe it.
-    partition = dynamic.track_partition(["A"])
-    dynamic.append([(3,), (3,)])
-    assert dynamic.snapshot().rows() == [(9,), (3,), (3,)]
-    reference = StrippedPartition.from_relation(dynamic.snapshot(), ["A"])
-    assert partition.as_stripped().clusters == reference.clusters
+    fd = FunctionalDependency("A", "B")
+    tracker = dynamic.track(fd)
+    dynamic.append([(3, 0), (3, 1)])
+    assert dynamic.snapshot().rows() == [(9, 1), (3, 0), (3, 1)]
+    assert_statistics_identical(
+        tracker.statistics(), FdStatistics.compute(dynamic.snapshot(), fd)
+    )
 
 
 def test_window_rejects_nonpositive_sizes():
@@ -296,59 +295,17 @@ def test_snapshot_without_numpy_has_no_columnar_cache(monkeypatch):
     import repro.stream.dynamic as dynamic_module
 
     monkeypatch.setattr(dynamic_module, "np", None)
-    dynamic = DynamicRelation(["A"], [(1,), (1,)])
+    dynamic = DynamicRelation(["A", "B"], [(1, 1), (1, 1)])
     assert dynamic._columns is None
     assert dynamic.snapshot()._columnar_cache is None
-    partition = dynamic.track_partition(["A"])
-    dynamic.append([(2,)])
-    reference = StrippedPartition.from_relation(dynamic.snapshot(), ["A"])
-    assert partition.as_stripped().clusters == reference.clusters
-
-
-# ----------------------------------------------------------------------
-# Incremental partitions
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(15))
-def test_incremental_partition_parity_under_interleavings(seed):
-    dynamic, script = random_workload(seed)
-    attributes = list(dynamic.attributes[:2])
-    partition = dynamic.track_partition(attributes)
-    for step, _ in enumerate(script):
-        reference = StrippedPartition.from_relation(dynamic.snapshot(), attributes)
-        materialised = partition.as_stripped()
-        assert materialised.clusters == reference.clusters, (seed, step)
-        assert materialised.error() == reference.error()
-        assert partition.error() == reference.error()
-        assert partition.is_key() == reference.is_key()
-
-
-def test_incremental_partition_cost_model_rebuilds_on_heavy_churn():
-    dynamic = DynamicRelation(["A"], [(i % 5,) for i in range(100)])
-    # Direct construction self-registers, exactly like track_partition().
-    partition = IncrementalPartition(dynamic, ["A"], rebuild_fraction=0.5, rebuild_min=4)
-    # Small batch: replayed incrementally.
-    dynamic.delete([0, 1])
-    partition.flush()
-    assert partition.rebuilds == 0 and partition.applied_deletes == 2
-    # Delete-heavy churn (more than half the live rows): full rebuild.
-    dynamic.delete(dynamic.live_ids()[:60])
-    partition.flush()
-    assert partition.rebuilds == 1 and partition.applied_deletes == 2
-    reference = StrippedPartition.from_relation(dynamic.snapshot(), ["A"])
-    assert partition.as_stripped().clusters == reference.clusters
-    # track_partition forwards the cost-model options.
-    tuned = dynamic.track_partition(["A"], rebuild_fraction=0.25, rebuild_min=2)
-    dynamic.delete(dynamic.live_ids()[:20])
-    tuned.flush()
-    assert tuned.rebuilds == 1
-
-
-def test_incremental_partition_validates_inputs():
-    dynamic = DynamicRelation(["A", "B"], [(1, 2)])
-    with pytest.raises(KeyError):
-        dynamic.track_partition(["missing"])
-    with pytest.raises(ValueError, match="rebuild_fraction"):
-        IncrementalPartition(dynamic, ["A"], rebuild_fraction=0.0)
+    fd = FunctionalDependency("A", "B")
+    tracker = dynamic.track(fd)
+    dynamic.append([(2, 1)])
+    assert dynamic.snapshot()._columnar_cache is None
+    assert_statistics_identical(
+        tracker.statistics(),
+        FdStatistics.compute(dynamic.snapshot(), fd, backend="python"),
+    )
 
 
 def test_tracked_fd_validates_attributes():
@@ -514,11 +471,8 @@ def test_compaction_parity_with_uncompacted_store(seed):
     )
     plain = DynamicRelation(attributes, window=40, compact_threshold=None)
     tracker_c, tracker_p = compacting.track(fd), plain.track(fd)
-    partition_c = compacting.track_partition(["A"])
-    partition_p = plain.track_partition(["A"])
     for _ in mirrored_mutation_script(seed, compacting, plain):
         assert_statistics_identical(tracker_c.statistics(), tracker_p.statistics())
-        assert partition_c.as_stripped().clusters == partition_p.as_stripped().clusters
         assert compacting.snapshot() == plain.snapshot()
         reference = FdStatistics.compute(
             Relation(attributes, compacting.snapshot().rows()), fd
@@ -553,7 +507,6 @@ def test_explicit_compact_rebases_ids_and_keeps_trackers_correct():
     dynamic = DynamicRelation(["A", "B"], [(i, i % 3) for i in range(10)],
                               compact_threshold=None)
     tracker = dynamic.track(fd)
-    partition = dynamic.track_partition(["A"])
     dynamic.delete([0, 2, 4, 6])
     surviving_rows = [dynamic.row(row_id) for row_id in dynamic.live_ids()]
     mapping = dynamic.compact()
@@ -565,8 +518,6 @@ def test_explicit_compact_rebases_ids_and_keeps_trackers_correct():
         tracker.statistics(),
         FdStatistics.compute(Relation(["A", "B"], dynamic.snapshot().rows()), fd),
     )
-    reference = StrippedPartition.from_relation(dynamic.snapshot(), ["A"])
-    assert partition.as_stripped().clusters == reference.clusters
     # New appends continue with fresh ids above the compacted range.
     (new_id,) = dynamic.append([(99, 99)])
     assert new_id == 6
