@@ -16,19 +16,19 @@ mergeable partial counts:
   global radix product would pass the ``int64`` packing limit;
 * :class:`NumpyBackend` (``"numpy"``) — the vectorised kernel: NULL
   restriction, mixed-radix row packing and grouping are array operations
-  (:class:`~repro.core.partial.ArrayFdCounts`); the integer statistics
-  (violating pair/tuple counts, ``max_subrelation_size``) plus the
-  ``Σ p²`` probability sums are then derived vectorised from the merged
-  arrays and pre-seeded into the statistics cache.
+  (:class:`~repro.core.partial.ArrayFdCounts`); the marginals and the
+  facts the measures read (the integer group facts, ``Σ p(y)²``,
+  ``E_x[h(Y | x)]``) are then derived vectorised from the merged arrays
+  and pre-seeded into the statistics cache.
 
 **Bit-identity contract.**  Both backends produce *identical*
 ``FdStatistics`` — the same counts under the same keys in the same
 ``Counter`` insertion order (first occurrence in row order), and the same
 exact ``Σ_w R(w)²`` — and every floating-point derivation either runs in
 shared scalar code over that shared order, or (for the vectorised
-``Σ p²`` sums) reproduces the scalar path exactly: elementwise IEEE
-division/multiplication followed by a sequential ``cumsum`` reduction,
-which bit-matches the scalar left-to-right accumulation.  Integer
+float sums) reproduces the scalar path exactly: elementwise IEEE
+division/multiplication followed by index-ordered ``np.add.at`` or
+``cumsum`` reductions, which bit-match the scalar accumulation.  Integer
 statistics are exact in both paths (arbitrary-precision ``int`` vs
 ``int64``).  Consequently every measure scores bit-identically on both
 backends — enforced by the parity property tests in

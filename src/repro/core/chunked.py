@@ -5,20 +5,21 @@ as a stream of :class:`~repro.relation.chunked.CodeChunk`\\ s of
 dictionary codes, the backend's one partial kernel turns each chunk into
 mergeable counts, the partials merge **in chunk order** (which reproduces
 the global first-occurrence ``Counter`` order of a single scan, see
-:mod:`repro.core.partial`), the merged ``(x, y)`` keys decode to value
-tuples once, and ``FdStatistics.from_joint_counts`` assembles the result.
-Every chunking of the same rows therefore yields ``==`` statistics and
-bit-identical scores.
+:mod:`repro.core.partial`), and the merged counts are assembled into
+``FdStatistics`` once.  Every chunking of the same rows therefore yields
+``==`` statistics and bit-identical scores.
 
 Kernels (:mod:`repro.core.backends`):
 
 * ``numpy`` — each chunk packs to one ``int64`` key per row under a
   global mixed-radix scheme and groups vectorised; the merge is
-  ``np.concatenate`` plus one first-seen grouping, and the integer and
-  ``Σ p²`` statistics are pre-seeded from the merged arrays;
-* ``python`` — code tuples counted into dicts.  It also serves the numpy
-  backend when the relation's radix product would pass the packing
-  limit.
+  ``np.concatenate`` plus one first-seen grouping, and
+  :func:`_array_statistics` builds the statistics straight from the
+  merged arrays: marginals, decoded keys and the facts measures read;
+* ``python`` — code tuples counted into dicts, decoded with the same
+  helper and assembled by ``FdStatistics.from_joint_counts``.  It also
+  serves the numpy backend when the relation's radix product would pass
+  the packing limit.
 
 Chunk sources:
 
@@ -35,7 +36,7 @@ Chunk sources:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.backends import covers_schema, resolve_backend
 from repro.core.partial import (
@@ -150,62 +151,36 @@ class _ArrayMergeAccumulator:
         return ArrayFdCounts.merge_all(self._pending) if self._pending else None
 
 
-def _decode_counts(
-    merged: Counter, fd: FunctionalDependency, tables: Dict[str, List[object]]
-) -> Counter:
-    """Translate code-tuple keys to value-tuple keys, preserving order.
+def _decode_tuples(
+    tables: Sequence[List[object]], columns: Sequence[Iterable[int]]
+) -> List[Tuple]:
+    """Decode per-attribute code columns into value tuples, order kept.
 
     Decoding is order-preserving and injective (the dictionary encoding
     dedupes ``==``-equal values, so distinct codes mean distinct
-    values), hence the decoded counter carries exactly the keys — in
-    exactly the order — a value-keyed scan produces.
+    values), hence decoded keys are exactly the keys — in exactly the
+    order — a value-keyed scan produces.  C-level ``map``/``zip``.
     """
-    lhs_tables = [tables[a] for a in fd.lhs]
-    rhs_tables = [tables[a] for a in fd.rhs]
-    xy_counts: Counter = Counter()
-    for (x_codes, y_codes), count in merged.items():
-        xy_counts[
-            (
-                tuple(table[code] for table, code in zip(lhs_tables, x_codes)),
-                tuple(table[code] for table, code in zip(rhs_tables, y_codes)),
-            )
-        ] = count
-    return xy_counts
+    return list(zip(*[map(table.__getitem__, column) for table, column in zip(tables, columns)]))
 
 
-def _decode_array_counts(
-    merged: ArrayFdCounts,
-    fd: FunctionalDependency,
-    tables: Dict[str, List[object]],
-    radices: Dict[str, int],
+def _counter(keys: Iterable, counts: Iterable[int]) -> Counter:
+    """A ``Counter`` of ``keys`` to ``counts`` (``Counter.update`` would count pairs)."""
+    counter: Counter = Counter()
+    dict.update(counter, zip(keys, counts))
+    return counter
+
+
+def _decode_counts(
+    merged: PartialFdCounts, fd: FunctionalDependency, tables: Dict[str, List[object]]
 ) -> Counter:
-    """Unpack and decode the merged joint keys, preserving order.
-
-    The single place the array path touches Python tuples: one divmod
-    unpack plus one O(distinct) loop — the same order-preserving,
-    injective decode as :func:`_decode_counts`.
-    """
-    columns = unpack_key_columns(merged.xy_keys, [radices[a] for a in fd.lhs + fd.rhs])
-    lhs_tables = [tables[a] for a in fd.lhs]
-    rhs_tables = [tables[a] for a in fd.rhs]
-    split = len(fd.lhs)
-    counts = merged.xy_counts.tolist()
-    xy_counts: Counter = Counter()
-    if split == 1 and len(fd.rhs) == 1:
-        x_table, y_table = lhs_tables[0], rhs_tables[0]
-        for x_code, y_code, count in zip(columns[0].tolist(), columns[1].tolist(), counts):
-            xy_counts[((x_table[x_code],), (y_table[y_code],))] = count
-        return xy_counts
-    lhs_codes = [column.tolist() for column in columns[:split]]
-    rhs_codes = [column.tolist() for column in columns[split:]]
-    for group, count in enumerate(counts):
-        xy_counts[
-            (
-                tuple(table[codes[group]] for table, codes in zip(lhs_tables, lhs_codes)),
-                tuple(table[codes[group]] for table, codes in zip(rhs_tables, rhs_codes)),
-            )
-        ] = count
-    return xy_counts
+    """Translate the code-tuple joint keys to value-tuple keys, preserving order."""
+    if not merged.xy_counts:
+        return Counter()
+    x_codes, y_codes = zip(*merged.xy_counts)
+    x_values = _decode_tuples([tables[a] for a in fd.lhs], list(zip(*x_codes)))
+    y_values = _decode_tuples([tables[a] for a in fd.rhs], list(zip(*y_codes)))
+    return _counter(zip(x_values, y_values), merged.xy_counts.values())
 
 
 def _sequential_sum(values: "np.ndarray") -> float:
@@ -218,44 +193,68 @@ def _sequential_sum(values: "np.ndarray") -> float:
     return float(np.cumsum(values)[-1])
 
 
-def _seed_from_array_merge(
-    statistics: FdStatistics,
+def _array_statistics(
     merged: ArrayFdCounts,
     fd: FunctionalDependency,
+    tables: Dict[str, List[object]],
     radices: Dict[str, int],
-) -> None:
-    """Eagerly derive the vectorisable statistics and seed the cache.
+    relation_name: str,
+) -> FdStatistics:
+    """Assemble ``FdStatistics`` straight from the merged array counts.
 
-    The parent X/Y group ids fall out of the packed joint keys by divmod
-    (first-occurrence order is preserved — an X value's first ``(X, Y)``
-    group is its first restricted row).  Integer quantities are exact
-    ``int64``; the ``Σ p²`` float sums reproduce the scalar path
-    bit-for-bit (see :mod:`repro.core.backends`).
+    The joint keys split by divmod into X and Y keys, each grouped by
+    first occurrence — the marginal order ``from_joint_counts`` would
+    produce.  Only distinct X and Y keys are decoded.  The seeded facts
+    equal the lazy scalar paths bit-for-bit: integers are exact, and the
+    floats run the same IEEE operations in the same order (``np.add.at``
+    in index order, :func:`_sequential_sum` left to right).
     """
     rhs_product = 1
     for attribute in fd.rhs:
         rhs_product *= radices[attribute]
     counts = merged.xy_counts
-    x_of_xy, _, _ = dense_first_occurrence(merged.xy_keys // rhs_product)
-    y_of_xy, _, _ = dense_first_occurrence(merged.xy_keys % rhs_product)
-    num_x = int(x_of_xy.max()) + 1
-    x_counts = np.zeros(num_x, dtype=np.int64)
-    np.add.at(x_counts, x_of_xy, counts)
-    y_counts = np.zeros(int(y_of_xy.max()) + 1, dtype=np.int64)
-    np.add.at(y_counts, y_of_xy, counts)
-    squares = np.zeros(num_x, dtype=np.int64)
-    np.add.at(squares, x_of_xy, counts * counts)
-    maxima = np.zeros(num_x, dtype=np.int64)
-    np.maximum.at(maxima, x_of_xy, counts)
-    distinct_y_per_x = np.bincount(x_of_xy, minlength=num_x)
+    x_keys = merged.xy_keys // rhs_product
+    y_keys = merged.xy_keys % rhs_product
+    x_of_xy, pairs_per_x, x_first = dense_first_occurrence(x_keys)
+    y_of_xy, _, y_first = dense_first_occurrence(y_keys)
+    x_totals = np.zeros(x_first.shape[0], dtype=np.int64)
+    np.add.at(x_totals, x_of_xy, counts)
+    y_totals = np.zeros(y_first.shape[0], dtype=np.int64)
+    np.add.at(y_totals, y_of_xy, counts)
 
+    def decode(attributes: Tuple[str, ...], keys: "np.ndarray") -> List[Tuple]:
+        columns = unpack_key_columns(keys, [radices[a] for a in attributes])
+        return _decode_tuples([tables[a] for a in attributes], [c.tolist() for c in columns])
+
+    x_values = decode(fd.lhs, x_keys[x_first])
+    y_values = decode(fd.rhs, y_keys[y_first])
+    xy_values = zip(
+        map(x_values.__getitem__, x_of_xy.tolist()),
+        map(y_values.__getitem__, y_of_xy.tolist()),
+    )
+    statistics = FdStatistics(
+        fd=fd,
+        num_rows=merged.num_rows,
+        x_counts=_counter(x_values, x_totals.tolist()),
+        y_counts=_counter(y_values, y_totals.tolist()),
+        xy_counts=_counter(xy_values, counts.tolist()),
+        tuple_square_sum=merged.square_sum(),
+        relation_name=relation_name,
+    )
+
+    maxima = np.zeros(x_first.shape[0], dtype=np.int64)
+    np.maximum.at(maxima, x_of_xy, counts)
+    conditional = counts / x_totals[x_of_xy]
+    squares = np.zeros(x_first.shape[0], dtype=np.float64)
+    np.add.at(squares, x_of_xy, conditional * conditional)
+    y_probabilities = y_totals / merged.num_rows
     cache = statistics._cache
-    cache["violating_pairs"] = int((x_counts * x_counts - squares).sum())
-    cache["violating_tuples"] = int(x_counts[distinct_y_per_x > 1].sum())
+    cache["violating_pairs"] = int((x_totals * x_totals).sum() - (counts * counts).sum())
+    cache["violating_tuples"] = int(x_totals[pairs_per_x > 1].sum())
     cache["max_subrelation"] = int(maxima.sum())
-    for key, array in (("sum_sq_x", x_counts), ("sum_sq_y", y_counts), ("sum_sq_xy", counts)):
-        probabilities = array / merged.num_rows
-        cache[key] = _sequential_sum(probabilities * probabilities)
+    cache["sum_sq_y"] = _sequential_sum(y_probabilities * y_probabilities)
+    cache["E_h_y_given_x"] = _sequential_sum(x_totals / merged.num_rows * (1.0 - squares))
+    return statistics
 
 
 def map_merge(
@@ -290,7 +289,7 @@ def map_merge(
         return FdStatistics.from_joint_counts(
             fd,
             merged.num_rows,
-            _decode_counts(merged.xy_counts, fd, tables),
+            _decode_counts(merged, fd, tables),
             merged.square_sum(),
             relation_name=relation_name,
         )
@@ -304,12 +303,4 @@ def map_merge(
         return FdStatistics.from_joint_counts(
             fd, 0, Counter(), 0, relation_name=relation_name
         )
-    statistics = FdStatistics.from_joint_counts(
-        fd,
-        merged_arrays.num_rows,
-        _decode_array_counts(merged_arrays, fd, tables, radices),
-        merged_arrays.square_sum(),
-        relation_name=relation_name,
-    )
-    _seed_from_array_merge(statistics, merged_arrays, fd, radices)
-    return statistics
+    return _array_statistics(merged_arrays, fd, tables, radices, relation_name)

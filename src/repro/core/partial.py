@@ -1,7 +1,7 @@
 """Mergeable partial sufficient statistics.
 
-:class:`~repro.core.statistics.FdStatistics` is assembled by
-``from_joint_counts`` from the restricted row count, the joint ``(x, y)``
+:class:`~repro.core.statistics.FdStatistics` is assembled
+(:mod:`repro.core.chunked`) from the restricted row count, the joint ``(x, y)``
 counts and ``Σ_w R(w)²``.  The first two are the key-wise sums of the
 counts of any row-partition of the relation; the third is not, so a
 partial also carries its full-tuple counts, which merge key-wise and are

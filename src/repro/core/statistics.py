@@ -8,6 +8,10 @@ full tuples ``w``.  :class:`FdStatistics` computes this once so that
 scoring all measures on the same candidate FD shares the work, which is
 also how the runtime experiment (Table V of the paper) is structured.
 
+It holds the ``x``, ``y`` and ``(x, y)`` count maps and ``Σ_w R(w)²``
+but nothing per group: each group fact is one pass over the ``(x, y)``
+counts in insertion order, and ``satisfied`` is O(1).
+
 :meth:`FdStatistics.compute` is one chunked map-merge pass
 (:mod:`repro.core.chunked`) with one partial kernel per backend
 (:mod:`repro.core.backends`): code tuples for ``python``, packed
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.relation.fd import FunctionalDependency
 
@@ -46,7 +50,6 @@ class FdStatistics:
     x_counts: Counter
     y_counts: Counter
     xy_counts: Counter
-    groups: Dict[Tuple, Counter]
     #: ``Σ_w R(w)²`` over distinct full tuples ``w`` (exact ``int``).
     tuple_square_sum: int
     relation_name: str = ""
@@ -93,37 +96,26 @@ class FdStatistics:
     ) -> "FdStatistics":
         """Assemble statistics from joint ``(x, y)`` counts and ``Σ_w R(w)²``.
 
-        The marginals and the per-``x`` group structure are derived here,
-        in one pass over ``xy_counts`` in its insertion order — both
-        backends and the incremental tracker funnel through this
-        constructor, which pins down the ``Counter`` insertion orders (and
-        therefore every downstream floating-point summation order) once,
-        for all backends.
+        The python kernel and the incremental tracker assemble through
+        here: the marginals are summed in one pass over ``xy_counts`` in
+        its insertion order, which pins down the ``Counter`` insertion
+        orders (and every downstream floating-point summation order) the
+        numpy assembly (:mod:`repro.core.chunked`) reproduces.
         """
         x_counts: Counter = Counter()
         y_counts: Counter = Counter()
-        groups: Dict[Tuple, Counter] = {}
-        # Hot loop (every backend and every incremental refresh runs it):
-        # plain dict probes instead of ``Counter.__missing__`` dispatch,
-        # and no throwaway ``Counter()`` per already-seen group.  Keys of
-        # ``xy_counts`` are distinct, so each ``(x, y)`` lands in its
-        # group exactly once.
+        # Plain dict probes instead of ``Counter.__missing__`` dispatch.
         for (x, y), count in xy_counts.items():
             previous = x_counts.get(x)
             x_counts[x] = count if previous is None else previous + count
             previous = y_counts.get(y)
             y_counts[y] = count if previous is None else previous + count
-            group = groups.get(x)
-            if group is None:
-                group = groups[x] = Counter()
-            group[y] = count
         return cls(
             fd=fd,
             num_rows=num_rows,
             x_counts=x_counts,
             y_counts=y_counts,
             xy_counts=xy_counts,
-            groups=groups,
             tuple_square_sum=tuple_square_sum,
             relation_name=relation_name,
         )
@@ -138,7 +130,8 @@ class FdStatistics:
     @property
     def satisfied(self) -> bool:
         """True when the (NULL-restricted) relation satisfies the FD."""
-        return all(len(y_counter) <= 1 for y_counter in self.groups.values())
+        # Every ``x`` has one ``(x, y)`` pair; the FD holds iff none has two.
+        return len(self.xy_counts) == len(self.x_counts)
 
     @property
     def distinct_x(self) -> int:
@@ -190,37 +183,33 @@ class FdStatistics:
 
     def violating_pair_count(self) -> int:
         """``|G1(X -> Y, R)|``: ordered pairs equal on X but different on Y."""
-
-        def compute() -> int:
-            result = 0
-            for y_counter in self.groups.values():
-                total = 0
-                sum_of_squares = 0
-                for count in y_counter.values():
-                    total += count
-                    sum_of_squares += count * count
-                result += total * total - sum_of_squares
-            return result
-
-        return self._cached("violating_pairs", compute)
+        # Pairs equal on X, ``Σ_x R(x)²``, less those also equal on Y.
+        return self._cached(
+            "violating_pairs",
+            lambda: sum(c * c for c in self.x_counts.values())
+            - sum(c * c for c in self.xy_counts.values()),
+        )
 
     def violating_tuple_count(self) -> int:
         """``Σ_{w ∈ G2} R(w)``: tuples participating in at least one violating pair."""
+        # An ``x`` with several ``y`` is one whose ``(x, y)`` counts each
+        # fall short of its own (counts are positive).
         return self._cached(
             "violating_tuples",
-            lambda: sum(
-                sum(y_counter.values())
-                for y_counter in self.groups.values()
-                if len(y_counter) > 1
-            ),
+            lambda: sum(c for (x, _), c in self.xy_counts.items() if c < self.x_counts[x]),
         )
 
     def max_subrelation_size(self) -> int:
         """Size of the largest subrelation satisfying the FD (numerator of g3)."""
-        return self._cached(
-            "max_subrelation",
-            lambda: sum(max(y_counter.values()) for y_counter in self.groups.values()),
-        )
+
+        def compute() -> int:
+            maxima: Dict[object, int] = {}
+            for (x, _), count in self.xy_counts.items():
+                if count > maxima.get(x, 0):
+                    maxima[x] = count
+            return sum(maxima.values())
+
+        return self._cached("max_subrelation", compute)
 
     # ------------------------------------------------------------------
     # Entropies (cached; Shannon entropies use the provided base)
@@ -236,12 +225,14 @@ class FdStatistics:
         return self._cached(f"H_x_{base}", lambda: entropy_of_counts(self.x_counts, base=base))
 
     def shannon_conditional_entropy(self, base: float = 2.0) -> float:
-        """``H_R(Y | X)``."""
-        from repro.info.shannon import conditional_entropy
+        """``H_R(Y | X) = H_R(XY) - H_R(X)``, over the cached ``H_R(X)``."""
+        from repro.info.shannon import entropy_of_counts
 
-        return self._cached(
-            f"H_y_given_x_{base}", lambda: conditional_entropy(self.xy_counts, base=base)
-        )
+        def compute() -> float:
+            joint = entropy_of_counts(self.xy_counts, base=base)
+            return max(joint - self.shannon_entropy_x(base), 0.0)
+
+        return self._cached(f"H_y_given_x_{base}", compute)
 
     def mutual_information(self, base: float = 2.0) -> float:
         """``I_R(X; Y) = H_R(Y) - H_R(Y | X)``."""
@@ -260,18 +251,22 @@ class FdStatistics:
         )
 
     def expected_group_logical_entropy(self) -> float:
-        """``E_x[h_R(Y | x)]`` — the quantity underlying pdep."""
+        """``E_x[h_R(Y | x)]`` — the quantity underlying pdep.
+
+        Sums in the order the numpy assembly reproduces: each ``x``'s
+        ``Σ_y p(y | x)²`` over the ``(x, y)`` counts, then over ``x`` by
+        first occurrence there.
+        """
 
         def compute() -> float:
+            x_counts = self.x_counts
+            squares: Dict[object, float] = {}
+            for (x, _), count in self.xy_counts.items():
+                p = count / x_counts[x]
+                squares[x] = squares.get(x, 0.0) + p * p
             result = 0.0
-            for y_counter in self.groups.values():
-                group_total = sum(y_counter.values())
-                p_x = group_total / self.num_rows
-                sum_of_squares = 0.0
-                for count in y_counter.values():
-                    p = count / group_total
-                    sum_of_squares += p * p
-                result += p_x * (1.0 - sum_of_squares)
+            for x, sum_of_squares in squares.items():
+                result += x_counts[x] / self.num_rows * (1.0 - sum_of_squares)
             return result
 
         return self._cached("E_h_y_given_x", compute)

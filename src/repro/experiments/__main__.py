@@ -82,6 +82,13 @@ DEFAULT_BENCH_PATHS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an ``int`` of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -93,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="err",
         help="which experiment to run (default: err)",
     )
-    parser.add_argument("--steps", type=int, default=5, help="sweep steps (default: 5)")
+    parser.add_argument("--steps", type=_positive_int, default=5, help="sweep steps (default: 5)")
     parser.add_argument(
         "--tables-per-step",
-        type=int,
+        type=_positive_int,
         default=3,
         help="B+/B- tables per step and subset (default: 3)",
     )

@@ -14,24 +14,21 @@ from typing import Dict, Hashable, Iterable, Mapping, Tuple
 DEFAULT_LOG_BASE = 2.0
 
 
-def _log(value: float, base: float) -> float:
-    return math.log(value) / math.log(base)
-
-
 def entropy_of_counts(counts: Mapping[Hashable, int], base: float = DEFAULT_LOG_BASE) -> float:
     """Shannon entropy of the empirical distribution given by ``counts``.
 
     Uses the convention ``0 log 0 = 0``.  Returns 0 for an empty input.
     """
-    total = sum(count for count in counts.values() if count > 0)
+    positive = [count for count in counts.values() if count > 0]
+    total = sum(positive)
     if total == 0:
         return 0.0
+    log = math.log
+    log_base = log(base)
     result = 0.0
-    for count in counts.values():
-        if count <= 0:
-            continue
+    for count in positive:
         probability = count / total
-        result -= probability * _log(probability, base)
+        result -= probability * (log(probability) / log_base)
     return max(result, 0.0)
 
 
@@ -81,7 +78,7 @@ def entropy_of_probabilities(
             raise ValueError(f"negative probability {probability}")
         total += probability
         if probability > 0:
-            result -= probability * _log(probability, base)
+            result -= probability * (math.log(probability) / math.log(base))
     if total > 0 and abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     return max(result, 0.0)

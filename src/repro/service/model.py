@@ -40,7 +40,7 @@ from repro.relation.fd import FunctionalDependency
 
 #: Version stamped into every ``to_dict()`` payload.  Bump on any
 #: backwards-incompatible schema change.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +60,7 @@ ERROR_CODES: Dict[str, str] = {
     "not_dynamic": "a stream operation addressed a static session",
     "body_too_large": "the request body exceeds the configured size cap",
     "wrong_shard": "the request reached a worker that does not own the relation",
+    "worker_unavailable": "the shard worker that owns the relation is dead or unreachable",
     "internal_error": "unexpected server-side failure",
 }
 
@@ -74,6 +75,7 @@ ERROR_STATUS: Dict[str, int] = {
     "not_dynamic": 400,
     "body_too_large": 413,
     "wrong_shard": 421,
+    "worker_unavailable": 503,
     "internal_error": 500,
 }
 

@@ -348,8 +348,9 @@ class ShardDispatcher:
 
     A worker pipe at EOF (the worker died) is handed back to
     ``remove_reader`` so the event loop stops polling it; its in-flight
-    and queued callbacks fail with ``internal_error``, and later
-    submissions fail fast when the send hits the closed pipe.
+    and queued callbacks fail with ``worker_unavailable`` (503), and
+    later submissions fail the same way as soon as the send hits the
+    closed pipe.
     """
 
     def __init__(
@@ -461,7 +462,7 @@ class ShardDispatcher:
             return True
         except (BrokenPipeError, OSError):
             error = ServiceError(
-                "internal_error", f"shard worker {worker_id} is unreachable"
+                "worker_unavailable", f"shard worker {worker_id} is unreachable"
             )
             for callback in callbacks:
                 callback(error.status, error.envelope())
@@ -571,6 +572,6 @@ class ShardDispatcher:
         queue = self._queues[worker_id]
         callbacks.extend(item.callback for item in queue)
         queue.clear()
-        error = ServiceError("internal_error", f"shard worker {worker_id} died")
+        error = ServiceError("worker_unavailable", f"shard worker {worker_id} died")
         for callback in callbacks:
             callback(error.status, error.envelope())

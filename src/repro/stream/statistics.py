@@ -11,8 +11,8 @@ after a batch of Δ mutations costs O(Δ) maintenance plus O(distinct)
 re-assembly instead of O(rows).  All fourteen measures then score the
 refreshed statistics exactly as they would a computed one.
 
-**Bit-identity.**  Both statistics backends funnel through
-``from_joint_counts``, whose ``Counter`` insertion orders pin down every
+**Bit-identity.**  ``from_joint_counts`` orders the marginals as both
+backends do, and those ``Counter`` insertion orders pin down every
 downstream floating-point summation order; matching the joint counts'
 order (``Σ_w R(w)²`` is an exact integer) is therefore sufficient for
 bit-identical (``==``) scores.  A from-scratch pass inserts each key at
@@ -223,10 +223,10 @@ class IncrementalFdStatistics:
     def statistics(self) -> FdStatistics:
         """A fresh :class:`FdStatistics` over the current live rows.
 
-        O(distinct) assembly through the same
-        :meth:`FdStatistics.from_joint_counts` constructor both backends
-        use, with the same joint ``Counter`` contents in the same
-        insertion order and the same ``Σ_w R(w)²`` — every measure
+        O(distinct) assembly through the python kernel's
+        :meth:`FdStatistics.from_joint_counts` constructor, with the same
+        joint ``Counter`` contents in the same insertion order and the
+        same ``Σ_w R(w)²`` — every measure
         therefore scores the result bit-identically (``==``) to a
         from-scratch ``compute()`` on the snapshot.
         """

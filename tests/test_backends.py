@@ -97,9 +97,6 @@ def _assert_identical_statistics(left: FdStatistics, right: FdStatistics) -> Non
     assert list(left.xy_counts.items()) == list(right.xy_counts.items())
     assert list(left.x_counts.items()) == list(right.x_counts.items())
     assert list(left.y_counts.items()) == list(right.y_counts.items())
-    assert list(left.groups) == list(right.groups)
-    for key in left.groups:
-        assert list(left.groups[key].items()) == list(right.groups[key].items())
     for fact in (
         "sum_squared_tuple_counts",
         "violating_pair_count",
@@ -296,6 +293,106 @@ def test_tuple_square_sum_matches_definition(case, backend, source):
     expected = sum(c * c for c in Counter(relation.drop_nulls(fd.attributes)).values())
     assert statistics.sum_squared_tuple_counts() == expected
     assert isinstance(statistics.tuple_square_sum, int)
+
+
+# ----------------------------------------------------------------------
+# Group facts against per-group loops
+# ----------------------------------------------------------------------
+def _group_fact_cases():
+    rng = random.Random(11)
+
+    def skewed(cardinality):
+        return min(int(abs(rng.gauss(0.0, cardinality / 4.0))), cardinality - 1)
+
+    def nullable(value, probability):
+        return None if rng.random() < probability else value
+
+    uniform = [(rng.randrange(12), rng.randrange(4), rng.randrange(7)) for _ in range(160)]
+    null_heavy = [
+        tuple(nullable(rng.randrange(6), 0.45) for _ in range(3)) for _ in range(160)
+    ]
+    skew = [(skewed(40), skewed(6), rng.choice(["p", "q", 2.5])) for _ in range(200)]
+    all_null = [(rng.randrange(5), None, rng.randrange(3)) for _ in range(60)]
+    return [
+        ("random", Relation(["A", "B", "C"], uniform), FunctionalDependency("A", "B")),
+        ("null-heavy", Relation(["A", "B", "C"], null_heavy), FunctionalDependency("C", "A")),
+        ("skewed", Relation(["A", "B", "C"], skew), FunctionalDependency("A", "B")),
+        ("all-null", Relation(["A", "B", "C"], all_null), FunctionalDependency("A", "B")),
+        (
+            "two-attribute-lhs",
+            Relation(["A", "B", "C"], uniform + null_heavy),
+            FunctionalDependency(["B", "C"], "A"),
+        ),
+    ]
+
+
+def _reference_group_facts(statistics: FdStatistics) -> dict:
+    """The group facts by explicit per-``x`` groups of ``y`` counts."""
+    groups = {}
+    for (x, y), count in statistics.xy_counts.items():
+        groups.setdefault(x, Counter())[y] = count
+    violating_pairs = 0
+    for y_counter in groups.values():
+        total = 0
+        sum_of_squares = 0
+        for count in y_counter.values():
+            total += count
+            sum_of_squares += count * count
+        violating_pairs += total * total - sum_of_squares
+    expected_entropy = 0.0
+    for y_counter in groups.values():
+        group_total = sum(y_counter.values())
+        p_x = group_total / statistics.num_rows
+        sum_of_squares = 0.0
+        for count in y_counter.values():
+            p = count / group_total
+            sum_of_squares += p * p
+        expected_entropy += p_x * (1.0 - sum_of_squares)
+    return {
+        "satisfied": all(len(y_counter) <= 1 for y_counter in groups.values()),
+        "violating_pair_count": violating_pairs,
+        "violating_tuple_count": sum(
+            sum(y_counter.values()) for y_counter in groups.values() if len(y_counter) > 1
+        ),
+        "max_subrelation_size": sum(max(y_counter.values()) for y_counter in groups.values()),
+        "expected_group_logical_entropy": expected_entropy,
+    }
+
+
+def _group_facts(statistics: FdStatistics) -> dict:
+    return {
+        "satisfied": statistics.satisfied,
+        "violating_pair_count": statistics.violating_pair_count(),
+        "violating_tuple_count": statistics.violating_tuple_count(),
+        "max_subrelation_size": statistics.max_subrelation_size(),
+        "expected_group_logical_entropy": statistics.expected_group_logical_entropy(),
+    }
+
+
+@pytest.mark.parametrize("source", ["relation", "chunked-1", "chunked-7", "incremental"])
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+)
+@pytest.mark.parametrize("case", _group_fact_cases(), ids=lambda case: case[0])
+def test_group_facts_match_per_group_loops(case, backend, source):
+    from repro.relation import ChunkedRelation
+
+    _, relation, fd = case
+    if source == "incremental":
+        relation, statistics = _streamed(relation, fd, seed=len(relation))
+        computed = FdStatistics.compute(relation, fd, backend=backend)
+        assert _group_facts(computed) == _reference_group_facts(computed)
+    elif source == "relation":
+        statistics = FdStatistics.compute(relation, fd, backend=backend)
+    else:
+        chunk_size = int(source.split("-")[1])
+        store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+        statistics = FdStatistics.compute(store, fd, backend=backend)
+    facts = _group_facts(statistics)
+    assert facts == _reference_group_facts(statistics)
+    for name in ("violating_pair_count", "violating_tuple_count", "max_subrelation_size"):
+        assert type(facts[name]) is int, name
+    assert type(facts["expected_group_logical_entropy"]) is float
 
 
 # ----------------------------------------------------------------------

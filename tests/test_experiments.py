@@ -174,6 +174,17 @@ def test_cli_jobs_do_not_change_scores(tmp_path):
     }
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+@pytest.mark.parametrize("flag", ["--steps", "--tables-per-step"])
+def test_cli_rejects_non_positive_sweep_sizes(flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--benchmark", "err", flag, value, "--output-dir", "-"])
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err
+    assert error.startswith("usage:"), error
+    assert f"argument {flag}: must be a positive integer, got {value!r}" in error
+
+
 def test_cli_dash_output_dir_skips_artifacts(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exit_code = main(

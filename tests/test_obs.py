@@ -23,6 +23,7 @@ import re
 import signal
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -434,6 +435,8 @@ def test_sharded_trace_metrics_stats_and_healthz(sharded_service):
 
 def test_sharded_healthz_degrades_when_a_worker_dies(sharded_service):
     base, pool, _ = sharded_service
+    orphan = next(name for name in map("r{}".format, range(64)) if pool.owner(name) == 0)
+    _request(base, "POST", "/v1/relations", _relation_payload(orphan))
     victim = pool.pids()[0]
     os.kill(victim, signal.SIGKILL)
     assert _wait_for(lambda: pool.alive()[0] is False)
@@ -447,6 +450,11 @@ def test_sharded_healthz_degrades_when_a_worker_dies(sharded_service):
     assert health["status"] == "degraded"
     dead = health["worker_detail"][0]
     assert dead["alive"] is False and dead["responsive"] is False
+    # Its relations answer the typed 503 envelope over HTTP.
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _request(base, "POST", f"/v1/relations/{orphan}/score", {"fd": "zip -> city"})
+    assert excinfo.value.code == 503
+    assert json.loads(excinfo.value.read())["error"]["code"] == "worker_unavailable"
 
 
 def test_inline_metrics_and_stats_endpoints():

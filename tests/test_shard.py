@@ -197,17 +197,17 @@ def test_dispatcher_fails_inflight_and_queued_work_when_worker_dies():
         os.kill(pid, signal.SIGKILL)
         assert connection.poll(10)  # EOF makes the pipe readable
         readers["cb"]()
-        assert [status for status, _ in answers] == [500, 500]
-        assert all(body["error"]["code"] == "internal_error" for _, body in answers)
+        assert [status for status, _ in answers] == [503, 503]
+        assert all(body["error"]["code"] == "worker_unavailable" for _, body in answers)
         assert removed == [connection]
 
         # Later submissions fail at once through the closed pipe.
         later = []
         dispatcher.submit(
             0, "score", {"relation": "t", "fd": "X -> Y"},
-            lambda status, body: later.append(status),
+            lambda status, body: later.append((status, body["error"]["code"])),
         )
-        assert later == [500]
+        assert later == [(503, "worker_unavailable")]
         assert dispatcher.stats()["busy"] == [False]
         assert dispatcher.stats()["queue_depth"] == [0]
     finally:

@@ -89,9 +89,6 @@ def assert_statistics_identical(left: FdStatistics, right: FdStatistics) -> None
     assert list(left.x_counts.items()) == list(right.x_counts.items())
     assert list(left.y_counts.items()) == list(right.y_counts.items())
     assert left.tuple_square_sum == right.tuple_square_sum
-    assert list(left.groups) == list(right.groups)
-    for key in left.groups:
-        assert list(left.groups[key].items()) == list(right.groups[key].items())
 
 
 def reference_backends():
