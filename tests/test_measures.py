@@ -27,8 +27,9 @@ from repro.core.expectations import (
     expected_value_by_enumeration,
 )
 from repro.core.registry import MEASURE_ORDER, register_measure, unregister_measure
-from repro.info.shannon import mutual_information
 from repro.relation import FunctionalDependency, Relation
+
+from oracle import mutual_information, smoothed_fraction_of_information
 
 # The quickstart relation: N=4, groups zip=1000 -> {Brussels: 2, Bruxelles: 1},
 # zip=3590 -> {Diepenbeek: 1}.
@@ -87,8 +88,8 @@ def test_tau_and_mu_plus_exact_fractions():
 
 def test_rfi_measures_against_brute_force_enumeration():
     """The exact hypergeometric E[I] must equal the 4!-permutation average."""
-    statistics = FdStatistics.compute(QUICKSTART, FD)
-    brute_force = expected_value_by_enumeration(statistics.xy_counts, mutual_information)
+    joint = Counter(((zip_code,), (city,)) for zip_code, city in QUICKSTART)
+    brute_force = expected_value_by_enumeration(joint, mutual_information)
     exact = expected_mutual_information_exact([3, 1], [2, 1, 1])
     assert exact == pytest.approx(brute_force, abs=1e-9)
 
@@ -207,21 +208,6 @@ def test_emi_of_a_key_against_a_balanced_column_is_one_bit():
 # ----------------------------------------------------------------------
 # Sparse SFI against the dense smoothed table
 # ----------------------------------------------------------------------
-def dense_sfi(statistics, alpha):
-    """FI of the full alpha-smoothed dom(X) x dom(Y) table."""
-    smoothed = {}
-    for x in statistics.x_counts:
-        for y in statistics.y_counts:
-            smoothed[(x, y)] = statistics.xy_counts.get((x, y), 0) + alpha
-    x_marginal = Counter()
-    y_marginal = Counter()
-    for (x, y), count in smoothed.items():
-        x_marginal[x] += count
-        y_marginal[y] += count
-    h_y_given_x = entropy2(smoothed.values()) - entropy2(x_marginal.values())
-    return 1.0 - max(h_y_given_x, 0.0) / entropy2(y_marginal.values())
-
-
 def sfi_relations():
     rng = random.Random(7)
     yield "random", [(rng.randrange(12), rng.randrange(7)) for _ in range(300)]
@@ -246,8 +232,9 @@ def test_sparse_sfi_matches_dense_smoothing(case, alpha):
     relation = Relation(["zip", "city"], rows)
     statistics = FdStatistics.compute(relation, FD)
     assert not statistics.satisfied
+    joint = Counter((x, y) for x, y in rows if x is not None and y is not None)
     score = SfiMeasure(alpha).score_from_statistics(statistics)
-    assert score == pytest.approx(dense_sfi(statistics, alpha), abs=1e-12)
+    assert score == pytest.approx(smoothed_fraction_of_information(joint, alpha), abs=1e-12)
 
 
 # ----------------------------------------------------------------------
