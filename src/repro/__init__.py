@@ -4,7 +4,6 @@ A complete reproduction library for the ICDE 2024 paper by Parciak et al.
 It provides:
 
 * a bag-based relation substrate (:mod:`repro.relation`);
-* Shannon- and logical-entropy primitives (:mod:`repro.info`);
 * all fourteen AFD measures in the paper's three classes (:mod:`repro.core`);
 * the synthetic sensitivity benchmarks ERR / UNIQ / SKEW
   (:mod:`repro.synthetic`);

@@ -20,7 +20,7 @@ from repro.core.backends import (
     set_default_backend,
 )
 from repro.core.partial import PartialFdCounts
-from repro.core.statistics import FdStatistics
+from repro.core.statistics import DEFAULT_LOG_BASE, FdStatistics
 from repro.core.violation import G2Measure, G3Measure, G3PrimeMeasure, RhoMeasure
 from repro.core.logical import (
     G1Measure,
@@ -45,6 +45,7 @@ from repro.core.registry import (
 from repro.core.properties import MeasureProperties, property_table
 
 __all__ = [
+    "DEFAULT_LOG_BASE",
     "AfdMeasure",
     "FdStatistics",
     "FIMeasure",

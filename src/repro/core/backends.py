@@ -16,28 +16,18 @@ mergeable partial counts:
   global radix product would pass the ``int64`` packing limit;
 * :class:`NumpyBackend` (``"numpy"``) — the vectorised kernel: NULL
   restriction, mixed-radix row packing and grouping are array operations
-  (:class:`~repro.core.partial.ArrayFdCounts`); the marginals and the
-  facts the measures read (the integer group facts, ``Σ p(y)²``,
-  ``E_x[h(Y | x)]``) are then derived vectorised from the merged arrays
-  and pre-seeded into the statistics cache.
+  (:class:`~repro.core.partial.ArrayFdCounts`), and the merged arrays
+  reduce to the statistics' histograms and integer facts vectorised.
 
-**Bit-identity contract.**  Both backends produce *identical*
-``FdStatistics`` — the same counts under the same keys in the same
-``Counter`` insertion order (first occurrence in row order), and the same
-exact ``Σ_w R(w)²`` — and every floating-point derivation either runs in
-shared scalar code over that shared order, or (for the vectorised
-float sums) reproduces the scalar path exactly: elementwise IEEE
-division/multiplication followed by index-ordered ``np.add.at`` or
-``cumsum`` reductions, which bit-match the scalar accumulation.  Integer
-statistics are exact in both paths (arbitrary-precision ``int`` vs
-``int64``).  Consequently every measure scores bit-identically on both
-backends — enforced by the parity property tests in
-``tests/test_backends.py``.  This is also why the Shannon entropies and
-the permutation expectation remain shared scalar code: ``np.log`` and
-``math.log`` may differ in the last ulp, and those reductions operate on
-the already-reduced distinct-count arrays (O(distinct), not O(rows)), so
-vectorising them would trade the bit-identity guarantee for a negligible
-win.
+**Identity contract.**  Both backends produce ``==`` ``FdStatistics``:
+the same count histograms and the same exact integer facts, whatever
+the backend, the chunking or the order of the rows.  The kernels only
+ever produce integers; every float a measure reads is computed from
+them in shared Python code as one correctly rounded ``math.fsum`` (see
+:mod:`repro.core.statistics`), so every measure scores bit-identically
+on both backends — enforced by the parity tests in
+``tests/test_backends.py`` and the oracle tests in
+``tests/test_oracle.py``.
 
 Backend selection (first match wins):
 
@@ -95,11 +85,9 @@ class PythonBackend:
     def partial(self, chunk: CodeChunk, fd: FunctionalDependency) -> PartialFdCounts:
         """Code-keyed partial counts of one chunk (scalar scan).
 
-        Joint counts are keyed by ``(x_codes, y_codes)`` in
-        first-occurrence order within the chunk, so chunk-ordered merging
-        reproduces a single scan's ``Counter`` order exactly; full-tuple
-        counts are keyed by the full code tuple (NULL stays ``-1`` there;
-        rows NULL on ``X ∪ Y`` are dropped entirely).
+        Joint counts are keyed by ``(x_codes, y_codes)``; full-tuple
+        counts by the full code tuple (NULL stays ``-1`` there; rows NULL
+        on ``X ∪ Y`` are dropped entirely).
         """
         lists = {a: chunk.column_list(a) for a in chunk.attributes}
         lhs_columns = [lists[a] for a in fd.lhs]
@@ -151,10 +139,9 @@ class NumpyBackend:
         """Array-keyed partial counts of one chunk — no Python tuples.
 
         ``radices`` is the *global* mixed-radix scheme of the whole
-        relation (radix per attribute = decode-table cardinality + 1,
-        codes shifted by +1 so ``-1``-NULL packs as 0), so the packed
-        keys mean the same code tuple in every chunk and unpack by
-        ``divmod`` after the merge.  The caller guarantees the radix
+        relation (radix per attribute = cardinality + 1, codes shifted
+        by +1 so ``-1``-NULL packs as 0), so the packed keys mean the
+        same code tuple in every chunk.  The caller guarantees the radix
         products fit the packing limit (see
         ``repro.core.chunked._pack_radices``).
         """
@@ -180,10 +167,10 @@ def _pack(
 ) -> "np.ndarray":
     """Mixed-radix packing under a fixed global radix per attribute.
 
-    Cross-chunk stable and invertible: the caller has proven the radix
-    product fits the packing limit, and
-    :func:`repro.core.partial.unpack_key_columns` recovers the original
-    code arrays by ``divmod``.
+    Cross-chunk stable and X-major (the first attribute is the most
+    significant digit), so ascending joint keys keep equal X keys
+    adjacent; the caller has proven the radix product fits the packing
+    limit.
     """
     accumulator = arrays[attributes[0]].astype(np.int64) + 1
     for attribute in attributes[1:]:

@@ -1,25 +1,25 @@
-"""The statistics pass: per-chunk partial counts, merged in chunk order.
+"""The statistics pass: per-chunk partial counts, merged, then histogrammed.
 
 :meth:`FdStatistics.compute` runs :func:`map_merge`: the source is read
 as a stream of :class:`~repro.relation.chunked.CodeChunk`\\ s of
 dictionary codes, the backend's one partial kernel turns each chunk into
-mergeable counts, the partials merge **in chunk order** (which reproduces
-the global first-occurrence ``Counter`` order of a single scan, see
-:mod:`repro.core.partial`), and the merged counts are assembled into
-``FdStatistics`` once.  Every chunking of the same rows therefore yields
-``==`` statistics and bit-identical scores.
+mergeable counts, the partials merge key-wise, and the merged counts are
+reduced to the order-free :class:`FdStatistics` once.  Merging is exact
+integer addition, so every chunking of the same rows yields the same
+merged counts, hence ``==`` statistics and bit-identical scores.
 
 Kernels (:mod:`repro.core.backends`):
 
 * ``numpy`` — each chunk packs to one ``int64`` key per row under a
   global mixed-radix scheme and groups vectorised; the merge is
-  ``np.concatenate`` plus one first-seen grouping, and
+  ``np.concatenate`` plus one sorted grouping, and
   :func:`_array_statistics` builds the statistics straight from the
-  merged arrays: marginals, decoded keys and the facts measures read;
-* ``python`` — code tuples counted into dicts, decoded with the same
-  helper and assembled by ``FdStatistics.from_joint_counts``.  It also
-  serves the numpy backend when the relation's radix product would pass
-  the packing limit.
+  merged arrays;
+* ``python`` — code tuples counted into dicts and reduced by
+  ``FdStatistics.from_joint_counts``.  It also serves the numpy backend
+  when the relation's radix product would pass the packing limit.
+
+No key is ever decoded: codes group exactly as values do.
 
 Chunk sources:
 
@@ -35,16 +35,10 @@ Chunk sources:
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.backends import covers_schema, resolve_backend
-from repro.core.partial import (
-    ArrayFdCounts,
-    PartialFdCounts,
-    dense_first_occurrence,
-    unpack_key_columns,
-)
+from repro.core.partial import ArrayFdCounts, PartialFdCounts, group_sum, run_starts
 from repro.core.statistics import FdStatistics
 from repro.obs.metrics import get_registry
 from repro.relation.chunked import DEFAULT_CHUNK_SIZE, ChunkedRelation, CodeChunk
@@ -59,8 +53,7 @@ except ImportError:  # pragma: no cover
 
 #: Buffered distinct keys that trigger an intermediate collapse of the
 #: pending array partials: bounds merge memory on very long chunk
-#: streams (10M+ rows) without changing the final first-occurrence
-#: order (collapsing a prefix then merging the rest is associative).
+#: streams (10M+ rows); merging is associative, so the result is the same.
 _COLLAPSE_KEYS = 4_000_000
 
 
@@ -123,13 +116,11 @@ def _pack_radices(
 
 
 class _ArrayMergeAccumulator:
-    """Ordered array-partial buffer with bounded-memory collapses.
+    """Array-partial buffer with bounded-memory collapses.
 
-    Partials are appended in chunk order and merged in one vectorised
-    pass at the end; when the buffered distinct-key total crosses
-    :data:`_COLLAPSE_KEYS` the pending list is collapsed early — the
-    collapsed prefix keeps its position, so the final order (and hence
-    the decoded ``Counter`` order) is unchanged.
+    Partials are buffered and merged in one vectorised pass at the end;
+    when the buffered distinct-key total crosses :data:`_COLLAPSE_KEYS`
+    the pending list is collapsed early.
     """
 
     def __init__(self):
@@ -151,110 +142,64 @@ class _ArrayMergeAccumulator:
         return ArrayFdCounts.merge_all(self._pending) if self._pending else None
 
 
-def _decode_tuples(
-    tables: Sequence[List[object]], columns: Sequence[Iterable[int]]
-) -> List[Tuple]:
-    """Decode per-attribute code columns into value tuples, order kept.
-
-    Decoding is order-preserving and injective (the dictionary encoding
-    dedupes ``==``-equal values, so distinct codes mean distinct
-    values), hence decoded keys are exactly the keys — in exactly the
-    order — a value-keyed scan produces.  C-level ``map``/``zip``.
-    """
-    return list(zip(*[map(table.__getitem__, column) for table, column in zip(tables, columns)]))
-
-
-def _counter(keys: Iterable, counts: Iterable[int]) -> Counter:
-    """A ``Counter`` of ``keys`` to ``counts`` (``Counter.update`` would count pairs)."""
-    counter: Counter = Counter()
-    dict.update(counter, zip(keys, counts))
-    return counter
-
-
-def _decode_counts(
-    merged: PartialFdCounts, fd: FunctionalDependency, tables: Dict[str, List[object]]
-) -> Counter:
-    """Translate the code-tuple joint keys to value-tuple keys, preserving order."""
-    if not merged.xy_counts:
-        return Counter()
-    x_codes, y_codes = zip(*merged.xy_counts)
-    x_values = _decode_tuples([tables[a] for a in fd.lhs], list(zip(*x_codes)))
-    y_values = _decode_tuples([tables[a] for a in fd.rhs], list(zip(*y_codes)))
-    return _counter(zip(x_values, y_values), merged.xy_counts.values())
-
-
-def _sequential_sum(values: "np.ndarray") -> float:
-    """Left-to-right float sum, bit-matching a scalar accumulation loop.
-
-    ``cumsum`` materialises every prefix sum and is therefore necessarily
-    a sequential reduction — unlike ``np.sum``, whose pairwise reduction
-    rounds differently from the scalar code it would stand in for.
-    """
-    return float(np.cumsum(values)[-1])
-
-
 def _array_statistics(
     merged: ArrayFdCounts,
     fd: FunctionalDependency,
-    tables: Dict[str, List[object]],
     radices: Dict[str, int],
     relation_name: str,
 ) -> FdStatistics:
-    """Assemble ``FdStatistics`` straight from the merged array counts.
+    """Build ``FdStatistics`` straight from the merged array counts.
 
-    The joint keys split by divmod into X and Y keys, each grouped by
-    first occurrence — the marginal order ``from_joint_counts`` would
-    produce.  Only distinct X and Y keys are decoded.  The seeded facts
-    equal the lazy scalar paths bit-for-bit: integers are exact, and the
-    floats run the same IEEE operations in the same order (``np.add.at``
-    in index order, :func:`_sequential_sum` left to right).
+    The merged joint keys are ascending and packed X-major, so equal X
+    keys are adjacent: the per-``x`` facts are ``reduceat`` sums over
+    their runs, the Y marginal is one more grouping, and every histogram
+    is an ``np.unique``.  Only integer arrays are built here; the floats
+    are computed in Python from the histograms (the fsum contract of
+    :mod:`repro.core.statistics`).
     """
     rhs_product = 1
     for attribute in fd.rhs:
         rhs_product *= radices[attribute]
+    keys = merged.xy_keys
     counts = merged.xy_counts
-    x_keys = merged.xy_keys // rhs_product
-    y_keys = merged.xy_keys % rhs_product
-    x_of_xy, pairs_per_x, x_first = dense_first_occurrence(x_keys)
-    y_of_xy, _, y_first = dense_first_occurrence(y_keys)
-    x_totals = np.zeros(x_first.shape[0], dtype=np.int64)
-    np.add.at(x_totals, x_of_xy, counts)
-    y_totals = np.zeros(y_first.shape[0], dtype=np.int64)
-    np.add.at(y_totals, y_of_xy, counts)
-
-    def decode(attributes: Tuple[str, ...], keys: "np.ndarray") -> List[Tuple]:
-        columns = unpack_key_columns(keys, [radices[a] for a in attributes])
-        return _decode_tuples([tables[a] for a in attributes], [c.tolist() for c in columns])
-
-    x_values = decode(fd.lhs, x_keys[x_first])
-    y_values = decode(fd.rhs, y_keys[y_first])
-    xy_values = zip(
-        map(x_values.__getitem__, x_of_xy.tolist()),
-        map(y_values.__getitem__, y_of_xy.tolist()),
-    )
-    statistics = FdStatistics(
+    x_keys = keys // rhs_product
+    starts = run_starts(x_keys)
+    x_totals = np.add.reduceat(counts, starts)
+    pairs_per_x = np.diff(np.append(starts, keys.shape[0]))
+    squares = np.add.reduceat(counts * counts, starts)
+    _, y_totals = group_sum(keys % rhs_product, counts)
+    return FdStatistics(
         fd=fd,
         num_rows=merged.num_rows,
-        x_counts=_counter(x_values, x_totals.tolist()),
-        y_counts=_counter(y_values, y_totals.tolist()),
-        xy_counts=_counter(xy_values, counts.tolist()),
+        x_histogram=_histogram(x_totals),
+        y_histogram=_histogram(y_totals),
+        xy_histogram=_histogram(counts),
+        violating_tuples=int(x_totals[pairs_per_x > 1].sum()),
+        max_subrelation=int(np.maximum.reduceat(counts, starts).sum()),
         tuple_square_sum=merged.square_sum(),
+        group_squares=_pair_histogram(squares, x_totals),
         relation_name=relation_name,
     )
 
-    maxima = np.zeros(x_first.shape[0], dtype=np.int64)
-    np.maximum.at(maxima, x_of_xy, counts)
-    conditional = counts / x_totals[x_of_xy]
-    squares = np.zeros(x_first.shape[0], dtype=np.float64)
-    np.add.at(squares, x_of_xy, conditional * conditional)
-    y_probabilities = y_totals / merged.num_rows
-    cache = statistics._cache
-    cache["violating_pairs"] = int((x_totals * x_totals).sum() - (counts * counts).sum())
-    cache["violating_tuples"] = int(x_totals[pairs_per_x > 1].sum())
-    cache["max_subrelation"] = int(maxima.sum())
-    cache["sum_sq_y"] = _sequential_sum(y_probabilities * y_probabilities)
-    cache["E_h_y_given_x"] = _sequential_sum(x_totals / merged.num_rows * (1.0 - squares))
-    return statistics
+
+def _histogram(values: "np.ndarray") -> Dict[int, int]:
+    """``{value: multiplicity}`` as Python ints, keys ascending."""
+    distinct, multiplicities = np.unique(values, return_counts=True)
+    return dict(zip(distinct.tolist(), multiplicities.tolist()))
+
+
+def _pair_histogram(first: "np.ndarray", second: "np.ndarray") -> Dict[Tuple[int, int], int]:
+    """``{(first, second): multiplicity}`` as Python ints, keys ascending."""
+    order = np.lexsort((second, first))
+    first = first[order]
+    second = second[order]
+    changed = np.ones(first.shape[0], dtype=bool)
+    changed[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
+    starts = np.flatnonzero(changed)
+    multiplicities = np.diff(np.append(starts, first.shape[0]))
+    return dict(
+        zip(zip(first[starts].tolist(), second[starts].tolist()), multiplicities.tolist())
+    )
 
 
 def map_merge(
@@ -287,11 +232,7 @@ def map_merge(
             registry.inc("chunked_chunks_total")
             merged.merge(kernel.partial(chunk, fd))
         return FdStatistics.from_joint_counts(
-            fd,
-            merged.num_rows,
-            _decode_counts(merged, fd, tables),
-            merged.square_sum(),
-            relation_name=relation_name,
+            fd, merged.num_rows, merged.xy_counts, merged.square_sum(), relation_name
         )
 
     accumulator = _ArrayMergeAccumulator()
@@ -300,7 +241,5 @@ def map_merge(
         accumulator.add(backend_object.partial(chunk, fd, radices))
     merged_arrays = accumulator.result()
     if merged_arrays is None:
-        return FdStatistics.from_joint_counts(
-            fd, 0, Counter(), 0, relation_name=relation_name
-        )
-    return _array_statistics(merged_arrays, fd, tables, radices, relation_name)
+        return FdStatistics.from_joint_counts(fd, 0, {}, 0, relation_name)
+    return _array_statistics(merged_arrays, fd, radices, relation_name)

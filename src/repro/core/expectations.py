@@ -14,16 +14,16 @@ remaining attributes.
   hypergeometric expression (Roulston 1999; the same formula underlies the
   adjusted-mutual-information literature and the algorithms of Mandros et
   al.).  It depends only on the multisets of marginal counts, so it is
-  summed once per distinct pair of counts.
+  summed once per distinct pair of counts, read straight off the
+  statistics' count histograms.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Mapping
 
-from repro.core.statistics import FdStatistics
-from repro.info.shannon import DEFAULT_LOG_BASE
+from repro.core.statistics import DEFAULT_LOG_BASE, FdStatistics, Histogram
 
 #: A pmf tail is dropped once its geometric bound falls below this
 #: fraction of the mass accumulated so far (one unit in the last place).
@@ -40,40 +40,15 @@ def expected_pdep(statistics: FdStatistics) -> float:
     ``K = |dom_R(X)|`` and ``N = |R|``.  Requires ``N >= 2``.
     """
     n = statistics.num_rows
-    k = statistics.distinct_x
+    if n <= 1:
+        return 1.0
     pdep_y = statistics.sum_squared_y_probabilities()
-    if n <= 1:
-        return 1.0
-    return pdep_y + (k - 1) / (n - 1) * (1.0 - pdep_y)
-
-
-def expected_tau(statistics: FdStatistics) -> float:
-    """``E_R[τ(X -> Y, R)] = (|dom_R(X)| - 1) / (|R| - 1)`` (Theorem 1)."""
-    n = statistics.num_rows
-    k = statistics.distinct_x
-    if n <= 1:
-        return 1.0
-    return (k - 1) / (n - 1)
+    return pdep_y + (statistics.distinct_x - 1) / (n - 1) * (1.0 - pdep_y)
 
 
 # ----------------------------------------------------------------------
 # Expected mutual information under the permutation model
 # ----------------------------------------------------------------------
-def _count_groups(counts: Iterable[int]) -> Tuple[Dict[int, int], int]:
-    """``{count: multiplicity}`` of the positive counts, and their sum.
-
-    The dict keeps first-occurrence order, so the summation order below
-    is a function of the input order alone.
-    """
-    groups: Dict[int, int] = {}
-    total = 0
-    for count in counts:
-        if count > 0:
-            count = int(count)
-            groups[count] = groups.get(count, 0) + 1
-            total += count
-    return groups, total
-
 
 def _hypergeometric_cell(a: int, b: int, n: int) -> float:
     """``Σ_k P(k) k ln(n k / (a b))`` for ``k ~ Hypergeometric(n, a, b)``.
@@ -120,8 +95,8 @@ def _hypergeometric_cell(a: int, b: int, n: int) -> float:
 
 
 def expected_mutual_information_exact(
-    x_counts: Iterable[int],
-    y_counts: Iterable[int],
+    x_histogram: Histogram,
+    y_histogram: Histogram,
     base: float = DEFAULT_LOG_BASE,
 ) -> float:
     """Exact ``E[I(X; Y)]`` under random permutations with fixed marginals.
@@ -133,20 +108,24 @@ def expected_mutual_information_exact(
 
     with ``P(n_ij) = C(b_j, n_ij) C(N - b_j, a_i - n_ij) / C(N, a_i)``.
 
-    The inner sum depends on ``(a_i, b_j)`` only, so it is evaluated once
-    per distinct pair of counts and weighted by the pair's multiplicity:
-    the cost scales with the number of distinct marginal counts (at most
-    ``~√(2N)`` per side), not with the number of rows or values.
+    The marginals come as histograms ``{count: multiplicity}`` of positive
+    counts.  The inner sum depends on ``(a_i, b_j)`` only, so it is
+    evaluated once per distinct pair of counts and weighted by the pair's
+    multiplicities: the cost scales with the number of distinct marginal
+    counts (at most ``~√(2N)`` per side), not with the number of rows or
+    values.  The pairs are summed with one ``math.fsum``, so the result
+    does not depend on the order of either histogram (and is symmetric
+    in ``X`` and ``Y``).
     """
-    a_groups, n = _count_groups(x_counts)
-    b_groups, b_total = _count_groups(y_counts)
-    if n == 0 or n != b_total:
-        raise ValueError("x_counts and y_counts must be non-empty and sum to the same total")
-    expected = 0.0
-    for a, a_multiplicity in a_groups.items():
-        for b, b_multiplicity in b_groups.items():
-            expected += a_multiplicity * b_multiplicity * _hypergeometric_cell(a, b, n)
-    return max(expected / (n * math.log(base)), 0.0)
+    n = sum(a * multiplicity for a, multiplicity in x_histogram.items())
+    if n == 0 or n != sum(b * multiplicity for b, multiplicity in y_histogram.items()):
+        raise ValueError("the marginals must be non-empty and count the same total")
+    terms = [
+        a_multiplicity * b_multiplicity * _hypergeometric_cell(a, b, n)
+        for a, a_multiplicity in x_histogram.items()
+        for b, b_multiplicity in y_histogram.items()
+    ]
+    return max(math.fsum(terms) / (n * math.log(base)), 0.0)
 
 
 def expected_fraction_of_information(
@@ -161,7 +140,7 @@ def expected_fraction_of_information(
     if h_y <= 0.0:
         return 1.0
     expected_mi = expected_mutual_information_exact(
-        statistics.x_counts.values(), statistics.y_counts.values(), base=base
+        statistics.x_histogram, statistics.y_histogram, base=base
     )
     return min(expected_mi / h_y, 1.0)
 

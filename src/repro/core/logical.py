@@ -42,7 +42,7 @@ class G1PrimeMeasure(AfdMeasure):
 
     def _score_violated(self, statistics: FdStatistics) -> float:
         n = statistics.num_rows
-        denominator = n * n - statistics.sum_squared_tuple_counts()
+        denominator = n * n - statistics.tuple_square_sum
         if denominator <= 0:
             # All tuples identical: no violating pair is possible, so the FD
             # is satisfied and the base class already returned 1.0.

@@ -9,13 +9,9 @@ model, :mod:`repro.core.expectations`).
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
 from repro.core.base import AfdMeasure, MeasureClass
 from repro.core.expectations import expected_fraction_of_information
-from repro.core.statistics import FdStatistics
-from repro.info.shannon import DEFAULT_LOG_BASE
+from repro.core.statistics import DEFAULT_LOG_BASE, FdStatistics, entropy
 
 
 class GS1Measure(AfdMeasure):
@@ -137,30 +133,23 @@ class SfiMeasure(AfdMeasure):
         self.name = f"sfi_{alpha:g}" if alpha != 0.5 else "sfi"
 
     def _score_violated(self, statistics: FdStatistics) -> float:
-        # Every unseen (x, y) cell holds the same alpha, so the smoothed
-        # entropies follow from the non-zero cells plus a count of unseen
-        # ones: O(|xy_counts|), not O(|dom X| * |dom Y|).  FI is a ratio of
+        # Smoothing adds alpha to every cell of dom(X) x dom(Y), so a
+        # marginal count c becomes c + alpha * (cells in its row or
+        # column), and the unseen cells are ``unseen`` more cells of count
+        # 0: each smoothed entropy is one fsum over a count histogram,
+        # O(distinct counts), not O(|dom X| * |dom Y|).  FI is a ratio of
         # entropies, so natural logarithms serve for any base.
         alpha = self.alpha
-        kx = len(statistics.x_counts)
-        ky = len(statistics.y_counts)
+        kx = statistics.distinct_x
+        ky = statistics.distinct_y
         total = statistics.num_rows + alpha * kx * ky
-        h_y = _entropy((count + alpha * kx for count in statistics.y_counts.values()), total)
+        h_y = entropy(statistics.y_histogram, total, alpha * kx)
         if h_y <= 0.0:
             return 1.0
-        h_xy = _entropy((count + alpha for count in statistics.xy_counts.values()), total)
-        unseen = kx * ky - len(statistics.xy_counts)
+        cells = dict(statistics.xy_histogram)
+        unseen = kx * ky - statistics.distinct_xy
         if unseen:
-            p = alpha / total
-            h_xy -= unseen * p * math.log(p)
-        h_x = _entropy((count + alpha * ky for count in statistics.x_counts.values()), total)
+            cells[0] = unseen
+        h_xy = entropy(cells, total, alpha)
+        h_x = entropy(statistics.x_histogram, total, alpha * ky)
         return 1.0 - max(h_xy - h_x, 0.0) / h_y
-
-
-def _entropy(pseudo_counts: Iterable[float], total: float) -> float:
-    """Shannon entropy (nats) of the pseudo-counts normalised by ``total``."""
-    result = 0.0
-    for count in pseudo_counts:
-        p = count / total
-        result -= p * math.log(p)
-    return result

@@ -39,7 +39,7 @@ class G2Measure(AfdMeasure):
     has_baselines = True
 
     def _score_violated(self, statistics: FdStatistics) -> float:
-        return 1.0 - statistics.violating_tuple_count() / statistics.num_rows
+        return 1.0 - statistics.violating_tuples / statistics.num_rows
 
 
 class G3Measure(AfdMeasure):
@@ -57,7 +57,7 @@ class G3Measure(AfdMeasure):
     has_baselines = False
 
     def _score_violated(self, statistics: FdStatistics) -> float:
-        return statistics.max_subrelation_size() / statistics.num_rows
+        return statistics.max_subrelation / statistics.num_rows
 
 
 class G3PrimeMeasure(AfdMeasure):
@@ -73,7 +73,7 @@ class G3PrimeMeasure(AfdMeasure):
     has_baselines = True
 
     def _score_violated(self, statistics: FdStatistics) -> float:
-        numerator = statistics.max_subrelation_size() - statistics.distinct_x
+        numerator = statistics.max_subrelation - statistics.distinct_x
         denominator = statistics.num_rows - statistics.distinct_x
         if denominator <= 0:
             # |dom_R(X)| = |R| would mean X is a key and the FD is satisfied,

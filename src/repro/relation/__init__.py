@@ -13,13 +13,6 @@ from repro.relation.fd import FunctionalDependency
 from repro.relation.nulls import NULL, is_null
 from repro.relation.partition import StrippedPartition
 from repro.relation.relation import Relation
-from repro.relation.operations import (
-    group_counts,
-    joint_counts,
-    marginal_counts,
-    project,
-    select_equal,
-)
 
 __all__ = [
     "ChunkedRelation",
@@ -29,11 +22,6 @@ __all__ = [
     "Relation",
     "StrippedPartition",
     "canonical_attributes",
-    "group_counts",
     "is_null",
-    "joint_counts",
-    "marginal_counts",
-    "project",
-    "select_equal",
     "validate_attributes",
 ]

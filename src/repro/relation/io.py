@@ -27,18 +27,23 @@ def _coerce(value: str) -> object:
 
     Cells that parse to IEEE NaN (``"NaN"``, ``"-nan"``, ...) become NULL:
     NaN != NaN would break dictionary-encoding and grouping equality, and
-    a non-value is what such cells mean anyway.
+    a non-value is what such cells mean anyway.  ``int()`` and
+    ``float()`` also accept ``_`` digit separators and non-ASCII digits,
+    which would merge distinct cells (``"12_34"`` with ``"1234"``,
+    ``"١٢٣"`` with ``"123"``), so such cells stay strings; the check runs
+    only after a parse succeeds.
     """
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
-        pass
-    try:
-        number = float(value)
-    except ValueError:
+        try:
+            number = float(value)
+        except ValueError:
+            return value
+        if number != number:
+            return None
+    if "_" in value or not value.isascii():
         return value
-    if number != number:
-        return None
     return number
 
 

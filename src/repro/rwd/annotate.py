@@ -73,7 +73,7 @@ def enumerate_inspection_candidates(
                 g3_error = (
                     0.0
                     if satisfied
-                    else 1.0 - statistics.max_subrelation_size() / statistics.num_rows
+                    else 1.0 - statistics.max_subrelation / statistics.num_rows
                 )
             else:
                 joint = partitions[lhs].intersect(partitions[rhs])

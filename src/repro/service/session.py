@@ -549,16 +549,24 @@ class AfdSession:
         captured before the call could otherwise silently alias freshly
         re-based rows).
 
+        The batch is all-or-nothing: unknown measure names
+        (:class:`KeyError`), delete ids that are not live or repeat
+        (:class:`KeyError`) and inserts of the wrong arity
+        (:class:`ValueError`) are rejected before anything mutates, so a
+        rejected batch leaves the rows, the epoch and every tracker as
+        they were.
+
         Returns a :class:`StreamUpdate` carrying the new epoch, the live
         row count and the refreshed scores — each tracked FD's statistics
-        are maintained in O(Δ) and re-assembled once, bit-identical to a
+        are maintained in O(Δ) and re-assembled once, ``==`` to a
         from-scratch recompute on the new snapshot.
         """
         dynamic = self._require_dynamic("apply_delta()")
         with self._lock:
             started = time.perf_counter()
-            inserts = list(inserts)
-            deletes = list(deletes)
+            self._select(measures)
+            inserts = dynamic.check_rows(inserts)
+            deletes = dynamic.check_live_ids(deletes)
             if deletes:
                 dynamic.delete(deletes)
             if inserts:

@@ -3,18 +3,21 @@
 :class:`DynamicRelation` is the subsystem's source of truth for a
 relation under **inserts and deletes**.  Every row ever appended gets a
 monotonically increasing *row id*; deletion tombstones the id instead of
-shifting positions, so the incremental statistics trackers can refer to
-rows stably across mutations.  The live rows, in ascending id order,
-define the *current* relation — the one a from-scratch
-:meth:`FdStatistics.compute` would see.
+shifting positions, so callers can name rows stably across mutations.
+The live rows, in ascending id order, define the *current* relation —
+the one a from-scratch :meth:`FdStatistics.compute` would see.
 
 Three design points carry the subsystem:
 
 * **Delta notification.**  Trackers created via :meth:`track` (one
   :class:`~repro.stream.statistics.IncrementalFdStatistics` per FD)
-  receive every ``(row_id, row)`` insert/delete exactly once, in
-  mutation order, so their caches stay in lockstep with the store in
-  O(Δ) per batch.
+  receive every inserted and deleted row exactly once, in mutation
+  order, so their counts stay in lockstep with the store in O(Δ) per
+  batch.
+* **All-or-nothing batches.**  :meth:`append` checks every row's arity
+  and :meth:`delete` checks that every id is live and distinct before
+  the first mutation, so a rejected batch leaves the store, its
+  version and every tracker untouched.
 * **Extendable dictionary encoding.**  When numpy is available the
   store keeps one growing ``int32`` code array per attribute (amortised
   doubling) plus the value -> code table of
@@ -44,16 +47,14 @@ long-running windowed stream holds O(total rows ever appended) state
 even though only ``window`` rows are live.  *History compaction* caps
 that: once the tombstone fraction exceeds ``compact_threshold``
 (default 0.5; ``None`` disables) and at least ``compact_min`` rows have
-been appended, the store re-bases the live rows to ids ``0 .. n-1``,
-drops all dead history, and hands every tracker the old-id -> new-id
-mapping through its ``_on_compact`` hook — order-preserving, so every
-derived ``Counter`` insertion order (and with it score bit-identity) is
-untouched.  Compaction only ever runs at the *end* of an
-:meth:`append` / :meth:`delete` call, never mid-batch.  The one
-caller-visible effect: row ids obtained before a compaction no longer
-name the same rows afterwards, so callers that hold ids across batches
-on a compacting store should re-derive them (the trackers do this
-automatically; :attr:`compactions` counts the rebases).
+been appended, the store re-bases the live rows to ids ``0 .. n-1`` and
+drops all dead history, preserving live order.  Trackers hold counts,
+not ids, so compaction never touches them.  Compaction only ever runs at
+the *end* of an :meth:`append` / :meth:`delete` call, never mid-batch.
+The one caller-visible effect: row ids obtained before a compaction no
+longer name the same rows afterwards, so callers that hold ids across
+batches on a compacting store should re-derive them
+(:attr:`compactions` counts the rebases).
 """
 
 from __future__ import annotations
@@ -211,9 +212,6 @@ class DynamicRelation:
     def __len__(self) -> int:
         return len(self._live)
 
-    def is_live(self, row_id: int) -> bool:
-        return row_id in self._live
-
     def row(self, row_id: int) -> Row:
         """The value tuple of a row id (live or tombstoned)."""
         return self._all_rows[row_id]
@@ -237,17 +235,40 @@ class DynamicRelation:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def append(self, rows: Iterable[Sequence[object]]) -> List[int]:
-        """Append rows, returning their assigned ids (window may evict)."""
+    def check_rows(self, rows: Iterable[Sequence[object]]) -> List[Row]:
+        """``rows`` as value tuples; :class:`ValueError` if any has the wrong arity."""
         arity = len(self._attributes)
-        assigned: List[int] = []
-        for row in rows:
-            value_tuple = tuple(row)
-            if len(value_tuple) != arity:
+        checked = [tuple(row) for row in rows]
+        for row in checked:
+            if len(row) != arity:
                 raise ValueError(
-                    f"row {value_tuple!r} has arity {len(value_tuple)}, "
+                    f"row {row!r} has arity {len(row)}, "
                     f"expected {arity} for schema {self._attributes}"
                 )
+        return checked
+
+    def check_live_ids(self, row_ids: Iterable[int]) -> List[int]:
+        """``row_ids`` as a list; :class:`KeyError` unless all are live and distinct."""
+        checked = list(row_ids)
+        seen = set()
+        for row_id in checked:
+            if row_id not in self._live:
+                raise KeyError(
+                    f"row id {row_id} is not live (deleted, evicted, or never assigned)"
+                )
+            if row_id in seen:
+                raise KeyError(f"row id {row_id} is deleted twice in one batch")
+            seen.add(row_id)
+        return checked
+
+    def append(self, rows: Iterable[Sequence[object]]) -> List[int]:
+        """Append rows, returning their assigned ids (window may evict).
+
+        All-or-nothing: a row of the wrong arity raises
+        :class:`ValueError` before any row is appended.
+        """
+        assigned: List[int] = []
+        for value_tuple in self.check_rows(rows):
             row_id = len(self._all_rows)
             self._all_rows.append(value_tuple)
             self._live[row_id] = None
@@ -256,7 +277,7 @@ class DynamicRelation:
                     column.append(value)
             self._invalidate()
             for tracker in self._trackers:
-                tracker._on_insert(row_id, value_tuple)
+                tracker._on_insert(value_tuple)
             assigned.append(row_id)
             if self.window is not None and len(self._live) > self.window:
                 self._delete_one(next(iter(self._live)))
@@ -271,19 +292,21 @@ class DynamicRelation:
         return assigned
 
     def delete(self, row_ids: Iterable[int]) -> None:
-        """Tombstone live rows by id (raises on unknown or already-dead ids)."""
-        for row_id in row_ids:
+        """Tombstone live rows by id.
+
+        All-or-nothing: an id that is not live, or appears twice, raises
+        :class:`KeyError` before any row is deleted.
+        """
+        for row_id in self.check_live_ids(row_ids):
             self._delete_one(row_id)
         self._maybe_compact()
 
     def _delete_one(self, row_id: int) -> None:
-        if row_id not in self._live:
-            raise KeyError(f"row id {row_id} is not live (deleted, evicted, or never assigned)")
         del self._live[row_id]
         self._invalidate()
         row = self._all_rows[row_id]
         for tracker in self._trackers:
-            tracker._on_delete(row_id, row)
+            tracker._on_delete(row)
 
     def _invalidate(self) -> None:
         self._snapshot_cache = None
@@ -313,11 +336,9 @@ class DynamicRelation:
     def compact(self) -> Dict[int, int]:
         """Drop dead history, re-basing live rows to ids ``0 .. n-1``.
 
-        Returns the old-id -> new-id mapping of the surviving rows (also
-        delivered to every tracker through its ``_on_compact`` hook).
-        The re-basing preserves live order, so snapshots, partitions and
-        every derived ``Counter`` insertion order are bit-identical
-        before and after; only the id labels change.
+        Returns the old-id -> new-id mapping of the surviving rows.  The
+        re-basing preserves live order, so snapshots and partitions are
+        identical before and after; only the id labels change.
         """
         mapping = {old: new for new, old in enumerate(self._live)}
         if self._columns is not None:
@@ -327,8 +348,6 @@ class DynamicRelation:
         self._all_rows = [self._all_rows[old] for old in mapping]
         self._live = {new: None for new in range(len(mapping))}
         self._invalidate()
-        for tracker in self._trackers:
-            tracker._on_compact(mapping)
         self.compactions += 1
         return mapping
 

@@ -88,25 +88,29 @@ def mutual_information(joint_counts, base: float = 2.0) -> float:
     )
 
 
-def _log_binomial(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def expected_mutual_information(x_counts, y_counts, base: float = 2.0) -> float:
     """``E[I(X; Y)]`` over random (X; Y)-permutations, one cell at a time.
 
     The count of cell ``(x, y)`` with marginals ``a`` and ``b`` follows a
     hypergeometric distribution; every ``(x, y)`` cell is summed on its
-    own (no grouping by equal counts) with ``exp`` of log-binomials.
+    own (no grouping by equal counts), each term one ``exp`` of
+    log-factorials from an O(N) table.
     """
     n = sum(x_counts)
+    log_factorial = [0.0] * (n + 1)
+    for value in range(2, n + 1):
+        log_factorial[value] = log_factorial[value - 1] + math.log(value)
+
+    def log_choose(total: int, chosen: int) -> float:
+        return log_factorial[total] - log_factorial[chosen] - log_factorial[total - chosen]
+
     expected = 0.0
     for a in x_counts:
         for b in y_counts:
             for k in range(max(1, a + b - n), min(a, b) + 1):
-                log_p = _log_binomial(b, k) + _log_binomial(n - b, a - k) - _log_binomial(n, a)
-                expected += math.exp(log_p) * k / n * math.log(n * k / (a * b), base)
-    return expected
+                probability = math.exp(log_choose(b, k) + log_choose(n - b, a - k) - log_choose(n, a))
+                expected += probability * k / n * math.log(n * k / (a * b), base)
+    return max(expected, 0.0)
 
 
 def _fraction_of_information(joint_counts) -> float:

@@ -1,10 +1,10 @@
 """Backend parity, the columnar substrate, and the runtime driver.
 
 The central contract under test: the ``python`` and ``numpy`` statistics
-backends produce **bit-identical** results — identical ``FdStatistics``
-count structures (same keys, same counts, same ``Counter`` insertion
-order), identical integer and float derived facts, and identical scores
-for all fourteen registered measures (``==``, not ``approx``).  The
+backends produce **bit-identical** results — ``==`` ``FdStatistics``
+(the same count histograms and exact integer facts, with the same
+``repr``), identical derived floats, and identical scores for all
+fourteen registered measures (``==``, not ``approx``).  The
 property tests drive randomised relations through both backends: with
 and without NULLs, with skewed domains, mixed value types, and the
 degenerate shapes (empty, constant, key LHS, single RHS value).
@@ -92,27 +92,15 @@ DEGENERATE_CASES = [
 
 
 def _assert_identical_statistics(left: FdStatistics, right: FdStatistics) -> None:
-    """Full structural equality, including Counter insertion order."""
-    assert left.num_rows == right.num_rows
-    assert list(left.xy_counts.items()) == list(right.xy_counts.items())
-    assert list(left.x_counts.items()) == list(right.x_counts.items())
-    assert list(left.y_counts.items()) == list(right.y_counts.items())
-    for fact in (
-        "sum_squared_tuple_counts",
-        "violating_pair_count",
-        "violating_tuple_count",
-        "max_subrelation_size",
-    ):
-        left_value = getattr(left, fact)()
-        right_value = getattr(right, fact)()
-        assert left_value == right_value, fact
-        assert isinstance(left_value, int) and isinstance(right_value, int), fact
-    for fact in (
-        "sum_squared_x_probabilities",
-        "sum_squared_y_probabilities",
-        "sum_squared_xy_probabilities",
-    ):
-        assert getattr(left, fact)() == getattr(right, fact)(), fact
+    """``==`` and ``repr`` equality, with exact ``int`` facts on both sides."""
+    assert left == right
+    assert repr(left) == repr(right)
+    for statistics in (left, right):
+        for fact in ("violating_tuples", "max_subrelation", "tuple_square_sum"):
+            assert type(getattr(statistics, fact)) is int, fact
+        assert type(statistics.violating_pair_count()) is int
+    assert left.sum_squared_y_probabilities() == right.sum_squared_y_probabilities()
+    assert left.expected_group_logical_entropy() == right.expected_group_logical_entropy()
 
 
 @requires_numpy
@@ -291,7 +279,7 @@ def test_tuple_square_sum_matches_definition(case, backend, source):
         store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
         statistics = FdStatistics.compute(store, fd, backend=backend)
     expected = sum(c * c for c in Counter(relation.drop_nulls(fd.attributes)).values())
-    assert statistics.sum_squared_tuple_counts() == expected
+    assert statistics.tuple_square_sum == expected
     assert isinstance(statistics.tuple_square_sum, int)
 
 
@@ -326,11 +314,16 @@ def _group_fact_cases():
     ]
 
 
-def _reference_group_facts(statistics: FdStatistics) -> dict:
-    """The group facts by explicit per-``x`` groups of ``y`` counts."""
+def _reference_group_facts(relation: Relation, fd: FunctionalDependency) -> dict:
+    """The group facts by explicit per-``x`` groups of ``y`` counts of the rows."""
+    lhs = [relation.attributes.index(a) for a in fd.lhs]
+    rhs = [relation.attributes.index(a) for a in fd.rhs]
     groups = {}
-    for (x, y), count in statistics.xy_counts.items():
-        groups.setdefault(x, Counter())[y] = count
+    num_rows = 0
+    for row in relation.drop_nulls(fd.attributes):
+        num_rows += 1
+        x = tuple(row[i] for i in lhs)
+        groups.setdefault(x, Counter())[tuple(row[i] for i in rhs)] += 1
     violating_pairs = 0
     for y_counter in groups.values():
         total = 0
@@ -342,7 +335,7 @@ def _reference_group_facts(statistics: FdStatistics) -> dict:
     expected_entropy = 0.0
     for y_counter in groups.values():
         group_total = sum(y_counter.values())
-        p_x = group_total / statistics.num_rows
+        p_x = group_total / num_rows
         sum_of_squares = 0.0
         for count in y_counter.values():
             p = count / group_total
@@ -363,10 +356,24 @@ def _group_facts(statistics: FdStatistics) -> dict:
     return {
         "satisfied": statistics.satisfied,
         "violating_pair_count": statistics.violating_pair_count(),
-        "violating_tuple_count": statistics.violating_tuple_count(),
-        "max_subrelation_size": statistics.max_subrelation_size(),
+        "violating_tuple_count": statistics.violating_tuples,
+        "max_subrelation_size": statistics.max_subrelation,
         "expected_group_logical_entropy": statistics.expected_group_logical_entropy(),
     }
+
+
+def _assert_facts_match(statistics: FdStatistics, relation, fd) -> None:
+    """Integer facts exactly; E_x[h(Y|x)] (an fsum, the loop sums in
+    sequence) within a few ulps."""
+    facts = _group_facts(statistics)
+    reference = _reference_group_facts(relation, fd)
+    assert facts["expected_group_logical_entropy"] == pytest.approx(
+        reference.pop("expected_group_logical_entropy"), abs=1e-12
+    )
+    assert type(facts.pop("expected_group_logical_entropy")) is float
+    assert facts == reference
+    for name in ("violating_pair_count", "violating_tuple_count", "max_subrelation_size"):
+        assert type(facts[name]) is int, name
 
 
 @pytest.mark.parametrize("source", ["relation", "chunked-1", "chunked-7", "incremental"])
@@ -381,18 +388,14 @@ def test_group_facts_match_per_group_loops(case, backend, source):
     if source == "incremental":
         relation, statistics = _streamed(relation, fd, seed=len(relation))
         computed = FdStatistics.compute(relation, fd, backend=backend)
-        assert _group_facts(computed) == _reference_group_facts(computed)
+        assert statistics == computed
     elif source == "relation":
         statistics = FdStatistics.compute(relation, fd, backend=backend)
     else:
         chunk_size = int(source.split("-")[1])
         store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
         statistics = FdStatistics.compute(store, fd, backend=backend)
-    facts = _group_facts(statistics)
-    assert facts == _reference_group_facts(statistics)
-    for name in ("violating_pair_count", "violating_tuple_count", "max_subrelation_size"):
-        assert type(facts[name]) is int, name
-    assert type(facts["expected_group_logical_entropy"]) is float
+    _assert_facts_match(statistics, relation, fd)
 
 
 # ----------------------------------------------------------------------
@@ -405,16 +408,16 @@ def test_integer_statistics_are_exact_beyond_float_precision():
     statistics = FdStatistics.from_joint_counts(
         fd,
         num_rows=huge + 2,
-        xy_counts=Counter({(("a",), ("p",)): huge, (("a",), ("q",)): 2}),
+        xy_counts={(("a",), ("p",)): huge, (("a",), ("q",)): 2},
         tuple_square_sum=huge * huge + 4,
     )
-    assert statistics.sum_squared_tuple_counts() == huge * huge + 4
+    assert statistics.tuple_square_sum == huge * huge + 4
     assert statistics.violating_pair_count() == (huge + 2) ** 2 - (huge * huge + 4)
-    assert statistics.violating_tuple_count() == huge + 2
-    assert statistics.max_subrelation_size() == huge
-    # A second call hits the cache and must still be the exact int.
-    assert statistics.sum_squared_tuple_counts() == huge * huge + 4
-    assert isinstance(statistics.sum_squared_tuple_counts(), int)
+    assert statistics.violating_tuples == huge + 2
+    assert statistics.max_subrelation == huge
+    assert statistics.x_histogram == {huge + 2: 1}
+    assert statistics.xy_histogram == {2: 1, huge: 1}
+    assert statistics.group_squares == {(huge * huge + 4, huge + 2): 1}
 
 
 # ----------------------------------------------------------------------

@@ -466,6 +466,26 @@ def test_apply_delta_matches_recompute(backend):
         assert update.restricted_rows[str(fd)] == recomputed.num_rows
 
 
+@pytest.mark.parametrize(
+    "delta, error",
+    [
+        ({"deletes": [0, 99]}, KeyError),
+        ({"deletes": [0, 0]}, KeyError),
+        ({"deletes": [1], "inserts": [("4", "w"), ("5",)]}, ValueError),
+        ({"inserts": [("4", "w")], "measures": ["bogus"]}, KeyError),
+    ],
+    ids=["unknown-id", "repeated-id", "bad-arity", "unknown-measure"],
+)
+def test_rejected_delta_changes_nothing(delta, error):
+    dynamic = DynamicRelation(["zip", "city"], [("1", "a"), ("1", "b"), ("2", "c"), ("3", "c")])
+    session = AfdSession(dynamic, measures=MEASURES)
+    tracker = session.track("zip -> city")
+    before = (dynamic.live_ids(), dynamic.version, session.epoch, tracker.statistics())
+    with pytest.raises(error):
+        session.apply_delta(**delta)
+    assert (dynamic.live_ids(), dynamic.version, session.epoch, tracker.statistics()) == before
+
+
 def test_snapshot_scores_without_mutation():
     dynamic = DynamicRelation.from_relation(random_relation(6))
     session = AfdSession(dynamic, measures=MEASURES)

@@ -296,6 +296,34 @@ def test_sharded_concurrent_clients_match_serial(serial_and_sharded):
     assert all(stable_view(body) == expected for body in answers)
 
 
+def test_sharded_rejected_delta_changes_nothing(serial_and_sharded):
+    (serial, sharded), _, _ = serial_and_sharded
+    for base in (serial, sharded):
+        assert _post(f"{base}/v1/relations", relation_payload("s", dynamic=True))[0] == 201
+        _post(f"{base}/v1/relations/s/score", {"fd": "X -> Y"})
+    for delta in (
+        {"deletes": [0, 999]},
+        {"deletes": [0, 0]},
+        {"deletes": [1], "inserts": [["4", "w"], ["5"]]},
+        {"inserts": [["4", "w"]], "measures": ["bogus"]},
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{sharded}/v1/relations/s/delta", delta)
+        assert 400 <= excinfo.value.code < 500, delta
+    # Nothing moved: the relation, its epoch and its tracked statistics
+    # answer exactly like a serial server that never saw the rejects.
+    described = [
+        entry for entry in _get(f"{sharded}/v1/relations")[1]["relations"]
+        if entry["name"] == "s"
+    ]
+    assert described[0]["epoch"] == 0 and described[0]["num_rows"] == 60
+    delta = {"inserts": [["4", "w"]], "deletes": [0, 1]}
+    ser = _post(f"{serial}/v1/relations/s/delta", delta)
+    sha = _post(f"{sharded}/v1/relations/s/delta", delta)
+    assert ser[0] == sha[0] == 200 and sha[1]["epoch"] == 1
+    assert stable_view(ser[1]) == stable_view(sha[1])
+
+
 def test_sharded_deltas_route_to_owning_worker(serial_and_sharded):
     (serial, sharded), pool, sharded_server = serial_and_sharded
     for base in (serial, sharded):

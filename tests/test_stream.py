@@ -4,16 +4,15 @@ The contract under test is the streaming analogue of the backend
 bit-identity contract: after *any* interleaving of appends and deletes,
 
 * :meth:`IncrementalFdStatistics.statistics` is ``==``-identical — same
-  counts, same ``Counter`` insertion order, same scores under all
-  fourteen measures — to a from-scratch ``FdStatistics.compute`` on the
+  count histograms and integer facts, same scores under all fourteen
+  measures — to a from-scratch ``FdStatistics.compute`` on the
   snapshot, on both backends;
 * the snapshot's pre-seeded columnar view is indistinguishable from a
   fresh ``ColumnarRelation.encode``.
 
 Random workloads include NULLs (the Section VI-A fall-through), novel
 values that grow the dynamic code tables past the initial dictionary,
-deletions of first occurrences (the order-disturbing case), and window
-evictions.  Tests that need numpy are marked; the remainder also run in
+deletions of first occurrences, and window evictions.  Tests that need numpy are marked; the remainder also run in
 the no-numpy CI job.
 """
 
@@ -83,12 +82,9 @@ def random_workload(seed: int, steps: int = 25):
 
 
 def assert_statistics_identical(left: FdStatistics, right: FdStatistics) -> None:
-    """Full structural equality, including Counter insertion order."""
-    assert left.num_rows == right.num_rows
-    assert list(left.xy_counts.items()) == list(right.xy_counts.items())
-    assert list(left.x_counts.items()) == list(right.x_counts.items())
-    assert list(left.y_counts.items()) == list(right.y_counts.items())
-    assert left.tuple_square_sum == right.tuple_square_sum
+    """``==`` and ``repr`` equality of the order-free statistics."""
+    assert left == right
+    assert repr(left) == repr(right)
 
 
 def reference_backends():
@@ -141,28 +137,23 @@ def test_null_fall_through_matches_restricted_compute():
     assert_statistics_identical(tracker.statistics(), reference)
 
 
-def test_first_occurrence_deletion_reorders_like_recompute():
-    """Deleting a key's first occurrence must reorder the counters.
-
-    Rows: a, b, a — Counter order [a, b].  Deleting the first row makes
-    the live order b, a; a from-scratch pass inserts b first, and so
-    must the incremental counter.
-    """
-    dynamic = DynamicRelation(["X", "Y"], [("a", 1), ("b", 1), ("a", 1)])
+def test_first_occurrence_deletion_matches_recompute():
+    """Deleting a key's first occurrence changes only its count."""
+    dynamic = DynamicRelation(["X", "Y"], [("a", 1), ("b", 1), ("a", 2)])
     tracker = dynamic.track(FunctionalDependency("X", "Y"))
-    assert [x for (x, _y) in tracker.statistics().xy_counts] == [("a",), ("b",)]
     dynamic.delete([0])
-    assert [x for (x, _y) in tracker.statistics().xy_counts] == [("b",), ("a",)]
+    statistics = tracker.statistics()
+    assert statistics.xy_histogram == {1: 2}
     reference = FdStatistics.compute(dynamic.snapshot(), FunctionalDependency("X", "Y"))
-    assert_statistics_identical(tracker.statistics(), reference)
+    assert_statistics_identical(statistics, reference)
 
 
-def test_vanished_key_reappears_at_the_end():
+def test_vanished_key_reappears_like_recompute():
     dynamic = DynamicRelation(["X", "Y"], [("a", 1), ("b", 1)])
     tracker = dynamic.track(FunctionalDependency("X", "Y"))
     dynamic.delete([0])  # key a vanishes entirely
+    assert tracker.statistics().x_histogram == {1: 1}
     dynamic.append([("a", 1)])  # and reappears after b
-    assert [x for (x, _y) in tracker.statistics().xy_counts] == [("b",), ("a",)]
     reference = FdStatistics.compute(dynamic.snapshot(), FunctionalDependency("X", "Y"))
     assert_statistics_identical(tracker.statistics(), reference)
 
