@@ -185,8 +185,8 @@ class NondeterminismChecker(Checker):
                         module,
                         node.iter,
                         "iteration over a bare set — set order is "
-                        "hash-randomised; sort it (or keep a dict/list for "
-                        "first-occurrence order)",
+                        "hash-randomised; sort it (or keep a dict/list, "
+                        "which iterates in insertion order)",
                     )
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 for generator in node.generators:
@@ -237,8 +237,8 @@ class NondeterminismChecker(Checker):
                 module,
                 node,
                 f"`{node.func.id}(set(...))` materialises hash-randomised "
-                f"set order — use `sorted(...)` or preserve first-occurrence "
-                f"order in a dict",
+                f"set order — use `sorted(...)` or a dict, which keeps "
+                f"insertion order",
             )
 
     def _finding(self, module: ParsedModule, node: ast.AST, message: str) -> Finding:

@@ -140,13 +140,13 @@ class FdStatistics:
         return cls(
             fd=fd,
             num_rows=num_rows,
-            x_histogram=histogram(group[0] for group in per_x),
-            y_histogram=histogram(y_totals.values()),
-            xy_histogram=histogram(xy_counts.values()),
+            x_histogram=_histogram(group[0] for group in per_x),
+            y_histogram=_histogram(y_totals.values()),
+            xy_histogram=_histogram(xy_counts.values()),
             violating_tuples=sum(group[0] for group in per_x if group[3] > 1),
             max_subrelation=sum(group[2] for group in per_x),
             tuple_square_sum=tuple_square_sum,
-            group_squares=histogram((group[1], group[0]) for group in per_x),
+            group_squares=_histogram((group[1], group[0]) for group in per_x),
             relation_name=relation_name,
         )
 
@@ -235,7 +235,7 @@ class FdStatistics:
         return self._cached(("H_y_given_x", base), compute)
 
 
-def histogram(counts: Iterable) -> Dict:
+def _histogram(counts: Iterable) -> Dict:
     """``{count: multiplicity}`` of ``counts``, keys ascending."""
     return dict(sorted(Counter(counts).items()))
 

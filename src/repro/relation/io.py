@@ -42,9 +42,9 @@ def _coerce(value: str) -> object:
             return value
         if number != number:
             return None
-    if "_" in value or not value.isascii():
-        return value
-    return number
+    if value.isascii() and "_" not in value:
+        return number
+    return value
 
 
 #: The two-byte gzip magic number (RFC 1952).
