@@ -108,8 +108,8 @@ def expected_mutual_information(x_counts, y_counts, base: float = 2.0) -> float:
     for a in x_counts:
         for b in y_counts:
             for k in range(max(1, a + b - n), min(a, b) + 1):
-                probability = math.exp(log_choose(b, k) + log_choose(n - b, a - k) - log_choose(n, a))
-                expected += probability * k / n * math.log(n * k / (a * b), base)
+                log_p = log_choose(b, k) + log_choose(n - b, a - k) - log_choose(n, a)
+                expected += math.exp(log_p) * k / n * math.log(n * k / (a * b), base)
     return max(expected, 0.0)
 
 

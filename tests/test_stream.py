@@ -12,8 +12,8 @@ bit-identity contract: after *any* interleaving of appends and deletes,
 
 Random workloads include NULLs (the Section VI-A fall-through), novel
 values that grow the dynamic code tables past the initial dictionary,
-deletions of first occurrences, and window evictions.  Tests that need numpy are marked; the remainder also run in
-the no-numpy CI job.
+deletions of first occurrences, and window evictions.  Tests that need
+numpy are marked; the remainder also run in the no-numpy CI job.
 """
 
 import json
