@@ -193,9 +193,7 @@ def _pair_histogram(first: "np.ndarray", second: "np.ndarray") -> Dict[Tuple[int
     order = np.lexsort((second, first))
     first = first[order]
     second = second[order]
-    changed = np.ones(first.shape[0], dtype=bool)
-    changed[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
-    starts = np.flatnonzero(changed)
+    starts = run_starts(first, second)
     multiplicities = np.diff(np.append(starts, first.shape[0]))
     return dict(
         zip(zip(first[starts].tolist(), second[starts].tolist()), multiplicities.tolist())

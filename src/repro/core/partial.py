@@ -88,11 +88,16 @@ class PartialFdCounts:
         return sum(count * count for count in counts.values())
 
 
-def run_starts(ordered: "np.ndarray") -> "np.ndarray":
-    """Start index of each run of equal values in a sorted, non-empty array."""
-    changed = np.empty(ordered.shape[0], dtype=bool)
+def run_starts(*ordered: "np.ndarray") -> "np.ndarray":
+    """Start index of each run of equal rows in sorted, non-empty arrays.
+
+    The arrays are the columns of one table of equal length, sorted
+    lexicographically; a run starts wherever any column changes.
+    """
+    changed = np.zeros(ordered[0].shape[0], dtype=bool)
     changed[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=changed[1:])
+    for column in ordered:
+        changed[1:] |= column[1:] != column[:-1]
     return np.flatnonzero(changed)
 
 

@@ -551,10 +551,10 @@ class AfdSession:
 
         The batch is all-or-nothing: unknown measure names
         (:class:`KeyError`), delete ids that are not live or repeat
-        (:class:`KeyError`) and inserts of the wrong arity
-        (:class:`ValueError`) are rejected before anything mutates, so a
-        rejected batch leaves the rows, the epoch and every tracker as
-        they were.
+        (:class:`KeyError`) and inserts of the wrong arity or with an
+        unhashable cell (:class:`ValueError`) are rejected before
+        anything mutates, so a rejected batch leaves the rows, the epoch
+        and every tracker as they were.
 
         Returns a :class:`StreamUpdate` carrying the new epoch, the live
         row count and the refreshed scores — each tracked FD's statistics

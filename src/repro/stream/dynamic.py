@@ -236,7 +236,8 @@ class DynamicRelation:
     # Mutation
     # ------------------------------------------------------------------
     def check_rows(self, rows: Iterable[Sequence[object]]) -> List[Row]:
-        """``rows`` as value tuples; :class:`ValueError` if any has the wrong arity."""
+        """``rows`` as value tuples; :class:`ValueError` if any has the
+        wrong arity or an unhashable cell."""
         arity = len(self._attributes)
         checked = [tuple(row) for row in rows]
         for row in checked:
@@ -245,6 +246,10 @@ class DynamicRelation:
                     f"row {row!r} has arity {len(row)}, "
                     f"expected {arity} for schema {self._attributes}"
                 )
+            try:
+                hash(row)
+            except TypeError:
+                raise ValueError(f"row {row!r} has an unhashable cell") from None
         return checked
 
     def check_live_ids(self, row_ids: Iterable[int]) -> List[int]:
@@ -264,8 +269,8 @@ class DynamicRelation:
     def append(self, rows: Iterable[Sequence[object]]) -> List[int]:
         """Append rows, returning their assigned ids (window may evict).
 
-        All-or-nothing: a row of the wrong arity raises
-        :class:`ValueError` before any row is appended.
+        All-or-nothing: a row of the wrong arity or with an unhashable
+        cell raises :class:`ValueError` before any row is appended.
         """
         assigned: List[int] = []
         for value_tuple in self.check_rows(rows):

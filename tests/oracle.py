@@ -39,6 +39,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 #: The tolerance of every oracle comparison (the one perfbench answers use).
 ATOL = 1e-9
 
+#: The most initial rows a generated case draws.
+MAX_ROWS = 60
+
 #: The registry's measure names, in the paper's order.
 MEASURE_NAMES = (
     "rho",
@@ -271,8 +274,8 @@ class Case(NamedTuple):
         return live
 
 
-def generate_case(seed: int, max_rows: int = 60) -> Case:
-    """A seeded case: 2-4 declared columns, up to ``max_rows`` rows, a stream."""
+def generate_case(seed: int) -> Case:
+    """A seeded case: 2-4 declared columns, up to :data:`MAX_ROWS` rows, a stream."""
     rng = random.Random(seed)
     columns = [declare_column(rng) for _ in range(rng.randint(2, 4))]
     attributes = tuple(f"A{i}" for i in range(len(columns)))
@@ -282,14 +285,14 @@ def generate_case(seed: int, max_rows: int = 60) -> Case:
         serial[0] += 1
         return tuple(draw_value(rng, column, serial[0]) for column in columns)
 
-    rows = tuple(draw_row() for _ in range(rng.choice([0, 1, 2, rng.randint(3, max_rows)])))
+    rows = tuple(draw_row() for _ in range(rng.choice([0, 1, 2, rng.randint(3, MAX_ROWS)])))
     pairs = [(a, b) for a in attributes for b in attributes if a != b]
     fds = [((a,), (b,)) for a, b in rng.sample(pairs, min(3, len(pairs)))]
     if len(attributes) >= 3:
         lhs = tuple(rng.sample(attributes[:-1], 2))
         fds.append((lhs, (attributes[-1],)))
 
-    window = rng.choice([None, None, rng.randint(4, max(4, max_rows // 2))])
+    window = rng.choice([None, None, rng.randint(4, MAX_ROWS // 2)])
     stream = []
     live = len(rows) if window is None else min(len(rows), window)
     for _ in range(rng.randint(0, 6)):
@@ -400,13 +403,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=10.0, help="search budget")
     parser.add_argument("--seed", type=int, default=0, help="first case seed")
-    parser.add_argument("--max-rows", type=int, default=60, help="initial rows per case")
     args = parser.parse_args(argv)
     deadline = time.monotonic() + args.seconds
     seed = args.seed
     checked = 0
     while time.monotonic() < deadline:
-        case = generate_case(seed, max_rows=args.max_rows)
+        case = generate_case(seed)
         failures = check_case(case)
         if failures:
             print(describe(case))

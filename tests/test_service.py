@@ -473,8 +473,9 @@ def test_apply_delta_matches_recompute(backend):
         ({"deletes": [0, 0]}, KeyError),
         ({"deletes": [1], "inserts": [("4", "w"), ("5",)]}, ValueError),
         ({"inserts": [("4", "w")], "measures": ["bogus"]}, KeyError),
+        ({"deletes": [1], "inserts": [("4", "w"), ("5", ["w"])]}, ValueError),
     ],
-    ids=["unknown-id", "repeated-id", "bad-arity", "unknown-measure"],
+    ids=["unknown-id", "repeated-id", "bad-arity", "unknown-measure", "unhashable-cell"],
 )
 def test_rejected_delta_changes_nothing(delta, error):
     dynamic = DynamicRelation(["zip", "city"], [("1", "a"), ("1", "b"), ("2", "c"), ("3", "c")])

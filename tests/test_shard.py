@@ -306,6 +306,7 @@ def test_sharded_rejected_delta_changes_nothing(serial_and_sharded):
         {"deletes": [0, 0]},
         {"deletes": [1], "inserts": [["4", "w"], ["5"]]},
         {"inserts": [["4", "w"]], "measures": ["bogus"]},
+        {"deletes": [1], "inserts": [["4", "w"], ["5", ["w"]]]},
     ):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{sharded}/v1/relations/s/delta", delta)
