@@ -99,19 +99,3 @@ PAPER_PROPERTIES: Dict[str, MeasureProperties] = {
 def property_table() -> List[MeasureProperties]:
     """All measure properties in the paper's canonical order."""
     return [PAPER_PROPERTIES[name] for name in MEASURE_ORDER]
-
-
-def properties_for(name: str) -> MeasureProperties:
-    """Properties of one measure by name."""
-    if name not in PAPER_PROPERTIES:
-        raise KeyError(f"no recorded properties for measure {name!r}")
-    return PAPER_PROPERTIES[name]
-
-
-def recommended_measures() -> List[str]:
-    """Measures the paper recommends for practical AFD discovery.
-
-    μ+ is the headline recommendation (efficient and well-ranking); RFI'+
-    ranks best but is slow; g3' is the best VIOLATION-class measure.
-    """
-    return ["mu_plus", "rfi_prime_plus", "g3_prime"]

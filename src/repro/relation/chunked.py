@@ -4,12 +4,16 @@
 Python tuple — fine at paper scale, ruinous at millions of rows (a 1M-row
 relation costs hundreds of MB of tuple/object overhead before a single
 statistic is computed).  :class:`ChunkedRelation` is the out-of-core
-counterpart: rows are consumed **streamed** (from a CSV reader, a
-generator, or an existing relation), dictionary-encoded incrementally
-with the same extendable value -> code tables the dynamic store grows
-(:mod:`repro.stream.dynamic`), and stored as fixed-size
+counterpart: rows are consumed **streamed** (raw cells from the CSV
+reader, typed rows from a generator or an existing relation) in batches
+of :data:`~repro.relation.io.READ_BATCH_ROWS` rows, dictionary-encoded
+incrementally with the same extendable value -> code tables the dynamic
+store grows (:mod:`repro.stream.dynamic`), and stored as fixed-size
 :class:`CodeChunk`\\ s of ``int32`` code arrays — 4 bytes per cell plus
-one decode table per attribute, never a full row list.
+one decode table per attribute, never a full row list.  The batch
+encoder converts and codes each distinct cell of a batch column once and
+fills in the other cells at C speed; a batch's codes are ``int32`` as
+soon as they exist.
 
 The chunk iterator feeds the statistics pass (:mod:`repro.core.chunked`)
 directly: each chunk becomes one partial count, merged in chunk order
@@ -27,9 +31,11 @@ statistics backend does.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.relation.io import READ_BATCH_ROWS, read_raw_batches
 from repro.relation.relation import Relation, Row
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
@@ -50,11 +56,13 @@ DEFAULT_CHUNK_SIZE = 65_536
 def assign_code(mapping: Dict[object, int], values: List[object], value: object) -> int:
     """One step of extendable first-occurrence dictionary encoding.
 
-    The shared idiom of every encoder in the repo (the columnar view, the
-    dynamic store's growing columns, the chunked ingest below): NULL gets
-    the reserved code, known values their existing code, novel values the
-    next dense code — appended to ``values`` so the decode table stays in
-    first-occurrence order.
+    Shared by the encoders that grow a table value by value: the dynamic
+    store's columns (once per appended cell) and the chunked ingest below
+    (once per distinct cell of a batch).  :meth:`ColumnarRelation.encode
+    <repro.relation.columnar.ColumnarRelation.encode>` inlines the same
+    rule in its own loop.  NULL gets the reserved code, known values
+    their existing code, novel values the next dense code — appended to
+    ``values`` so the decode table stays in first-occurrence order.
     """
     if value is None:
         return NULL_CODE
@@ -121,12 +129,36 @@ class _StreamingColumn:
         self.values: List[object] = []
         self.null_count = 0
 
+    def encode(self, cells: Tuple[object, ...], convert: Optional[Callable] = None):
+        """Code one batch of this attribute's cells as ``int32``.
 
-def _freeze_codes(codes: List[int]):
-    """Pack a buffered code list into its compact per-chunk storage."""
+        Each distinct cell is converted (when ``convert`` is given) and
+        coded once, in first-occurrence order, so the decode table grows
+        exactly as a cell-by-cell pass would grow it; repeated cells reuse
+        the code at C speed.
+        """
+        distinct = dict.fromkeys(cells)
+        values = distinct if convert is None else convert(distinct)
+        codes = [assign_code(self.mapping, self.values, value) for value in values]
+        if NULL_CODE in codes:
+            self.null_count += sum(
+                cells.count(cell) for cell, code in zip(distinct, codes) if code == NULL_CODE
+            )
+        if len(codes) < len(cells):  # some cell repeats: look each one up
+            codes = map(dict(zip(distinct, codes)).__getitem__, cells)
+        if np is not None:
+            return np.fromiter(codes, dtype=np.int32, count=len(cells))
+        return array("i", codes)
+
+
+def _join_codes(parts: List[Sequence[int]]):
+    """Join one chunk's per-batch ``int32`` code arrays."""
     if np is not None:
-        return np.asarray(codes, dtype=np.int32)
-    return array("i", codes)
+        return np.concatenate(parts)
+    joined = array("i")
+    for part in parts:
+        joined.extend(part)
+    return joined
 
 
 class ChunkedRelation:
@@ -191,21 +223,21 @@ class ChunkedRelation:
     ) -> "ChunkedRelation":
         """Stream a CSV file (plain or ``.gz``) into a chunked relation.
 
-        The file is parsed row by row through the same reader as
-        :func:`repro.relation.io.read_csv` (identical NULL markers and
-        type inference — the round-trip test in ``tests/test_chunked.py``
-        pins this), but rows flow straight into the incremental encoder:
-        the full row list never exists.  ``csv_options`` are forwarded to
-        :func:`~repro.relation.io.stream_csv_rows` (``null_markers``,
+        The file is read in batches of raw rows through the same reader
+        as :func:`repro.relation.io.read_csv` (identical NULL markers and
+        type inference — the round-trip tests in ``tests/test_chunked.py``
+        pin this), and each batch goes straight into the batch encoder,
+        which converts and codes each distinct raw cell of a column once:
+        neither the full row list nor a typed row ever exists.
+        ``csv_options`` are forwarded to
+        :func:`~repro.relation.io.read_raw_batches` (``null_markers``,
         ``infer_types``, ``delimiter``).
         """
-        from repro.relation.io import stream_csv_rows
-
         path = Path(path)
-        header, rows = stream_csv_rows(path, max_rows=max_rows, **csv_options)
-        return cls(
-            header, rows, name=name if name is not None else path.stem, chunk_size=chunk_size
-        )
+        header, batches, convert = read_raw_batches(path, max_rows=max_rows, **csv_options)
+        relation = cls(header, name=name if name is not None else path.stem, chunk_size=chunk_size)
+        relation._encode(batches, convert)
+        return relation
 
     @classmethod
     def read_parquet(
@@ -274,38 +306,64 @@ class ChunkedRelation:
         )
 
     def _ingest(self, rows: Iterable[Sequence[object]]) -> None:
+        """Encode already-typed rows, checked for arity batch by batch."""
         arity = len(self._attributes)
-        chunk_size = self.chunk_size
-        columns = self._columns
-        buffers: List[List[int]] = [[] for _ in self._attributes]
-        buffered = 0
-        for row in rows:
-            if len(row) != arity:
-                raise ValueError(
-                    f"row {tuple(row)!r} has arity {len(row)}, "
-                    f"expected {arity} for schema {self._attributes}"
-                )
-            for column, buffer, value in zip(columns, buffers, row):
-                if value is None:
-                    column.null_count += 1
-                    buffer.append(NULL_CODE)
-                else:
-                    buffer.append(assign_code(column.mapping, column.values, value))
-            buffered += 1
-            if buffered == chunk_size:
-                self._flush(buffers, buffered)
-                buffers = [[] for _ in self._attributes]
-                buffered = 0
-        if buffered:
-            self._flush(buffers, buffered)
+        rows = iter(rows)
 
-    def _flush(self, buffers: List[List[int]], num_rows: int) -> None:
+        def batches() -> Iterator[List[Sequence[object]]]:
+            while True:
+                batch = list(islice(rows, READ_BATCH_ROWS))
+                if not batch:
+                    return
+                if any(map(arity.__ne__, map(len, batch))):
+                    row = next(row for row in batch if len(row) != arity)
+                    raise ValueError(
+                        f"row {tuple(row)!r} has arity {len(row)}, "
+                        f"expected {arity} for schema {self._attributes}"
+                    )
+                yield batch
+
+        self._encode(batches())
+
+    def _encode(
+        self,
+        batches: Iterable[List[Sequence[object]]],
+        convert: Optional[Callable] = None,
+    ) -> None:
+        """The batch encoder: code each batch column by column into chunks.
+
+        A batch's codes are ``int32`` as soon as they exist; a chunk
+        joins the slices of the batches it spans when it fills up.
+        """
+        chunk_size = self.chunk_size
+        pending: List[List[Sequence[int]]] = [[] for _ in self._attributes]
+        pending_rows = 0
+        for batch in batches:
+            codes = [
+                column.encode(cells, convert)
+                for column, cells in zip(self._columns, zip(*batch))
+            ]
+            start = 0
+            while start < len(batch):
+                stop = min(len(batch), start + chunk_size - pending_rows)
+                for parts, column_codes in zip(pending, codes):
+                    parts.append(column_codes[start:stop])
+                pending_rows += stop - start
+                start = stop
+                if pending_rows == chunk_size:
+                    self._flush(pending, pending_rows)
+                    pending = [[] for _ in self._attributes]
+                    pending_rows = 0
+        if pending_rows:
+            self._flush(pending, pending_rows)
+
+    def _flush(self, pending: List[List[Sequence[int]]], num_rows: int) -> None:
         self._chunks.append(
             CodeChunk(
                 self._attributes,
                 {
-                    attribute: _freeze_codes(buffer)
-                    for attribute, buffer in zip(self._attributes, buffers)
+                    attribute: _join_codes(parts)
+                    for attribute, parts in zip(self._attributes, pending)
                 },
                 num_rows,
             )

@@ -10,7 +10,7 @@ active domains) are computed lazily and cached where it pays off.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relation.attribute import canonical_attributes, validate_attributes
 from repro.relation.fd import FunctionalDependency
@@ -57,57 +57,6 @@ class Relation:
         self._frequency_cache: Dict[Tuple[str, ...], Counter] = {}
         self._columnar_cache: Optional[object] = None
         self._chunked_cache: Optional[object] = None
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dicts(
-        cls,
-        records: Iterable[Mapping[str, object]],
-        attributes: Optional[Sequence[str]] = None,
-        name: str = "",
-    ) -> "Relation":
-        """Build a relation from dictionaries (missing keys become NULL)."""
-        records = list(records)
-        if attributes is None:
-            seen: List[str] = []
-            for record in records:
-                for key in record:
-                    if key not in seen:
-                        seen.append(key)
-            attributes = seen
-        rows = [tuple(record.get(attribute) for attribute in attributes) for record in records]
-        return cls(attributes, rows, name=name)
-
-    @classmethod
-    def from_columns(
-        cls, columns: Mapping[str, Sequence[object]], name: str = ""
-    ) -> "Relation":
-        """Build a relation from a column-oriented mapping."""
-        attributes = list(columns)
-        if not attributes:
-            return cls([], [], name=name)
-        lengths = {attribute: len(columns[attribute]) for attribute in attributes}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(f"columns have inconsistent lengths: {lengths}")
-        n_rows = lengths[attributes[0]]
-        rows = [
-            tuple(columns[attribute][i] for attribute in attributes) for i in range(n_rows)
-        ]
-        return cls(attributes, rows, name=name)
-
-    @classmethod
-    def from_counter(
-        cls, attributes: Sequence[str], counts: Mapping[Row, int], name: str = ""
-    ) -> "Relation":
-        """Build a relation from a tuple -> multiplicity mapping."""
-        rows: List[Row] = []
-        for row, count in counts.items():
-            if count < 0:
-                raise ValueError(f"negative multiplicity {count} for row {row!r}")
-            rows.extend([tuple(row)] * count)
-        return cls(attributes, rows, name=name)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -244,10 +193,6 @@ class Relation:
         self._frequency_cache[key] = Counter(counter)
         return counter
 
-    def active_domain(self, attributes: Iterable[str] | str) -> set:
-        """``dom_R(attributes)``: the set of distinct projected tuples."""
-        return set(self.frequencies(attributes))
-
     def distinct_count(self, attributes: Iterable[str] | str) -> int:
         """``|dom_R(attributes)|``."""
         return len(self.frequencies(attributes))
@@ -300,20 +245,6 @@ class Relation:
     def with_rows(self, rows: Iterable[Sequence[object]], name: Optional[str] = None) -> "Relation":
         """A new relation over the same schema with different rows."""
         return Relation(self._attributes, rows, name=self.name if name is None else name)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Relation":
-        """Rename attributes according to ``mapping`` (missing keys keep their name)."""
-        new_attributes = [mapping.get(attribute, attribute) for attribute in self._attributes]
-        return Relation(new_attributes, self._rows, name=self.name)
-
-    def concat(self, other: "Relation") -> "Relation":
-        """Bag union (row concatenation) of two relations over the same schema."""
-        if self._attributes != other._attributes:
-            raise ValueError(
-                f"cannot concatenate relations with different schemas: "
-                f"{self._attributes} vs {other._attributes}"
-            )
-        return Relation(self._attributes, self._rows + other._rows, name=self.name)
 
     # ------------------------------------------------------------------
     # Functional dependencies

@@ -102,25 +102,12 @@ class SyntheticBenchmark:
     fd: FunctionalDependency
     tables: List[BenchmarkTable]
 
-    def positive_tables(self) -> List[BenchmarkTable]:
-        return [table for table in self.tables if table.positive]
-
-    def negative_tables(self) -> List[BenchmarkTable]:
-        return [table for table in self.tables if not table.positive]
-
     def steps(self) -> List[int]:
         return sorted({table.step for table in self.tables})
 
     def parameter_values(self) -> Dict[int, float]:
         """Controlled parameter value per step."""
         return {table.step: table.parameter_value for table in self.tables}
-
-    def tables_at_step(self, step: int, positive: Optional[bool] = None) -> List[BenchmarkTable]:
-        return [
-            table
-            for table in self.tables
-            if table.step == step and (positive is None or table.positive == positive)
-        ]
 
     def __len__(self) -> int:
         return len(self.tables)

@@ -6,25 +6,40 @@ of any chunk size produces ``FdStatistics`` **identical** (``==``, same
 ``repr``) to the same rows as one ``Relation`` — so chunking is purely a
 storage choice, never a semantics change.
 Alongside it: the streamed CSV ingest (``ChunkedRelation.read_csv``)
-matches ``read_csv`` row for row, NaN cells become NULL,
-``max_rows``/``.gz`` work, and the out-of-core path actually stays out
-of core (tracemalloc peak guard).
+matches ``read_csv`` row for row at every batch/chunk alignment, cells
+convert exactly as the per-cell definition says, NaN cells become NULL,
+``max_rows``/``.gz``/UTF-8 with a byte-order mark work, and the
+out-of-core path actually stays out of core (tracemalloc peak guard).
 
 Tests that need numpy are marked; the remainder also run in the
 no-numpy CI job.
 """
 
 import gzip
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from repro.core import all_measures
+import repro
+from repro.core import all_measures, get_measure
 from repro.core.partial import PartialFdCounts, merge_counts
 from repro.core.statistics import FdStatistics
 from repro.relation import ChunkedRelation, FunctionalDependency, Relation
-from repro.relation.io import read_csv, stream_csv_rows, write_csv
+from repro.relation.chunked import DEFAULT_CHUNK_SIZE
+from repro.relation.io import (
+    DEFAULT_NULL_MARKERS,
+    _cell_converter,
+    _coerce,
+    read_csv,
+    stream_csv_rows,
+    write_csv,
+)
 
 try:
     import numpy  # noqa: F401
@@ -96,6 +111,89 @@ def chunked_passes(path: str) -> float:
     from repro.obs.metrics import get_registry
 
     return get_registry().value("chunked_passes_total", path=path)
+
+
+def reference_cell(cell: str) -> object:
+    """The CSV cell rule restated from its definition: NULL markers
+    become ``None``; otherwise try ``int``, then ``float``; NaN becomes
+    ``None``; a number is kept only if the cell is ASCII without ``_``."""
+    if cell in DEFAULT_NULL_MARKERS:
+        return None
+    return reference_coerce(cell)
+
+
+def reference_coerce(cell: str) -> object:
+    try:
+        number = int(cell)
+    except ValueError:
+        try:
+            number = float(cell)
+        except ValueError:
+            return cell
+        if number != number:
+            return None
+    return number if cell.isascii() and "_" not in cell else cell
+
+
+def typed(rows) -> list:
+    """Rows with each value tagged by its type, so ``1`` != ``1.0``."""
+    return [tuple((type(value).__name__, repr(value)) for value in row) for row in rows]
+
+
+RAW_HEADER = ("key", "num", "mixed", "text", "digits")
+
+
+def raw_csv_rows(seed: int, num_rows: int) -> list:
+    """Raw CSV cells: a key column, a numeric column with NULL markers,
+    mixed numerals, repeated strings and repeated ASCII digit strings."""
+    rng = random.Random(seed)
+    numerals = [
+        "12_34", "1234", "\u0661\u0662", "1", "1.0", " 7 ", "+5", "1e3", "inf",
+        "-Infinity", "nan", "+NAN", "x", "N/A", "?", "abc", "007", "\xa042", "",
+    ]
+    return [
+        (
+            str(index * 7_919 % 100_003),
+            rng.choice(["1", "2", "3.5", "", "NULL", "NaN", "-0", "4", "-2.25"]),
+            rng.choice(numerals),
+            f"city-{rng.randrange(40)}",
+            str(rng.randrange(50)),
+        )
+        for index in range(num_rows)
+    ]
+
+
+#: Pieces of the seeded cells: ASCII and Unicode whitespace, signs,
+#: points, exponents, inf/nan spellings, separators, non-ASCII digits,
+#: superscripts and letters (an empty draw gives the empty cell).
+CELL_ALPHABET = (
+    list("0123456789") * 3
+    + [" ", "\t", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0"]
+    + ["+", "-", ".", "e", "E", "_", "inf", "INF", "Infinity", "iNfInItY", "nan", "NaN", "nAN"]
+    + ["\u0660", "\u0665", "\u0669", "\uff10", "\uff15", "\uff19"]
+    + ["\u00b2", "\u00b3", "\u00b9", "\u2070", "a", "x", "N", "i", "n", "Z"]
+)
+
+#: Hand-picked cells on either side of every shortcut in the rule.
+ADVERSARIAL_CELLS = [
+    "", " ", "0", "00", "-0", "+0", "007", "1", "-1", "+1", "1.0", "1.", ".5", "-.5",
+    "+.5e-3", "1e3", "1E3", "1e", "e3", ".", "-", "+", "+-1", "--1", "1.2.3", "1,000",
+    "1 000", "12_34", "1_0.5", "_1", "1_", "1__2", "0x10", "0b1", "0o7", "inf", "-inf",
+    "+Inf", "INF", "infinity", "-Infinity", "iNfInItY", "infinit", "Infinite", "nan",
+    "NaN", "-nan", "+NAN", "nAn", "nana", "Nan1", " 12 ", "\t-3\n", "\x1c7\x1f",
+    "\xa042", "42\xa0", "\u200b1", "\u0661\u0662\u0663", "\uff11\uff12", "\u00b2",
+    "1\u00b2", "\u0661.5", "\u0663e2", "\u0661_\u0662", "1" * 5_000, "9" * 4_300,
+    "9" * 4_301, "-" + "1" * 5_000, "abc", "NULL", "null", "N/A", "?", "none", "nope",
+    "i", "n", "N", "I",
+]
+
+
+def seeded_cells(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice(CELL_ALPHABET) for _ in range(rng.randrange(7)))
+        for _ in range(count)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -249,15 +347,49 @@ class TestChunkedRelation:
         with pytest.raises(ValueError, match="arity"):
             ChunkedRelation(("A", "B"), [(1, 2), (3,)])
 
-    def test_read_csv_matches_materialised_read_csv(self, tmp_path):
-        relation = null_relation(seed=13, num_rows=300)
-        path = write_csv(relation, tmp_path / "data.csv")
-        materialised = read_csv(path)
-        streamed = ChunkedRelation.read_csv(path, chunk_size=71)
-        assert streamed.attributes == materialised.attributes
+    @pytest.mark.parametrize(
+        "chunk_size, options",
+        [
+            pytest.param(size, {}, id=f"chunk{size}")
+            for size in (1, 7, 511, 512, 513, 4_096, DEFAULT_CHUNK_SIZE)
+        ]
+        + [
+            pytest.param(513, {"infer_types": False}, id="no_inference"),
+            pytest.param(7, {"delimiter": ";"}, id="semicolon"),
+        ],
+    )
+    def test_read_csv_matches_materialised_read_csv(self, tmp_path, chunk_size, options):
+        # 1,500 rows span three read batches, so batch and chunk
+        # boundaries fall everywhere relative to each other.
+        delimiter = options.get("delimiter", ",")
+        raw_rows = raw_csv_rows(seed=13, num_rows=1_500)
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "\n".join(delimiter.join(row) for row in [RAW_HEADER] + raw_rows) + "\n",
+            encoding="utf-8",
+        )
+        if options.get("infer_types", True):
+            convert = reference_cell
+        else:
+            convert = lambda cell: None if cell in DEFAULT_NULL_MARKERS else cell  # noqa: E731
+        expected = [tuple(convert(cell) for cell in row) for row in raw_rows]
+
+        materialised = read_csv(path, **options)
+        streamed = ChunkedRelation.read_csv(path, chunk_size=chunk_size, **options)
+        assert typed(materialised) == typed(expected)
+        assert streamed.attributes == materialised.attributes == RAW_HEADER
         assert list(streamed.iter_rows()) == list(materialised)
+        assert [chunk.num_rows for chunk in streamed.iter_chunks()] == [
+            min(chunk_size, 1_500 - start) for start in range(0, 1_500, chunk_size)
+        ]
+        from_rows = ChunkedRelation.from_relation(materialised, chunk_size=chunk_size)
+        assert {a: typed([values]) for a, values in streamed.decode_tables().items()} == {
+            a: typed([values]) for a, values in from_rows.decode_tables().items()
+        }
+        for attribute in RAW_HEADER:
+            assert streamed.null_count(attribute) == from_rows.null_count(attribute)
         # ...and the statistics computed from the stream match too.
-        fd = FunctionalDependency(("A",), ("B",))
+        fd = FunctionalDependency(("mixed",), ("text",))
         assert_identical(
             FdStatistics.compute(streamed, fd), FdStatistics.compute(materialised, fd)
         )
@@ -317,6 +449,11 @@ class TestCsvIngest:
         assert len(list(rows)) == 5
         with pytest.raises(ValueError, match="max_rows"):
             read_csv(path, max_rows=-1)
+        # A ragged row just past the cap is never checked.
+        ragged = tmp_path / "ragged_tail.csv"
+        ragged.write_text("A,B\n" + "1,2\n" * 600 + "3\n")
+        assert len(read_csv(ragged, max_rows=600)) == 600
+        assert ChunkedRelation.read_csv(ragged, max_rows=600).num_rows == 600
 
     def test_gzip_round_trip(self, tmp_path):
         relation = random_relation(seed=19, num_rows=80)
@@ -333,6 +470,91 @@ class TestCsvIngest:
         path.write_text("A,B\n1,2\n3\n")
         with pytest.raises(ValueError, match="cells"):
             list(read_csv(path))
+        # ...also when the ragged row arrives in the second read batch.
+        path.write_text("A,B\n" + "1,2\n" * 600 + "3\n")
+        for reader in (read_csv, ChunkedRelation.read_csv):
+            with pytest.raises(ValueError, match="cells"):
+                reader(path)
+
+    def test_coerce_matches_definition(self):
+        # The shortcuts (ASCII digits straight to int(), a first character
+        # that cannot start a number returned unchanged) change no result.
+        cells = ADVERSARIAL_CELLS + seeded_cells(seed=7, count=100_000)
+        for cell in cells:
+            assert typed([(_coerce(cell),)]) == typed([(reference_coerce(cell),)]), repr(cell)
+
+    def test_column_conversion_matches_per_cell_definition(self):
+        # A batch column of ASCII digit strings converts through int() in
+        # one call; with an empty cell, a digit NULL marker or a cell past
+        # int()'s digit limit it must still agree cell for cell.
+        rng = random.Random(5)
+        seeded = seeded_cells(seed=11, count=20_000)
+        columns = [seeded[start : start + 512] for start in range(0, len(seeded), 512)]
+        columns += [
+            [str(rng.randrange(10**6)) for _ in range(512)],
+            [str(rng.randrange(60)) for _ in range(512)],
+            ["12", "", "7", "12"],
+            ["1" * 5_000, "2", "1" * 5_000],
+            ["007", "7", "0", "00"],
+            ADVERSARIAL_CELLS,
+        ]
+        for markers in (DEFAULT_NULL_MARKERS, ("0", "NULL")):
+            convert = _cell_converter(markers, infer_types=True)
+            for column in columns:
+                distinct = dict.fromkeys(column)
+                expected = [
+                    None if cell in markers else reference_coerce(cell) for cell in distinct
+                ]
+                assert typed([convert(distinct)]) == typed([expected]), column[:4]
+
+    def test_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel writes UTF-8 CSV with a byte-order mark.
+        content = b"\xef\xbb\xbfA,B\n1,x\n1,x\n2,y\n"
+        plain = tmp_path / "bom.csv"
+        plain.write_bytes(content)
+        packed = tmp_path / "bom.csv.gz"
+        packed.write_bytes(gzip.compress(content))
+        fd = FunctionalDependency("A", "B")
+        for path in (plain, packed):
+            for relation in (read_csv(path), ChunkedRelation.read_csv(path)):
+                assert tuple(relation.attributes) == ("A", "B")
+                statistics = FdStatistics.compute(relation, fd)
+                assert get_measure("g3").score_from_statistics(statistics) == 1.0
+
+    @pytest.mark.skipif(sys.version_info < (3, 10), reason="EncodingWarning is new in 3.10")
+    def test_csv_io_never_uses_the_locale_encoding(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.relation import ChunkedRelation, Relation
+            from repro.relation.io import read_csv, write_csv
+
+            relation = Relation(("A", "B"), [(1, "\u00e9t\u00e9"), (2, None)])
+            for name in ("data.csv", "data.csv.gz"):
+                path = write_csv(relation, sys.argv[1] + "/" + name)
+                assert read_csv(path) == relation
+                assert ChunkedRelation.read_csv(path).to_relation() == relation
+            """
+        )
+        source = str(Path(repro.__file__).resolve().parents[1])
+        environment = dict(os.environ, PYTHONPATH=source)
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-X",
+                "warn_default_encoding",
+                "-W",
+                "error::EncodingWarning",
+                "-c",
+                script,
+                str(tmp_path),
+            ],
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 # ----------------------------------------------------------------------
