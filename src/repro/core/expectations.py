@@ -15,19 +15,30 @@ remaining attributes.
   adjusted-mutual-information literature and the algorithms of Mandros et
   al.).  It depends only on the multisets of marginal counts, so it is
   summed once per distinct pair of counts, read straight off the
-  statistics' count histograms.
+  statistics' count histograms.  Each pair's hypergeometric cell is
+  looked up first in a memo keyed ``(min(a, b), max(a, b), N)``: an
+  :class:`~repro.service.session.AfdSession` hands its one memo to every
+  statistics object it computes, so a session evaluates each distinct
+  cell once across all its candidates and both directions of an FD.
+  The memo holds at most ``_MAX_CELLS`` entries and dies with its
+  session; a call outside a session uses a fresh one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Optional
 
-from repro.core.statistics import DEFAULT_LOG_BASE, FdStatistics, Histogram
+from repro.core.statistics import DEFAULT_LOG_BASE, ExpectationCells, FdStatistics, Histogram
+from repro.obs.trace import span
 
 #: A pmf tail is dropped once its geometric bound falls below this
 #: fraction of the mass accumulated so far (one unit in the last place).
 _TAIL_TOLERANCE = 2.0 ** -53
+
+#: The most hypergeometric cells one memo holds (~190 B each, so ~3 MB);
+#: a full memo is cleared before its next insert.
+_MAX_CELLS = 1 << 14
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +109,7 @@ def expected_mutual_information_exact(
     x_histogram: Histogram,
     y_histogram: Histogram,
     base: float = DEFAULT_LOG_BASE,
+    cells: Optional[ExpectationCells] = None,
 ) -> float:
     """Exact ``E[I(X; Y)]`` under random permutations with fixed marginals.
 
@@ -116,15 +128,28 @@ def expected_mutual_information_exact(
     values.  The pairs are summed with one ``math.fsum``, so the result
     does not depend on the order of either histogram (and is symmetric
     in ``X`` and ``Y``).
+
+    ``cells`` memoises the inner sums under ``(min(a, b), max(a, b), N)``
+    (the sum is bit-for-bit symmetric in ``a`` and ``b``: every product
+    in its recurrence is an exact integer product), so a memo shared by
+    many calls changes no result; ``None`` uses a fresh one.
     """
     n = sum(a * multiplicity for a, multiplicity in x_histogram.items())
     if n == 0 or n != sum(b * multiplicity for b, multiplicity in y_histogram.items()):
         raise ValueError("the marginals must be non-empty and count the same total")
-    terms = [
-        a_multiplicity * b_multiplicity * _hypergeometric_cell(a, b, n)
-        for a, a_multiplicity in x_histogram.items()
-        for b, b_multiplicity in y_histogram.items()
-    ]
+    if cells is None:
+        cells = {}
+    lookup = cells.get
+    terms = []
+    for a, a_multiplicity in x_histogram.items():
+        for b, b_multiplicity in y_histogram.items():
+            key = (a, b, n) if a <= b else (b, a, n)
+            cell = lookup(key)
+            if cell is None:
+                if len(cells) >= _MAX_CELLS:
+                    cells.clear()
+                cell = cells[key] = _hypergeometric_cell(a, b, n)
+            terms.append(a_multiplicity * b_multiplicity * cell)
     return max(math.fsum(terms) / (n * math.log(base)), 0.0)
 
 
@@ -134,15 +159,21 @@ def expected_fraction_of_information(
     """``E_R[FI(X -> Y, R)] = E_R[I(X;Y)] / H_R(Y)`` under permutations.
 
     ``H_R(Y)`` is invariant under (X; Y)-permutations, so the expectation
-    only involves the mutual information.
+    only involves the mutual information.  The hypergeometric cells go
+    through ``statistics.expectation_cells`` (the owning session's memo,
+    if any), and the call is one ``expectation`` stage span.
     """
-    h_y = statistics.shannon_entropy_y(base=base)
-    if h_y <= 0.0:
-        return 1.0
-    expected_mi = expected_mutual_information_exact(
-        statistics.x_histogram, statistics.y_histogram, base=base
-    )
-    return min(expected_mi / h_y, 1.0)
+    with span("expectation"):
+        h_y = statistics.shannon_entropy_y(base=base)
+        if h_y <= 0.0:
+            return 1.0
+        expected_mi = expected_mutual_information_exact(
+            statistics.x_histogram,
+            statistics.y_histogram,
+            base=base,
+            cells=statistics.expectation_cells,
+        )
+        return min(expected_mi / h_y, 1.0)
 
 
 def expected_value_by_enumeration(

@@ -50,6 +50,10 @@ DEFAULT_LOG_BASE = 2.0
 #: ``{count: multiplicity}``, keys ascending.
 Histogram = Dict[int, int]
 
+#: A memo of hypergeometric cells, ``(min(a, b), max(a, b), N) -> value``
+#: (see :func:`repro.core.expectations.expected_mutual_information_exact`).
+ExpectationCells = Dict[Tuple[int, int, int], float]
+
 
 @dataclass
 class FdStatistics:
@@ -80,6 +84,11 @@ class FdStatistics:
     # not part of a statistics object's identity.
     _cache: Dict[object, Union[int, float]] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    #: The owning session's memo of permutation-expectation cells, or
+    #: ``None``; a cache, so excluded from ``==`` and ``repr`` too.
+    expectation_cells: Optional[ExpectationCells] = field(
+        default=None, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------

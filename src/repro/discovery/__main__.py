@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.cli import positive_float, positive_int
 from repro.core.registry import all_measures, select_measures
 from repro.relation.attribute import attribute_label
 from repro.relation.io import read_csv
@@ -57,14 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="named RWD stand-in dataset instead of a CSV file",
     )
     parser.add_argument(
-        "--rows", type=int, default=400, help="rows for --dataset relations (default: 400)"
+        "--rows",
+        type=positive_int,
+        default=400,
+        help="rows for --dataset relations (default: 400)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for --dataset relations (default: 0)"
     )
     parser.add_argument(
         "--max-lhs-size",
-        type=int,
+        type=positive_int,
         default=1,
         help="maximum LHS attribute count of a candidate (default: 1)",
     )
@@ -93,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         "proper-subset LHS (minimal-cover reduction of the result)",
     )
     parser.add_argument(
-        "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
+        "--sfi-alpha",
+        type=positive_float,
+        default=0.5,
+        help="SFI smoothing parameter (default: 0.5)",
     )
     parser.add_argument(
         "--backend",
@@ -171,7 +178,10 @@ def _write_output(text: str, output: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.g3_bound is not None and not 0.0 <= args.g3_bound <= 1.0:
+        parser.error(f"argument --g3-bound: must be in [0, 1], got {args.g3_bound}")
     if args.dataset is not None:
         relation = build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
     else:

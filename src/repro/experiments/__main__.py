@@ -29,6 +29,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from repro.cli import positive_float, positive_int
 from repro.core.registry import paper_label
 from repro.experiments.discovery import DiscoveryConfig, run_discovery
 from repro.experiments.plotting import PLOT_FORMATS, run_plot
@@ -82,13 +83,6 @@ DEFAULT_BENCH_PATHS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an ``int`` of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -100,10 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="err",
         help="which experiment to run (default: err)",
     )
-    parser.add_argument("--steps", type=_positive_int, default=5, help="sweep steps (default: 5)")
+    parser.add_argument("--steps", type=positive_int, default=5, help="sweep steps (default: 5)")
     parser.add_argument(
         "--tables-per-step",
-        type=_positive_int,
+        type=positive_int,
         default=3,
         help="B+/B- tables per step and subset (default: 3)",
     )
@@ -114,15 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="root seed (default: the benchmark's classical seed)",
     )
-    parser.add_argument("--min-rows", type=int, default=100, help="minimum table size")
+    parser.add_argument("--min-rows", type=positive_int, default=100, help="minimum table size")
     parser.add_argument(
         "--max-rows",
-        type=int,
+        type=positive_int,
         default=1000,
         help="maximum table size (paper: 10000; default: 1000 for laptop runs)",
     )
     parser.add_argument(
-        "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
+        "--sfi-alpha",
+        type=positive_float,
+        default=0.5,
+        help="SFI smoothing parameter (default: 0.5)",
     )
     parser.add_argument(
         "--backend",
@@ -676,7 +673,10 @@ def _run_properties(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.min_rows > args.max_rows:
+        parser.error(f"--min-rows {args.min_rows} exceeds --max-rows {args.max_rows}")
     output_dir = None if args.output_dir == "-" else args.output_dir
     if args.plot:
         _run_plot(args, output_dir)

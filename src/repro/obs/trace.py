@@ -19,8 +19,9 @@ double-counted at the front end.
 Stage vocabulary (the ``stage_seconds{stage=...}`` histogram): ``parse``
 (request body decode), ``pipe`` (dispatch + pipe round-trip), ``execute``
 (worker/inline operation), ``statistics`` (one FD statistics pass),
-``scoring`` (measure evaluation), ``discovery`` (lattice / chunked
-screen).
+``scoring`` (measure evaluation), ``expectation`` (the RFI+/RFI'+
+permutation expectation of one statistics object; its time is also part
+of ``scoring``), ``discovery`` (lattice / chunked screen).
 
 Like all of ``repro.obs``, tracing is read-only with respect to
 results: with no current trace (or a disabled registry) every call here

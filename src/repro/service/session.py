@@ -12,6 +12,13 @@ with every expensive artifact derived from it:
   FD per epoch, shared by :meth:`score`, :meth:`discover` and
   :meth:`snapshot_scores` — and with it every derived quantity cached on
   the statistics object, including the permutation expectation);
+* one **memo of hypergeometric cells** for the exact RFI+ expectation,
+  keyed ``(min(a, b), max(a, b), N)`` and handed to every statistics
+  object the session computes, so each distinct cell is evaluated once
+  across all candidates and both directions of an FD.  A cell's value
+  does not depend on the epoch, so deltas keep the memo; it is bounded
+  (:mod:`repro.core.expectations` clears it when full) and never
+  outlives the session;
 * on dynamic sessions, **incremental trackers**
   (:class:`~repro.stream.statistics.IncrementalFdStatistics`) for every
   FD scored through the session, so re-scoring after
@@ -47,7 +54,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.core.base import AfdMeasure
 from repro.core.registry import all_measures
-from repro.core.statistics import FdStatistics
+from repro.core.statistics import ExpectationCells, FdStatistics
 from repro.obs.metrics import get_registry
 from repro.obs.trace import add_span, span
 from repro.relation.fd import FunctionalDependency
@@ -131,6 +138,8 @@ class AfdSession:
         self._statistics: Dict[FunctionalDependency, FdStatistics] = {}
         #: FD -> incremental tracker (dynamic sessions; survives epochs).
         self._trackers: Dict[FunctionalDependency, object] = {}
+        #: Hypergeometric cells of the RFI+ expectation (survives epochs).
+        self._expectation_cells: ExpectationCells = {}
         self._partition_cache = None
         #: ``dynamic.version`` the statistics cache was built against.
         self._cache_version = None if self._dynamic is None else self._dynamic.version
@@ -227,6 +236,7 @@ class AfdSession:
                 # Cache levels only; hit/miss counts live in repro.obs.
                 "cache": {
                     "cached_statistics": len(self._statistics),
+                    "expectation_cells": len(self._expectation_cells),
                     "cached_partitions": (
                         0 if self._partition_cache is None else len(self._partition_cache)
                     ),
@@ -286,6 +296,7 @@ class AfdSession:
         seconds = time.perf_counter() - started
         registry.inc("session_statistics_total", relation=self.name, result=result_label)
         add_span("statistics", seconds, fd=str(fd), cache_hit=False)
+        statistics.expectation_cells = self._expectation_cells
         self._statistics[fd] = statistics
         return statistics, seconds, False
 

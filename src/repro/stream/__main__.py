@@ -29,6 +29,7 @@ import sys
 import time
 from typing import Dict, Iterator, List, Optional
 
+from repro.cli import positive_float, positive_int
 from repro.core.registry import all_measures, select_measures
 from repro.core.statistics import FdStatistics
 from repro.relation.fd import FunctionalDependency
@@ -64,7 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="named RWD stand-in dataset instead of a CSV file",
     )
     parser.add_argument(
-        "--rows", type=int, default=2000, help="rows for --dataset relations (default: 2000)"
+        "--rows",
+        type=positive_int,
+        default=2000,
+        help="rows for --dataset relations (default: 2000)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for --dataset relations (default: 0)"
@@ -89,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--window",
-        type=int,
+        type=positive_int,
         default=None,
         help="sliding-window size: older rows are evicted once the live "
         "relation exceeds this many rows (default: unbounded)",
@@ -100,7 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated measure names (default: all fourteen)",
     )
     parser.add_argument(
-        "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
+        "--sfi-alpha",
+        type=positive_float,
+        default=0.5,
+        help="SFI smoothing parameter (default: 0.5)",
     )
     parser.add_argument(
         "--verify",

@@ -15,9 +15,11 @@ types, small uniform domains, two-attribute LHS) and of insert / delete /
 window streams, plus :func:`check_case`, which scores each case on every
 path the library offers — both backends over a ``Relation``, over a
 ``ChunkedRelation`` at chunk sizes 1, 7 and the default, through the
-incremental tracker after the stream, and through ``AfdSession.score`` —
-and reports every path that is not within :data:`ATOL` of the oracle or
-not ``==`` to the others.  ``tests/test_oracle.py`` runs a fixed set of
+incremental tracker after the stream, and through ``AfdSession.score``
+(one session per backend for all the case's FDs and the reverses of its
+single-attribute ones, so expectation cells come from the session's
+memo) — and reports every path that is not within :data:`ATOL` of the
+oracle or not ``==`` to the others.  ``tests/test_oracle.py`` runs a fixed set of
 cases; for a longer search run::
 
     python tests/oracle.py --seconds 60 --seed 7
@@ -339,10 +341,12 @@ def _replay(case: Case):
 def check_case(case: Case) -> List[str]:
     """Every path's disagreement with the oracle or with the other paths.
 
-    An empty list means: on every FD of the case, each path scored all
-    fourteen measures within :data:`ATOL` of the oracle, every path's
-    scores were ``==`` to every other path's, and every path's
-    statistics were ``==`` to every other path's.
+    An empty list means: on every FD of the case and the reverse of every
+    single-attribute one, each path scored all fourteen measures within
+    :data:`ATOL` of the oracle, every path's scores were ``==`` to every
+    other path's, and every path's statistics were ``==`` to every other
+    path's.  One ``AfdSession`` per backend scores all those FDs, so its
+    memo of expectation cells is shared as it is in service use.
     """
     from repro import AfdSession, FdStatistics, FunctionalDependency, Relation, all_measures
     from repro.relation import ChunkedRelation
@@ -351,21 +355,29 @@ def check_case(case: Case) -> List[str]:
     measures = all_measures()
     rows = case.final_rows()
     relation = Relation(case.attributes, rows, name="oracle")
-    trackers = _replay(case)
+    trackers = dict(zip(case.fds, _replay(case)))
+    # Single-attribute FDs are also scored reversed: on the shared sessions
+    # below, Y -> X finds every expectation cell of X -> Y in the memo.
+    reverses = [(rhs, lhs) for lhs, rhs in case.fds if len(lhs) == len(rhs) == 1]
+    sessions = {
+        backend: AfdSession(Relation(case.attributes, rows, name="oracle"), backend=backend)
+        for backend in _backends()
+    }
     failures: List[str] = []
-    for (lhs, rhs), tracker in zip(case.fds, trackers):
+    for lhs, rhs in dict.fromkeys([*case.fds, *reverses]):
         fd = FunctionalDependency(lhs, rhs)
         expected = oracle_scores(case.attributes, rows, lhs, rhs)
-        statistics = {"incremental": tracker.statistics()}
+        statistics = {}
+        if (lhs, rhs) in trackers:
+            statistics["incremental"] = trackers[lhs, rhs].statistics()
         scores = {}
-        for backend in _backends():
+        for backend, session in sessions.items():
             statistics[f"{backend}/relation"] = FdStatistics.compute(relation, fd, backend)
             for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
                 store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
                 statistics[f"{backend}/chunked-{chunk_size}"] = FdStatistics.compute(
                     store, fd, backend
                 )
-            session = AfdSession(Relation(case.attributes, rows, name="oracle"), backend=backend)
             scores[f"{backend}/session"] = session.score(fd).scores
         for path, computed in statistics.items():
             scores[path] = {

@@ -185,6 +185,21 @@ def test_cli_rejects_non_positive_sweep_sizes(flag, value, capsys):
     assert f"argument {flag}: must be a positive integer, got {value!r}" in error
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sfi-alpha", "0"], "argument --sfi-alpha: must be a positive number, got '0'"),
+        (["--max-rows", "0"], "argument --max-rows: must be a positive integer, got '0'"),
+        (["--min-rows", "500", "--max-rows", "200"], "--min-rows 500 exceeds --max-rows 200"),
+    ],
+)
+def test_cli_rejects_bad_flag_values_with_a_usage_error(flags, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--benchmark", "err", *flags, "--output-dir", "-"])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_dash_output_dir_skips_artifacts(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exit_code = main(

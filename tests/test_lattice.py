@@ -297,6 +297,23 @@ def test_cli_csv_on_named_dataset(tmp_path):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rows", "0"],
+        ["--rows", "-5"],
+        ["--max-lhs-size", "0"],
+        ["--sfi-alpha", "0"],
+        ["--g3-bound", "2"],
+    ],
+)
+def test_cli_rejects_bad_flag_values_with_a_usage_error(flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        discovery_main(["--dataset", "R1", *flags])
+    assert excinfo.value.code == 2
+    assert f"argument {flags[0]}: must be" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_measures(tmp_path, capsys):
     csv_path = tmp_path / "demo.csv"
     csv_path.write_text("a,b\n1,2\n")

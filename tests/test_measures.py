@@ -23,6 +23,8 @@ from repro.core import (
     measure_names,
 )
 from repro.core.expectations import (
+    _MAX_CELLS,
+    _hypergeometric_cell,
     expected_mutual_information_exact,
     expected_value_by_enumeration,
 )
@@ -178,6 +180,83 @@ def test_emi_of_a_key_against_a_balanced_column_is_one_bit():
         tracemalloc.stop()
     assert abs(emi - 1.0) < 1e-12
     assert peak < 1_000_000
+
+
+# ----------------------------------------------------------------------
+# The memo of hypergeometric cells
+# ----------------------------------------------------------------------
+def test_hypergeometric_cell_is_bit_for_bit_symmetric():
+    """The memo key ``(min(a, b), max(a, b), n)`` rests on this."""
+    rng = random.Random(18)
+    triples = []
+
+    def log_uniform(high):
+        return max(1, min(high, int(high ** rng.random())))
+
+    for _ in range(20_000):
+        # Log-uniform n up to 200,000, a and b log-uniform up to n: mostly
+        # short supports, some long ones.
+        n = log_uniform(200_000)
+        triples.append((log_uniform(n), log_uniform(n), n))
+    for n in (1, 2, 7, 1_000, 200_000):
+        triples += [(1, b, n) for b in {1, max(1, n // 2), n}]  # a = 1
+        triples += [(n, b, n) for b in {1, max(1, n // 3), n}]  # a = n
+    triples += [(a, b, 100) for a in (60, 75, 99) for b in (50, 80, 100)]  # a + b > n
+    for a, b, n in triples:
+        assert _hypergeometric_cell(a, b, n) == _hypergeometric_cell(b, a, n), (a, b, n)
+
+
+def random_histograms(rng, n):
+    x_counts = random_marginal(rng, n, rng.randint(1, min(n, 25)))
+    y_counts = random_marginal(rng, n, rng.randint(1, min(n, 25)))
+    return Counter(x_counts), Counter(y_counts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_emi_with_a_shared_memo_equals_a_fresh_one(seed):
+    rng = random.Random(seed)
+    cells = {}
+    n = rng.randint(30, 3_000)
+    # Pre-fill the memo from other histogram pairs at this n and at others.
+    for total in (n, n, rng.randint(30, 3_000), n + 1):
+        expected_mutual_information_exact(*random_histograms(rng, total), cells=cells)
+    filled = len(cells)
+    for _ in range(4):
+        x_histogram, y_histogram = random_histograms(rng, n)
+        fresh = expected_mutual_information_exact(x_histogram, y_histogram)
+        assert expected_mutual_information_exact(x_histogram, y_histogram, cells=cells) == fresh
+        # The mirrored FD reuses every cell of the first direction.
+        size = len(cells)
+        assert expected_mutual_information_exact(y_histogram, x_histogram, cells=cells) == fresh
+        assert len(cells) == size
+    assert filled > 0 and all(a <= b for a, b, _ in cells)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_emi_is_symmetric(seed):
+    x_histogram, y_histogram = random_histograms(random.Random(seed), 1_000 + seed)
+    assert expected_mutual_information_exact(
+        x_histogram, y_histogram
+    ) == expected_mutual_information_exact(y_histogram, x_histogram)
+
+
+def test_a_full_memo_is_cleared_before_its_next_insert():
+    x_histogram, y_histogram = random_histograms(random.Random(3), 500)
+    fresh = expected_mutual_information_exact(x_histogram, y_histogram)
+    # Stale entries under keys no call will ask for (n = 0).
+    cells = {(0, k, 0): -1.0 for k in range(_MAX_CELLS)}
+    assert expected_mutual_information_exact(x_histogram, y_histogram, cells=cells) == fresh
+    assert 0 < len(cells) <= len(x_histogram) * len(y_histogram)
+    assert all(n == 500 for _, _, n in cells)
+
+
+def test_statistics_equality_and_repr_ignore_the_memo():
+    plain = FdStatistics.compute(QUICKSTART, FD)
+    shared = FdStatistics.compute(QUICKSTART, FD)
+    shared.expectation_cells = {(1, 2, 4): 0.5}
+    assert plain.expectation_cells is None
+    assert plain == shared and repr(plain) == repr(shared)
+    assert "expectation_cells" not in repr(shared)
 
 
 # ----------------------------------------------------------------------

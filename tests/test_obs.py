@@ -268,6 +268,31 @@ def test_spans_record_only_under_a_current_trace():
     assert trace.span_dicts()[1]["seconds"] >= 0
 
 
+def test_rfi_plus_records_one_expectation_span_per_statistics():
+    """The permutation expectation is a production stage, inside ``scoring``.
+
+    It is computed once per statistics object, so re-scoring at the same
+    epoch (a statistics cache hit) records no second span, and a
+    satisfied FD never reaches it.
+    """
+    registry = get_registry()
+    session = AfdSession(small_relation())
+
+    def expectation_spans(fd):
+        trace = Trace()
+        with use_trace(trace):
+            session.score(fd, measures=["rfi_plus"])
+        return [entry for entry in trace.span_dicts() if entry["name"] == "expectation"]
+
+    before = registry.value("stage_seconds", stage="expectation")
+    first = expectation_spans("zip -> city")
+    assert len(first) == 1 and first[0]["seconds"] > 0.0
+    assert registry.value("stage_seconds", stage="expectation") == before + 1
+    assert expectation_spans("zip -> city") == []
+    assert expectation_spans("city -> zip") == []  # satisfied: scores 1.0 early
+    assert registry.value("stage_seconds", stage="expectation") == before + 1
+
+
 def test_trace_extend_does_not_reobserve_histograms():
     registry = get_registry()
     trace = Trace("abc123")

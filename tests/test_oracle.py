@@ -3,8 +3,11 @@
 A fixed set of seeded cases — declared column shapes, two-attribute
 LHSs, insert / delete / window streams — is scored on both backends over
 a ``Relation``, a ``ChunkedRelation`` at chunk sizes 1, 7 and the
-default, the incremental tracker and ``AfdSession.score``.  Each path
-must match the oracle within ``ATOL`` and be ``==`` to every other path.
+default, the incremental tracker and ``AfdSession.score`` (one session
+per backend for all FDs of a case, plus the reverse of each
+single-attribute FD, which reuses the memoised expectation cells).  Each
+path must match the oracle within ``ATOL`` and be ``==`` to every other
+path.
 ``python tests/oracle.py --seconds N --seed S`` runs the same check on
 fresh seeds for longer.
 """

@@ -414,6 +414,60 @@ def test_repeat_discovery_reuses_partitions():
     assert second["statistics_misses"] == first["statistics_misses"]
 
 
+# ----------------------------------------------------------------------
+# The session's memo of permutation-expectation cells
+# ----------------------------------------------------------------------
+def expectation_cells(session):
+    return session.describe()["cache"]["expectation_cells"]
+
+
+@requires_numpy
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_shared_expectation_memo_keeps_every_score_identical(backend):
+    from repro.rwd.datasets import build_dataset
+
+    for key in ("R1", "R2", "R3", "R4", "R5"):
+        relation = build_dataset(key, num_rows=300, seed=7).relation
+        shared = AfdSession(relation, measures=MEASURES, backend=backend)
+        unshared_cells = 0
+        for lhs in relation.attributes:
+            for rhs in relation.attributes:
+                if lhs == rhs:
+                    continue
+                fd = FunctionalDependency(lhs, rhs)
+                fresh = AfdSession(relation, measures=MEASURES, backend=backend)
+                assert shared.score(fd).scores == fresh.score(fd).scores, (key, str(fd))
+                unshared_cells += expectation_cells(fresh)
+        # X -> Y and Y -> X (and candidates with equal marginal counts)
+        # evaluate their common cells once.
+        assert 0 < expectation_cells(shared) < unshared_cells, key
+
+
+def test_each_session_owns_its_expectation_memo():
+    relation = random_relation(4)
+    first = AfdSession(relation, measures=MEASURES)
+    second = AfdSession(relation, measures=MEASURES)
+    assert expectation_cells(first) == 0
+    first.score("A -> B")
+    filled = expectation_cells(first)
+    assert filled > 0
+    assert expectation_cells(second) == 0
+    assert second.score("A -> B").scores == first.score("A -> B").scores
+    assert expectation_cells(second) == filled == expectation_cells(first)
+
+
+def test_apply_delta_keeps_the_expectation_memo():
+    """A cell's value does not depend on the epoch, so deltas keep the memo."""
+    session = AfdSession(DynamicRelation.from_relation(random_relation(6)), measures=MEASURES)
+    session.score("A -> B")
+    filled = expectation_cells(session)
+    update = session.apply_delta(inserts=[("x", "q", 1), ("y", "p", 2)])
+    fresh = AfdSession(session.relation, measures=MEASURES)
+    assert update.scores["A -> B"] == fresh.score("A -> B").scores
+    # Two more restricted rows: no cell key of this epoch matches the last's.
+    assert expectation_cells(session) == filled + expectation_cells(fresh) > filled > 0
+
+
 def test_score_many_matches_sequential_scores():
     session = AfdSession(small_relation(), measures=MEASURES)
     requests = [

@@ -407,6 +407,20 @@ def test_stream_cli_rejects_unknown_fd_attribute(tmp_path, capsys):
     assert "unknown attribute" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--window", "0"], ["--rows", "0"], ["--sfi-alpha", "0"]]
+)
+def test_stream_cli_rejects_bad_flag_values_with_a_usage_error(flags, tmp_path, capsys):
+    from repro.stream.__main__ import main
+
+    csv_path = tmp_path / "stream.csv"
+    csv_path.write_text("A,B\n1,2\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(csv_path), "--fd", "A -> B", *flags])
+    assert excinfo.value.code == 2
+    assert f"argument {flags[0]}: must be" in capsys.readouterr().err
+
+
 def test_stream_cli_validates_batch_size_and_measures(tmp_path, capsys):
     from repro.stream.__main__ import main
 
