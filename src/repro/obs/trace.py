@@ -21,7 +21,10 @@ Stage vocabulary (the ``stage_seconds{stage=...}`` histogram): ``parse``
 (worker/inline operation), ``statistics`` (one FD statistics pass),
 ``scoring`` (measure evaluation), ``expectation`` (the RFI+/RFI'+
 permutation expectation of one statistics object; its time is also part
-of ``scoring``), ``discovery`` (lattice / chunked screen).
+of ``scoring``), ``delta`` (one accepted ``apply_delta`` batch's row
+mutation plus its incremental-tracker maintenance; the re-scores that
+follow record their own ``statistics`` spans), ``discovery`` (lattice /
+chunked screen).
 
 Like all of ``repro.obs``, tracing is read-only with respect to
 results: with no current trace (or a disabled registry) every call here

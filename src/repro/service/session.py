@@ -21,8 +21,11 @@ with every expensive artifact derived from it:
   outlives the session;
 * on dynamic sessions, **incremental trackers**
   (:class:`~repro.stream.statistics.IncrementalFdStatistics`) for every
-  FD scored through the session, so re-scoring after
-  :meth:`apply_delta` costs O(Δ) instead of O(rows).
+  FD scored through the session.  Each keeps its count histograms and
+  integer facts current in O(1) per inserted or deleted row, so
+  :meth:`apply_delta` costs O(Δ) maintenance (one ``delta`` span) plus
+  one O(distinct counts) refresh per tracked FD (its ``statistics``
+  span) instead of O(rows).
 
 Scoring an FD after discovery, re-scoring after a stream batch, or
 discovering twice therefore never recomputes what the session already
@@ -569,8 +572,10 @@ class AfdSession:
 
         Returns a :class:`StreamUpdate` carrying the new epoch, the live
         row count and the refreshed scores — each tracked FD's statistics
-        are maintained in O(Δ) and re-assembled once, ``==`` to a
-        from-scratch recompute on the new snapshot.
+        are maintained in O(1) per mutated row (one ``delta`` span covers
+        the mutation and that maintenance) and refreshed once per FD
+        (its ``statistics`` span), ``==`` to a from-scratch recompute on
+        the new snapshot.
         """
         dynamic = self._require_dynamic("apply_delta()")
         with self._lock:
@@ -578,10 +583,12 @@ class AfdSession:
             self._select(measures)
             inserts = dynamic.check_rows(inserts)
             deletes = dynamic.check_live_ids(deletes)
-            if deletes:
-                dynamic.delete(deletes)
-            if inserts:
-                dynamic.append(inserts)
+            # The store mutation and the trackers' O(1)-per-row maintenance.
+            with span("delta", relation=self.name):
+                if deletes:
+                    dynamic.delete(deletes)
+                if inserts:
+                    dynamic.append(inserts)
             self._epoch += 1
             self._statistics.clear()
             get_registry().inc("session_operations_total", relation=self.name, op="delta")

@@ -8,8 +8,9 @@ deletes, sliding windows — without re-paying that pass per batch:
   tombstone deletes, optional sliding window, an extendable dictionary
   encoding (grown in place, re-densified into the snapshot's columnar
   view), and delta notification to trackers;
-* :class:`IncrementalFdStatistics` — O(Δ)-maintained joint counts that
-  re-assemble into an :class:`~repro.core.statistics.FdStatistics`
+* :class:`IncrementalFdStatistics` — count histograms and exact
+  integer facts kept current in O(1) per inserted or deleted row; a
+  refresh copies them into an :class:`~repro.core.statistics.FdStatistics`
   bit-identical to a from-scratch ``compute()`` on either backend.
 
 Stripped partitions are not maintained under mutation: discovery on a

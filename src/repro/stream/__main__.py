@@ -36,7 +36,7 @@ from repro.relation.fd import FunctionalDependency
 from repro.relation.io import read_csv
 from repro.service.session import AfdSession
 from repro.stream.dynamic import DynamicRelation
-from repro.stream.statistics import assert_scores_identical
+from repro.stream.statistics import assert_scores_identical, assert_statistics_identical
 
 try:  # The named RWD datasets need numpy; CSV monitoring does not.
     from repro.rwd.datasets import build_dataset, dataset_keys
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check every batch against a full recompute on the snapshot "
-        "(exits non-zero on any divergence)",
+        help="cross-check every batch's statistics and scores against a full "
+        "recompute on the snapshot (exits non-zero on any divergence)",
     )
     parser.add_argument(
         "--backend",
@@ -146,8 +146,9 @@ def monitor(
     and each yielded record is the flattened
     :class:`~repro.service.model.StreamUpdate` of that batch (the same
     JSON schema as before the service refactor).  Raises
-    :class:`RuntimeError` when ``verify`` is set and any incremental
-    score diverges from the from-scratch recompute.
+    :class:`RuntimeError` when ``verify`` is set and the tracked
+    statistics (any field) or any selected score diverge from the
+    from-scratch recompute.
     """
     rows = relation.rows()
     seed_count = min(batch_size if initial is None else initial, len(rows))
@@ -185,7 +186,10 @@ def monitor(
                 for name, measure in measures.items()
             }
             record["recompute_seconds"] = time.perf_counter() - started
-            assert_scores_identical(scores, reference, f"batch {batch_index}")
+            context = f"batch {batch_index}"
+            # Every field, not just those the selected measures read.
+            assert_statistics_identical(session.track(fd).statistics(), recomputed, context)
+            assert_scores_identical(scores, reference, context)
             record["verified"] = True
         yield record
 

@@ -7,13 +7,17 @@ shifting positions, so callers can name rows stably across mutations.
 The live rows, in ascending id order, define the *current* relation —
 the one a from-scratch :meth:`FdStatistics.compute` would see.
 
-Three design points carry the subsystem:
+Four design points carry the subsystem:
 
 * **Delta notification.**  Trackers created via :meth:`track` (one
   :class:`~repro.stream.statistics.IncrementalFdStatistics` per FD)
   receive every inserted and deleted row exactly once, in mutation
-  order, so their counts stay in lockstep with the store in O(Δ) per
-  batch.
+  order, together with the row's live multiplicity before the change,
+  so their statistics stay in lockstep with the store at O(1) per row.
+  The store keeps that one full-row multiplicity dict
+  (:attr:`row_counts`) for all its trackers: each derives ``Σ_w R(w)²``
+  from the multiplicities it is passed, and a tracker enrolled
+  mid-stream starts from the dict, one entry per distinct live row.
 * **All-or-nothing batches.**  :meth:`append` checks every row's arity
   and :meth:`delete` checks that every id is live and distinct before
   the first mutation, so a rejected batch leaves the store, its
@@ -59,7 +63,8 @@ batches on a compacting store should re-derive them
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.relation.chunked import assign_code
 from repro.relation.relation import Relation, Row
@@ -173,6 +178,8 @@ class DynamicRelation:
         self._columns: Optional[List[_DynamicColumn]] = (
             [_DynamicColumn() for _ in self._attributes] if np is not None else None
         )
+        #: Live multiplicity of every distinct row, shared by all trackers.
+        self._row_counts: Dict[Row, int] = {}
         self._trackers: List[object] = []
         self._snapshot_cache: Optional[Relation] = None
         #: Monotone mutation counter: bumped on every append/delete/compact,
@@ -220,10 +227,10 @@ class DynamicRelation:
         """Live row ids in ascending (append) order."""
         return list(self._live)
 
-    def live_items(self) -> Iterator[Tuple[int, Row]]:
-        """``(row_id, row)`` pairs of the live rows, in ascending id order."""
-        for row_id in self._live:
-            yield row_id, self._all_rows[row_id]
+    @property
+    def row_counts(self) -> Mapping[Row, int]:
+        """Live multiplicity of each distinct row (a read-only view)."""
+        return MappingProxyType(self._row_counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         label = self.name or "DynamicRelation"
@@ -281,8 +288,10 @@ class DynamicRelation:
                 for column, value in zip(self._columns, value_tuple):
                     column.append(value)
             self._invalidate()
+            repeats = self._row_counts.get(value_tuple, 0)
+            self._row_counts[value_tuple] = repeats + 1
             for tracker in self._trackers:
-                tracker._on_insert(value_tuple)
+                tracker._on_insert(value_tuple, repeats)
             assigned.append(row_id)
             if self.window is not None and len(self._live) > self.window:
                 self._delete_one(next(iter(self._live)))
@@ -310,8 +319,13 @@ class DynamicRelation:
         del self._live[row_id]
         self._invalidate()
         row = self._all_rows[row_id]
+        repeats = self._row_counts[row]
+        if repeats == 1:
+            del self._row_counts[row]
+        else:
+            self._row_counts[row] = repeats - 1
         for tracker in self._trackers:
-            tracker._on_delete(row)
+            tracker._on_delete(row, repeats)
 
     def _invalidate(self) -> None:
         self._snapshot_cache = None

@@ -15,7 +15,8 @@ types, small uniform domains, two-attribute LHS) and of insert / delete /
 window streams, plus :func:`check_case`, which scores each case on every
 path the library offers — both backends over a ``Relation``, over a
 ``ChunkedRelation`` at chunk sizes 1, 7 and the default, through the
-incremental tracker after the stream, and through ``AfdSession.score``
+incremental tracker (also compared with a recompute after every stream
+step, with one more tracker enrolled halfway), and through ``AfdSession.score``
 (one session per backend for all the case's FDs and the reverses of its
 single-attribute ones, so expectation cells come from the session's
 memo) — and reports every path that is not within :data:`ATOL` of the
@@ -322,19 +323,39 @@ def _backends() -> Tuple[str, ...]:
     return ("python", "numpy")
 
 
-def _replay(case: Case):
-    """The case's stream applied to a ``DynamicRelation``; one tracker per FD."""
-    from repro import FunctionalDependency
+def _replay(case: Case, failures: List[str]):
+    """The case's stream applied to a ``DynamicRelation``; one tracker per FD.
+
+    Every tracker is compared with a recompute on the snapshot after the
+    initial rows and after each stream step; a mismatch is appended to
+    ``failures`` with the step index.  One more tracker for the first FD
+    enrols halfway through the stream, so it starts from the store's
+    shared row counts after deletes and window evictions.
+    """
+    from repro import FdStatistics, FunctionalDependency
     from repro.stream import DynamicRelation
 
     dynamic = DynamicRelation(case.attributes, case.rows, name="oracle", window=case.window)
     trackers = [dynamic.track(FunctionalDependency(lhs, rhs)) for lhs, rhs in case.fds]
-    for kind, payload in case.stream:
+    watched = [("tracker", tracker) for tracker in trackers]
+
+    def check(step: str) -> None:
+        snapshot = dynamic.snapshot()
+        for label, tracker in watched:
+            if tracker.statistics() != FdStatistics.compute(snapshot, tracker.fd):
+                failures.append(f"{tracker.fd}: {label} != recompute {step}")
+
+    check("after the initial rows")
+    for index, (kind, payload) in enumerate(case.stream):
+        if index == len(case.stream) // 2:
+            late = dynamic.track(trackers[0].fd)
+            watched.append((f"tracker enrolled before step {index}", late))
         if kind == "insert":
             dynamic.append(payload)
         else:
             live = dynamic.live_ids()
             dynamic.delete([live[i] for i in payload])
+        check(f"after stream step {index} ({kind})")
     return trackers
 
 
@@ -355,7 +376,8 @@ def check_case(case: Case) -> List[str]:
     measures = all_measures()
     rows = case.final_rows()
     relation = Relation(case.attributes, rows, name="oracle")
-    trackers = dict(zip(case.fds, _replay(case)))
+    failures: List[str] = []
+    trackers = dict(zip(case.fds, _replay(case, failures)))
     # Single-attribute FDs are also scored reversed: on the shared sessions
     # below, Y -> X finds every expectation cell of X -> Y in the memo.
     reverses = [(rhs, lhs) for lhs, rhs in case.fds if len(lhs) == len(rhs) == 1]
@@ -363,7 +385,6 @@ def check_case(case: Case) -> List[str]:
         backend: AfdSession(Relation(case.attributes, rows, name="oracle"), backend=backend)
         for backend in _backends()
     }
-    failures: List[str] = []
     for lhs, rhs in dict.fromkeys([*case.fds, *reverses]):
         fd = FunctionalDependency(lhs, rhs)
         expected = oracle_scores(case.attributes, rows, lhs, rhs)

@@ -293,6 +293,41 @@ def test_rfi_plus_records_one_expectation_span_per_statistics():
     assert registry.value("stage_seconds", stage="expectation") == before + 1
 
 
+def test_apply_delta_records_one_delta_span_per_accepted_delta():
+    """The store mutation and the trackers' maintenance are one ``delta``
+    stage; each tracked FD's refresh keeps its own ``statistics`` span.
+    A rejected delta mutates nothing and records no ``delta`` span."""
+    from repro.stream import DynamicRelation
+
+    registry = get_registry()
+    session = AfdSession(DynamicRelation.from_relation(small_relation()))
+    session.score("zip -> city", measures=["g3"])
+    session.score("city -> zip", measures=["g3"])
+
+    def spans(**delta):
+        trace = Trace()
+        with use_trace(trace):
+            session.apply_delta(**delta)
+        return [entry["name"] for entry in trace.span_dicts()]
+
+    before = registry.value("stage_seconds", stage="delta")
+    names = spans(inserts=[("1000", "Brussels", "e")], deletes=[0], measures=["g3"])
+    assert names.count("delta") == 1 and names.count("statistics") == 2
+    assert names.index("delta") < names.index("statistics")
+    assert registry.value("stage_seconds", stage="delta") == before + 1
+    for rejected in (
+        {"deletes": [999]},
+        {"inserts": [("1000",)]},
+        {"inserts": [("1000", "Brussels", "f")], "measures": ["nope"]},
+    ):
+        trace = Trace()
+        with use_trace(trace), pytest.raises((KeyError, ValueError)):
+            session.apply_delta(**rejected)
+        assert [entry["name"] for entry in trace.span_dicts()] == []
+    assert registry.value("stage_seconds", stage="delta") == before + 1
+    assert session.epoch == 1
+
+
 def test_trace_extend_does_not_reobserve_histograms():
     registry = get_registry()
     trace = Trace("abc123")

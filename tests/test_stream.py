@@ -91,6 +91,28 @@ def reference_backends():
     return ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 
+def assert_tracker_matches_recompute(dynamic, tracker) -> None:
+    """The tracker's statistics against ``compute`` on both backends."""
+    snapshot = dynamic.snapshot()
+    for backend in reference_backends():
+        pristine = Relation(snapshot.attributes, snapshot.rows(), name=dynamic.name)
+        reference = FdStatistics.compute(pristine, tracker.fd, backend=backend)
+        assert_statistics_identical(tracker.statistics(), reference)
+
+
+def mutate_one_by_one(dynamic, tracker, script) -> None:
+    """Apply ``script`` one mutation at a time, checking the tracker after each.
+
+    An ``int`` deletes that row id; anything else is a row to append.
+    """
+    for step in script:
+        if isinstance(step, int):
+            dynamic.delete([step])
+        else:
+            dynamic.append([step])
+        assert_tracker_matches_recompute(dynamic, tracker)
+
+
 # ----------------------------------------------------------------------
 # Incremental statistics parity
 # ----------------------------------------------------------------------
@@ -122,9 +144,7 @@ def test_incremental_statistics_parity_multi_attribute_lhs(seed):
     fd = FunctionalDependency(dynamic.attributes[:2], dynamic.attributes[-1])
     tracker = dynamic.track(fd)
     for _ in script:
-        pass
-    reference = FdStatistics.compute(dynamic.snapshot(), fd, backend="python")
-    assert_statistics_identical(tracker.statistics(), reference)
+        assert_tracker_matches_recompute(dynamic, tracker)
 
 
 def test_null_fall_through_matches_restricted_compute():
@@ -149,13 +169,86 @@ def test_first_occurrence_deletion_matches_recompute():
 
 
 def test_vanished_key_reappears_like_recompute():
-    dynamic = DynamicRelation(["X", "Y"], [("a", 1), ("b", 1)])
+    dynamic = DynamicRelation(["X", "Y"], [("a", 1), ("a", 2), ("b", 1)])
     tracker = dynamic.track(FunctionalDependency("X", "Y"))
-    dynamic.delete([0])  # key a vanishes entirely
+    mutate_one_by_one(dynamic, tracker, [0, 1])  # key a vanishes entirely
     assert tracker.statistics().x_histogram == {1: 1}
-    dynamic.append([("a", 1)])  # and reappears after b
-    reference = FdStatistics.compute(dynamic.snapshot(), FunctionalDependency("X", "Y"))
-    assert_statistics_identical(tracker.statistics(), reference)
+    # ... and reappears after b, with one y and then a second one.
+    mutate_one_by_one(dynamic, tracker, [("a", 2), ("a", 2), ("a", 1)])
+    assert tracker.statistics().group_squares == {(1, 1): 1, (5, 3): 1}
+
+
+def test_tied_maximum_lowers_only_when_the_last_tie_drops():
+    # x = a holds y = 1 and y = 2 twice each: max_y c_xy = 2, tied.
+    dynamic = DynamicRelation(["X", "Y"], [("a", 1), ("a", 1), ("a", 2), ("a", 2), ("a", 3)])
+    tracker = dynamic.track(FunctionalDependency("X", "Y"))
+    assert tracker.statistics().max_subrelation == 2
+    mutate_one_by_one(dynamic, tracker, [0])  # y = 2 still holds the maximum
+    assert tracker.statistics().max_subrelation == 2
+    mutate_one_by_one(dynamic, tracker, [2])  # now every y of a counts 1
+    assert tracker.statistics().max_subrelation == 1
+    mutate_one_by_one(dynamic, tracker, [("a", 3), ("a", 3), 4, 5, 6, 1, 3])
+    assert tracker.num_rows == 0
+
+
+def test_second_y_makes_x_violating_until_it_leaves():
+    dynamic = DynamicRelation(["X", "Y"], [("a", 1), ("a", 1), ("b", 1)])
+    tracker = dynamic.track(FunctionalDependency("X", "Y"))
+    assert tracker.statistics().violating_tuples == 0
+    mutate_one_by_one(dynamic, tracker, [("a", 2)])
+    assert tracker.statistics().violating_tuples == 3
+    mutate_one_by_one(dynamic, tracker, [("a", 3), 3])  # a third y comes and goes
+    assert tracker.statistics().violating_tuples == 3
+    mutate_one_by_one(dynamic, tracker, [4])
+    assert tracker.statistics().violating_tuples == 0
+    # The other way out: a's first y leaves and the second one stays.
+    mutate_one_by_one(dynamic, tracker, [("a", 2), 0])
+    assert tracker.statistics().violating_tuples == 2
+    mutate_one_by_one(dynamic, tracker, [1])
+    assert tracker.statistics().violating_tuples == 0
+
+
+def test_duplicate_full_rows_count_in_tuple_square_sum():
+    # Z is outside the FD, so duplicates of (X, Y) differ as full rows.
+    rows = [("a", 1, "p"), ("a", 1, "p"), ("a", 1, "q"), ("a", 1, None)]
+    dynamic = DynamicRelation(["X", "Y", "Z"], rows)
+    tracker = dynamic.track(FunctionalDependency("X", "Y"))
+    assert tracker.statistics().tuple_square_sum == 4 + 1 + 1
+    mutate_one_by_one(dynamic, tracker, [("a", 1, "p"), ("a", 1, None), 0, 3])
+    assert tracker.statistics().tuple_square_sum == 4 + 1 + 1
+    mutate_one_by_one(dynamic, tracker, [1, 5])
+    assert tracker.statistics().tuple_square_sum == 1 + 1
+
+
+def test_rows_null_on_one_side_never_enter_the_counts():
+    dynamic = DynamicRelation(["X", "W", "Y"], [("a", "w", 1)])
+    fd = FunctionalDependency(["X", "W"], "Y")
+    tracker = dynamic.track(fd)
+    script = [
+        (None, "w", 1),  # NULL on one LHS attribute
+        ("a", None, 1),  # NULL on the other
+        ("a", "w", None),  # NULL only on the RHS
+        (None, None, None),
+        ("a", "v", 2),  # not NULL anywhere: the one that counts
+    ]
+    mutate_one_by_one(dynamic, tracker, script)
+    assert tracker.num_rows == 2
+    mutate_one_by_one(dynamic, tracker, [1, 3, 2, 4])
+    assert tracker.num_rows == 2
+
+
+def test_tracker_enrolled_after_deletes_and_compaction():
+    rows = [(i % 3, i % 2) for i in range(12)] + [(0, 0)] * 3
+    dynamic = DynamicRelation(["X", "Y"], rows, compact_threshold=None)
+    dynamic.delete([0, 1, 5, 12])
+    after_deletes = dynamic.track(FunctionalDependency("X", "Y"))
+    assert_tracker_matches_recompute(dynamic, after_deletes)
+    dynamic.compact()
+    after_compaction = dynamic.track(FunctionalDependency("Y", "X"))
+    assert_tracker_matches_recompute(dynamic, after_compaction)
+    for step in [(0, 0), (2, 1), 0, 3]:
+        mutate_one_by_one(dynamic, after_deletes, [step])
+        assert_tracker_matches_recompute(dynamic, after_compaction)
 
 
 def test_code_table_growth_past_initial_dictionary():
@@ -396,6 +489,31 @@ def test_stream_cli_monitors_csv(tmp_path, capsys):
         assert record["verified"] is True
         assert set(record["scores"]) == {"g3", "mu_plus"}
         assert record["live_rows"] <= 25
+
+
+def test_stream_cli_verify_checks_fields_no_selected_measure_reads(
+    tmp_path, capsys, monkeypatch
+):
+    """g3 reads only ``num_rows`` and ``max_subrelation``: a wrong
+    ``y_histogram`` leaves its score right but must still fail ``--verify``."""
+    from repro.stream.__main__ import main
+    from repro.stream.statistics import IncrementalFdStatistics
+
+    honest = IncrementalFdStatistics.statistics
+
+    def wrong_y_histogram(self):
+        statistics = honest(self)
+        statistics.y_histogram = {**statistics.y_histogram, 1000: 1}
+        return statistics
+
+    monkeypatch.setattr(IncrementalFdStatistics, "statistics", wrong_y_histogram)
+    csv_path = tmp_path / "stream.csv"
+    csv_path.write_text("A,B\n" + "".join(f"{i % 3},{i % 2}\n" for i in range(40)))
+    exit_code = main(
+        [str(csv_path), "--fd", "A -> B", "--batch-size", "10", "--measures", "g3", "--verify"]
+    )
+    assert exit_code == 1
+    assert "fields ['y_histogram']" in capsys.readouterr().err
 
 
 def test_stream_cli_rejects_unknown_fd_attribute(tmp_path, capsys):
