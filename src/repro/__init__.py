@@ -40,7 +40,7 @@ from repro.core import (
     measure_names,
     measures_by_class,
 )
-from repro.relation import FunctionalDependency, Relation, StrippedPartition
+from repro.relation import FunctionalDependency, Relation
 
 __version__ = "1.2.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "Relation",
     "ScoredFd",
     "StreamUpdate",
-    "StrippedPartition",
     "all_measures",
     "benchmark_specs",
     "brute_force_afds",

@@ -31,18 +31,22 @@ Chunk sources:
   relation of up to 65,536 rows is one chunk;
 * a :class:`Relation` without numpy — its cached ``array.array``
   encoding (:meth:`Relation.chunked`), built once per relation.
+
+:func:`is_key` reads the same encodings and chunk stream: discovery's
+key check (NULL counted as a value) is O(1) for one attribute and one
+distinct count of the packed codes for several.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+import math
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.backends import covers_schema, resolve_backend
 from repro.core.partial import ArrayFdCounts, PartialFdCounts, group_sum, run_starts
 from repro.core.statistics import FdStatistics
 from repro.obs.metrics import get_registry
 from repro.relation.chunked import DEFAULT_CHUNK_SIZE, ChunkedRelation, CodeChunk
-from repro.relation.columnar import _PACK_LIMIT
 from repro.relation.fd import FunctionalDependency
 from repro.relation.relation import Relation
 
@@ -51,32 +55,46 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
+#: Largest packed key any mixed-radix pack may produce (int64 headroom).
+_PACK_LIMIT = 2**62
+
 #: Buffered distinct keys that trigger an intermediate collapse of the
 #: pending array partials: bounds merge memory on very long chunk
 #: streams (10M+ rows); merging is associative, so the result is the same.
 _COLLAPSE_KEYS = 4_000_000
 
 
-def _chunk_stream(
-    source,
-) -> Tuple[Tuple[str, ...], Dict[str, List[object]], Iterable[CodeChunk]]:
-    """Resolve ``(attributes, decode tables, chunk iterator)`` for a source."""
+def _encoding(source):
+    """The cached encoding a source's chunks come from.
+
+    A :class:`ChunkedRelation` is its own encoding; a :class:`Relation`
+    answers with its columnar view, or without numpy with its cached
+    :meth:`Relation.chunked` store.  Both kinds answer
+    ``cardinality(attribute)`` and ``null_count(attribute)``.
+    """
     if isinstance(source, ChunkedRelation):
-        return source.attributes, source.decode_tables(), source.iter_chunks()
+        return source
     if not isinstance(source, Relation):
         raise TypeError(
             f"statistics need a Relation or ChunkedRelation, got {type(source).__name__}"
         )
     columnar = source.columnar()
-    if columnar is None:
-        encoded = source.chunked()
-        return encoded.attributes, encoded.decode_tables(), encoded.iter_chunks()
+    return columnar if columnar is not None else source.chunked()
+
+
+def _chunk_stream(
+    source,
+) -> Tuple[Tuple[str, ...], Dict[str, List[object]], Iterable[CodeChunk]]:
+    """Resolve ``(attributes, decode tables, chunk iterator)`` for a source."""
+    encoding = _encoding(source)
+    if isinstance(encoding, ChunkedRelation):
+        return encoding.attributes, encoding.decode_tables(), encoding.iter_chunks()
 
     attributes = source.attributes
-    tables = {a: columnar.decode_table(a) for a in attributes}
+    tables = {a: encoding.decode_table(a) for a in attributes}
 
     def chunks() -> Iterator[CodeChunk]:
-        codes = {a: columnar.codes(a) for a in attributes}
+        codes = {a: encoding.codes(a) for a in attributes}
         total = source.num_rows
         for start in range(0, total, DEFAULT_CHUNK_SIZE):
             stop = min(start + DEFAULT_CHUNK_SIZE, total)
@@ -87,6 +105,43 @@ def _chunk_stream(
             )
 
     return attributes, tables, chunks()
+
+
+def is_key(source, attributes: Sequence[str]) -> bool:
+    """True when no two rows of ``source`` agree on ``attributes``.
+
+    NULL counts as an ordinary value here (two rows NULL on the same
+    attributes agree), unlike the statistics pass, which drops them: a
+    key under this rule stays a key on every NULL-restricted subset of
+    the rows and for every superset of ``attributes``.
+
+    One attribute costs O(1): it is a key when at most one cell is NULL
+    and the distinct values plus that NULL cover every row.  Several
+    attributes count the distinct code tuples over the same chunk stream
+    the statistics pass reads: packed into ``int64`` under global radices
+    with numpy, as a set of code tuples past the packing limit or without
+    numpy.
+    """
+    encoding = _encoding(source)
+    num_rows = source.num_rows
+    if len(attributes) == 1:
+        nulls = encoding.null_count(attributes[0])
+        return nulls <= 1 and encoding.cardinality(attributes[0]) + nulls == num_rows
+    _, _, chunks = _chunk_stream(source)
+    # +1 shifts NULL's code -1 to 0, so NULL is one more value.
+    radices = [encoding.cardinality(attribute) + 1 for attribute in attributes]
+    if np is not None and math.prod(radices) <= _PACK_LIMIT:
+        packed = []
+        for chunk in chunks:
+            keys = np.zeros(chunk.num_rows, dtype=np.int64)
+            for attribute, radix in zip(attributes, radices):
+                keys = keys * radix + np.asarray(chunk.column(attribute), dtype=np.int64) + 1
+            packed.append(keys)
+        return not packed or np.unique(np.concatenate(packed)).shape[0] == num_rows
+    seen = set()
+    for chunk in chunks:
+        seen.update(zip(*(chunk.column_list(attribute) for attribute in attributes)))
+    return len(seen) == num_rows
 
 
 def _pack_radices(

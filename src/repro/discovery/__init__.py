@@ -2,23 +2,17 @@
 
 :func:`discover_afds` is the unified facade: ``max_lhs_size=1`` (the
 default) gives the exhaustive linear-candidate search, larger values
-extend the search over the LHS lattice via the TANE-style level-wise
-traversal of :mod:`repro.discovery.lattice` — partition-product caching,
-exact-FD refinement, key pruning and an optional g3 bound keep the
-exponential candidate space tractable.  :func:`chunked_discover` runs
-the single-LHS screen partition-free over chunked map-merge statistics,
-so out-of-core relations can be discovered on without ever building a
-row list.  ``python -m repro.discovery`` exposes the same search on CSV
-files and the named RWD datasets.
+extend the search over the LHS lattice.  One level-wise engine
+(:mod:`repro.discovery.lattice`) serves every source — a ``Relation``, a
+``ChunkedRelation`` (never materialised) or a dynamic snapshot — and
+prunes only through the statistics the measures read and an exact key
+check, so chunked and in-memory sources give ``==`` results.
+``python -m repro.discovery`` exposes the same search on CSV files and
+the named RWD datasets.
 """
 
-from repro.discovery.chunked import chunked_discover
 from repro.discovery.cover import minimal_cover
-from repro.discovery.lattice import (
-    PartitionCache,
-    brute_force_afds,
-    lattice_discover,
-)
+from repro.discovery.lattice import brute_force_afds, lattice_discover
 from repro.discovery.single import (
     CandidateScore,
     DiscoveryResult,
@@ -28,9 +22,7 @@ from repro.discovery.single import (
 __all__ = [
     "CandidateScore",
     "DiscoveryResult",
-    "PartitionCache",
     "brute_force_afds",
-    "chunked_discover",
     "discover_afds",
     "lattice_discover",
     "minimal_cover",

@@ -13,9 +13,6 @@ Examples::
     # a named RWD dataset, two measures, CSV artifact
     python -m repro.discovery --dataset R1 --rows 300 \\
         --measures g3,mu_plus --format csv --output accepted.csv
-
-    # prefilter hopeless candidates with the partition g3 bound
-    python -m repro.discovery data.csv --max-lhs-size 3 --g3-bound 0.5
 """
 
 from __future__ import annotations
@@ -82,13 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--measures",
         default=None,
         help="comma-separated measure names (default: all fourteen)",
-    )
-    parser.add_argument(
-        "--g3-bound",
-        type=float,
-        default=None,
-        help="drop candidates whose partition g3 score is below this bound "
-        "before scoring (default: off)",
     )
     parser.add_argument(
         "--minimal-cover",
@@ -180,8 +170,6 @@ def _write_output(text: str, output: str) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.g3_bound is not None and not 0.0 <= args.g3_bound <= 1.0:
-        parser.error(f"argument --g3-bound: must be in [0, 1], got {args.g3_bound}")
     if args.dataset is not None:
         relation = build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
     else:
@@ -197,7 +185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     result = session.discover(
         threshold=args.threshold,
         max_lhs_size=args.max_lhs_size,
-        g3_bound=args.g3_bound,
         minimal_cover=args.minimal_cover,
     )
     elapsed = time.perf_counter() - started
@@ -223,8 +210,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{relation.num_attributes} attributes, max_lhs_size={result.max_lhs_size} — "
         f"{counters['candidates']} candidates, "
         f"{counters['statistics_computed']} statistics passes "
-        f"(pruned: {counters['pruned_exact']} exact, {counters['pruned_key']} key, "
-        f"{counters['pruned_bound']} bound{cover_note}) in {elapsed:.2f}s",
+        f"(pruned: {counters['pruned_exact']} exact, {counters['pruned_key']} key"
+        f"{cover_note}) in {elapsed:.2f}s",
         file=sys.stderr,
     )
     return 0

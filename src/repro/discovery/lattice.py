@@ -1,59 +1,47 @@
-"""TANE-style level-wise discovery of multi-attribute AFDs.
+"""Level-wise discovery of AFDs ``X -> A`` over any statistics source.
 
-The candidate space of non-linear AFDs ``X -> A`` (multi-attribute LHS,
-single-attribute RHS) forms a lattice over LHS attribute sets.  This
-module traverses it breadth-first up to a configurable ``max_lhs_size``:
-level-``k`` nodes are generated from surviving level-``(k-1)`` nodes by
-the classical prefix join, and their stripped partitions are built as
-cached :meth:`StrippedPartition.intersect` products of two parent
-partitions — a level-``k`` partition never rescans the relation.
+The candidate space of AFDs ``X -> A`` (LHS attribute set ``X``, one
+RHS attribute ``A``) forms a lattice over LHS attribute sets.  This
+module traverses it breadth-first up to ``max_lhs_size``: level-``k``
+nodes are generated from surviving level-``(k-1)`` nodes by TANE's prefix
+join (Huhtala et al., The Computer Journal 42(2), 1999), and every
+candidate is answered from the same :class:`FdStatistics` the measures
+read.  The source is a :class:`~repro.relation.relation.Relation`, a
+:class:`~repro.relation.chunked.ChunkedRelation` or a dynamic
+snapshot; nothing else is built from it.
 
-Three pruning rules skip the expensive part (one :class:`FdStatistics`
-pass plus scoring every registered measure) whenever the outcome is
-already known:
+Every measure scores a satisfied FD 1.0 (Section IV of the paper), so two
+rules skip the expensive part (one statistics pass plus scoring every
+measure) whenever the outcome is already known:
 
-* **exact-FD refinement** — ``π_X`` refining ``π_A`` proves ``X -> A``
-  holds exactly; the candidate and every superset-LHS candidate for the
-  same RHS are scored 1.0 by convention (the score every measure assigns
-  to satisfied FDs) without computing statistics (``pruned_exact``);
-* **key pruning** — ``π_X.error() == 0`` makes ``X`` a key, so ``X -> A``
-  holds for every ``A`` and every superset of ``X`` is again a key; the
-  node's candidates are scored 1.0 and the node is removed from lattice
-  expansion (``pruned_key``);
-* **g3 bound** (optional) — with ``g3_bound`` set, the exact partition
-  ``g3`` score ``1 - π_X.g3_error(π_XA)`` is computed first and the
-  candidate is dropped entirely when it falls below the bound
-  (``pruned_bound``).  The ``g3`` error is monotonically non-increasing
-  along the LHS lattice, so a bound-pruned node's supersets may still
-  qualify and expansion is unaffected.
+* **exact supersets** — once ``X -> A`` is satisfied on its
+  NULL-restricted rows (or none are left), every candidate whose LHS
+  contains ``X`` is too (Armstrong augmentation; enlarging the LHS only
+  drops more rows).  Those candidates are exact and score 1.0 without
+  statistics (``pruned_exact``);
+* **keys** — when no two rows agree on ``X`` (NULL counted as a value,
+  :func:`repro.core.chunked.is_key`), ``X -> A`` holds for every ``A``
+  and every superset of ``X`` is a key again.  The node's candidates are
+  exact and score 1.0 (``pruned_key``), and the node leaves the lattice.
 
-Partition-based shortcuts treat NULL as an ordinary value while the
-paper's semantics (Section VI-A) drop NULL tuples, so the refinement and
-g3-bound rules only apply to NULL-free candidates; the rest fall through
-to the statistics path.  Key pruning and exactness propagation to
-superset LHSs remain sound under NULLs: dropping tuples and enlarging
-the LHS both preserve FD satisfaction.
-
-A :class:`PartitionCache` can outlive one traversal: an
-:class:`~repro.service.AfdSession` keeps one per relation snapshot, so a
-dynamic relation's partitions are rebuilt from its latest snapshot on
-the next discovery rather than maintained row by row.  Cache lookups
-are counted by the ``partitions_total{result}`` metric.
+Every other candidate costs one statistics pass (``statistics_computed``)
+and joins the exact LHSs of ``A`` when the statistics say it is
+``satisfied or is_empty``.  Scores are therefore bit-identical to
+:func:`brute_force_afds`, which computes statistics for every candidate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from collections import Counter
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.backends import resolve_backend
 from repro.core.base import AfdMeasure
+from repro.core.chunked import is_key
 from repro.core.registry import all_measures
 from repro.core.statistics import FdStatistics
 from repro.obs.metrics import get_registry
-from repro.relation.attribute import canonical_attributes
 from repro.relation.fd import FunctionalDependency
-from repro.relation.nulls import is_null
-from repro.relation.partition import StrippedPartition
 from repro.relation.relation import Relation
 
 from repro.discovery.single import (
@@ -62,70 +50,6 @@ from repro.discovery.single import (
     Thresholds,
     _resolve_thresholds,
 )
-
-
-class PartitionCache:
-    """Stripped partitions keyed by canonical attribute set.
-
-    Singleton partitions are computed from the relation; larger sets are
-    partition products of cached parents.  The level-wise traversal
-    guarantees that both size-``(k-1)`` parents of a level-``k`` node are
-    already cached, so products combine two maximally refined partitions
-    (whose cached probe tables are reused across all the products they
-    participate in) instead of rebuilding from column scans.  Lookups
-    are counted by the ``partitions_total{result}`` metric.
-    """
-
-    def __init__(self, relation: Relation):
-        self._relation = relation
-        self._partitions: Dict[Tuple[str, ...], StrippedPartition] = {}
-        self._null_flags: Dict[str, bool] = {}
-
-    @property
-    def relation(self) -> Relation:
-        """The relation this cache's partitions were built from."""
-        return self._relation
-
-    def has_nulls(self, attribute: str) -> bool:
-        cached = self._null_flags.get(attribute)
-        if cached is None:
-            cached = any(is_null(value) for value in self._relation.column(attribute))
-            self._null_flags[attribute] = cached
-        return cached
-
-    def any_nulls(self, attributes: Sequence[str]) -> bool:
-        return any(self.has_nulls(attribute) for attribute in attributes)
-
-    def partition(self, attributes: Union[Sequence[str], str]) -> StrippedPartition:
-        key = canonical_attributes(attributes)
-        cached = self._partitions.get(key)
-        if cached is not None:
-            get_registry().inc("partitions_total", result="hit")
-            return cached
-        get_registry().inc("partitions_total", result="miss")
-        if len(key) == 1:
-            computed = StrippedPartition.from_relation(self._relation, key)
-        else:
-            parents: List[Tuple[StrippedPartition, int]] = []
-            for index in range(len(key)):
-                subset = key[:index] + key[index + 1 :]
-                parent = self._partitions.get(subset)
-                if parent is not None:
-                    parents.append((parent, index))
-                    if len(parents) == 2:
-                        break
-            if len(parents) == 2:
-                computed = parents[0][0].intersect(parents[1][0])
-            elif len(parents) == 1:
-                parent, missing = parents[0]
-                computed = parent.intersect(self.partition((key[missing],)))
-            else:
-                computed = self.partition(key[:-1]).intersect(self.partition((key[-1],)))
-        self._partitions[key] = computed
-        return computed
-
-    def __len__(self) -> int:
-        return len(self._partitions)
 
 
 def _generate_next_level(survivors: List[Tuple[str, ...]]) -> List[Tuple[str, ...]]:
@@ -154,62 +78,60 @@ def _generate_next_level(survivors: List[Tuple[str, ...]]) -> List[Tuple[str, ..
     return next_level
 
 
+def _attribute_pool(
+    source, attributes: Optional[Sequence[str]], side: str
+) -> List[str]:
+    """The LHS or RHS pool: known attributes, each named once."""
+    if attributes is None:
+        return list(source.attributes)
+    pool = list(attributes)
+    repeated = [name for name, count in Counter(pool).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{side}_attributes repeats {repeated}")
+    unknown = [name for name in pool if name not in source.attributes]
+    if unknown:
+        raise KeyError(
+            f"unknown attribute {unknown[0]!r}; available: {list(source.attributes)}"
+        )
+    return pool
+
+
 def lattice_discover(
-    relation: Relation,
+    source,
     measures: Optional[Mapping[str, AfdMeasure]] = None,
     threshold: Thresholds = 0.9,
     max_lhs_size: int = 2,
     lhs_attributes: Optional[Sequence[str]] = None,
     rhs_attributes: Optional[Sequence[str]] = None,
-    g3_bound: Optional[float] = None,
     backend: Optional[str] = None,
-    partition_cache: Optional[PartitionCache] = None,
     statistics_provider=None,
 ) -> DiscoveryResult:
     """Score every lattice candidate ``X -> A`` with ``|X| <= max_lhs_size``.
 
+    ``source`` is a :class:`Relation` or a
+    :class:`~repro.relation.chunked.ChunkedRelation`.  Candidates come
+    level by level, LHS nodes in prefix-join order, RHS pool inner.
     Every candidate that reaches the statistics path is scored by every
-    measure on one shared :class:`FdStatistics` object, exactly as the
-    brute-force path would — pruned candidates are the ones whose scores
-    are provably 1.0 (or, with ``g3_bound``, provably uninteresting), so
-    reported scores are bit-identical to brute-force scoring.
+    measure on one shared :class:`FdStatistics`; pruned candidates are
+    the ones whose scores are provably 1.0.
 
-    ``DiscoveryResult.statistics_computed`` counts the statistics passes
-    actually performed; brute force would need one per candidate.
-
-    ``partition_cache`` / ``statistics_provider`` are the artifact-sharing
-    hooks of :class:`repro.service.AfdSession`: a supplied cache (built on
-    the *same* relation) contributes and retains partitions across calls,
-    and a provider ``(relation, fd) -> (FdStatistics, computed)`` replaces
-    the direct :meth:`FdStatistics.compute` call so the session can serve
-    and keep statistics — ``computed`` is False when the provider served a
-    cache hit, keeping ``statistics_computed`` an honest count of the
-    passes actually performed.  Both hooks must be bit-identical to the
-    defaults: the provider's statistics must be exactly what ``compute``
-    would return.
+    ``statistics_provider`` is the artifact-sharing hook of
+    :class:`repro.service.AfdSession`: ``(source, fd) -> (FdStatistics,
+    computed)`` replaces the direct :meth:`FdStatistics.compute` call, and
+    ``computed`` is False when the provider served a cache hit, keeping
+    ``statistics_computed`` an honest count of the passes performed.  Its
+    statistics must be exactly what ``compute`` would return.
     """
     if max_lhs_size < 1:
         raise ValueError(f"max_lhs_size must be >= 1, got {max_lhs_size}")
-    if g3_bound is not None and not 0.0 <= g3_bound <= 1.0:
-        raise ValueError(f"g3_bound must be in [0, 1], got {g3_bound}")
     measures = measures if measures is not None else all_measures()
     measure_names = list(measures)
     thresholds = _resolve_thresholds(threshold, measure_names)
-    lhs_pool = list(lhs_attributes) if lhs_attributes is not None else list(relation.attributes)
-    rhs_pool = list(rhs_attributes) if rhs_attributes is not None else list(relation.attributes)
+    lhs_pool = _attribute_pool(source, lhs_attributes, "lhs")
+    rhs_pool = _attribute_pool(source, rhs_attributes, "rhs")
     backend_name = resolve_backend(backend).name
-    if backend_name == "numpy":
-        # Build the columnar view up front: the statistics backend needs
-        # it anyway, and once it exists the partition layer derives every
-        # level-1 partition from the cached code arrays too.
-        relation.columnar()
-    if partition_cache is not None and partition_cache.relation is not relation:
-        raise ValueError(
-            "the supplied partition_cache was built on a different relation"
-        )
-    cache = partition_cache if partition_cache is not None else PartitionCache(relation)
     result = DiscoveryResult(
-        relation_name=relation.name,
+        relation_name=getattr(source, "name", ""),
         measure_names=measure_names,
         thresholds=thresholds,
         max_lhs_size=max_lhs_size,
@@ -221,9 +143,8 @@ def lattice_discover(
     for depth in range(1, max_lhs_size + 1):
         survivors: List[Tuple[str, ...]] = []
         for lhs in level:
-            lhs_partition = cache.partition(lhs)
             lhs_set = frozenset(lhs)
-            lhs_is_key = lhs_partition.is_key()
+            lhs_is_key = is_key(source, lhs)
             for rhs in rhs_pool:
                 if rhs in lhs_set:
                     continue
@@ -238,23 +159,11 @@ def lattice_discover(
                     scores = {name: 1.0 for name in measure_names}
                     result.candidates.append(CandidateScore(fd, scores, exact=True))
                     continue
-                if not cache.any_nulls(fd.attributes):
-                    if lhs_partition.refines(cache.partition((rhs,))):
-                        exact_lhs_by_rhs[rhs].append(lhs_set)
-                        result.pruned_exact += 1
-                        scores = {name: 1.0 for name in measure_names}
-                        result.candidates.append(CandidateScore(fd, scores, exact=True))
-                        continue
-                    if g3_bound is not None:
-                        joint = cache.partition(lhs + (rhs,))
-                        if 1.0 - lhs_partition.g3_error(joint) < g3_bound:
-                            result.pruned_bound += 1
-                            continue
                 if statistics_provider is None:
-                    statistics = FdStatistics.compute(relation, fd, backend=backend_name)
+                    statistics = FdStatistics.compute(source, fd, backend=backend_name)
                     result.statistics_computed += 1
                 else:
-                    statistics, computed = statistics_provider(relation, fd)
+                    statistics, computed = statistics_provider(source, fd)
                     if computed:
                         result.statistics_computed += 1
                 scores = {
@@ -274,11 +183,7 @@ def lattice_discover(
             break
     registry = get_registry()
     registry.inc("discovery_statistics_computed_total", result.statistics_computed)
-    for rule, count in (
-        ("exact", result.pruned_exact),
-        ("key", result.pruned_key),
-        ("bound", result.pruned_bound),
-    ):
+    for rule, count in (("exact", result.pruned_exact), ("key", result.pruned_key)):
         if count:
             registry.inc("discovery_pruned_total", count, rule=rule)
     return result

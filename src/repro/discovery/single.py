@@ -4,24 +4,13 @@
 search.  With the default ``max_lhs_size=1`` it performs the exhaustive
 linear-candidate search ``A -> B`` of the paper's Section VII discussion;
 with ``max_lhs_size > 1`` it extends the search to multi-attribute LHS
-candidates via the TANE-style level-wise traversal of
-:mod:`repro.discovery.lattice`.  Both configurations share one engine,
-one result model and one cost discipline:
-
-* one :class:`~repro.relation.partition.StrippedPartition` per lattice
-  node, computed once (level 1) or as a cached partition product
-  (deeper levels) and shared by every candidate touching that node —
-  partition refinement, key detection and the optional g3 bound prune
-  exactly satisfied or hopeless candidates before any statistics are
-  computed, since every measure scores satisfied FDs 1.0 by convention;
-* one :class:`FdStatistics` per surviving candidate, shared across all
-  measures (the same discipline as the evaluation harness).
-
-Partition shortcuts are only applied to NULL-free candidates: partitions
-treat NULL as an ordinary value while the paper's semantics
-(Section VI-A) drop NULL tuples, so candidates with NULLs fall through
-to the statistics path, whose ``satisfied`` check uses the paper
-semantics.
+candidates.  Every configuration and every source (a
+:class:`~repro.relation.relation.Relation`, a
+:class:`~repro.relation.chunked.ChunkedRelation` or a dynamic snapshot)
+runs the one level-wise engine of :mod:`repro.discovery.lattice`: one
+:class:`FdStatistics` per candidate that is not already known to be
+exact, shared across all measures (the same discipline as the evaluation
+harness), with exact supersets and keys scored 1.0 without a pass.
 """
 
 from __future__ import annotations
@@ -31,7 +20,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.base import AfdMeasure
 from repro.relation.fd import FunctionalDependency
-from repro.relation.relation import Relation
 
 Thresholds = Union[float, Mapping[str, float]]
 
@@ -53,12 +41,10 @@ class DiscoveryResult:
     """All scored candidates of one relation plus the acceptance view.
 
     The pruning counters report how much work the lattice traversal
-    avoided: ``pruned_exact`` candidates were proven exactly satisfied
-    (by partition refinement or by containing a known exact LHS),
-    ``pruned_key`` candidates had a key LHS, ``pruned_bound`` candidates
-    fell below the optional g3 bound and were dropped, and
-    ``statistics_computed`` counts the :meth:`FdStatistics.compute`
-    passes actually performed (brute force needs one per candidate).
+    avoided: ``pruned_exact`` candidates contained a known exact LHS,
+    ``pruned_key`` candidates had a key LHS, and ``statistics_computed``
+    counts the :meth:`FdStatistics.compute` passes actually performed
+    (brute force needs one per candidate).
     """
 
     relation_name: str
@@ -67,7 +53,6 @@ class DiscoveryResult:
     candidates: List[CandidateScore] = field(default_factory=list)
     pruned_exact: int = 0
     pruned_key: int = 0
-    pruned_bound: int = 0
     statistics_computed: int = 0
     max_lhs_size: int = 1
     #: Candidates removed by :func:`repro.discovery.cover.minimal_cover`
@@ -92,7 +77,6 @@ class DiscoveryResult:
             "candidates": len(self.candidates),
             "pruned_exact": self.pruned_exact,
             "pruned_key": self.pruned_key,
-            "pruned_bound": self.pruned_bound,
             "statistics_computed": self.statistics_computed,
             "dropped_non_minimal": self.dropped_non_minimal,
         }
@@ -113,53 +97,31 @@ def _resolve_thresholds(
 
 
 def discover_afds(
-    relation: Relation,
+    relation,
     measures: Optional[Mapping[str, AfdMeasure]] = None,
     threshold: Thresholds = 0.9,
     lhs_attributes: Optional[Sequence[str]] = None,
     rhs_attributes: Optional[Sequence[str]] = None,
     max_lhs_size: int = 1,
-    g3_bound: Optional[float] = None,
     backend: Optional[str] = None,
 ) -> DiscoveryResult:
     """Score all candidates ``X -> A`` of ``relation`` with ``|X| <= max_lhs_size``.
 
-    ``threshold`` is either one global acceptance level or a per-measure
-    mapping.  ``lhs_attributes`` / ``rhs_attributes`` restrict the
-    candidate grid (defaults: every attribute on both sides);
-    multi-attribute LHS nodes are built from ``lhs_attributes`` only.
-    ``g3_bound`` (optional) drops candidates whose partition-computed
-    ``g3`` score falls below the bound before any statistics are
-    computed; dropped candidates do not appear in the result.
-    ``backend`` selects the statistics backend (``"python"`` /
-    ``"numpy"``; default: the process default) — scores are bit-identical
-    either way.
+    ``relation`` is a :class:`Relation` or a
+    :class:`~repro.relation.chunked.ChunkedRelation`; a chunked store is
+    never materialised, and every chunking of the same rows gives ``==``
+    results.  ``threshold`` is either one global acceptance level or a
+    per-measure mapping.  ``lhs_attributes`` / ``rhs_attributes`` restrict
+    the candidate grid (defaults: every attribute on both sides; naming an
+    attribute twice is a ``ValueError``); multi-attribute LHS nodes are
+    built from ``lhs_attributes`` only.  ``backend`` selects the
+    statistics backend (``"python"`` / ``"numpy"``; default: the process
+    default) — scores are bit-identical either way.
 
     Scores are bit-identical to brute-force :meth:`FdStatistics.compute`
     scoring of the same candidates for every ``max_lhs_size``.
-
-    A :class:`~repro.relation.chunked.ChunkedRelation` is routed to the
-    partition-free screen of
-    :func:`~repro.discovery.chunked.chunked_discover` (``max_lhs_size``
-    must be 1 and ``g3_bound`` ``None`` there) — same scores, same
-    candidate order, no row list.
     """
     from repro.discovery.lattice import lattice_discover
-    from repro.relation.chunked import ChunkedRelation
-
-    if isinstance(relation, ChunkedRelation):
-        from repro.discovery.chunked import chunked_discover
-
-        return chunked_discover(
-            relation,
-            measures=measures,
-            threshold=threshold,
-            lhs_attributes=lhs_attributes,
-            rhs_attributes=rhs_attributes,
-            max_lhs_size=max_lhs_size,
-            g3_bound=g3_bound,
-            backend=backend,
-        )
 
     return lattice_discover(
         relation,
@@ -168,6 +130,5 @@ def discover_afds(
         max_lhs_size=max_lhs_size,
         lhs_attributes=lhs_attributes,
         rhs_attributes=rhs_attributes,
-        g3_bound=g3_bound,
         backend=backend,
     )

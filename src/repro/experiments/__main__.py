@@ -163,13 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="acceptance threshold of the discovery experiment (default: 0.9)",
     )
     parser.add_argument(
-        "--g3-bound",
-        type=float,
-        default=None,
-        help="optional partition-g3 prefilter for the discovery experiment "
-        "(default: off)",
-    )
-    parser.add_argument(
         "--discovery-num-rows",
         type=int,
         default=400,
@@ -206,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="row count of the out-of-core chunked-discovery smoke (streamed "
-        "ingest + partition-free discovery under a tracemalloc row-list "
+        "ingest + discovery under a tracemalloc row-list "
         "guard); 0 disables it (default: 0; pass e.g. 10000000 for the "
         "10M-row smoke)",
     )
@@ -372,7 +365,6 @@ def _run_discovery(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         seed=args.seed if args.seed is not None else 0,
         max_lhs_size=args.max_lhs_size,
         threshold=args.discovery_threshold,
-        g3_bound=args.g3_bound,
         sfi_alpha=args.sfi_alpha,
         backend=args.backend,
     )
@@ -398,8 +390,7 @@ def _run_discovery(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         print(
             f"  {entry['key']:<3} candidates={entry['candidates']:<4} "
             f"stats={entry['statistics_computed']}/{entry['brute_force_statistics']} "
-            f"(pruned {entry['pruned_exact']} exact, {entry['pruned_key']} key, "
-            f"{entry['pruned_bound']} bound) {best}"
+            f"(pruned {entry['pruned_exact']} exact, {entry['pruned_key']} key) {best}"
         )
     if output_dir is not None:
         print(f"artifacts: {output_dir}/discovery/{{summary.json,summary.csv}}")
@@ -467,7 +458,7 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
     if discovery is not None:
         if "backends" in discovery:  # type: ignore[operator]
             print(
-                f"\nChunked discovery ({discovery['name']}, partition-free, "  # type: ignore[index]
+                f"\nChunked discovery ({discovery['name']}, "  # type: ignore[index]
                 f"parity-asserted vs brute force)"
             )
             for backend, cell in discovery["backends"].items():  # type: ignore[index]

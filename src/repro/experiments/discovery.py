@@ -40,7 +40,6 @@ class DiscoveryConfig:
     seed: int = 0
     max_lhs_size: int = 2
     threshold: float = 0.9
-    g3_bound: Optional[float] = None
     sfi_alpha: float = 0.5
     backend: Optional[str] = None
 
@@ -57,7 +56,6 @@ def _run_relation(rwd, config: DiscoveryConfig, measures) -> Dict[str, object]:
         measures=measures,
         threshold=config.threshold,
         max_lhs_size=config.max_lhs_size,
-        g3_bound=config.g3_bound,
         backend=config.backend,
     )
     measure_names = result.measure_names
@@ -86,9 +84,8 @@ def _run_relation(rwd, config: DiscoveryConfig, measures) -> Dict[str, object]:
         "ranked_candidates": len(labels),
         "positives": sum(labels),
         "excluded_exact": excluded_exact,
-        # One statistics pass per candidate is what brute force would pay;
-        # bound-pruned candidates are not in the result, so add them back.
-        "brute_force_statistics": counters["candidates"] + counters["pruned_bound"],
+        # One statistics pass per candidate is what brute force would pay.
+        "brute_force_statistics": counters["candidates"],
         **counters,
         "measures": per_measure,
     }
@@ -129,7 +126,6 @@ def run_discovery(
             "candidates",
             "pruned_exact",
             "pruned_key",
-            "pruned_bound",
             "statistics_computed",
             "brute_force_statistics",
         ]
@@ -145,7 +141,6 @@ def run_discovery(
                     "candidates": entry["candidates"],
                     "pruned_exact": entry["pruned_exact"],
                     "pruned_key": entry["pruned_key"],
-                    "pruned_bound": entry["pruned_bound"],
                     "statistics_computed": entry["statistics_computed"],
                     "brute_force_statistics": entry["brute_force_statistics"],
                     **metrics,

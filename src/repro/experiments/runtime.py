@@ -62,7 +62,7 @@ class RuntimeConfig:
     seed: int = 97
     sfi_alpha: float = 0.5
     #: Row count of the chunked-discovery parity section (0 disables
-    #: it): partition-free discovery on a :class:`ChunkedRelation`,
+    #: it): discovery on a :class:`ChunkedRelation`,
     #: asserted ``==`` brute force on the materialised relation.
     chunked_discovery_rows: int = 20_000
     #: Rows per stored chunk of the ChunkedRelations the discovery
@@ -71,7 +71,7 @@ class RuntimeConfig:
     #: Row count of the out-of-core chunked-discovery smoke (0 disables
     #: it; CLI-gated via ``--runtime-discovery-rows``).  The smoke
     #: streams a block-generated synthetic relation straight into a
-    #: :class:`ChunkedRelation`, discovers on it partition-free, and
+    #: :class:`ChunkedRelation`, discovers on it, and
     #: asserts — under tracemalloc — that no row list was materialised.
     discovery_rows: int = 0
 
@@ -173,16 +173,16 @@ def _speedup(baseline: Optional[float], contender: Optional[float]) -> Optional[
 def _run_chunked_discovery_section(
     config: RuntimeConfig, backends: Tuple[str, ...]
 ) -> Optional[Dict[str, object]]:
-    """Partition-free discovery on a chunked relation, per backend.
+    """Discovery on a chunked relation, per backend.
 
-    The chunked screen runs on a :class:`ChunkedRelation` encoding of
+    :func:`discover_afds` runs on a :class:`ChunkedRelation` encoding of
     the relation while :func:`brute_force_afds` (``max_lhs_size=1``)
     scores the same candidates monolithically on the row-list form —
     candidate order, all fourteen scores and exactness flags are
     asserted identical in-run, so the recorded seconds time a verified
     result.
     """
-    from repro.discovery import brute_force_afds, chunked_discover
+    from repro.discovery import brute_force_afds, discover_afds
     from repro.relation.chunked import ChunkedRelation
 
     if not config.chunked_discovery_rows:
@@ -196,7 +196,7 @@ def _run_chunked_discovery_section(
     for backend in backends:
         measures = config.measure_config(backend).build()
         started = time.perf_counter()
-        result = chunked_discover(
+        result = discover_afds(
             chunked_relation, measures=dict(measures), backend=backend
         )
         seconds = time.perf_counter() - started
@@ -300,8 +300,8 @@ def run_discovery_smoke(
     """Out-of-core chunked-discovery smoke: ingest + discover, row-list free.
 
     Streams ``num_rows`` synthetic rows straight into a
-    :class:`ChunkedRelation` and runs the partition-free discovery
-    screen on it, all under ``tracemalloc``; the traced peak must stay
+    :class:`ChunkedRelation` and runs :func:`discover_afds` on it, all
+    under ``tracemalloc``; the traced peak must stay
     under 48 bytes/row (plus a fixed block-transient allowance) — a
     ceiling a materialised list of 10M row tuples (≥ 500 MB of tuple+int
     overhead alone) cannot fit, so passing proves the pipeline never
@@ -311,7 +311,7 @@ def run_discovery_smoke(
     import tracemalloc
 
     from repro.core.registry import all_measures
-    from repro.discovery import chunked_discover
+    from repro.discovery import discover_afds
     from repro.relation.chunked import ChunkedRelation
 
     if num_rows < 1:
@@ -330,7 +330,7 @@ def run_discovery_smoke(
         )
         ingest_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        result = chunked_discover(relation, measures=dict(measures), backend=backend)
+        result = discover_afds(relation, measures=dict(measures), backend=backend)
         discover_seconds = time.perf_counter() - started
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:

@@ -2,8 +2,8 @@
 
 For every ``(error type, error level)`` grid cell: corrupt the RWD
 stand-in relations, score all linear candidates per relation via
-:func:`repro.discovery.discover_afds` (shared statistics + partition
-pruning), label candidates by membership in the ground truth (design
+:func:`repro.discovery.discover_afds` (shared statistics, exact and
+key pruning), label candidates by membership in the ground truth (design
 AFDs plus the newly corrupted FDs), and aggregate PR-AUC per measure.
 Grid cells are independent, so they shard across a process pool.
 

@@ -3,15 +3,14 @@
 This subpackage implements the relational machinery the paper relies on:
 bag-based relations (Section III of the paper), attribute handling,
 functional dependencies and their satisfaction, bag projection and
-selection, NULL handling (Section VI-A), stripped partitions (position
-list indices) and CSV input/output.
+selection, NULL handling (Section VI-A), dictionary-encoded columnar
+and chunked storage, and CSV input/output.
 """
 
 from repro.relation.attribute import canonical_attributes, validate_attributes
 from repro.relation.chunked import ChunkedRelation, CodeChunk
 from repro.relation.fd import FunctionalDependency
 from repro.relation.nulls import NULL, is_null
-from repro.relation.partition import StrippedPartition
 from repro.relation.relation import Relation
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "FunctionalDependency",
     "NULL",
     "Relation",
-    "StrippedPartition",
     "canonical_attributes",
     "is_null",
     "validate_attributes",

@@ -7,9 +7,8 @@ candidate FD.  :class:`ColumnarRelation` dictionary-encodes each
 attribute **once per relation** into an ``int32`` code array (NULL is the
 reserved code ``-1``) so that every later scan becomes an array
 operation: the statistics pass slices the code arrays into chunks
-(:mod:`repro.core.chunked`), and :meth:`packed` row-packs several
-attributes into one dense ``int64`` code per row for the partition
-layer (iterated pairwise with overflow-safe re-densification).
+(:mod:`repro.core.chunked`), and discovery's key check reads each
+attribute's cardinality and null count from the same view.
 
 Crucially for the statistics backends (:mod:`repro.core.backends`),
 codes are assigned in **first-occurrence order**, the same order as the
@@ -32,9 +31,6 @@ except ImportError:  # pragma: no cover
 
 #: Reserved code for NULL cells in every encoded column.
 NULL_CODE = -1
-
-#: Largest packed key any mixed-radix pack may produce (int64 headroom).
-_PACK_LIMIT = 2**62
 
 
 def numpy_available() -> bool:
@@ -74,7 +70,6 @@ class ColumnarRelation:
         self.attributes = attributes
         self._columns = columns
         self.num_rows = num_rows
-        self._pack_cache: Dict[Tuple[str, ...], "np.ndarray"] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -139,41 +134,6 @@ class ColumnarRelation:
             raise KeyError(
                 f"unknown attribute {attribute!r}; available: {list(self.attributes)}"
             ) from None
-
-    # ------------------------------------------------------------------
-    # Row packing
-    # ------------------------------------------------------------------
-    def packed(self, attributes: Sequence[str]) -> "np.ndarray":
-        """One dense ``int64`` code per row over the attribute combination.
-
-        NULL participates as an ordinary value (matching dict grouping,
-        where ``None`` is a regular key); codes are densified via
-        ``np.unique`` and therefore **sorted-order** dense, not
-        first-occurrence-ordered.  Cached per attribute tuple.
-        """
-        key = tuple(attributes)
-        cached = self._pack_cache.get(key)
-        if cached is not None:
-            return cached
-        packed = self._pack([self._column(a) for a in key])
-        if len(key) > 1:
-            _, packed = np.unique(packed, return_inverse=True)
-        self._pack_cache[key] = packed
-        return packed
-
-    def _pack(self, columns: List[_EncodedColumn]) -> "np.ndarray":
-        """Pairwise mixed-radix packing with overflow-safe densification."""
-        first = columns[0]
-        accumulator = first.codes.astype(np.int64) + 1  # NULL_CODE -> 0
-        maximum = first.cardinality  # codes now in [0, cardinality]
-        for column in columns[1:]:
-            radix = column.cardinality + 2  # room for the NULL slot
-            if maximum >= _PACK_LIMIT // radix:
-                _, accumulator = np.unique(accumulator, return_inverse=True)
-                maximum = int(accumulator.max(initial=0))
-            accumulator = accumulator * radix + (column.codes.astype(np.int64) + 1)
-            maximum = maximum * radix + column.cardinality + 1
-        return accumulator
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -134,23 +134,19 @@ class Relation:
     # ------------------------------------------------------------------
     # Encoded views
     # ------------------------------------------------------------------
-    def columnar(self, build: bool = True):
+    def columnar(self):
         """The dictionary-encoded columnar view of this relation, or ``None``.
 
         Built lazily on first request and cached for the relation's
         lifetime, so the encoding cost is paid once and amortised over
         every candidate FD scored on the relation (the cost discipline of
         the paper's runtime experiment).  Returns ``None`` when numpy is
-        unavailable, or when ``build=False`` and no view has been built
-        yet — ``build=False`` lets opportunistic callers (the partition
-        layer) use the view only "when it exists".
+        unavailable.
         """
         if self._columnar_cache is None:
             from repro.relation.columnar import ColumnarRelation, numpy_available
 
             if not numpy_available():
-                return None
-            if not build:
                 return None
             self._columnar_cache = ColumnarRelation.encode(self)
         return self._columnar_cache

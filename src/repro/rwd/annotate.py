@@ -2,21 +2,21 @@
 
 The paper's RWD ground truth was produced by manually annotating a design
 schema per relation.  This module reproduces the tooling side of that
-process: enumerate every linear candidate ``A -> B``, attach a cheap
-``g3`` score (computed from stripped partitions, no full statistics pass)
-and the exact-satisfaction flag, and order the list so a human annotator
-reviews the most FD-like candidates first.
+process: enumerate every linear candidate ``A -> B``, attach its ``g3``
+score and the exact-satisfaction flag (both read from the candidate's
+:class:`FdStatistics`, so ``g3`` is the number ``/score`` reports), and
+order the list so a human annotator reviews the most FD-like candidates
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
+from repro.core.registry import get_measure
 from repro.core.statistics import FdStatistics
 from repro.relation.fd import FunctionalDependency
-from repro.relation.nulls import is_null
-from repro.relation.partition import StrippedPartition
 from repro.relation.relation import Relation
 from repro.rwd.schema import RwdRelation
 
@@ -40,9 +40,8 @@ def enumerate_inspection_candidates(
 
     Accepts a plain :class:`Relation` or an :class:`RwdRelation`; in the
     latter case each candidate is additionally flagged with whether it is
-    already part of the annotated design schema.  ``g3`` is computed via
-    partition algebra (one stripped partition per attribute plus one
-    product per pair), the same shortcut TANE-style discovery uses.
+    already part of the annotated design schema.  Every candidate costs
+    one statistics pass on the NULL-restricted rows (Section VI-A).
     """
     if isinstance(source, RwdRelation):
         relation = source.relation
@@ -50,41 +49,21 @@ def enumerate_inspection_candidates(
     else:
         relation = source
         schema_fds = None
-    partitions: Dict[str, StrippedPartition] = {
-        attribute: StrippedPartition.from_relation(relation, attribute)
-        for attribute in relation.attributes
-    }
-    has_nulls = {
-        attribute: any(is_null(value) for value in relation.column(attribute))
-        for attribute in relation.attributes
-    }
+    g3 = get_measure("g3")
     candidates: List[InspectionCandidate] = []
     for lhs in relation.attributes:
         for rhs in relation.attributes:
             if lhs == rhs:
                 continue
             fd = FunctionalDependency(lhs, rhs)
-            if has_nulls[lhs] or has_nulls[rhs]:
-                # Partitions treat NULL as an ordinary value; the paper's
-                # semantics (Section VI-A) drop NULL tuples, so fall back
-                # to the statistics path every measure uses.
-                statistics = FdStatistics.compute(relation, fd)
-                satisfied = statistics.is_empty or statistics.satisfied
-                g3_error = (
-                    0.0
-                    if satisfied
-                    else 1.0 - statistics.max_subrelation / statistics.num_rows
-                )
-            else:
-                joint = partitions[lhs].intersect(partitions[rhs])
-                g3_error = partitions[lhs].g3_error(joint)
-                satisfied = g3_error == 0.0
+            statistics = FdStatistics.compute(relation, fd)
+            satisfied = statistics.satisfied or statistics.is_empty
             if satisfied and not include_satisfied:
                 continue
             candidates.append(
                 InspectionCandidate(
                     fd=fd,
-                    g3_score=1.0 - g3_error,
+                    g3_score=g3.score_from_statistics(statistics),
                     satisfied=satisfied,
                     in_design_schema=None if schema_fds is None else fd in schema_fds,
                 )

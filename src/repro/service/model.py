@@ -40,7 +40,7 @@ from repro.relation.fd import FunctionalDependency
 
 #: Version stamped into every ``to_dict()`` payload.  Bump on any
 #: backwards-incompatible schema change.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +468,6 @@ class DiscoveryResult:
         for name in (
             "pruned_exact",
             "pruned_key",
-            "pruned_bound",
             "statistics_computed",
             "dropped_non_minimal",
         ):

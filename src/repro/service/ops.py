@@ -210,7 +210,6 @@ def _op_discover(state: ServiceState, payload: Dict[str, object]) -> Tuple[int, 
         max_lhs_size=int(payload.get("max_lhs_size", 1)),  # type: ignore[arg-type]
         lhs_attributes=payload.get("lhs_attributes"),  # type: ignore[arg-type]
         rhs_attributes=payload.get("rhs_attributes"),  # type: ignore[arg-type]
-        g3_bound=payload.get("g3_bound"),  # type: ignore[arg-type]
         minimal_cover=bool(payload.get("minimal_cover", False)),
         measures=payload.get("measures"),  # type: ignore[arg-type]
     )

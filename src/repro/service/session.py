@@ -5,9 +5,6 @@ or one :class:`~repro.stream.dynamic.DynamicRelation` (mutable) together
 with every expensive artifact derived from it:
 
 * the **columnar encoding** (cached on the relation itself, built once);
-* **stripped partitions** keyed by attribute set (one
-  :class:`~repro.discovery.lattice.PartitionCache` per mutation epoch,
-  shared by every :meth:`discover` call at that epoch);
 * **sufficient statistics** keyed by FD (one :class:`FdStatistics` per
   FD per epoch, shared by :meth:`score`, :meth:`discover` and
   :meth:`snapshot_scores` — and with it every derived quantity cached on
@@ -31,15 +28,15 @@ Scoring an FD after discovery, re-scoring after a stream batch, or
 discovering twice therefore never recomputes what the session already
 holds.  The ``repro.obs`` counters prove it:
 ``session_statistics_total{relation,result}`` (``hit`` / ``miss`` /
-``incremental``), ``session_operations_total{relation,op}`` and
-``partitions_total{result}``; :meth:`describe` reports the cache sizes.
+``incremental``) and ``session_operations_total{relation,op}``;
+:meth:`describe` reports the cache sizes.
 
 **Bit-identity.**  Every cached artifact is exactly what the direct call
 path would produce — :meth:`score` equals ``FdStatistics.compute`` +
 ``score_from_statistics``, :meth:`discover` equals
-:func:`~repro.discovery.single.discover_afds` (or
-:func:`~repro.discovery.chunked.chunked_discover` on a chunked
-session), and dynamic re-scoring equals a from-scratch recompute on the
+:func:`~repro.discovery.single.discover_afds` on the session's source
+(the static relation, the chunked store or the dynamic snapshot), and
+dynamic re-scoring equals a from-scratch recompute on the
 snapshot (the ``repro.stream`` contract) — so session results are
 ``==``-identical to the direct calls on both statistics backends.
 
@@ -143,7 +140,6 @@ class AfdSession:
         self._trackers: Dict[FunctionalDependency, object] = {}
         #: Hypergeometric cells of the RFI+ expectation (survives epochs).
         self._expectation_cells: ExpectationCells = {}
-        self._partition_cache = None
         #: ``dynamic.version`` the statistics cache was built against.
         self._cache_version = None if self._dynamic is None else self._dynamic.version
         self._last_discovery: Optional[DiscoveryResult] = None
@@ -240,9 +236,6 @@ class AfdSession:
                 "cache": {
                     "cached_statistics": len(self._statistics),
                     "expectation_cells": len(self._expectation_cells),
-                    "cached_partitions": (
-                        0 if self._partition_cache is None else len(self._partition_cache)
-                    ),
                     "trackers": len(self._trackers),
                 },
             }
@@ -408,37 +401,23 @@ class AfdSession:
     # ------------------------------------------------------------------
     # Discovery
     # ------------------------------------------------------------------
-    def _partitions(self):
-        from repro.discovery.lattice import PartitionCache
-
-        if self._partition_cache is None or self._partition_cache.relation is not self.relation:
-            self._partition_cache = PartitionCache(self.relation)
-        return self._partition_cache
-
     def discover(
         self,
         threshold=0.9,
         max_lhs_size: int = 1,
         lhs_attributes: Optional[Sequence[str]] = None,
         rhs_attributes: Optional[Sequence[str]] = None,
-        g3_bound: Optional[float] = None,
         minimal_cover: bool = False,
         measures: Optional[Sequence[str]] = None,
     ) -> DiscoveryResult:
         """Run discovery through the session's artifact caches.
 
         Bit-identical to :func:`repro.discovery.discover_afds` with the
-        same arguments; partitions and statistics computed here stay in
-        the session, so a follow-up :meth:`score` of any non-pruned
-        candidate is a cache hit.
-
-        Chunked sessions run the partition-free single-LHS screen
-        (:func:`repro.discovery.chunked.chunked_discover`) — same scores
-        and candidate order as the lattice at ``max_lhs_size=1``,
-        computed from chunked statistics without materialising a row
-        list; ``max_lhs_size > 1`` and ``g3_bound`` are rejected there.
+        same arguments on the session's source: the static relation, the
+        chunked store (never materialised) or the dynamic snapshot.
+        Statistics computed here stay in the session, so a follow-up
+        :meth:`score` of any non-pruned candidate is a cache hit.
         """
-        from repro.discovery.chunked import chunked_discover
         from repro.discovery.cover import minimal_cover as reduce_cover
         from repro.discovery.lattice import lattice_discover
 
@@ -449,25 +428,19 @@ class AfdSession:
                 statistics, _, cache_hit = self._statistics_for(fd, track=False)
                 return statistics, not cache_hit
 
-            options = dict(
-                measures=chosen,
-                threshold=threshold,
-                max_lhs_size=max_lhs_size,
-                lhs_attributes=lhs_attributes,
-                rhs_attributes=rhs_attributes,
-                g3_bound=g3_bound,
-                backend=self._backend,
-                statistics_provider=provider,
-            )
-            chunked = self._chunked is not None
-            with span("discovery", relation=self.name, kind="chunked" if chunked else "lattice"):
-                if chunked:
-                    # A chunked store has no row list: never touch self.relation.
-                    raw = chunked_discover(self._chunked, **options)
-                else:
-                    raw = lattice_discover(
-                        self.relation, partition_cache=self._partitions(), **options
-                    )
+            # A chunked store has no row list: never touch self.relation.
+            source = self._chunked if self._chunked is not None else self.relation
+            with span("discovery", relation=self.name):
+                raw = lattice_discover(
+                    source,
+                    measures=chosen,
+                    threshold=threshold,
+                    max_lhs_size=max_lhs_size,
+                    lhs_attributes=lhs_attributes,
+                    rhs_attributes=rhs_attributes,
+                    backend=self._backend,
+                    statistics_provider=provider,
+                )
             if minimal_cover:
                 raw = reduce_cover(raw)
             get_registry().inc(

@@ -13,8 +13,8 @@ deletes, sliding windows — without re-paying that pass per batch:
   refresh copies them into an :class:`~repro.core.statistics.FdStatistics`
   bit-identical to a from-scratch ``compute()`` on either backend.
 
-Stripped partitions are not maintained under mutation: discovery on a
-dynamic session builds them from the current snapshot.
+Discovery on a dynamic session runs on the current snapshot, whose
+columnar view is seeded from the dynamic encoding.
 
 ``python -m repro.stream`` is the monitoring front end: it replays a CSV
 file or a named RWD dataset as a stream and emits per-batch measure

@@ -356,8 +356,8 @@ class DynamicRelation:
         """Drop dead history, re-basing live rows to ids ``0 .. n-1``.
 
         Returns the old-id -> new-id mapping of the surviving rows.  The
-        re-basing preserves live order, so snapshots and partitions are
-        identical before and after; only the id labels change.
+        re-basing preserves live order, so snapshots are identical before
+        and after; only the id labels change.
         """
         mapping = {old: new for new, old in enumerate(self._live)}
         if self._columns is not None:

@@ -20,7 +20,11 @@ step, with one more tracker enrolled halfway), and through ``AfdSession.score``
 (one session per backend for all the case's FDs and the reverses of its
 single-attribute ones, so expectation cells come from the session's
 memo) — and reports every path that is not within :data:`ATOL` of the
-oracle or not ``==`` to the others.  ``tests/test_oracle.py`` runs a fixed set of
+oracle or not ``==`` to the others.  Discovery up to two LHS attributes
+runs on the same sources plus a session over the replayed dynamic store:
+every source must give the same result, each candidate must match the
+oracle's scores and exactness, and the candidate grid must be every LHS
+that is not a proper superset of a key.  ``tests/test_oracle.py`` runs a fixed set of
 cases; for a longer search run::
 
     python tests/oracle.py --seconds 60 --seed 7
@@ -323,6 +327,28 @@ def _backends() -> Tuple[str, ...]:
     return ("python", "numpy")
 
 
+def holds(
+    attributes: Sequence[str], rows: Sequence[Row], lhs: Sequence[str], rhs: Sequence[str]
+) -> bool:
+    """``lhs -> rhs`` holds on the rows with no NULL on its attributes (or none are left)."""
+    position = {attribute: i for i, attribute in enumerate(attributes)}
+    seen: Dict[Tuple, Tuple] = {}
+    for row in rows:
+        x = tuple(row[position[a]] for a in lhs)
+        y = tuple(row[position[a]] for a in rhs)
+        if None in x or None in y:
+            continue
+        if seen.setdefault(x, y) != y:
+            return False
+    return True
+
+
+def is_key(attributes: Sequence[str], rows: Sequence[Row], lhs: Sequence[str]) -> bool:
+    """No two rows agree on ``lhs``, NULL counted as a value."""
+    positions = [attributes.index(a) for a in lhs]
+    return len({tuple(row[i] for i in positions) for row in rows}) == len(rows)
+
+
 def _replay(case: Case, failures: List[str]):
     """The case's stream applied to a ``DynamicRelation``; one tracker per FD.
 
@@ -356,7 +382,76 @@ def _replay(case: Case, failures: List[str]):
             live = dynamic.live_ids()
             dynamic.delete([live[i] for i in payload])
         check(f"after stream step {index} ({kind})")
-    return trackers
+    return dynamic, trackers
+
+
+def _check_discovery(case: Case, rows: List[Row], dynamic, failures: List[str]) -> None:
+    """Discovery (LHSs of up to two attributes) on every source against the oracle."""
+    from itertools import combinations
+
+    from repro import AfdSession, Relation, all_measures, discover_afds
+    from repro.relation import ChunkedRelation
+    from repro.relation.chunked import DEFAULT_CHUNK_SIZE
+
+    attributes = case.attributes
+    relation = Relation(attributes, rows, name="oracle")
+    measures = all_measures()
+    results = {}
+    for backend in _backends():
+        options = dict(measures=measures, threshold=0.0, max_lhs_size=2, backend=backend)
+        results[f"{backend}/relation"] = discover_afds(relation, **options)
+        for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
+            store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+            results[f"{backend}/chunked-{chunk_size}"] = discover_afds(store, **options)
+        session = AfdSession(dynamic, measures=measures, backend=backend)
+        results[f"{backend}/dynamic"] = session.discover(threshold=0.0, max_lhs_size=2).to_discovery()
+    fingerprints = {
+        path: ([(c.fd, c.scores, c.exact) for c in result.candidates], result.counters())
+        for path, result in results.items()
+    }
+    first_path, first = next(iter(fingerprints.items()))
+    for path, fingerprint in fingerprints.items():
+        if fingerprint != first:
+            failures.append(f"discovery on {path} != {first_path}")
+    keys = {lhs for lhs in combinations(attributes, 1) if is_key(attributes, rows, lhs)}
+    expected = {
+        (frozenset(lhs), rhs)
+        for size in (1, 2)
+        for lhs in combinations(attributes, size)
+        if size == 1 or not any((a,) in keys for a in lhs)
+        for rhs in attributes
+        if rhs not in lhs
+    }
+    emitted = {(frozenset(c.fd.lhs), c.fd.rhs[0]) for c in results[first_path].candidates}
+    if emitted != expected:
+        failures.append(
+            f"discovery emitted {sorted(map(sorted, {lhs for lhs, _ in emitted}))}, "
+            f"expected the LHSs {sorted(map(sorted, {lhs for lhs, _ in expected}))}"
+        )
+    # Supersets of an exact LHS skip statistics, then key LHSs do.
+    counters = {"pruned_exact": 0, "pruned_key": 0, "statistics_computed": 0}
+    for candidate in results[first_path].candidates:
+        lhs, rhs = candidate.fd.lhs, candidate.fd.rhs
+        if len(lhs) > 1 and any(holds(attributes, rows, (a,), rhs) for a in lhs):
+            counters["pruned_exact"] += 1
+        elif is_key(attributes, rows, lhs):
+            counters["pruned_key"] += 1
+        else:
+            counters["statistics_computed"] += 1
+    reported = {name: results[first_path].counters()[name] for name in counters}
+    if reported != counters:
+        failures.append(f"discovery counters {reported}, expected {counters}")
+    for candidate in results[first_path].candidates:
+        lhs, rhs = candidate.fd.lhs, candidate.fd.rhs
+        if candidate.exact != holds(attributes, rows, lhs, rhs):
+            failures.append(f"discovery {candidate.fd}: exact = {candidate.exact}")
+        expected_scores = oracle_scores(attributes, rows, lhs, rhs)
+        for name in MEASURE_NAMES:
+            if abs(candidate.scores[name] - expected_scores[name]) > ATOL:
+                failures.append(
+                    f"discovery {candidate.fd}: {name} = {candidate.scores[name]!r}, "
+                    f"oracle {expected_scores[name]!r}"
+                )
 
 
 def check_case(case: Case) -> List[str]:
@@ -367,7 +462,9 @@ def check_case(case: Case) -> List[str]:
     :data:`ATOL` of the oracle, every path's scores were ``==`` to every
     other path's, and every path's statistics were ``==`` to every other
     path's.  One ``AfdSession`` per backend scores all those FDs, so its
-    memo of expectation cells is shared as it is in service use.
+    memo of expectation cells is shared as it is in service use.  It also
+    means discovery agreed on every source and with the oracle
+    (:func:`_check_discovery`).
     """
     from repro import AfdSession, FdStatistics, FunctionalDependency, Relation, all_measures
     from repro.relation import ChunkedRelation
@@ -377,7 +474,9 @@ def check_case(case: Case) -> List[str]:
     rows = case.final_rows()
     relation = Relation(case.attributes, rows, name="oracle")
     failures: List[str] = []
-    trackers = dict(zip(case.fds, _replay(case, failures)))
+    dynamic, replayed = _replay(case, failures)
+    trackers = dict(zip(case.fds, replayed))
+    _check_discovery(case, rows, dynamic, failures)
     # Single-attribute FDs are also scored reversed: on the shared sessions
     # below, Y -> X finds every expectation cell of X -> Y in the memo.
     reverses = [(rhs, lhs) for lhs, rhs in case.fds if len(lhs) == len(rhs) == 1]

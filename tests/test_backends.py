@@ -477,40 +477,84 @@ def test_columnar_absent_without_numpy(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Partition layer over code arrays
+# Discovery's key check over code arrays
 # ----------------------------------------------------------------------
-@requires_numpy
+def is_key_by_definition(relation, attributes):
+    """No two rows agree on ``attributes``, NULL counted as a value."""
+    positions = [relation.attributes.index(a) for a in attributes]
+    return len({tuple(row[i] for i in positions) for row in relation}) == relation.num_rows
+
+
+def key_relation(seed):
+    """Key, near-key, NULL-heavy, duplicate and constant columns."""
+    rng = random.Random(seed)
+    num_rows = rng.choice([0, 1, 2, rng.randint(3, 12), rng.randint(12, 60)])
+    rows = [
+        (
+            index,
+            None if index % 9 == 0 else index,  # a key until a second NULL
+            None if rng.random() < 0.6 else rng.randint(0, 3),
+            rng.randint(0, num_rows),
+            "c",
+            rng.choice([index, str(index), float(index)]),
+        )
+        for index in range(num_rows)
+    ]
+    attributes = ["key", "near", "nulls", "dup", "const", "mixed"]
+    return Relation(attributes, rows, name=f"keys-{seed}")
+
+
+def attribute_sets(relation, max_size=3):
+    from itertools import combinations
+
+    for size in range(1, max_size + 1):
+        yield from combinations(relation.attributes, size)
+
+
+def assert_key_check_matches_definition(relation):
+    from repro.core.chunked import is_key
+    from repro.relation.chunked import ChunkedRelation
+
+    sources = [relation] + [
+        ChunkedRelation.from_relation(relation, chunk_size=size) for size in (1, 7)
+    ]
+    for attributes in attribute_sets(relation):
+        expected = is_key_by_definition(relation, attributes)
+        for source in sources:
+            assert is_key(source, attributes) == expected, (type(source), attributes)
+
+
 @pytest.mark.parametrize("seed", range(12))
-def test_partition_from_columnar_codes_matches_row_scan(seed):
-    from repro.relation.partition import StrippedPartition
-
-    relation = random_relation(seed)
-    with_view = Relation(relation.attributes, relation.rows())
-    with_view.columnar()
-    for attributes in [relation.attributes[:1], relation.attributes[:2]]:
-        plain = StrippedPartition.from_relation(relation, attributes)
-        columnar = StrippedPartition.from_relation(with_view, attributes)
-        assert plain.clusters == columnar.clusters
-        assert plain.error() == columnar.error()
+def test_key_check_matches_definition(seed):
+    assert_key_check_matches_definition(key_relation(seed))
 
 
-@requires_numpy
-def test_vectorised_intersect_matches_dict_probing(monkeypatch):
-    import repro.relation.partition as partition_module
-    from repro.relation.partition import StrippedPartition
+def test_key_check_without_numpy(monkeypatch):
+    import repro.core.chunked as core_chunked
+    import repro.relation.chunked as relation_chunked
+    import repro.relation.columnar as columnar
 
-    rng = random.Random(5)
-    rows = [(rng.randint(0, 4), rng.randint(0, 5), 0) for _ in range(4000)]
-    relation = Relation(["A", "B", "C"], rows)
-    left = StrippedPartition.from_relation(relation, ["A"])
-    right = StrippedPartition.from_relation(relation, ["B"])
-    assert min(left.total_positions, right.total_positions) >= (
-        partition_module._VECTORISE_THRESHOLD
-    )
-    vectorised = left.intersect(right)
-    monkeypatch.setattr(partition_module, "np", None)
-    dict_probed = left.intersect(right)
-    assert vectorised.clusters == dict_probed.clusters
+    for module in (core_chunked, relation_chunked, columnar):
+        monkeypatch.setattr(module, "np", None)
+    for seed in range(12):
+        relation = key_relation(seed)
+        assert relation.columnar() is None
+        assert_key_check_matches_definition(relation)
+
+
+def test_key_check_past_the_packing_limit():
+    import math
+
+    from repro.core.chunked import _PACK_LIMIT, is_key
+
+    # Eight columns of 256 distinct values each: the radix product 257**8
+    # passes 2**62, so the check counts code tuples instead of packed keys.
+    rows = [tuple((index * (2 * shift + 1)) % 256 for shift in range(8)) for index in range(256)]
+    relation = Relation([f"A{i}" for i in range(8)], rows)
+    assert math.prod(relation.distinct_count(a) + 1 for a in relation.attributes) > _PACK_LIMIT
+    assert is_key(relation, relation.attributes)
+    doubled = Relation(relation.attributes, rows + rows[:1])
+    assert not is_key(doubled, doubled.attributes)
 
 
 # ----------------------------------------------------------------------

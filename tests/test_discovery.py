@@ -1,10 +1,17 @@
-"""Tests of single-LHS measure-based AFD discovery."""
+"""Tests of measure-based AFD discovery: the linear search and chunked sources."""
 
 import pytest
 
 from repro.core import FdStatistics, all_measures
 from repro.discovery import discover_afds
 from repro.relation import FunctionalDependency, Relation
+
+try:
+    import numpy  # noqa: F401
+
+    HAVE_NUMPY = True
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    HAVE_NUMPY = False
 
 RELATION = Relation(
     ["zip", "city", "country"],
@@ -30,14 +37,23 @@ def test_exact_fds_are_pruned_and_score_one():
     result = discover_afds(RELATION, threshold=0.0)
     exact = {str(fd) for fd in result.exact_fds()}
     assert exact == {"zip -> country", "city -> zip", "city -> country"}
-    assert result.pruned_exact == 3
     for candidate in result.candidates:
         if candidate.exact:
             assert all(score == 1.0 for score in candidate.scores.values())
+    # Level 1 finds them through statistics; their supersets need none.
+    deep = discover_afds(RELATION, threshold=0.0, max_lhs_size=2)
+    pruned = [c for c in deep.candidates if len(c.fd.lhs) == 2 and c.exact]
+    assert {(c.fd.lhs, c.fd.rhs) for c in pruned} == {
+        (("city", "zip"), ("country",)),
+        (("city", "country"), ("zip",)),
+    }
+    assert deep.pruned_exact == len(pruned) == 2
+    for candidate in pruned:
+        assert all(score == 1.0 for score in candidate.scores.values())
 
 
 def test_pruned_scores_match_direct_scoring():
-    """The partition shortcut must agree with the full statistics path."""
+    """Pruned candidates must agree with the full statistics path."""
     measures = all_measures()
     result = discover_afds(RELATION, measures=measures, threshold=0.0)
     for candidate in result.candidates:
@@ -80,7 +96,7 @@ def test_lhs_rhs_restriction():
 
 
 def test_nulls_fall_back_to_paper_semantics():
-    """With NULLs the partition shortcut is unsound and must not be used."""
+    """Exactness is decided on the rows left after dropping NULLs."""
     relation = Relation(
         ["a", "b"],
         [("1", "x"), ("1", "x"), ("2", None), ("2", None)],
@@ -92,7 +108,7 @@ def test_nulls_fall_back_to_paper_semantics():
     # is satisfied on the remaining rows and every measure scores 1.
     assert candidate.exact
     assert all(score == 1.0 for score in candidate.scores.values())
-    assert result.pruned_exact == 0  # the shortcut was bypassed
+    assert result.pruned_exact == 0  # decided by the statistics pass
 
 
 def test_key_lhs_is_always_exact():
@@ -106,35 +122,24 @@ def test_key_lhs_is_always_exact():
 
 
 # ----------------------------------------------------------------------
-# Chunked discovery (partition-free single-LHS screen)
+# Discovery on chunked sources
 # ----------------------------------------------------------------------
 def _chunked_backends():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return ["python"]
-    return ["python", "numpy"]
+    return ["python", "numpy"] if HAVE_NUMPY else ["python"]
 
 
 def _discovery_fingerprint(result):
-    return [
-        (
-            str(c.fd),
-            {m: round(s, 12) for m, s in c.scores.items()},
-            c.exact,
-        )
-        for c in result.candidates
-    ]
+    return [(str(c.fd), c.scores, c.exact) for c in result.candidates]
 
 
 @pytest.mark.parametrize("backend", _chunked_backends())
 def test_chunked_discovery_matches_materialised(backend):
-    from repro.discovery import brute_force_afds, chunked_discover
+    from repro.discovery import brute_force_afds
     from repro.relation.chunked import ChunkedRelation
 
     relation = RELATION
     chunked = ChunkedRelation.from_relation(relation, chunk_size=2)
-    streamed = chunked_discover(chunked, threshold=0.0, backend=backend)
+    streamed = discover_afds(chunked, threshold=0.0, backend=backend)
     materialised = brute_force_afds(
         relation, threshold=0.0, max_lhs_size=1, backend=backend
     )
@@ -144,7 +149,6 @@ def test_chunked_discovery_matches_materialised(backend):
 
 @pytest.mark.parametrize("backend", _chunked_backends())
 def test_chunked_discovery_matches_lattice_with_nulls(backend):
-    from repro.discovery import chunked_discover
     from repro.relation.chunked import ChunkedRelation
 
     rows = [
@@ -157,11 +161,13 @@ def test_chunked_discovery_matches_lattice_with_nulls(backend):
     ]
     relation = Relation(("P", "Q", "R"), rows, name="nullish")
     chunked = ChunkedRelation.from_relation(relation, chunk_size=2)
-    streamed = chunked_discover(chunked, threshold=0.0, backend=backend)
-    materialised = discover_afds(
-        relation, threshold=0.0, max_lhs_size=1, backend=backend
-    )
-    assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
+    for depth in (1, 2, 3):
+        streamed = discover_afds(chunked, threshold=0.0, max_lhs_size=depth, backend=backend)
+        materialised = discover_afds(
+            relation, threshold=0.0, max_lhs_size=depth, backend=backend
+        )
+        assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
+        assert streamed.counters() == materialised.counters()
 
 
 def test_discover_afds_routes_chunked_relations():
@@ -174,19 +180,7 @@ def test_discover_afds_routes_chunked_relations():
     assert _discovery_fingerprint(via_facade) == _discovery_fingerprint(direct)
 
 
-def test_chunked_discovery_rejects_partition_features():
-    from repro.discovery import chunked_discover
-    from repro.relation.chunked import ChunkedRelation
-
-    chunked = ChunkedRelation.from_relation(
-        RELATION, chunk_size=2
-    )
-    with pytest.raises(ValueError, match="single-LHS"):
-        chunked_discover(chunked, max_lhs_size=2)
-    with pytest.raises(ValueError, match="g3_bound"):
-        chunked_discover(chunked, g3_bound=0.1)
-
-
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the RWD datasets need numpy")
 def test_discovery_cli_rfi_scores_equal_session_scores(tmp_path):
     """The CLI scores RFI+/RFI'+ exactly like the library: ``==``, not close."""
     import json

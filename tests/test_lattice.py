@@ -8,8 +8,17 @@ import pytest
 from repro.core import FdStatistics
 from repro.core.registry import subset
 from repro.discovery import brute_force_afds, discover_afds, lattice_discover
-from repro.discovery.__main__ import main as discovery_main
 from repro.relation import FunctionalDependency, Relation
+
+try:
+    import numpy  # noqa: F401
+
+    HAVE_NUMPY = True
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    HAVE_NUMPY = False
+
+#: The discovery CLI imports the RWD dataset builders, which need numpy.
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 LATTICE_MEASURES = ("rho", "g2", "g3", "g3_prime", "g1", "g1_prime", "pdep", "tau", "mu_plus")
 
@@ -159,26 +168,6 @@ def test_statistics_counter_beats_brute_force_on_wide_relation():
         assert candidate.scores == brute_by_fd[candidate.fd].scores
 
 
-def test_g3_bound_drops_only_low_g3_candidates():
-    relation = random_relation(4)
-    measures = lattice_measures()
-    unbounded = discover_afds(relation, measures=measures, threshold=0.0, max_lhs_size=2)
-    bounded = discover_afds(
-        relation, measures=measures, threshold=0.0, max_lhs_size=2, g3_bound=0.9
-    )
-    assert bounded.pruned_bound > 0
-    kept = {candidate.fd for candidate in bounded.candidates}
-    for candidate in unbounded.candidates:
-        if candidate.fd in kept:
-            continue
-        # Dropped candidates all sit below the bound (partition g3 is exact
-        # on this NULL-free relation, so the stats g3 agrees).
-        assert candidate.scores["g3"] < 0.9
-    by_fd = {candidate.fd: candidate.scores for candidate in unbounded.candidates}
-    for candidate in bounded.candidates:
-        assert candidate.scores == by_fd[candidate.fd]  # survivors unchanged
-
-
 def test_nulls_fall_through_to_statistics_path():
     relation = Relation(
         ["a", "b", "c"],
@@ -186,8 +175,8 @@ def test_nulls_fall_through_to_statistics_path():
         name="nulls",
     )
     result = discover_afds(relation, threshold=0.0, max_lhs_size=2)
-    # Neither b nor c can use partition shortcuts, so their candidates all
-    # hit the statistics path; only NULL-free pairs may be pruned.
+    # Exactness follows the NULL-restricted rows, whether a candidate was
+    # scored from statistics or pruned as a superset of an exact LHS.
     for candidate in result.candidates:
         statistics = FdStatistics.compute(relation, candidate.fd)
         expected_exact = statistics.satisfied or statistics.is_empty
@@ -210,9 +199,14 @@ def test_invalid_parameters_raise():
     with pytest.raises(ValueError):
         discover_afds(relation, max_lhs_size=0)
     with pytest.raises(ValueError):
-        discover_afds(relation, max_lhs_size=2, g3_bound=1.5)
-    with pytest.raises(ValueError):
         lattice_discover(relation, max_lhs_size=-1)
+    # A repeated attribute would enumerate every candidate twice.
+    with pytest.raises(ValueError, match="'a'"):
+        discover_afds(relation, lhs_attributes=["a", "a"], max_lhs_size=2)
+    with pytest.raises(ValueError, match="'c'"):
+        discover_afds(relation, rhs_attributes=["b", "c", "c"])
+    with pytest.raises(KeyError, match="'z'"):
+        discover_afds(relation, lhs_attributes=["a", "z"])
 
 
 def test_lhs_restriction_bounds_the_lattice():
@@ -243,6 +237,13 @@ def test_counters_mapping_is_consistent():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def discovery_main(argv):
+    from repro.discovery.__main__ import main
+
+    return main(argv)
+
+
+@requires_numpy
 def test_cli_json_on_csv_file(tmp_path, capsys):
     csv_path = tmp_path / "demo.csv"
     csv_path.write_text(
@@ -273,6 +274,7 @@ def test_cli_json_on_csv_file(tmp_path, capsys):
     assert payload["counters"]["candidates"] == 9  # 6 linear + 3 level-2
 
 
+@requires_numpy
 def test_cli_csv_on_named_dataset(tmp_path):
     out_path = tmp_path / "accepted.csv"
     exit_code = discovery_main(
@@ -297,6 +299,7 @@ def test_cli_csv_on_named_dataset(tmp_path):
     assert len(lines) > 1
 
 
+@requires_numpy
 @pytest.mark.parametrize(
     "flags",
     [
@@ -304,7 +307,6 @@ def test_cli_csv_on_named_dataset(tmp_path):
         ["--rows", "-5"],
         ["--max-lhs-size", "0"],
         ["--sfi-alpha", "0"],
-        ["--g3-bound", "2"],
     ],
 )
 def test_cli_rejects_bad_flag_values_with_a_usage_error(flags, capsys):
@@ -314,6 +316,7 @@ def test_cli_rejects_bad_flag_values_with_a_usage_error(flags, capsys):
     assert f"argument {flags[0]}: must be" in capsys.readouterr().err
 
 
+@requires_numpy
 def test_cli_rejects_unknown_measures(tmp_path, capsys):
     csv_path = tmp_path / "demo.csv"
     csv_path.write_text("a,b\n1,2\n")

@@ -287,8 +287,7 @@ def test_discover_matches_discover_afds(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_chunked_session_discover_matches_chunked_discover(backend):
-    from repro.discovery import chunked_discover
+def test_chunked_session_discover_matches_relation_discover(backend):
     from repro.relation.chunked import ChunkedRelation
 
     store = ChunkedRelation.from_relation(random_relation(5), chunk_size=7)
@@ -297,14 +296,23 @@ def test_chunked_session_discover_matches_chunked_discover(backend):
     with pytest.raises(ValueError, match="chunked"):
         session.relation
     result = session.discover(threshold=0.5)
-    reference = chunked_discover(store, measures=MEASURES, threshold=0.5, backend=backend)
+    reference = discover_afds(
+        store.to_relation(), measures=MEASURES, threshold=0.5, backend=backend
+    )
     assert result == DiscoveryResult.from_discovery(reference)
     # The session kept every statistics pass: a rerun computes none.
     again = session.discover(threshold=0.5)
     assert again.candidates == result.candidates
     assert again.counters["statistics_computed"] == 0
-    with pytest.raises(ValueError, match="single-LHS"):
-        session.discover(max_lhs_size=2)
+    # Multi-attribute LHSs on a chunked store, counters included.
+    deep = AfdSession(store, measures=MEASURES, backend=backend).discover(
+        threshold=0.5, max_lhs_size=2
+    )
+    reference = discover_afds(
+        store.to_relation(), measures=MEASURES, threshold=0.5, max_lhs_size=2, backend=backend
+    )
+    assert deep == DiscoveryResult.from_discovery(reference)
+    assert any(len(candidate.lhs) == 2 for candidate in deep.candidates)
 
 
 def test_minimal_cover_matches_cover_reduction():
@@ -365,8 +373,6 @@ def cache_counters(relation):
         "statistics_misses": registry.value(
             "session_statistics_total", relation=relation, result="miss"
         ),
-        "partition_hits": registry.value("partitions_total", result="hit"),
-        "partition_misses": registry.value("partitions_total", result="miss"),
     }
 
 
@@ -402,6 +408,8 @@ def test_score_after_discovery_hits_cache():
 
 
 def test_repeat_discovery_reuses_partitions():
+    # The session's discovery artifacts are its per-FD statistics (the key
+    # check reads the source's cached encoding); a rerun reuses all of them.
     session = AfdSession(random_relation(4), measures=MEASURES)
     start = cache_counters(session.name)
     session.discover(threshold=0.5, max_lhs_size=2)
@@ -409,9 +417,9 @@ def test_repeat_discovery_reuses_partitions():
     session.discover(threshold=0.5, max_lhs_size=2)
     second = counters_since(start, session.name)
     # Second traversal probes the same lattice nodes: all hits, no new misses.
-    assert second["partition_misses"] == first["partition_misses"]
-    assert second["partition_hits"] > first["partition_hits"]
+    assert first["statistics_misses"] > 0
     assert second["statistics_misses"] == first["statistics_misses"]
+    assert second["statistics_hits"] - first["statistics_hits"] == first["statistics_misses"]
 
 
 # ----------------------------------------------------------------------
@@ -581,16 +589,35 @@ def test_dynamic_discover_matches_static_discovery():
     relation = random_relation(8)
     dynamic = DynamicRelation.from_relation(relation)
     session = AfdSession(dynamic, measures=MEASURES)
-    session.apply_delta(inserts=[("x", "p", 1), ("y", "q", 2)])
+    session.apply_delta(inserts=[("x", "p", 1), ("y", "q", 2), ("w", "p", 99)])
+    # Deleting the only row holding C = 99 leaves that value in the dynamic
+    # encoding but not in the snapshot the key check reads.
+    session.apply_delta(deletes=[dynamic.live_ids()[-1]])
+    assert 99 not in dynamic.snapshot().column("C")
     result = session.discover(threshold=0.5, max_lhs_size=2)
     reference = discover_afds(
-        dynamic.snapshot(), measures=MEASURES, threshold=0.5, max_lhs_size=2
+        Relation(relation.attributes, dynamic.snapshot().rows(), name=relation.name),
+        measures=MEASURES,
+        threshold=0.5,
+        max_lhs_size=2,
     )
-    assert [(c.fd, c.scores) for c in result.candidates] == [
-        (c.fd, c.scores) for c in reference.candidates
+    assert [(c.fd, c.scores, c.exact) for c in result.candidates] == [
+        (c.fd, c.scores, c.exact) for c in reference.candidates
     ]
+    assert result.counters == reference.counters()
     # Discovery did not enrol trackers for the whole candidate grid.
     assert session.tracked_fds() == []
+
+
+def test_dynamic_discover_key_check_forgets_deleted_values():
+    # K is a key only if the deleted "c" still counted as a distinct value.
+    dynamic = DynamicRelation(["K", "V"], [("a", 1), ("b", 1), ("a", 2), ("c", 3)])
+    session = AfdSession(dynamic, measures=MEASURES)
+    session.apply_delta(inserts=[("d", 4)], deletes=[3])
+    result = session.discover(threshold=0.0)
+    candidate = next(c for c in result.candidates if str(c.fd) == "K -> V")
+    assert not candidate.exact
+    assert result.counters["pruned_key"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +679,6 @@ def test_concurrent_access_is_bit_identical_to_serial():
     total_statistics = info["statistics_misses"]
     assert total_statistics == serial_info["statistics_misses"]
     assert info["statistics_hits"] >= num_threads * len(fds) - total_statistics
-    assert info["partition_misses"] == serial_info["partition_misses"]
 
 
 # ----------------------------------------------------------------------
@@ -888,6 +914,15 @@ def test_server_error_paths(service):
         _request(f"{base}/v1/relations/demo/score", None)  # no body
     assert excinfo.value.code == 400
     assert _error_envelope(excinfo)["code"] == "malformed_record"
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(
+            f"{base}/v1/relations/demo/discover",
+            {"lhs_attributes": ["zip", "zip"], "max_lhs_size": 2},
+        )
+    assert excinfo.value.code == 400
+    envelope = _error_envelope(excinfo)
+    assert envelope["code"] == "malformed_record"
+    assert "'zip'" in envelope["message"]
 
 
 def test_server_concurrent_clients_share_one_session(service):

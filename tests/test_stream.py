@@ -18,6 +18,7 @@ numpy are marked; the remainder also run in the no-numpy CI job.
 
 import json
 import random
+from typing import Optional
 
 import pytest
 
@@ -41,15 +42,19 @@ MEASURES = all_measures()
 # ----------------------------------------------------------------------
 # Random workload generation (pure ``random``: runs without numpy)
 # ----------------------------------------------------------------------
-def random_workload(seed: int, steps: int = 25):
+def random_workload(seed: int, steps: int = 25, num_attributes: Optional[int] = None):
     """A dynamic relation plus a deterministic mutation script.
 
     Yields the dynamic relation after each mutation step.  Appended rows
     mix NULLs, skewed small domains, and *novel* values never seen at
-    construction time (forcing the dynamic dictionary to grow).
+    construction time (forcing the dynamic dictionary to grow).  The
+    schema has 2 or 3 attributes as the seed draws, or
+    ``num_attributes``; the draw happens either way, so a seed that
+    draws ``num_attributes`` keeps its case.
     """
     rng = random.Random(seed)
-    attributes = ["A", "B", "C"][: rng.randint(2, 3)]
+    drawn = rng.randint(2, 3)
+    attributes = ["A", "B", "C"][: num_attributes or drawn]
     novel = [0]
 
     def random_row():
@@ -138,9 +143,7 @@ def test_incremental_statistics_parity_under_interleavings(seed):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_incremental_statistics_parity_multi_attribute_lhs(seed):
-    dynamic, script = random_workload(seed)
-    if len(dynamic.attributes) < 3:
-        pytest.skip("workload drew a 2-attribute schema")
+    dynamic, script = random_workload(seed, num_attributes=3)
     fd = FunctionalDependency(dynamic.attributes[:2], dynamic.attributes[-1])
     tracker = dynamic.track(fd)
     for _ in script:
