@@ -12,12 +12,19 @@ mergeable partial counts:
 * :class:`PythonBackend` (``"python"``) — the portable reference kernel:
   code tuples counted into dicts
   (:class:`~repro.core.partial.PartialFdCounts`), no dependencies, always
-  available.  It also serves the numpy backend when the relation's
-  global radix product would pass the ``int64`` packing limit;
+  available.  It also serves the numpy backend when the radix product of
+  ``X ∪ Y`` would pass the ``int64`` packing limit;
 * :class:`NumpyBackend` (``"numpy"``) — the vectorised kernel: NULL
   restriction, mixed-radix row packing and grouping are array operations
   (:class:`~repro.core.partial.ArrayFdCounts`), and the merged arrays
   reduce to the statistics' histograms and integer facts vectorised.
+
+Both kernels read only the columns of ``X ∪ Y`` and mask NULLs only on
+the attributes that hold one.  ``Σ_w R(w)²``, the one statistic that
+reads the full tuples, is computed once per relation and NULL pattern by
+:func:`repro.core.chunked.tuple_square_sum`, which packs with
+:func:`~repro.core.partial.pack_rows` too; when ``X ∪ Y`` is the whole
+schema it is read off the merged joint counts instead.
 
 **Identity contract.**  Both backends produce ``==`` ``FdStatistics``:
 the same count histograms and the same exact integer facts, whatever
@@ -43,10 +50,12 @@ automatically — scores are identical either way, only slower.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from itertools import compress
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.partial import ArrayFdCounts, PartialFdCounts
-from repro.relation.chunked import CodeChunk
+from repro.core.partial import ArrayFdCounts, PartialFdCounts, pack_rows
+from repro.relation.chunked import NULL_CODE, CodeChunk
 from repro.relation.fd import FunctionalDependency
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
@@ -63,16 +72,6 @@ _BACKEND_NAMES = ("python", "numpy")
 _DEFAULT_BACKEND: Optional[str] = None
 
 
-def covers_schema(attributes: Sequence[str], fd: FunctionalDependency) -> bool:
-    """True when ``X ∪ Y`` is every attribute of the schema.
-
-    Then a full tuple is determined by its ``(x, y)`` pair and vice
-    versa, so the kernels skip the full-tuple counts and ``Σ_w R(w)²``
-    is read off the joint counts.
-    """
-    return set(fd.attributes) == set(attributes)
-
-
 class PythonBackend:
     """Dict-based reference kernel (always available)."""
 
@@ -82,46 +81,24 @@ class PythonBackend:
     def available() -> bool:
         return True
 
-    def partial(self, chunk: CodeChunk, fd: FunctionalDependency) -> PartialFdCounts:
-        """Code-keyed partial counts of one chunk (scalar scan).
+    def partial(
+        self, chunk: CodeChunk, fd: FunctionalDependency, non_null: Sequence[str]
+    ) -> PartialFdCounts:
+        """Code-keyed joint counts of one chunk (scalar scan).
 
-        Joint counts are keyed by ``(x_codes, y_codes)``; full-tuple
-        counts by the full code tuple (NULL stays ``-1`` there; rows NULL
-        on ``X ∪ Y`` are dropped entirely).
+        Keyed by ``(x_codes, y_codes)``; rows NULL on an attribute of
+        ``non_null`` (the attributes of ``X ∪ Y`` that hold a NULL) are
+        dropped.
         """
-        lists = {a: chunk.column_list(a) for a in chunk.attributes}
-        lhs_columns = [lists[a] for a in fd.lhs]
-        rhs_columns = [lists[a] for a in fd.rhs]
-        partial = PartialFdCounts()
-        xy_counts = partial.xy_counts
-        kept = 0
-        if covers_schema(chunk.attributes, fd):
-            for xy_key in zip(zip(*lhs_columns), zip(*rhs_columns)):
-                if -1 in xy_key[0] or -1 in xy_key[1]:
-                    continue
-                kept += 1
-                previous = xy_counts.get(xy_key)
-                xy_counts[xy_key] = 1 if previous is None else previous + 1
-            partial.num_rows = kept
-            return partial
-        tuple_counts: Dict[Tuple, int] = {}
-        all_columns = [lists[a] for a in chunk.attributes]
-        # One zip-of-zips scan: all three key tuples per row are built at
-        # C level — this loop is the kernel's entire per-row cost.
-        for x_key, y_key, w_key in zip(
-            zip(*lhs_columns), zip(*rhs_columns), zip(*all_columns)
-        ):
-            if -1 in x_key or -1 in y_key:
-                continue
-            kept += 1
-            xy_key = (x_key, y_key)
-            previous = xy_counts.get(xy_key)
-            xy_counts[xy_key] = 1 if previous is None else previous + 1
-            previous = tuple_counts.get(w_key)
-            tuple_counts[w_key] = 1 if previous is None else previous + 1
-        partial.num_rows = kept
-        partial.tuple_counts = tuple_counts
-        return partial
+        lists = {a: chunk.column_list(a) for a in fd.attributes}
+        pairs = zip(zip(*(lists[a] for a in fd.lhs)), zip(*(lists[a] for a in fd.rhs)))
+        if non_null:
+            codes = zip(*(lists[a] for a in non_null))
+            pairs = compress(pairs, (NULL_CODE not in row for row in codes))
+        # Counter counts at C level: the pairs are the kernel's only
+        # per-row Python objects.
+        xy_counts = Counter(pairs)
+        return PartialFdCounts(sum(xy_counts.values()), xy_counts)
 
 
 class NumpyBackend:
@@ -134,50 +111,21 @@ class NumpyBackend:
         return np is not None
 
     def partial(
-        self, chunk: CodeChunk, fd: FunctionalDependency, radices: Dict[str, int]
+        self,
+        chunk: CodeChunk,
+        fd: FunctionalDependency,
+        radices: Dict[str, int],
+        non_null: Sequence[str],
     ) -> ArrayFdCounts:
-        """Array-keyed partial counts of one chunk — no Python tuples.
+        """Array-keyed joint counts of one chunk — no Python tuples.
 
-        ``radices`` is the *global* mixed-radix scheme of the whole
-        relation (radix per attribute = cardinality + 1, codes shifted
-        by +1 so ``-1``-NULL packs as 0), so the packed keys mean the
-        same code tuple in every chunk.  The caller guarantees the radix
-        products fit the packing limit (see
+        ``radices`` is the *global* radix of each attribute of ``X ∪ Y``
+        (see :func:`~repro.core.partial.pack_rows`) and ``non_null`` the
+        attributes of ``X ∪ Y`` that hold a NULL.  The caller guarantees
+        the radix product fits the packing limit (see
         ``repro.core.chunked._pack_radices``).
         """
-        arrays = {a: np.asarray(chunk.column(a)) for a in chunk.attributes}
-        mask = None
-        for attribute in fd.attributes:
-            column_mask = arrays[attribute] >= 0
-            if not column_mask.all():
-                mask = column_mask if mask is None else mask & column_mask
-        if mask is not None:
-            arrays = {a: codes[mask] for a, codes in arrays.items()}
-        num_rows = int(arrays[fd.rhs[0]].shape[0])
-        fd_attributes = fd.lhs + fd.rhs
-        xy_raw = _pack(arrays, fd_attributes, radices)
-        if covers_schema(chunk.attributes, fd):
-            return ArrayFdCounts.from_raw_keys(num_rows, xy_raw)
-        w_raw = _pack(arrays, chunk.attributes, radices)
-        return ArrayFdCounts.from_raw_keys(num_rows, xy_raw, w_raw)
-
-
-def _pack(
-    arrays: Dict[str, "np.ndarray"], attributes: Sequence[str], radices: Dict[str, int]
-) -> "np.ndarray":
-    """Mixed-radix packing under a fixed global radix per attribute.
-
-    Cross-chunk stable and X-major (the first attribute is the most
-    significant digit), so ascending joint keys keep equal X keys
-    adjacent; the caller has proven the radix product fits the packing
-    limit.
-    """
-    accumulator = arrays[attributes[0]].astype(np.int64) + 1
-    for attribute in attributes[1:]:
-        accumulator = accumulator * radices[attribute] + (
-            arrays[attribute].astype(np.int64) + 1
-        )
-    return accumulator
+        return ArrayFdCounts.from_raw_keys(pack_rows(chunk, fd.lhs + fd.rhs, radices, non_null))
 
 
 _BACKENDS = {

@@ -8,7 +8,8 @@ reduced to the order-free :class:`FdStatistics` once.  Merging is exact
 integer addition, so every chunking of the same rows yields the same
 merged counts, hence ``==`` statistics and bit-identical scores.
 
-Kernels (:mod:`repro.core.backends`):
+Kernels (:mod:`repro.core.backends`), both reading only the columns of
+``X ∪ Y``:
 
 * ``numpy`` — each chunk packs to one ``int64`` key per row under a
   global mixed-radix scheme and groups vectorised; the merge is
@@ -17,14 +18,22 @@ Kernels (:mod:`repro.core.backends`):
   merged arrays;
 * ``python`` — code tuples counted into dicts and reduced by
   ``FdStatistics.from_joint_counts``.  It also serves the numpy backend
-  when the relation's radix product would pass the packing limit.
+  when the radix product of ``X ∪ Y`` would pass the packing limit.
 
 No key is ever decoded: codes group exactly as values do.
 
+``Σ_w R(w)²`` is the one statistic over full tuples, and it depends on
+the FD only through ``S``, the attributes of ``X ∪ Y`` that hold a NULL.
+:func:`tuple_square_sum` counts the distinct full tuples of the rows
+non-NULL on ``S`` once per encoding and ``S`` and keeps the result on
+the encoding, so a relation without NULLs pays one full-tuple pass for
+all its candidates.  When ``X ∪ Y`` is the whole schema the full tuples
+are the ``(x, y)`` pairs, and :func:`map_merge` reads the sum off the
+merged joint counts instead.
+
 Chunk sources:
 
-* a :class:`~repro.relation.chunked.ChunkedRelation` — its stored chunks
-  and decode tables;
+* a :class:`~repro.relation.chunked.ChunkedRelation` — its stored chunks;
 * a :class:`~repro.relation.relation.Relation` with numpy — zero-copy
   slices of the cached columnar ``int32`` code arrays,
   :data:`~repro.relation.chunked.DEFAULT_CHUNK_SIZE` rows each, so a
@@ -34,19 +43,22 @@ Chunk sources:
 
 :func:`is_key` reads the same encodings and chunk stream: discovery's
 key check (NULL counted as a value) is O(1) for one attribute and one
-distinct count of the packed codes for several.
+distinct count of the code tuples (:func:`_distinct_tuple_counts`, the
+helper :func:`tuple_square_sum` counts with) for several.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import compress
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.backends import covers_schema, resolve_backend
-from repro.core.partial import ArrayFdCounts, PartialFdCounts, group_sum, run_starts
+from repro.core.backends import resolve_backend
+from repro.core.partial import ArrayFdCounts, PartialFdCounts, group_sum, pack_rows, run_starts
 from repro.core.statistics import FdStatistics
 from repro.obs.metrics import get_registry
-from repro.relation.chunked import DEFAULT_CHUNK_SIZE, ChunkedRelation, CodeChunk
+from repro.relation.chunked import DEFAULT_CHUNK_SIZE, NULL_CODE, ChunkedRelation, CodeChunk
 from repro.relation.fd import FunctionalDependency
 from repro.relation.relation import Relation
 
@@ -69,8 +81,9 @@ def _encoding(source):
 
     A :class:`ChunkedRelation` is its own encoding; a :class:`Relation`
     answers with its columnar view, or without numpy with its cached
-    :meth:`Relation.chunked` store.  Both kinds answer
-    ``cardinality(attribute)`` and ``null_count(attribute)``.
+    :meth:`Relation.chunked` store.  Both kinds answer ``attributes``,
+    ``cardinality(attribute)`` and ``null_count(attribute)``, and hold
+    the ``tuple_square_sums`` cache.
     """
     if isinstance(source, ChunkedRelation):
         return source
@@ -82,29 +95,56 @@ def _encoding(source):
     return columnar if columnar is not None else source.chunked()
 
 
-def _chunk_stream(
-    source,
-) -> Tuple[Tuple[str, ...], Dict[str, List[object]], Iterable[CodeChunk]]:
-    """Resolve ``(attributes, decode tables, chunk iterator)`` for a source."""
-    encoding = _encoding(source)
+def _chunks(encoding, attributes: Sequence[str]) -> Iterator[CodeChunk]:
+    """The chunk stream of an encoding (see :func:`_encoding`).
+
+    Each chunk holds at least the columns of ``attributes``: a stored
+    chunk holds all of them, a slice of a columnar view only those.
+    """
     if isinstance(encoding, ChunkedRelation):
-        return encoding.attributes, encoding.decode_tables(), encoding.iter_chunks()
+        yield from encoding.iter_chunks()
+        return
+    codes = {a: encoding.codes(a) for a in attributes}
+    total = encoding.num_rows
+    for start in range(0, total, DEFAULT_CHUNK_SIZE):
+        stop = min(start + DEFAULT_CHUNK_SIZE, total)
+        yield CodeChunk(
+            tuple(codes),
+            {a: column[start:stop] for a, column in codes.items()},
+            stop - start,
+        )
 
-    attributes = source.attributes
-    tables = {a: encoding.decode_table(a) for a in attributes}
 
-    def chunks() -> Iterator[CodeChunk]:
-        codes = {a: encoding.codes(a) for a in attributes}
-        total = source.num_rows
-        for start in range(0, total, DEFAULT_CHUNK_SIZE):
-            stop = min(start + DEFAULT_CHUNK_SIZE, total)
-            yield CodeChunk(
-                attributes,
-                {a: column[start:stop] for a, column in codes.items()},
-                stop - start,
+def _distinct_tuple_counts(
+    encoding, attributes: Sequence[str], non_null: Sequence[str] = ()
+) -> Sequence[int]:
+    """Multiplicities of the distinct code tuples of ``attributes``.
+
+    Only the rows non-NULL on every attribute of ``non_null`` count;
+    otherwise NULL is one more value.  Per-chunk counts merge key-wise
+    before anyone reads them, so they are those of one scan of all rows
+    whatever the chunking.  With numpy the tuples pack into ``int64``
+    under global radices (an ``int64`` array of counts); past the packing
+    limit or without numpy they are counted as code tuples (a list).
+    """
+    # +1 shifts NULL's code -1 to 0, so NULL is one more value.
+    radices = {a: encoding.cardinality(a) + 1 for a in attributes}
+    if np is not None and math.prod(radices.values()) <= _PACK_LIMIT:
+        accumulator = _ArrayMergeAccumulator()
+        for chunk in _chunks(encoding, attributes):
+            accumulator.add(
+                ArrayFdCounts.from_raw_keys(pack_rows(chunk, attributes, radices, non_null))
             )
-
-    return attributes, tables, chunks()
+        merged = accumulator.result()
+        return np.zeros(0, dtype=np.int64) if merged is None else merged.counts
+    counts: Counter = Counter()
+    for chunk in _chunks(encoding, attributes):
+        tuples = zip(*(chunk.column_list(a) for a in attributes))
+        if non_null:
+            codes = zip(*(chunk.column_list(a) for a in non_null))
+            tuples = compress(tuples, (NULL_CODE not in row for row in codes))
+        counts.update(tuples)
+    return list(counts.values())
 
 
 def is_key(source, attributes: Sequence[str]) -> bool:
@@ -118,56 +158,50 @@ def is_key(source, attributes: Sequence[str]) -> bool:
     One attribute costs O(1): it is a key when at most one cell is NULL
     and the distinct values plus that NULL cover every row.  Several
     attributes count the distinct code tuples over the same chunk stream
-    the statistics pass reads: packed into ``int64`` under global radices
-    with numpy, as a set of code tuples past the packing limit or without
-    numpy.
+    the statistics pass reads (:func:`_distinct_tuple_counts`).
     """
     encoding = _encoding(source)
-    num_rows = source.num_rows
     if len(attributes) == 1:
         nulls = encoding.null_count(attributes[0])
-        return nulls <= 1 and encoding.cardinality(attributes[0]) + nulls == num_rows
-    _, _, chunks = _chunk_stream(source)
-    # +1 shifts NULL's code -1 to 0, so NULL is one more value.
-    radices = [encoding.cardinality(attribute) + 1 for attribute in attributes]
-    if np is not None and math.prod(radices) <= _PACK_LIMIT:
-        packed = []
-        for chunk in chunks:
-            keys = np.zeros(chunk.num_rows, dtype=np.int64)
-            for attribute, radix in zip(attributes, radices):
-                keys = keys * radix + np.asarray(chunk.column(attribute), dtype=np.int64) + 1
-            packed.append(keys)
-        return not packed or np.unique(np.concatenate(packed)).shape[0] == num_rows
-    seen = set()
-    for chunk in chunks:
-        seen.update(zip(*(chunk.column_list(attribute) for attribute in attributes)))
-    return len(seen) == num_rows
+        return nulls <= 1 and encoding.cardinality(attributes[0]) + nulls == source.num_rows
+    return len(_distinct_tuple_counts(encoding, attributes)) == source.num_rows
 
 
-def _pack_radices(
-    attributes: Tuple[str, ...],
-    fd: FunctionalDependency,
-    tables: Dict[str, List[object]],
-) -> Optional[Dict[str, int]]:
-    """Global radices for the numpy kernel, or ``None`` if packing overflows.
+def tuple_square_sum(source, non_null: Sequence[str] = ()) -> int:
+    """``Σ_w R(w)²`` over the rows of ``source`` non-NULL on ``non_null``.
 
-    Radix per attribute = decode-table cardinality + 1 (the +1 shift
-    reserves 0 for NULL).  ``None`` — the python kernel runs instead —
-    when a needed radix product would exceed the ``int64`` packing limit
-    (the full-tuple product is only needed when the FD does not cover
-    the schema).
+    ``w`` ranges over the distinct full tuples of those rows, NULL
+    counted as a value on the other attributes.  An FD's
+    ``tuple_square_sum`` (in g1′'s normaliser ``|R|² − Σ_w R(w)²``) is
+    this sum with ``non_null`` the attributes of ``X ∪ Y`` that hold a
+    NULL, and depends on the FD through nothing else.  So it is counted
+    once per encoding and set of attributes and kept on the encoding;
+    two threads racing on a first call both count and store the same
+    value.  The full-tuple counts of all chunks are merged before they
+    are squared (a sum of per-chunk squares would be wrong).
     """
-    radices = {a: len(tables[a]) + 1 for a in attributes}
-    packed = [fd.lhs + fd.rhs]
-    if not covers_schema(attributes, fd):
-        packed.append(attributes)
-    for group in packed:
-        product = 1
-        for attribute in group:
-            product *= radices[attribute]
-            if product > _PACK_LIMIT:
-                return None
-    return radices
+    encoding = _encoding(source)
+    key = tuple(a for a in encoding.attributes if a in non_null)
+    square_sum = encoding.tuple_square_sums.get(key)
+    if square_sum is None:
+        counts = _distinct_tuple_counts(encoding, encoding.attributes, key)
+        if isinstance(counts, list):
+            square_sum = sum(count * count for count in counts)
+        else:
+            square_sum = int((counts * counts).sum())
+        encoding.tuple_square_sums[key] = square_sum
+    return square_sum
+
+
+def _pack_radices(encoding, fd: FunctionalDependency) -> Optional[Dict[str, int]]:
+    """Global radices of ``X ∪ Y`` for the numpy kernel, or ``None`` if packing overflows.
+
+    Radix per attribute = cardinality + 1 (the +1 shift reserves 0 for
+    NULL).  ``None`` — the python kernel runs instead — when the radix
+    product of ``X ∪ Y`` would exceed the ``int64`` packing limit.
+    """
+    radices = {a: encoding.cardinality(a) + 1 for a in fd.attributes}
+    return radices if math.prod(radices.values()) <= _PACK_LIMIT else None
 
 
 class _ArrayMergeAccumulator:
@@ -201,6 +235,7 @@ def _array_statistics(
     merged: ArrayFdCounts,
     fd: FunctionalDependency,
     radices: Dict[str, int],
+    square_sum: int,
     relation_name: str,
 ) -> FdStatistics:
     """Build ``FdStatistics`` straight from the merged array counts.
@@ -215,8 +250,8 @@ def _array_statistics(
     rhs_product = 1
     for attribute in fd.rhs:
         rhs_product *= radices[attribute]
-    keys = merged.xy_keys
-    counts = merged.xy_counts
+    keys = merged.keys
+    counts = merged.counts
     x_keys = keys // rhs_product
     starts = run_starts(x_keys)
     x_totals = np.add.reduceat(counts, starts)
@@ -231,7 +266,7 @@ def _array_statistics(
         xy_histogram=_histogram(counts),
         violating_tuples=int(x_totals[pairs_per_x > 1].sum()),
         max_subrelation=int(np.maximum.reduceat(counts, starts).sum()),
-        tuple_square_sum=merged.square_sum(),
+        tuple_square_sum=square_sum,
         group_squares=_pair_histogram(squares, x_totals),
         relation_name=relation_name,
     )
@@ -265,34 +300,44 @@ def map_merge(
     result is ``==`` across backends and chunkings.
     """
     backend_object = resolve_backend(backend)
-    attributes, tables, chunks = _chunk_stream(source)
+    encoding = _encoding(source)
     for attribute in fd.attributes:
-        if attribute not in attributes:
+        if attribute not in encoding.attributes:
             raise KeyError(
-                f"FD attribute {attribute!r} not in relation schema {list(attributes)}"
+                f"FD attribute {attribute!r} not in relation schema {list(encoding.attributes)}"
             )
     relation_name = getattr(source, "name", "")
+    # Only the attributes of X ∪ Y that hold a NULL can drop a row.
+    non_null = tuple(a for a in fd.attributes if encoding.null_count(a))
+    # When X ∪ Y is the whole schema the full tuples are the (x, y) pairs,
+    # so Σ_w R(w)² is read off the merged joint counts below.
+    covers_schema = set(fd.attributes) == set(encoding.attributes)
+    square_sum = None if covers_schema else tuple_square_sum(source, non_null)
     radices = None
     if backend_object.name == "numpy":
-        radices = _pack_radices(attributes, fd, tables)
+        radices = _pack_radices(encoding, fd)
     registry = get_registry()
     registry.inc("chunked_passes_total", path="tuple" if radices is None else "array")
 
     if radices is None:
         kernel = resolve_backend("python")
         merged = PartialFdCounts()
-        for chunk in chunks:
+        for chunk in _chunks(encoding, fd.attributes):
             registry.inc("chunked_chunks_total")
-            merged.merge(kernel.partial(chunk, fd))
+            merged.merge(kernel.partial(chunk, fd, non_null))
+        if square_sum is None:
+            square_sum = sum(count * count for count in merged.xy_counts.values())
         return FdStatistics.from_joint_counts(
-            fd, merged.num_rows, merged.xy_counts, merged.square_sum(), relation_name
+            fd, merged.num_rows, merged.xy_counts, square_sum, relation_name
         )
 
     accumulator = _ArrayMergeAccumulator()
-    for chunk in chunks:
+    for chunk in _chunks(encoding, fd.attributes):
         registry.inc("chunked_chunks_total")
-        accumulator.add(backend_object.partial(chunk, fd, radices))
+        accumulator.add(backend_object.partial(chunk, fd, radices, non_null))
     merged_arrays = accumulator.result()
     if merged_arrays is None:
         return FdStatistics.from_joint_counts(fd, 0, {}, 0, relation_name)
-    return _array_statistics(merged_arrays, fd, radices, relation_name)
+    if square_sum is None:
+        square_sum = int((merged_arrays.counts * merged_arrays.counts).sum())
+    return _array_statistics(merged_arrays, fd, radices, square_sum, relation_name)

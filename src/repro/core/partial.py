@@ -3,17 +3,16 @@
 :class:`~repro.core.statistics.FdStatistics` is built
 (:mod:`repro.core.chunked`) from the restricted row count, the joint
 ``(x, y)`` counts and ``Σ_w R(w)²``.  The first two are the key-wise sums
-of the counts of any row-partition of the relation; the third is not, so
-a partial also carries its full-tuple counts, which merge key-wise and
-are squared only after the final merge.  :class:`PartialFdCounts` is that
-intermediate made explicit, so the statistics pass runs chunk by chunk
-(one chunk per slice of the dictionary-encoded code arrays, see the
-``partial`` kernels of :mod:`repro.core.backends`) and merges into
-exactly the counts of a single scan.
-
-When the FD covers the schema (``X ∪ Y`` is every attribute) a full tuple
-*is* its ``(x, y)`` pair: the kernels then skip the full-tuple counts
-(``None``) and ``Σ_w R(w)²`` is read off the joint counts.
+of the counts of any row-partition of the relation.
+:class:`PartialFdCounts` is that intermediate made explicit, so the
+statistics pass runs chunk by chunk (one chunk per slice of the
+dictionary-encoded code arrays, see the ``partial`` kernels of
+:mod:`repro.core.backends`) and merges into exactly the counts of a
+single scan.  ``Σ_w R(w)²`` is not counted here: it depends on the FD
+only through which NULL-bearing attributes ``X ∪ Y`` holds, so the pass
+reads it from a per-relation cache
+(:func:`repro.core.chunked.tuple_square_sum`), or squares the merged
+joint counts when ``X ∪ Y`` is the whole schema.
 
 Keys are tuples of dictionary codes — cheap to hash, and stable across
 chunks because the encoding is global; the keys of one merge must come
@@ -30,7 +29,9 @@ every chunk.  Keys are held ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
+
+from repro.relation.chunked import CodeChunk
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -50,15 +51,12 @@ class PartialFdCounts:
     """Partial counts of one row-chunk, mergeable across chunks.
 
     ``num_rows`` counts the chunk's rows surviving the NULL restriction
-    on ``X ∪ Y``; ``xy_counts`` maps ``(x_key, y_key)`` to multiplicity;
-    ``tuple_counts`` maps the full-tuple key of each restricted row to
-    its multiplicity (``None`` when the FD covers the schema).  All add
-    key-wise under :meth:`merge`.
+    on ``X ∪ Y``; ``xy_counts`` maps ``(x_key, y_key)`` to multiplicity.
+    Both add key-wise under :meth:`merge`.
     """
 
     num_rows: int = 0
     xy_counts: Dict[Tuple, int] = field(default_factory=dict)
-    tuple_counts: Optional[Dict[Tuple, int]] = None
 
     @classmethod
     def empty(cls) -> "PartialFdCounts":
@@ -68,10 +66,6 @@ class PartialFdCounts:
         """Fold ``other`` into this partial (in place); returns ``self``."""
         self.num_rows += other.num_rows
         merge_counts(self.xy_counts, other.xy_counts)
-        if other.tuple_counts is not None:
-            if self.tuple_counts is None:
-                self.tuple_counts = {}
-            merge_counts(self.tuple_counts, other.tuple_counts)
         return self
 
     @classmethod
@@ -82,10 +76,34 @@ class PartialFdCounts:
             merged.merge(partial)
         return merged
 
-    def square_sum(self) -> int:
-        """``Σ_w R(w)²`` over the merged full-tuple counts."""
-        counts = self.xy_counts if self.tuple_counts is None else self.tuple_counts
-        return sum(count * count for count in counts.values())
+
+def pack_rows(
+    chunk: CodeChunk,
+    attributes: Sequence[str],
+    radices: Dict[str, int],
+    non_null: Sequence[str] = (),
+) -> "np.ndarray":
+    """One mixed-radix ``int64`` key per row of ``chunk`` non-NULL on ``non_null``.
+
+    ``radices[a]`` is the *global* radix of attribute ``a`` (its
+    cardinality + 1; codes shift by +1 so ``-1``-NULL packs as 0), so a
+    key means the same code tuple in every chunk.  Keys are X-major (the
+    first attribute is the most significant digit), so ascending joint
+    keys keep equal X keys adjacent.  The caller has proven that the
+    radix product fits the packing limit.
+    """
+    keys = np.asarray(chunk.column(attributes[0])).astype(np.int64)
+    keys += 1
+    for attribute in attributes[1:]:
+        keys *= radices[attribute]
+        keys += chunk.column(attribute)
+        keys += 1
+    if non_null:
+        mask = np.asarray(chunk.column(non_null[0])) >= 0
+        for attribute in non_null[1:]:
+            mask &= np.asarray(chunk.column(attribute)) >= 0
+        keys = keys[mask]
+    return keys
 
 
 def run_starts(*ordered: "np.ndarray") -> "np.ndarray":
@@ -111,82 +129,45 @@ def group_sum(
     return keys[starts], np.add.reduceat(counts[order], starts)
 
 
-def _merge(
-    keyed: Sequence[Tuple["np.ndarray", "np.ndarray"]],
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Merge ``(keys, counts)`` array pairs into ascending keys with exact sums."""
-    return group_sum(
-        np.concatenate([keys for keys, _ in keyed]),
-        np.concatenate([counts for _, counts in keyed]),
-    )
-
-
 @dataclass
 class ArrayFdCounts:
     """Partial counts keyed by globally packed ``int64`` scalars.
 
-    The array analogue of :class:`PartialFdCounts`: ``xy_keys`` /
-    ``xy_counts`` hold the distinct packed ``(X, Y)`` keys (ascending)
-    with their multiplicities, ``w_keys`` / ``w_counts`` the distinct
-    packed full-tuple keys (ascending), both ``None`` when the FD covers
-    the schema.
+    The array analogue of :class:`PartialFdCounts`: ``keys`` holds the
+    distinct packed keys (ascending), ``counts`` their multiplicities and
+    ``num_rows`` the rows they count.  The statistics pass keys a row by
+    its ``(X, Y)`` codes; the full-tuple pass of
+    :func:`repro.core.chunked.tuple_square_sum` by all of its codes.
     """
 
     num_rows: int
-    xy_keys: "np.ndarray"
-    xy_counts: "np.ndarray"
-    w_keys: Optional["np.ndarray"] = None
-    w_counts: Optional["np.ndarray"] = None
+    keys: "np.ndarray"
+    counts: "np.ndarray"
 
     @classmethod
-    def from_raw_keys(
-        cls,
-        num_rows: int,
-        xy_raw: "np.ndarray",
-        w_raw: Optional["np.ndarray"] = None,
-    ) -> "ArrayFdCounts":
-        """Compress raw one-key-per-row arrays into a partial.
-
-        ``xy_raw`` (and ``w_raw``) carry one packed key per restricted
-        row; ``w_raw=None`` declares the FD schema-covering.
-        """
-        xy_keys, xy_counts = np.unique(xy_raw, return_counts=True)
-        xy_counts = xy_counts.astype(np.int64, copy=False)
-        if w_raw is None:
-            return cls(num_rows, xy_keys, xy_counts)
-        w_keys, w_counts = np.unique(w_raw, return_counts=True)
-        return cls(num_rows, xy_keys, xy_counts, w_keys, w_counts.astype(np.int64, copy=False))
-
-    @property
-    def covering(self) -> bool:
-        """True when ``Σ_w R(w)²`` is read off the joint counts."""
-        return self.w_keys is None
+    def from_raw_keys(cls, raw: "np.ndarray") -> "ArrayFdCounts":
+        """Compress a raw one-key-per-row array into a partial."""
+        keys, counts = np.unique(raw, return_counts=True)
+        return cls(int(raw.shape[0]), keys, counts.astype(np.int64, copy=False))
 
     @property
     def num_keys(self) -> int:
         """Distinct keys held (the merge-memory measure)."""
-        keys = int(self.xy_keys.shape[0])
-        return keys if self.covering else keys + int(self.w_keys.shape[0])
+        return int(self.keys.shape[0])
 
     @classmethod
     def merge_all(cls, partials: Sequence["ArrayFdCounts"]) -> "ArrayFdCounts":
         """One vectorised merge of many partials.
 
-        Equivalent — same joint counts per code tuple, same
-        ``Σ_w R(w)²`` — to :meth:`PartialFdCounts.merge_all` over the
-        tuple-keyed forms of the same chunks.
+        Equivalent — same count per code tuple — to
+        :meth:`PartialFdCounts.merge_all` over the tuple-keyed forms of
+        the same chunks.
         """
         partials = list(partials)
         if len(partials) == 1:
             return partials[0]
-        num_rows = sum(partial.num_rows for partial in partials)
-        xy_keys, xy_counts = _merge([(partial.xy_keys, partial.xy_counts) for partial in partials])
-        if partials[0].covering:
-            return cls(num_rows, xy_keys, xy_counts)
-        w_keys, w_counts = _merge([(partial.w_keys, partial.w_counts) for partial in partials])
-        return cls(num_rows, xy_keys, xy_counts, w_keys, w_counts)
-
-    def square_sum(self) -> int:
-        """``Σ_w R(w)²`` over the merged full-tuple counts (exact)."""
-        counts = self.xy_counts if self.covering else self.w_counts
-        return int((counts * counts).sum())
+        keys, counts = group_sum(
+            np.concatenate([partial.keys for partial in partials]),
+            np.concatenate([partial.counts for partial in partials]),
+        )
+        return cls(sum(partial.num_rows for partial in partials), keys, counts)

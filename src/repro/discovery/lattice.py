@@ -212,8 +212,8 @@ def brute_force_afds(
     measures = measures if measures is not None else all_measures()
     measure_names = list(measures)
     thresholds = _resolve_thresholds(threshold, measure_names)
-    lhs_pool = list(lhs_attributes) if lhs_attributes is not None else list(relation.attributes)
-    rhs_pool = list(rhs_attributes) if rhs_attributes is not None else list(relation.attributes)
+    lhs_pool = _attribute_pool(relation, lhs_attributes, "lhs")
+    rhs_pool = _attribute_pool(relation, rhs_attributes, "rhs")
     result = DiscoveryResult(
         relation_name=relation.name,
         measure_names=measure_names,

@@ -198,6 +198,9 @@ class ChunkedRelation:
         ]
         self._chunks: List[CodeChunk] = []
         self._num_rows = 0
+        #: ``Σ_w R(w)²`` per set of attributes the rows must be non-NULL
+        #: on, filled by :func:`repro.core.chunked.tuple_square_sum`.
+        self.tuple_square_sums: Dict[Tuple[str, ...], int] = {}
         self._ingest(rows)
 
     # ------------------------------------------------------------------

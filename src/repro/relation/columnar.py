@@ -70,6 +70,9 @@ class ColumnarRelation:
         self.attributes = attributes
         self._columns = columns
         self.num_rows = num_rows
+        #: ``Σ_w R(w)²`` per set of attributes the rows must be non-NULL
+        #: on, filled by :func:`repro.core.chunked.tuple_square_sum`.
+        self.tuple_square_sums: Dict[Tuple[str, ...], int] = {}
 
     # ------------------------------------------------------------------
     # Construction

@@ -1,10 +1,10 @@
 """Delta-maintained sufficient statistics for one tracked FD.
 
 A from-scratch :meth:`FdStatistics.compute` pays O(rows) per candidate:
-NULL restriction, the joint ``(x, y)`` scan and the full-tuple scan all
-walk the relation.  :class:`IncrementalFdStatistics` keeps every field of
-:class:`FdStatistics` current instead, in O(1) per inserted or deleted
-row:
+NULL restriction and the joint ``(x, y)`` scan walk the relation, and
+the first candidates on a new snapshot walk its full tuples too.
+:class:`IncrementalFdStatistics` keeps every field of :class:`FdStatistics`
+current instead, in O(1) per inserted or deleted row:
 
 * the ``x``, ``y`` and ``(x, y)`` count dicts and their three
   ``{count: multiplicity}`` histograms (an insert moves one key up one

@@ -284,6 +284,119 @@ def test_tuple_square_sum_matches_definition(case, backend, source):
 
 
 # ----------------------------------------------------------------------
+# Σ_w R(w)² once per relation and NULL pattern
+# ----------------------------------------------------------------------
+def _count_full_tuple_passes(monkeypatch) -> list:
+    """Record the ``non_null`` set of every full-tuple counting pass."""
+    import repro.core.chunked as core_chunked
+
+    calls = []
+    count = core_chunked._distinct_tuple_counts
+
+    def counting(encoding, attributes, non_null=()):
+        calls.append(tuple(non_null))
+        return count(encoding, attributes, non_null)
+
+    monkeypatch.setattr(core_chunked, "_distinct_tuple_counts", counting)
+    return calls
+
+
+def _square_sum_by_definition(relation: Relation, non_null) -> int:
+    return sum(c * c for c in Counter(relation.drop_nulls(non_null)).values())
+
+
+def _nullable_relation() -> Relation:
+    """An R3-shaped relation: five attributes, two of them with NULLs."""
+    rng = random.Random(5)
+    rows = [
+        (
+            rng.randrange(5),
+            rng.randrange(3),
+            None if rng.random() < 0.2 else rng.randrange(4),
+            rng.randrange(6),
+            None if rng.random() < 0.3 else rng.randrange(2),
+        )
+        for _ in range(120)
+    ]
+    return Relation(["A", "B", "C", "D", "E"], rows)
+
+
+def _score_every_pair(relation: Relation, backend: str) -> None:
+    for lhs in relation.attributes:
+        for rhs in relation.attributes:
+            if lhs != rhs:
+                fd = FunctionalDependency(lhs, rhs)
+                statistics = FdStatistics.compute(relation, fd, backend=backend)
+                expected = _square_sum_by_definition(relation, fd.attributes)
+                assert statistics.tuple_square_sum == expected, str(fd)
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
+def test_null_free_relation_counts_full_tuples_once(monkeypatch, backend):
+    calls = _count_full_tuple_passes(monkeypatch)
+    rng = random.Random(3)
+    attributes = [f"A{i}" for i in range(6)]
+    rows = [tuple(rng.randrange(4) for _ in attributes) for _ in range(80)]
+    relation = Relation(attributes, rows)
+    _score_every_pair(relation, backend)  # 30 FDs
+    assert calls == [()]
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
+def test_full_tuples_counted_once_per_null_pattern(monkeypatch, backend):
+    calls = _count_full_tuple_passes(monkeypatch)
+    relation = _nullable_relation()
+    _score_every_pair(relation, backend)
+    # X ∪ Y holds neither, one or both of the nullable C and E.
+    assert sorted(calls) == [(), ("C",), ("C", "E"), ("E",)]
+    _score_every_pair(relation, backend)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
+def test_covering_fds_run_no_full_tuple_pass(monkeypatch, backend):
+    # When X ∪ Y is the whole schema the full tuples are the (x, y) pairs,
+    # so Σ_w R(w)² comes from the merged joint counts.
+    from repro.relation import ChunkedRelation
+
+    calls = _count_full_tuple_passes(monkeypatch)
+    for name, relation, fd in _square_sum_cases():
+        if not name.startswith("covering"):
+            continue
+        expected = _square_sum_by_definition(relation, fd.attributes)
+        stores = [ChunkedRelation.from_relation(relation, chunk_size=size) for size in (1, 7)]
+        for source in [relation, *stores]:
+            statistics = FdStatistics.compute(source, fd, backend=backend)
+            assert statistics.tuple_square_sum == expected, (name, source)
+    assert calls == []
+
+
+@pytest.mark.parametrize("numpy_present", [pytest.param(True, marks=requires_numpy), False])
+def test_chunked_tuple_square_sum_merges_before_squaring(monkeypatch, numpy_present):
+    # Duplicate full tuples land in different chunks; a sum of per-chunk
+    # squares would fall short of Σ_w R(w)² at every chunk size here.
+    from itertools import combinations
+
+    import repro.core.chunked as core_chunked
+    import repro.relation.chunked as relation_chunked
+    import repro.relation.columnar as columnar
+    from repro.core.chunked import tuple_square_sum
+    from repro.relation import ChunkedRelation
+
+    if not numpy_present:
+        for module in (core_chunked, relation_chunked, columnar):
+            monkeypatch.setattr(module, "np", None)
+    relation = _nullable_relation()
+    stores = [ChunkedRelation.from_relation(relation, chunk_size=size) for size in (1, 7)]
+    for size in range(len(relation.attributes) + 1):
+        for non_null in combinations(relation.attributes, size):
+            expected = _square_sum_by_definition(relation, non_null)
+            assert tuple_square_sum(relation, non_null) == expected, non_null
+            for store in stores:
+                assert tuple_square_sum(store, non_null) == expected, (store, non_null)
+
+
+# ----------------------------------------------------------------------
 # Group facts against per-group loops
 # ----------------------------------------------------------------------
 def _group_fact_cases():

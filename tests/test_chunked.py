@@ -224,12 +224,10 @@ class TestPartialCounts:
             part = PartialFdCounts.empty()
             part.num_rows = offset + 1
             part.xy_counts[((offset,), (0,))] = offset + 1
-            part.tuple_counts = {(offset, 0): offset + 1}
             parts.append(part)
         merged = PartialFdCounts.merge_all(parts)
         assert merged.num_rows == 6
         assert merged.xy_counts == {((0,), (0,)): 1, ((1,), (0,)): 2, ((2,), (0,)): 3}
-        assert merged.square_sum() == 1 + 4 + 9
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +263,8 @@ class TestChunkedParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_covering_fd_fast_path(self, backend):
-        # fd.lhs + fd.rhs == schema triggers the re-keyed full-tuple path.
+        # X ∪ Y is the whole schema, so the full tuples Σ_w R(w)² counts
+        # are the (x, y) pairs of the rows non-NULL on Y.
         rng = random.Random(3)
         relation = Relation(
             ("X", "Y"),
@@ -277,7 +276,7 @@ class TestChunkedParity:
         assert_identical(
             compute_chunked(relation, fd, chunk_size=37, backend=backend), monolithic
         )
-        # The reversed FD does NOT cover the schema in order; generic path.
+        # The reversed FD packs Y first.
         fd_reversed = FunctionalDependency(("Y",), ("X",))
         assert_identical(
             compute_chunked(relation, fd_reversed, chunk_size=37, backend=backend),
@@ -623,59 +622,23 @@ class TestArrayPartials:
             assert chunked_passes(path) == before + 1, backend
 
     def test_pack_overflow_falls_back_to_tuple_partials(self):
-        # 16 attributes x cardinality ~30 pushes the full-tuple radix
-        # product past 2**62: the numpy backend must run the python
-        # kernel instead (identical results).
+        # 16 attributes x cardinality ~30: the schema's radix product
+        # passes 2**62, but only X ∪ Y is packed, so a0 -> a1 still runs
+        # the numpy kernel.  An FD over 13 attributes (31**13 > 2**62)
+        # makes the numpy backend run the python kernel instead; both
+        # give the python kernel's statistics.
         rng = random.Random(13)
         attributes = tuple(f"a{i}" for i in range(16))
         rows = [
             tuple(rng.randrange(30) for _ in attributes) for _ in range(300)
         ]
         relation = Relation(attributes, rows, name="wide")
-        fd = FunctionalDependency(("a0",), ("a1",))
-        before = chunked_passes("tuple")
-        chunked = compute_chunked(relation, fd, 50, backend="numpy")
-        assert chunked_passes("tuple") == before + 1
-        assert_identical(chunked, FdStatistics.compute(relation, fd, backend="python"))
-
-    def test_covering_fd_aliases_survive_merge(self):
-        # Schema == X ∪ Y: the kernel skips the full-tuple keys, the
-        # merge keeps skipping them, and Σ_w R(w)² comes from the joint
-        # counts.
-        import numpy as np
-
-        from repro.core.backends import NumpyBackend
-        from repro.core.partial import ArrayFdCounts
-        from repro.relation.chunked import CodeChunk
-
-        backend = NumpyBackend()
-        fd = FunctionalDependency(("X",), ("Y",))
-        radices = {"X": 5, "Y": 4}
-        chunks = [
-            CodeChunk(
-                ("X", "Y"),
-                {
-                    "X": np.array([0, 1, 0], dtype=np.int32),
-                    "Y": np.array([2, 0, 2], dtype=np.int32),
-                },
-                3,
-            ),
-            CodeChunk(
-                ("X", "Y"),
-                {
-                    "X": np.array([1, 2], dtype=np.int32),
-                    "Y": np.array([0, 1], dtype=np.int32),
-                },
-                2,
-            ),
-        ]
-        partials = [backend.partial(c, fd, radices) for c in chunks]
-        assert all(p.covering for p in partials)
-        merged = ArrayFdCounts.merge_all(partials)
-        assert merged.covering
-        assert merged.num_rows == 5
-        assert merged.xy_counts.tolist() == [2, 2, 1]
-        assert merged.square_sum() == 2 * 2 + 2 * 2 + 1
+        wide_fd = FunctionalDependency(attributes[:12], attributes[12])
+        for fd, path in ((FunctionalDependency(("a0",), ("a1",)), "array"), (wide_fd, "tuple")):
+            before = chunked_passes(path)
+            chunked = compute_chunked(relation, fd, 50, backend="numpy")
+            assert chunked_passes(path) == before + 1, fd
+            assert_identical(chunked, FdStatistics.compute(relation, fd, backend="python"))
 
 
 # ----------------------------------------------------------------------

@@ -89,6 +89,22 @@ def test_run_discovery_lattice_mode(tmp_path):
     assert {row["measure"] for row in rows} == set(MEASURE_ORDER)
 
 
+def test_discovery_reports_the_passes_brute_force_runs():
+    # R1 has a key column: the lattice never expands it, but brute force
+    # scores its supersets too, so the cost is not the lattice's
+    # candidate count.
+    from repro.core.registry import subset
+    from repro.discovery import brute_force_afds
+    from repro.rwd.datasets import build_dataset
+
+    config = DiscoveryConfig(datasets=("R1",), num_rows=400, max_lhs_size=2)
+    entry = run_discovery(config, output_dir=None)["relations"][0]
+    relation = build_dataset("R1", num_rows=400, seed=0).relation
+    brute = brute_force_afds(relation, measures=subset(("g3",)), max_lhs_size=2)
+    assert entry["brute_force_statistics"] == brute.statistics_computed
+    assert entry["candidates"] < brute.statistics_computed
+
+
 def test_cli_discovery_benchmark(tmp_path):
     exit_code = main(
         [

@@ -209,6 +209,20 @@ def test_invalid_parameters_raise():
         discover_afds(relation, lhs_attributes=["a", "z"])
 
 
+def test_brute_force_rejects_repeated_and_unknown_attributes():
+    # The reference enumerates its pools like the engine: each attribute
+    # once, every name known.
+    relation = random_relation(6)
+    with pytest.raises(ValueError, match="'a'"):
+        brute_force_afds(relation, lhs_attributes=["a", "a"], max_lhs_size=2)
+    with pytest.raises(ValueError, match="'c'"):
+        brute_force_afds(relation, rhs_attributes=["b", "c", "c"])
+    with pytest.raises(KeyError, match="'z'"):
+        brute_force_afds(relation, lhs_attributes=["a", "z"])
+    with pytest.raises(KeyError, match="'z'"):
+        brute_force_afds(relation, rhs_attributes=["z"])
+
+
 def test_lhs_restriction_bounds_the_lattice():
     relation = random_relation(7)
     result = discover_afds(
