@@ -62,7 +62,6 @@ _LAZY_ATTRIBUTES = {
     "discover_afds": "repro.discovery",
     "lattice_discover": "repro.discovery",
     "minimal_cover": "repro.discovery",
-    "evaluate_benchmark": "repro.evaluation",
     "evaluate_specs": "repro.evaluation",
     "benchmark_specs": "repro.synthetic",
     "DynamicRelation": "repro.stream",
@@ -93,7 +92,6 @@ __all__ = [
     "discover_afds",
     "lattice_discover",
     "minimal_cover",
-    "evaluate_benchmark",
     "evaluate_specs",
     "get_measure",
     "measure_names",

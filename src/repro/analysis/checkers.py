@@ -96,7 +96,7 @@ class UnguardedNumpyChecker(Checker):
 # ----------------------------------------------------------------------
 # RPR102 — nondeterminism in bit-identity modules
 # ----------------------------------------------------------------------
-#: Packages whose outputs must be bit-identical across backends, chunkings
+#: Packages whose outputs must be bit-identical across kernels, chunkings
 #: and process counts (the repo-wide `==` contract).
 CONTRACT_PACKAGES: Tuple[str, ...] = ("core/", "relation/", "stream/", "discovery/")
 

@@ -84,7 +84,7 @@ class ParsedModule:
 
     ``rel`` is the repo-relative posix path (finding anchor);
     ``pkg_rel`` is the path relative to ``src/repro`` (checker scoping,
-    e.g. ``core/backends.py``), or ``rel`` when outside the package.
+    e.g. ``core/chunked.py``), or ``rel`` when outside the package.
     Every AST node carries a ``parent`` link so checkers can reason
     about lexical context (guarding ``try``, enclosing ``with``).
     """

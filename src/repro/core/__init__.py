@@ -13,13 +13,6 @@ property catalogue.
 """
 
 from repro.core.base import AfdMeasure, MeasureClass
-from repro.core.backends import (
-    available_backends,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-)
-from repro.core.partial import PartialFdCounts
 from repro.core.statistics import DEFAULT_LOG_BASE, FdStatistics
 from repro.core.violation import G2Measure, G3Measure, G3PrimeMeasure, RhoMeasure
 from repro.core.logical import (
@@ -58,7 +51,6 @@ __all__ = [
     "MeasureClass",
     "MeasureProperties",
     "MuPlusMeasure",
-    "PartialFdCounts",
     "PdepMeasure",
     "RfiPlusMeasure",
     "RfiPrimePlusMeasure",
@@ -66,12 +58,8 @@ __all__ = [
     "SfiMeasure",
     "TauMeasure",
     "all_measures",
-    "available_backends",
-    "get_default_backend",
     "get_measure",
     "measure_names",
     "measures_by_class",
     "property_table",
-    "resolve_backend",
-    "set_default_backend",
 ]

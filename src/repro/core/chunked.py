@@ -1,26 +1,29 @@
-"""The statistics pass: per-chunk partial counts, merged, then histogrammed.
+"""The statistics pass: per-chunk counts, merged, then histogrammed.
 
 :meth:`FdStatistics.compute` runs :func:`map_merge`: the source is read
 as a stream of :class:`~repro.relation.chunked.CodeChunk`\\ s of
-dictionary codes, the backend's one partial kernel turns each chunk into
-mergeable counts, the partials merge key-wise, and the merged counts are
-reduced to the order-free :class:`FdStatistics` once.  Merging is exact
-integer addition, so every chunking of the same rows yields the same
-merged counts, hence ``==`` statistics and bit-identical scores.
+dictionary codes, each chunk's rows are counted by their ``(x, y)``
+codes, the counts merge key-wise, and the merged counts are reduced to
+the order-free :class:`FdStatistics` once.  Merging is exact integer
+addition, so every chunking of the same rows yields the same merged
+counts, hence ``==`` statistics and bit-identical scores.
 
-Kernels (:mod:`repro.core.backends`), both reading only the columns of
-``X ∪ Y``:
+Two kernels count, both reading only the columns of ``X ∪ Y``; the pass
+picks one by the rule every count of this module follows:
 
-* ``numpy`` — each chunk packs to one ``int64`` key per row under a
-  global mixed-radix scheme and groups vectorised; the merge is
+* packed — when numpy imports and the radix product of ``X ∪ Y`` fits
+  :data:`_PACK_LIMIT`, each chunk packs to one ``int64`` key per row
+  under a global mixed-radix scheme and groups vectorised; the merge is
   ``np.concatenate`` plus one sorted grouping, and
   :func:`_array_statistics` builds the statistics straight from the
-  merged arrays;
-* ``python`` — code tuples counted into dicts and reduced by
-  ``FdStatistics.from_joint_counts``.  It also serves the numpy backend
-  when the radix product of ``X ∪ Y`` would pass the packing limit.
+  merged arrays (``chunked_passes_total{path="array"}``);
+* code tuples — otherwise, one ``Counter`` of ``(x, y)`` code tuples over
+  the whole chunk stream, reduced by ``FdStatistics.from_joint_counts``
+  (``chunked_passes_total{path="tuple"}``).
 
-No key is ever decoded: codes group exactly as values do.
+Both kernels produce the same integers, so the choice changes only the
+cost; nothing outside this module chooses.  No key is ever decoded:
+codes group exactly as values do.
 
 ``Σ_w R(w)²`` is the one statistic over full tuples, and it depends on
 the FD only through ``S``, the attributes of ``X ∪ Y`` that hold a NULL.
@@ -54,8 +57,7 @@ from collections import Counter
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.backends import resolve_backend
-from repro.core.partial import ArrayFdCounts, PartialFdCounts, group_sum, pack_rows, run_starts
+from repro.core.partial import ArrayFdCounts, group_sum, pack_rows, run_starts
 from repro.core.statistics import FdStatistics
 from repro.obs.metrics import get_registry
 from repro.relation.chunked import DEFAULT_CHUNK_SIZE, NULL_CODE, ChunkedRelation, CodeChunk
@@ -67,7 +69,8 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-#: Largest packed key any mixed-radix pack may produce (int64 headroom).
+#: Largest radix product a mixed-radix pack may reach (int64 headroom);
+#: past it every count of this module runs on code tuples.
 _PACK_LIMIT = 2**62
 
 #: Buffered distinct keys that trigger an intermediate collapse of the
@@ -115,6 +118,38 @@ def _chunks(encoding, attributes: Sequence[str]) -> Iterator[CodeChunk]:
         )
 
 
+def _packed_radices(encoding, attributes: Sequence[str]) -> Optional[Dict[str, int]]:
+    """Global radices to pack ``attributes`` into ``int64`` keys, or ``None``.
+
+    Radix per attribute = cardinality + 1 (the +1 shift reserves 0 for
+    NULL).  ``None`` — count code tuples instead — when numpy is absent
+    or the radix product passes :data:`_PACK_LIMIT`.
+    """
+    if np is None:
+        return None
+    radices = {a: encoding.cardinality(a) + 1 for a in attributes}
+    return radices if math.prod(radices.values()) <= _PACK_LIMIT else None
+
+
+def _merged_arrays(chunks, attributes, radices, non_null) -> Optional[ArrayFdCounts]:
+    """Packed counts of ``chunks`` merged key-wise (``None`` when no row survived)."""
+    accumulator = _ArrayMergeAccumulator()
+    for chunk in chunks:
+        # No name holds the raw keys: they are freed before the next chunk packs.
+        accumulator.add(
+            ArrayFdCounts.from_raw_keys(pack_rows(chunk, attributes, radices, non_null))
+        )
+    return accumulator.result()
+
+
+def _without_nulls(rows: Iterator, lists: Dict[str, List[int]], non_null: Sequence[str]):
+    """``rows`` (one per row of a chunk) without those NULL on ``non_null``."""
+    if not non_null:
+        return rows
+    codes = zip(*(lists[a] for a in non_null))
+    return compress(rows, (NULL_CODE not in row for row in codes))
+
+
 def _distinct_tuple_counts(
     encoding, attributes: Sequence[str], non_null: Sequence[str] = ()
 ) -> Sequence[int]:
@@ -123,27 +158,17 @@ def _distinct_tuple_counts(
     Only the rows non-NULL on every attribute of ``non_null`` count;
     otherwise NULL is one more value.  Per-chunk counts merge key-wise
     before anyone reads them, so they are those of one scan of all rows
-    whatever the chunking.  With numpy the tuples pack into ``int64``
-    under global radices (an ``int64`` array of counts); past the packing
-    limit or without numpy they are counted as code tuples (a list).
+    whatever the chunking.  Packed (see :func:`_packed_radices`) they are
+    an ``int64`` array; counted as code tuples, a list.
     """
-    # +1 shifts NULL's code -1 to 0, so NULL is one more value.
-    radices = {a: encoding.cardinality(a) + 1 for a in attributes}
-    if np is not None and math.prod(radices.values()) <= _PACK_LIMIT:
-        accumulator = _ArrayMergeAccumulator()
-        for chunk in _chunks(encoding, attributes):
-            accumulator.add(
-                ArrayFdCounts.from_raw_keys(pack_rows(chunk, attributes, radices, non_null))
-            )
-        merged = accumulator.result()
+    radices = _packed_radices(encoding, attributes)
+    if radices is not None:
+        merged = _merged_arrays(_chunks(encoding, attributes), attributes, radices, non_null)
         return np.zeros(0, dtype=np.int64) if merged is None else merged.counts
     counts: Counter = Counter()
     for chunk in _chunks(encoding, attributes):
-        tuples = zip(*(chunk.column_list(a) for a in attributes))
-        if non_null:
-            codes = zip(*(chunk.column_list(a) for a in non_null))
-            tuples = compress(tuples, (NULL_CODE not in row for row in codes))
-        counts.update(tuples)
+        lists = {a: chunk.column_list(a) for a in attributes}
+        counts.update(_without_nulls(zip(*lists.values()), lists, non_null))
     return list(counts.values())
 
 
@@ -191,17 +216,6 @@ def tuple_square_sum(source, non_null: Sequence[str] = ()) -> int:
             square_sum = int((counts * counts).sum())
         encoding.tuple_square_sums[key] = square_sum
     return square_sum
-
-
-def _pack_radices(encoding, fd: FunctionalDependency) -> Optional[Dict[str, int]]:
-    """Global radices of ``X ∪ Y`` for the numpy kernel, or ``None`` if packing overflows.
-
-    Radix per attribute = cardinality + 1 (the +1 shift reserves 0 for
-    NULL).  ``None`` — the python kernel runs instead — when the radix
-    product of ``X ∪ Y`` would exceed the ``int64`` packing limit.
-    """
-    radices = {a: encoding.cardinality(a) + 1 for a in fd.attributes}
-    return radices if math.prod(radices.values()) <= _PACK_LIMIT else None
 
 
 class _ArrayMergeAccumulator:
@@ -290,16 +304,13 @@ def _pair_histogram(first: "np.ndarray", second: "np.ndarray") -> Dict[Tuple[int
     )
 
 
-def map_merge(
-    source, fd: FunctionalDependency, backend: Optional[str] = None
-) -> FdStatistics:
+def map_merge(source, fd: FunctionalDependency) -> FdStatistics:
     """Compute ``FdStatistics`` of ``fd`` on ``source`` by chunked map-merge.
 
-    ``source`` is a :class:`Relation` or :class:`ChunkedRelation`;
-    ``backend`` is resolved like :meth:`FdStatistics.compute`.  The
-    result is ``==`` across backends and chunkings.
+    ``source`` is a :class:`Relation` or :class:`ChunkedRelation`.  The
+    kernel follows :func:`_packed_radices` on ``X ∪ Y``; the result is
+    ``==`` across kernels and chunkings.
     """
-    backend_object = resolve_backend(backend)
     encoding = _encoding(source)
     for attribute in fd.attributes:
         if attribute not in encoding.attributes:
@@ -313,31 +324,32 @@ def map_merge(
     # so Σ_w R(w)² is read off the merged joint counts below.
     covers_schema = set(fd.attributes) == set(encoding.attributes)
     square_sum = None if covers_schema else tuple_square_sum(source, non_null)
-    radices = None
-    if backend_object.name == "numpy":
-        radices = _pack_radices(encoding, fd)
+    radices = _packed_radices(encoding, fd.attributes)
     registry = get_registry()
     registry.inc("chunked_passes_total", path="tuple" if radices is None else "array")
 
-    if radices is None:
-        kernel = resolve_backend("python")
-        merged = PartialFdCounts()
+    def counted_chunks() -> Iterator[CodeChunk]:
         for chunk in _chunks(encoding, fd.attributes):
             registry.inc("chunked_chunks_total")
-            merged.merge(kernel.partial(chunk, fd, non_null))
+            yield chunk
+
+    if radices is None:
+        xy_counts: Counter = Counter()
+        for chunk in counted_chunks():
+            lists = {a: chunk.column_list(a) for a in fd.attributes}
+            pairs = zip(zip(*(lists[a] for a in fd.lhs)), zip(*(lists[a] for a in fd.rhs)))
+            # Counter counts at C level: the pairs are the kernel's only
+            # per-row Python objects.
+            xy_counts.update(_without_nulls(pairs, lists, non_null))
         if square_sum is None:
-            square_sum = sum(count * count for count in merged.xy_counts.values())
+            square_sum = sum(count * count for count in xy_counts.values())
         return FdStatistics.from_joint_counts(
-            fd, merged.num_rows, merged.xy_counts, square_sum, relation_name
+            fd, sum(xy_counts.values()), xy_counts, square_sum, relation_name
         )
 
-    accumulator = _ArrayMergeAccumulator()
-    for chunk in _chunks(encoding, fd.attributes):
-        registry.inc("chunked_chunks_total")
-        accumulator.add(backend_object.partial(chunk, fd, radices, non_null))
-    merged_arrays = accumulator.result()
-    if merged_arrays is None:
+    merged = _merged_arrays(counted_chunks(), fd.lhs + fd.rhs, radices, non_null)
+    if merged is None:
         return FdStatistics.from_joint_counts(fd, 0, {}, 0, relation_name)
     if square_sum is None:
-        square_sum = int((merged_arrays.counts * merged_arrays.counts).sum())
-    return _array_statistics(merged_arrays, fd, radices, square_sum, relation_name)
+        square_sum = int((merged.counts * merged.counts).sum())
+    return _array_statistics(merged, fd, radices, square_sum, relation_name)

@@ -1,35 +1,29 @@
-"""Mergeable partial counts: the intermediate of the statistics pass.
+"""Mergeable packed counts: the intermediate of the packed statistics pass.
 
 :class:`~repro.core.statistics.FdStatistics` is built
 (:mod:`repro.core.chunked`) from the restricted row count, the joint
 ``(x, y)`` counts and ``Σ_w R(w)²``.  The first two are the key-wise sums
-of the counts of any row-partition of the relation.
-:class:`PartialFdCounts` is that intermediate made explicit, so the
-statistics pass runs chunk by chunk (one chunk per slice of the
-dictionary-encoded code arrays, see the ``partial`` kernels of
-:mod:`repro.core.backends`) and merges into exactly the counts of a
-single scan.  ``Σ_w R(w)²`` is not counted here: it depends on the FD
-only through which NULL-bearing attributes ``X ∪ Y`` holds, so the pass
-reads it from a per-relation cache
-(:func:`repro.core.chunked.tuple_square_sum`), or squares the merged
-joint counts when ``X ∪ Y`` is the whole schema.
+of the counts of any row-partition of the relation, so the statistics
+pass runs chunk by chunk (one chunk per slice of the dictionary-encoded
+code arrays) and merges into exactly the counts of a single scan.
+``Σ_w R(w)²`` is not counted per FD: it depends on the FD only through
+which NULL-bearing attributes ``X ∪ Y`` holds, so the pass reads it from
+a per-relation cache (:func:`repro.core.chunked.tuple_square_sum`), or
+squares the merged joint counts when ``X ∪ Y`` is the whole schema.
 
-Keys are tuples of dictionary codes — cheap to hash, and stable across
-chunks because the encoding is global; the keys of one merge must come
-from one encoding.
-
-:class:`ArrayFdCounts` is the vectorised sibling: the same mergeable
-counts, keyed by *packed* ``int64`` scalars in numpy arrays instead of
-Python tuples in dicts.  Packing uses one global mixed-radix scheme
-(radix per attribute = cardinality + 1, codes shifted by +1 so
-``-1``-NULL packs as 0), so a packed key means the same code tuple in
-every chunk.  Keys are held ascending.
+:class:`ArrayFdCounts` holds those counts keyed by *packed* ``int64``
+scalars in numpy arrays.  Packing (:func:`pack_rows`) uses one global
+mixed-radix scheme (radix per attribute = cardinality + 1, codes shifted
+by +1 so ``-1``-NULL packs as 0), so a packed key means the same code
+tuple in every chunk; the keys of one merge must come from one encoding.
+Keys are held ascending.  Where packing is not possible the pass counts
+code tuples in one ``Counter`` instead and needs nothing from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from repro.relation.chunked import CodeChunk
 
@@ -37,44 +31,6 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
-
-
-def merge_counts(target: Dict, other: Dict) -> None:
-    """Key-wise add ``other`` into ``target`` (plain dict probes)."""
-    for key, count in other.items():
-        previous = target.get(key)
-        target[key] = count if previous is None else previous + count
-
-
-@dataclass
-class PartialFdCounts:
-    """Partial counts of one row-chunk, mergeable across chunks.
-
-    ``num_rows`` counts the chunk's rows surviving the NULL restriction
-    on ``X ∪ Y``; ``xy_counts`` maps ``(x_key, y_key)`` to multiplicity.
-    Both add key-wise under :meth:`merge`.
-    """
-
-    num_rows: int = 0
-    xy_counts: Dict[Tuple, int] = field(default_factory=dict)
-
-    @classmethod
-    def empty(cls) -> "PartialFdCounts":
-        return cls()
-
-    def merge(self, other: "PartialFdCounts") -> "PartialFdCounts":
-        """Fold ``other`` into this partial (in place); returns ``self``."""
-        self.num_rows += other.num_rows
-        merge_counts(self.xy_counts, other.xy_counts)
-        return self
-
-    @classmethod
-    def merge_all(cls, partials: Iterable["PartialFdCounts"]) -> "PartialFdCounts":
-        """Merge an iterable of partials."""
-        merged = cls.empty()
-        for partial in partials:
-            merged.merge(partial)
-        return merged
 
 
 def pack_rows(
@@ -131,11 +87,11 @@ def group_sum(
 
 @dataclass
 class ArrayFdCounts:
-    """Partial counts keyed by globally packed ``int64`` scalars.
+    """Partial counts of one row-chunk, keyed by globally packed ``int64`` scalars.
 
-    The array analogue of :class:`PartialFdCounts`: ``keys`` holds the
-    distinct packed keys (ascending), ``counts`` their multiplicities and
-    ``num_rows`` the rows they count.  The statistics pass keys a row by
+    ``keys`` holds the distinct packed keys (ascending), ``counts`` their
+    multiplicities and ``num_rows`` the rows they count; partials of
+    different chunks add key-wise under :meth:`merge_all`.  The statistics pass keys a row by
     its ``(X, Y)`` codes; the full-tuple pass of
     :func:`repro.core.chunked.tuple_square_sum` by all of its codes.
     """
@@ -157,12 +113,7 @@ class ArrayFdCounts:
 
     @classmethod
     def merge_all(cls, partials: Sequence["ArrayFdCounts"]) -> "ArrayFdCounts":
-        """One vectorised merge of many partials.
-
-        Equivalent — same count per code tuple — to
-        :meth:`PartialFdCounts.merge_all` over the tuple-keyed forms of
-        the same chunks.
-        """
+        """One vectorised merge of many partials: the counts of one scan of their rows."""
         partials = list(partials)
         if len(partials) == 1:
             return partials[0]

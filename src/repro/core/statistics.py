@@ -25,13 +25,14 @@ Python from those integers, and every sum is one :func:`math.fsum` with
 one term per distinct count (per distinct ``(S_x, c_x)`` pair).  fsum is
 correctly rounded, so its result does not depend on the order of its
 terms: ``==`` statistics give bit-identical scores, and every path that
-agrees on the multisets — both backends, any chunking, the incremental
+agrees on the multisets — both kernels, any chunking, the incremental
 tracker, a shard worker — agrees ``==`` by construction.
 
 :meth:`FdStatistics.compute` is one chunked map-merge pass
-(:mod:`repro.core.chunked`) with one partial kernel per backend
-(:mod:`repro.core.backends`); :meth:`FdStatistics.from_joint_counts`
-builds the statistics from any ``(x, y) -> count`` mapping.
+(:mod:`repro.core.chunked`), which picks its kernel (packed ``int64``
+keys or code tuples) from numpy and the packing limit;
+:meth:`FdStatistics.from_joint_counts` builds the statistics from any
+``(x, y) -> count`` mapping.
 """
 
 from __future__ import annotations
@@ -95,25 +96,16 @@ class FdStatistics:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def compute(
-        cls,
-        source,
-        fd: FunctionalDependency,
-        backend: Optional[str] = None,
-    ) -> "FdStatistics":
+    def compute(cls, source, fd: FunctionalDependency) -> "FdStatistics":
         """Compute statistics of ``fd`` on ``source`` (NULLs dropped).
 
         ``source`` is a :class:`~repro.relation.relation.Relation` or a
-        :class:`~repro.relation.chunked.ChunkedRelation`.  ``backend``
-        selects the partial kernel: ``"python"``, ``"numpy"`` or
-        ``"auto"``/``None`` (the process default — see
-        :func:`repro.core.backends.set_default_backend` and the
-        ``REPRO_STATS_BACKEND`` environment variable).  The result is
-        ``==`` across backends and chunkings.
+        :class:`~repro.relation.chunked.ChunkedRelation`.  The result is
+        ``==`` across kernels and chunkings.
         """
         from repro.core.chunked import map_merge
 
-        return map_merge(source, fd, backend)
+        return map_merge(source, fd)
 
     @classmethod
     def from_joint_counts(

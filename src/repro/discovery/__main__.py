@@ -93,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SFI smoothing parameter (default: 0.5)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "numpy"),
-        default=None,
-        help="statistics backend (default: process default; scores are "
-        "bit-identical across backends)",
-    )
-    parser.add_argument(
         "--format",
         choices=("json", "csv"),
         default="json",
@@ -180,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(error.args[0], file=sys.stderr)
         return 2
     # One front door: the CLI is a thin client of the session facade.
-    session = AfdSession(relation, measures=measures, backend=args.backend)
+    session = AfdSession(relation, measures=measures)
     started = time.perf_counter()
     result = session.discover(
         threshold=args.threshold,

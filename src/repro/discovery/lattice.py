@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.backends import resolve_backend
 from repro.core.base import AfdMeasure
 from repro.core.chunked import is_key
 from repro.core.registry import all_measures
@@ -103,7 +102,6 @@ def lattice_discover(
     max_lhs_size: int = 2,
     lhs_attributes: Optional[Sequence[str]] = None,
     rhs_attributes: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
     statistics_provider=None,
 ) -> DiscoveryResult:
     """Score every lattice candidate ``X -> A`` with ``|X| <= max_lhs_size``.
@@ -129,7 +127,6 @@ def lattice_discover(
     thresholds = _resolve_thresholds(threshold, measure_names)
     lhs_pool = _attribute_pool(source, lhs_attributes, "lhs")
     rhs_pool = _attribute_pool(source, rhs_attributes, "rhs")
-    backend_name = resolve_backend(backend).name
     result = DiscoveryResult(
         relation_name=getattr(source, "name", ""),
         measure_names=measure_names,
@@ -160,7 +157,7 @@ def lattice_discover(
                     result.candidates.append(CandidateScore(fd, scores, exact=True))
                     continue
                 if statistics_provider is None:
-                    statistics = FdStatistics.compute(source, fd, backend=backend_name)
+                    statistics = FdStatistics.compute(source, fd)
                     result.statistics_computed += 1
                 else:
                     statistics, computed = statistics_provider(source, fd)
@@ -196,7 +193,6 @@ def brute_force_afds(
     max_lhs_size: int = 2,
     lhs_attributes: Optional[Sequence[str]] = None,
     rhs_attributes: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
 ) -> DiscoveryResult:
     """Reference implementation: one statistics pass per lattice candidate.
 
@@ -228,7 +224,7 @@ def brute_force_afds(
                 if rhs in lhs_set:
                     continue
                 fd = FunctionalDependency(lhs, rhs)
-                statistics = FdStatistics.compute(relation, fd, backend=backend)
+                statistics = FdStatistics.compute(relation, fd)
                 result.statistics_computed += 1
                 scores = {
                     name: measure.score_from_statistics(statistics)

@@ -103,7 +103,6 @@ def discover_afds(
     lhs_attributes: Optional[Sequence[str]] = None,
     rhs_attributes: Optional[Sequence[str]] = None,
     max_lhs_size: int = 1,
-    backend: Optional[str] = None,
 ) -> DiscoveryResult:
     """Score all candidates ``X -> A`` of ``relation`` with ``|X| <= max_lhs_size``.
 
@@ -114,9 +113,7 @@ def discover_afds(
     per-measure mapping.  ``lhs_attributes`` / ``rhs_attributes`` restrict
     the candidate grid (defaults: every attribute on both sides; naming an
     attribute twice is a ``ValueError``); multi-attribute LHS nodes are
-    built from ``lhs_attributes`` only.  ``backend`` selects the
-    statistics backend (``"python"`` / ``"numpy"``; default: the process
-    default) — scores are bit-identical either way.
+    built from ``lhs_attributes`` only.
 
     Scores are bit-identical to brute-force :meth:`FdStatistics.compute`
     scoring of the same candidates for every ``max_lhs_size``.
@@ -130,5 +127,4 @@ def discover_afds(
         max_lhs_size=max_lhs_size,
         lhs_attributes=lhs_attributes,
         rhs_attributes=rhs_attributes,
-        backend=backend,
     )

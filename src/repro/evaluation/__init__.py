@@ -7,12 +7,7 @@ metrics the paper compares measures by (Section VI-B), with wall-clock
 runtime statistics on the side (Table V).
 """
 
-from repro.evaluation.harness import (
-    EvaluationResult,
-    evaluate_benchmark,
-    evaluate_specs,
-    iter_scores,
-)
+from repro.evaluation.harness import EvaluationResult, evaluate_specs
 from repro.evaluation.metrics import (
     normalized_rank_at_max_recall,
     pr_auc,
@@ -28,9 +23,7 @@ __all__ = [
     "EvaluationResult",
     "MeasureConfig",
     "TableScore",
-    "evaluate_benchmark",
     "evaluate_specs",
-    "iter_scores",
     "normalized_rank_at_max_recall",
     "pr_auc",
     "precision_recall_points",

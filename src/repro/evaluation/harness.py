@@ -12,14 +12,14 @@ worker count (``jobs=2`` reproduces ``jobs=1`` exactly), and the laptop
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import registry
 
 from repro.evaluation.metrics import ranking_summary, runtime_stats
 from repro.evaluation.scoring import MeasureConfig, TableScore
-from repro.synthetic.benchmarks import SyntheticBenchmark, TableSpec
+from repro.synthetic.benchmarks import TableSpec
 from repro.synthetic.generator import SYNTHETIC_FD
 
 
@@ -48,7 +48,7 @@ def _score_spec(task: Tuple[TableSpec, MeasureConfig]) -> TableScore:
 
     spec, config = task
     table = spec.materialize()
-    session = AfdSession(table.relation, measures=config.build(), backend=config.backend)
+    session = AfdSession(table.relation, measures=config.build())
     profile = session.score(SYNTHETIC_FD)
     return TableScore(
         table=spec.name,
@@ -143,20 +143,15 @@ def evaluate_specs(
     config: Optional[MeasureConfig] = None,
     jobs: int = 1,
     chunksize: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> EvaluationResult:
     """Score every registered measure on every spec'd table.
 
     ``jobs > 1`` shards the specs across a process pool; output order and
-    every floating-point score are independent of ``jobs`` — and of
-    ``backend``, which selects the statistics engine (``"python"`` /
-    ``"numpy"``) and overrides ``config.backend`` when given.
+    every floating-point score are independent of ``jobs``.
     """
     if not specs:
         raise ValueError("cannot evaluate an empty spec list")
     config = config if config is not None else MeasureConfig()
-    if backend is not None:
-        config = replace(config, backend=backend)
     tasks = [(spec, config) for spec in specs]
     if jobs <= 1:
         rows = [_score_spec(task) for task in tasks]
@@ -175,62 +170,3 @@ def evaluate_specs(
         measure_names=measure_names,
         rows=rows,
     )
-
-
-def evaluate_benchmark(
-    benchmark: SyntheticBenchmark,
-    config: Optional[MeasureConfig] = None,
-    jobs: int = 1,
-    backend: Optional[str] = None,
-) -> EvaluationResult:
-    """Evaluate an already-materialised benchmark.
-
-    Prefer :func:`evaluate_specs` for anything large: it ships lightweight
-    specs to the workers instead of pickling whole relations.  This eager
-    variant exists for benchmarks that were built by other means; it
-    scores sequentially (``jobs`` is accepted for interface symmetry but
-    relations are scored in-process).  ``backend`` overrides
-    ``config.backend`` when given.
-    """
-    from repro.service.session import AfdSession
-
-    del jobs  # materialised relations are scored in-process
-    config = config if config is not None else MeasureConfig()
-    if backend is not None:
-        config = replace(config, backend=backend)
-    measures = config.build()
-    rows: List[TableScore] = []
-    for position, table in enumerate(benchmark.tables):
-        session = AfdSession(
-            table.relation, measures=dict(measures), backend=config.backend
-        )
-        result = session.score(benchmark.fd)
-        rows.append(
-            TableScore(
-                table=table.relation.name or f"table-{position}",
-                benchmark=benchmark.name,
-                step=table.step,
-                index=position,
-                positive=table.positive,
-                parameter_value=table.parameter_value,
-                num_rows=table.relation.num_rows,
-                statistics_seconds=result.statistics_seconds,
-                scores=result.scores,
-                runtimes=result.runtimes,
-            )
-        )
-    return EvaluationResult(
-        benchmark=benchmark.name,
-        parameter_name=benchmark.parameter_name,
-        measure_names=list(measures),
-        rows=rows,
-    )
-
-
-def iter_scores(
-    specs: Iterable[TableSpec], config: Optional[MeasureConfig] = None
-) -> Iterable[TableScore]:
-    """Stream scores table-by-table without holding the full result set."""
-    config = config if config is not None else MeasureConfig()
-    for spec in specs:
-        yield _score_spec((spec, config))

@@ -11,7 +11,7 @@ separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.base import AfdMeasure
 from repro.core.registry import iter_measures
@@ -23,14 +23,9 @@ class MeasureConfig:
 
     Measure instances are rebuilt from this config in every worker
     process, so the harness never ships live objects across the pool.
-    ``backend`` selects the statistics backend used for the shared
-    sufficient-statistics pass (``None`` = the process default; scores
-    are bit-identical across backends, so the choice only affects
-    runtime).
     """
 
     sfi_alpha: float = 0.5
-    backend: Optional[str] = None
 
     def build(self) -> Dict[str, AfdMeasure]:
         return dict(iter_measures(sfi_alpha=self.sfi_alpha))

@@ -9,8 +9,8 @@
 * :mod:`repro.experiments.discovery` — lattice (multi-attribute LHS)
   AFD discovery over the RWD benchmark, ranked against the design-schema
   ground truth (the paper's Section VII discovery discussion);
-* :mod:`repro.experiments.runtime` — the Table V runtime protocol over
-  the pluggable statistics backends (``BENCH_runtime.json``);
+* :mod:`repro.experiments.runtime` — the Table V runtime protocol on
+  the statistics kernel the process runs (``BENCH_runtime.json``);
 * :mod:`repro.experiments.streaming` — the incremental-vs-recompute
   benchmark of :mod:`repro.stream` (``BENCH_streaming.json``);
 * :mod:`repro.experiments.plotting` — figure generation from persisted

@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="B+/B- tables per step and subset (default: 3)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    parser.add_argument(
+        "--jobs", type=positive_int, default=1, help="worker processes (default: 1)"
+    )
     parser.add_argument(
         "--seed",
         type=int,
@@ -122,21 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="SFI smoothing parameter (default: 0.5)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "numpy"),
-        default=None,
-        help="statistics backend for every benchmark (default: process default; "
-        "scores are bit-identical across backends).  For --benchmark runtime "
-        "this restricts the compared backend set instead.",
-    )
-    parser.add_argument(
         "--output-dir",
         default="results",
         help="artifact directory (default: results/); use '-' to skip writing",
     )
     parser.add_argument(
         "--rwde-num-rows",
-        type=int,
+        type=positive_int,
         default=400,
         help="rows per RWD stand-in relation in the RWDe sweep (default: 400)",
     )
@@ -152,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-lhs-size",
-        type=int,
+        type=positive_int,
         default=2,
         help="LHS lattice depth of the discovery experiment (default: 2)",
     )
@@ -164,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--discovery-num-rows",
-        type=int,
+        type=positive_int,
         default=400,
         help="rows per RWD relation in the discovery experiment (default: 400)",
     )
@@ -176,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--runtime-repeats",
-        type=int,
+        type=positive_int,
         default=5,
-        help="timed repetitions per (relation, backend) cell (default: 5)",
+        help="timed repetitions per relation (default: 5)",
     )
     parser.add_argument(
         "--runtime-chunked-discovery-rows",
@@ -189,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--runtime-chunk-size",
-        type=int,
+        type=positive_int,
         default=RuntimeConfig.chunk_size,
         help="rows per stored chunk of the runtime benchmark's chunked "
         "relations (default: %(default)s)",
@@ -211,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--streaming-batches",
-        type=int,
+        type=positive_int,
         default=12,
         help="insert/delete batches per relation of the streaming benchmark "
         "(default: 12)",
     )
     parser.add_argument(
         "--streaming-batch-size",
-        type=int,
+        type=positive_int,
         default=16,
         help="appended rows per streaming batch, the Δ of the incremental path "
         "(default: 16)",
@@ -318,7 +312,6 @@ def _run_sensitivity(
         min_rows=args.min_rows,
         max_rows=args.max_rows,
         sfi_alpha=args.sfi_alpha,
-        backend=args.backend,
     )
     started = time.perf_counter()
     payload = run_sensitivity(config, output_dir=output_dir)
@@ -342,7 +335,6 @@ def _run_rwde(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs,
         sfi_alpha=args.sfi_alpha,
-        backend=args.backend,
     )
     started = time.perf_counter()
     payload = run_rwde(config, output_dir=output_dir)
@@ -366,7 +358,6 @@ def _run_discovery(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         max_lhs_size=args.max_lhs_size,
         threshold=args.discovery_threshold,
         sfi_alpha=args.sfi_alpha,
-        backend=args.backend,
     )
     started = time.perf_counter()
     payload = run_discovery(config, output_dir=output_dir)
@@ -417,12 +408,8 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         repeats = args.runtime_repeats
         chunked_discovery_rows = args.runtime_chunked_discovery_rows
         chunk_size = args.runtime_chunk_size
-    backends: tuple = ()
-    if args.backend is not None and args.backend != "auto":
-        backends = (args.backend,)
     config = RuntimeConfig(
         sizes=sizes,
-        backends=backends,
         repeats=repeats,
         sfi_alpha=args.sfi_alpha,
         chunked_discovery_rows=chunked_discovery_rows,
@@ -434,38 +421,24 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
     payload = run_runtime(config, output_dir=output_dir, bench_path=bench_path)
     elapsed = time.perf_counter() - started
     print(f"\nRuntime benchmark (Table V protocol, {elapsed:.1f}s)")
-    header = f"{'relation':<16} {'backend':<8} {'stats ms':>9} {'total ms':>9}"
+    header = f"{'relation':<16} {'stats ms':>9} {'total ms':>9}"
     print(header)
     print("-" * len(header))
     for entry in payload["relations"]:  # type: ignore[union-attr]
-        for backend, cell in entry["backends"].items():
-            print(
-                f"{entry['name']:<16} {backend:<8} "
-                f"{cell['statistics_seconds_median'] * 1000:>9.2f} "
-                f"{cell['total_seconds_median'] * 1000:>9.2f}"
-            )
-        if entry["statistics_speedup"] is not None:
-            print(
-                f"{'':<16} speedup: statistics {entry['statistics_speedup']:.1f}x, "
-                f"total {entry['total_speedup']:.1f}x"
-            )
-    if payload["speedup"] is not None:
         print(
-            f"largest relation statistics speedup (python/numpy): "
-            f"{payload['speedup']:.1f}x"
+            f"{entry['name']:<16} "
+            f"{entry['statistics_seconds_median'] * 1000:>9.2f} "
+            f"{entry['total_seconds_median'] * 1000:>9.2f}"
         )
     discovery = payload.get("chunked_discovery")
     if discovery is not None:
-        if "backends" in discovery:  # type: ignore[operator]
+        if "seconds" in discovery:  # type: ignore[operator]
             print(
                 f"\nChunked discovery ({discovery['name']}, "  # type: ignore[index]
-                f"parity-asserted vs brute force)"
+                f"parity-asserted vs brute force): "
+                f"{discovery['seconds'] * 1000:.2f} ms for "  # type: ignore[index]
+                f"{discovery['candidates']} candidates"  # type: ignore[index]
             )
-            for backend, cell in discovery["backends"].items():  # type: ignore[index]
-                print(
-                    f"  {backend:<8} {cell['seconds'] * 1000:>10.2f} ms for "
-                    f"{cell['candidates']} candidates"
-                )
         smoke = discovery.get("smoke")  # type: ignore[union-attr]
         if smoke is not None:
             print(
@@ -490,12 +463,8 @@ def _run_streaming(args: argparse.Namespace, output_dir: Optional[str]) -> None:
             int(part) for part in args.streaming_sizes.split(",") if part.strip()
         )
         batches = args.streaming_batches
-    backends: tuple = ()
-    if args.backend is not None and args.backend != "auto":
-        backends = (args.backend,)
     config = StreamingConfig(
         sizes=sizes,
-        backends=backends,
         batches=batches,
         batch_size=args.streaming_batch_size,
         delete_fraction=args.streaming_delete_fraction,
@@ -510,26 +479,22 @@ def _run_streaming(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         f"{config.batch_size} appends + "
         f"{int(config.batch_size * config.delete_fraction)} deletes, {elapsed:.1f}s)"
     )
-    header = (
-        f"{'relation':<16} {'backend':<8} {'incr ms':>9} {'recomp ms':>10} {'speedup':>8}"
-    )
+    header = f"{'relation':<16} {'incr ms':>9} {'recomp ms':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for entry in payload["relations"]:  # type: ignore[union-attr]
-        for backend, cell in entry["backends"].items():
-            speedup = cell["statistics_speedup"]
-            speedup_text = "n/a" if speedup is None else f"{speedup:.1f}x"
-            print(
-                f"{entry['name']:<16} {backend:<8} "
-                f"{cell['incremental_seconds_median'] * 1000:>9.3f} "
-                f"{cell['recompute_seconds_median'] * 1000:>10.3f} "
-                f"{speedup_text:>8}"
-            )
+        speedup = entry["statistics_speedup"]
+        speedup_text = "n/a" if speedup is None else f"{speedup:.1f}x"
+        print(
+            f"{entry['name']:<16} "
+            f"{entry['incremental_seconds_median'] * 1000:>9.3f} "
+            f"{entry['recompute_seconds_median'] * 1000:>10.3f} "
+            f"{speedup_text:>8}"
+        )
     if payload["speedup"] is not None:
         print(
             f"largest relation statistics-phase speedup "
-            f"({payload['headline_backend']} backend, incremental over recompute): "
-            f"{payload['speedup']:.1f}x"
+            f"(incremental over recompute): {payload['speedup']:.1f}x"
         )
     print("scores verified bit-identical on every batch")
     if output_dir is not None:
@@ -553,7 +518,6 @@ def _run_service(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         requests = args.service_requests
         repeats = args.service_repeats
         workers = args.service_workers
-    backend = None if args.backend in (None, "auto") else args.backend
     config = ServiceConfig(
         sizes=sizes,
         client_threads=threads,
@@ -561,7 +525,6 @@ def _run_service(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         repeats=repeats,
         workers=workers,
         sfi_alpha=args.sfi_alpha,
-        backend=backend,
     )
     bench_path = _bench_path(args, "service")
     started = time.perf_counter()
@@ -645,7 +608,6 @@ def _run_properties(
         min_rows=args.min_rows,
         max_rows=args.max_rows,
         sfi_alpha=args.sfi_alpha,
-        backend=args.backend,
     )
     started = time.perf_counter()
     payload = run_properties(config, output_dir=output_dir, precomputed_curves=precomputed_curves)

@@ -42,10 +42,9 @@ class DiscoveryConfig:
     max_lhs_size: int = 2
     threshold: float = 0.9
     sfi_alpha: float = 0.5
-    backend: Optional[str] = None
 
     def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=self.backend)
+        return MeasureConfig(sfi_alpha=self.sfi_alpha)
 
 
 def brute_force_statistics(num_attributes: int, max_lhs_size: int) -> int:
@@ -68,7 +67,6 @@ def _run_relation(rwd, config: DiscoveryConfig, measures) -> Dict[str, object]:
         measures=measures,
         threshold=config.threshold,
         max_lhs_size=config.max_lhs_size,
-        backend=config.backend,
     )
     measure_names = result.measure_names
     labels: List[int] = []

@@ -3,16 +3,17 @@
 The paper's Table V reports per-measure runtimes on fixed relations,
 under the cost discipline the whole study is built on: one sufficient-
 statistics pass per candidate FD, shared by all fourteen measures.  This
-driver reproduces that protocol and doubles as the benchmark harness for
-the pluggable statistics backends (:mod:`repro.core.backends`):
+driver reproduces that protocol and times the statistics kernel the
+process runs (:mod:`repro.core.chunked`; the fixed relations are built
+with numpy, so at these sizes that is the packed ``int64`` kernel):
 
 * **fixed relations** — one deterministic B+ relation per configured
   size (fixed generation parameters, fixed seed), so runs are comparable
   across machines and across PRs;
-* **warm-up discipline** — per (relation, backend) the full
-  statistics+scoring pass runs untimed ``warmup_runs`` times first; the
-  warm-up also pays one-off costs (the columnar dictionary encoding of
-  the numpy backend, allocator warm-up) exactly once, outside the timed
+* **warm-up discipline** — per relation the full statistics+scoring pass
+  runs untimed ``warmup_runs`` times first; the warm-up also pays
+  one-off costs (the columnar dictionary encoding, the cached
+  full-tuple pass, allocator warm-up) exactly once, outside the timed
   window;
 * **medians** — each timed quantity (the statistics pass, every
   measure's scoring time, their total) is the median over ``repeats``
@@ -20,9 +21,8 @@ the pluggable statistics backends (:mod:`repro.core.backends`):
 
 Artifacts: ``summary.json`` + ``summary.csv`` under
 ``<output_dir>/runtime/`` and a compact ``BENCH_runtime.json`` at the
-repository root recording the per-backend medians and the
-python-over-numpy speedups, so the performance trajectory of the
-statistics substrate is tracked in-repo.
+repository root recording one cell of medians per relation, so the
+performance trajectory of the statistics substrate is tracked in-repo.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from pathlib import Path
 from statistics import median
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.backends import available_backends
 from repro.evaluation.scoring import MeasureConfig
 from repro.service.session import AfdSession
 from repro.experiments.io import ensure_directory, write_csv, write_json
@@ -49,14 +48,10 @@ from repro.synthetic.generator import (
 class RuntimeConfig:
     """Everything that determines one runtime benchmark run.
 
-    ``sizes`` are the row counts of the fixed relations (ascending; the
-    last one is "the largest fixed relation" the speedup headline is
-    reported for).  ``backends`` restricts the backend set (default:
-    every backend available in the process).
+    ``sizes`` are the row counts of the fixed relations (ascending).
     """
 
     sizes: Tuple[int, ...] = (1_000, 5_000, 20_000)
-    backends: Tuple[str, ...] = ()
     repeats: int = 5
     warmup_runs: int = 1
     seed: int = 97
@@ -75,18 +70,8 @@ class RuntimeConfig:
     #: asserts — under tracemalloc — that no row list was materialised.
     discovery_rows: int = 0
 
-    def resolved_backends(self) -> Tuple[str, ...]:
-        chosen = self.backends if self.backends else available_backends()
-        missing = [name for name in chosen if name not in available_backends()]
-        if missing:
-            raise ValueError(
-                f"backends {missing} are not available in this process "
-                f"(available: {list(available_backends())})"
-            )
-        return tuple(chosen)
-
-    def measure_config(self, backend: str) -> MeasureConfig:
-        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=backend)
+    def measure_config(self) -> MeasureConfig:
+        return MeasureConfig(sfi_alpha=self.sfi_alpha)
 
 
 #: Smoke-scale override used by ``--smoke`` (CI): small fixed relations,
@@ -129,16 +114,16 @@ def build_fixed_relation(num_rows: int, seed: int):
     return relation
 
 
-def _time_backend(relation, config: RuntimeConfig, backend: str) -> Dict[str, object]:
-    """Timed statistics+scoring passes of one (relation, backend) cell.
+def _time_relation(relation, config: RuntimeConfig) -> Dict[str, object]:
+    """Timed statistics+scoring passes of one relation.
 
     Each pass uses a fresh one-shot :class:`AfdSession` so the shared
     statistics are recomputed every run (the quantity being timed).
     """
-    measures = config.measure_config(backend).build()
+    measures = config.measure_config().build()
 
     def one_pass():
-        session = AfdSession(relation, measures=dict(measures), backend=backend)
+        session = AfdSession(relation, measures=dict(measures))
         return session.score(SYNTHETIC_FD)
 
     for _ in range(config.warmup_runs):
@@ -164,16 +149,8 @@ def _time_backend(relation, config: RuntimeConfig, backend: str) -> Dict[str, ob
     }
 
 
-def _speedup(baseline: Optional[float], contender: Optional[float]) -> Optional[float]:
-    if baseline is None or contender is None or contender <= 0.0:
-        return None
-    return baseline / contender
-
-
-def _run_chunked_discovery_section(
-    config: RuntimeConfig, backends: Tuple[str, ...]
-) -> Optional[Dict[str, object]]:
-    """Discovery on a chunked relation, per backend.
+def _run_chunked_discovery_section(config: RuntimeConfig) -> Optional[Dict[str, object]]:
+    """Discovery on a chunked relation, timed and checked against brute force.
 
     :func:`discover_afds` runs on a :class:`ChunkedRelation` encoding of
     the relation while :func:`brute_force_afds` (``max_lhs_size=1``)
@@ -192,43 +169,32 @@ def _run_chunked_discovery_section(
     chunked_relation = ChunkedRelation.from_relation(
         relation, chunk_size=config.chunk_size
     )
-    per_backend: Dict[str, Dict[str, object]] = {}
-    for backend in backends:
-        measures = config.measure_config(backend).build()
-        started = time.perf_counter()
-        result = discover_afds(
-            chunked_relation, measures=dict(measures), backend=backend
+    measures = config.measure_config().build()
+    started = time.perf_counter()
+    result = discover_afds(chunked_relation, measures=dict(measures))
+    seconds = time.perf_counter() - started
+    oracle = brute_force_afds(relation, measures=dict(measures), max_lhs_size=1)
+    if [str(c.fd) for c in result.candidates] != [str(c.fd) for c in oracle.candidates]:
+        raise AssertionError(
+            f"chunked discovery candidate order differs from brute force on {relation.name}"
         )
-        seconds = time.perf_counter() - started
-        oracle = brute_force_afds(
-            relation, measures=dict(measures), max_lhs_size=1, backend=backend
-        )
-        if [str(c.fd) for c in result.candidates] != [str(c.fd) for c in oracle.candidates]:
+    for chunked_candidate, oracle_candidate in zip(result.candidates, oracle.candidates):
+        if (
+            chunked_candidate.scores != oracle_candidate.scores
+            or chunked_candidate.exact != oracle_candidate.exact
+        ):
             raise AssertionError(
-                f"chunked discovery candidate order (backend={backend}) "
-                f"differs from brute force on {relation.name}"
+                f"chunked discovery scores (fd={chunked_candidate.fd}) differ from "
+                f"brute force on {relation.name}"
             )
-        for chunked_candidate, oracle_candidate in zip(result.candidates, oracle.candidates):
-            if (
-                chunked_candidate.scores != oracle_candidate.scores
-                or chunked_candidate.exact != oracle_candidate.exact
-            ):
-                raise AssertionError(
-                    f"chunked discovery scores (backend={backend}, "
-                    f"fd={chunked_candidate.fd}) differ from brute force "
-                    f"on {relation.name}"
-                )
-        per_backend[backend] = {
-            "seconds": seconds,
-            "candidates": len(result.candidates),
-            "statistics_computed": result.statistics_computed,
-            "identical_to_brute_force": True,
-        }
     return {
         "name": relation.name,
         "num_rows": num_rows,
         "chunk_size": config.chunk_size,
-        "backends": per_backend,
+        "seconds": seconds,
+        "candidates": len(result.candidates),
+        "statistics_computed": result.statistics_computed,
+        "identical_to_brute_force": True,
     }
 
 
@@ -294,7 +260,6 @@ def run_discovery_smoke(
     num_rows: int,
     seed: int = 97,
     chunk_size: int = 100_000,
-    backend: Optional[str] = None,
     measures=None,
 ) -> Dict[str, object]:
     """Out-of-core chunked-discovery smoke: ingest + discover, row-list free.
@@ -330,7 +295,7 @@ def run_discovery_smoke(
         )
         ingest_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        result = discover_afds(relation, measures=dict(measures), backend=backend)
+        result = discover_afds(relation, measures=dict(measures))
         discover_seconds = time.perf_counter() - started
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
@@ -344,7 +309,6 @@ def run_discovery_smoke(
     return {
         "num_rows": num_rows,
         "chunk_size": chunk_size,
-        "backend": backend,
         "ingest_seconds": ingest_seconds,
         "discover_seconds": discover_seconds,
         "measures": list(measures),
@@ -368,40 +332,21 @@ def run_runtime(
     with ``bench_path`` set, writes the compact benchmark record there
     (the repo-root ``BENCH_runtime.json`` by default).
     """
-    backends = config.resolved_backends()
     relations: List[Dict[str, object]] = []
     for num_rows in config.sizes:
         relation = build_fixed_relation(num_rows, config.seed)
-        per_backend = {name: _time_backend(relation, config, name) for name in backends}
-
-        def _median_of(backend: str, key: str) -> Optional[float]:
-            cell = per_backend.get(backend)
-            return None if cell is None else cell[key]  # type: ignore[return-value]
-
         relations.append(
             {
                 "name": relation.name,
                 "num_rows": relation.num_rows,
                 "parameters": asdict(fixed_relation_parameters(num_rows)),
-                "backends": per_backend,
-                "statistics_speedup": _speedup(
-                    _median_of("python", "statistics_seconds_median"),
-                    _median_of("numpy", "statistics_seconds_median"),
-                ),
-                "total_speedup": _speedup(
-                    _median_of("python", "total_seconds_median"),
-                    _median_of("numpy", "total_seconds_median"),
-                ),
+                **_time_relation(relation, config),
             }
         )
-    largest = max(relations, key=lambda entry: entry["num_rows"]) if relations else None
-    chunked_discovery = _run_chunked_discovery_section(config, backends)
+    chunked_discovery = _run_chunked_discovery_section(config)
     if config.discovery_rows:
         smoke = run_discovery_smoke(
-            config.discovery_rows,
-            seed=config.seed,
-            chunk_size=config.chunk_size,
-            backend="numpy" if "numpy" in backends else backends[0],
+            config.discovery_rows, seed=config.seed, chunk_size=config.chunk_size
         )
         if chunked_discovery is None:
             chunked_discovery = {"smoke": smoke}
@@ -410,21 +355,8 @@ def run_runtime(
     payload: Dict[str, object] = {
         "experiment": "runtime",
         "config": asdict(config),
-        "backends": list(backends),
         "metadata": {"cpu_count": os.cpu_count()},
         "relations": relations,
-        "largest": None
-        if largest is None
-        else {
-            "name": largest["name"],
-            "num_rows": largest["num_rows"],
-            "statistics_speedup": largest["statistics_speedup"],
-            "total_speedup": largest["total_speedup"],
-        },
-        # The headline number: python-backend over numpy-backend median
-        # wall-clock of the shared statistics pass on the largest fixed
-        # relation (None when only one backend ran).
-        "speedup": None if largest is None else largest["statistics_speedup"],
         # Partition-free discovery on a chunked relation (parity-asserted
         # against brute force), plus the optional out-of-core smoke when
         # ``discovery_rows`` is set.
@@ -440,32 +372,21 @@ def run_runtime(
 def _write_artifacts(directory: Path, payload: Dict[str, object]) -> None:
     ensure_directory(directory)
     write_json(directory / "summary.json", payload)
-    fields = ["relation", "num_rows", "backend", "metric", "median_seconds"]
+    fields = ["relation", "num_rows", "metric", "median_seconds"]
 
     def rows():
         for entry in payload["relations"]:  # type: ignore[union-attr]
-            for backend, cell in entry["backends"].items():  # type: ignore[union-attr]
+            medians = {
+                "statistics": entry["statistics_seconds_median"],
+                "total": entry["total_seconds_median"],
+                **entry["measure_seconds_median"],
+            }
+            for metric, seconds in medians.items():
                 yield {
                     "relation": entry["name"],
                     "num_rows": entry["num_rows"],
-                    "backend": backend,
-                    "metric": "statistics",
-                    "median_seconds": cell["statistics_seconds_median"],
+                    "metric": metric,
+                    "median_seconds": seconds,
                 }
-                yield {
-                    "relation": entry["name"],
-                    "num_rows": entry["num_rows"],
-                    "backend": backend,
-                    "metric": "total",
-                    "median_seconds": cell["total_seconds_median"],
-                }
-                for measure, seconds in cell["measure_seconds_median"].items():
-                    yield {
-                        "relation": entry["name"],
-                        "num_rows": entry["num_rows"],
-                        "backend": backend,
-                        "metric": measure,
-                        "median_seconds": seconds,
-                    }
 
     write_csv(directory / "summary.csv", fields, rows())

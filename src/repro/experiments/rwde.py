@@ -43,10 +43,9 @@ class RwdeConfig:
     seed: int = 0
     jobs: int = 1
     sfi_alpha: float = 0.5
-    backend: Optional[str] = None
 
     def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=self.backend)
+        return MeasureConfig(sfi_alpha=self.sfi_alpha)
 
 
 @lru_cache(maxsize=4)
@@ -75,9 +74,7 @@ def _run_cell(task: Tuple[str, float, RwdeConfig]) -> Dict[str, object]:
     for corrupted in rwde:
         relation = corrupted.corrupted.relation
         ground_truth = set(corrupted.ground_truth)
-        discovered = discover_afds(
-            relation, measures=measures, threshold=0.0, backend=config.backend
-        )
+        discovered = discover_afds(relation, measures=measures, threshold=0.0)
         for candidate in discovered.candidates:
             if candidate.exact:
                 excluded_exact += 1

@@ -36,10 +36,9 @@ class SensitivityConfig:
     min_rows: int = 100
     max_rows: int = 1000
     sfi_alpha: float = 0.5
-    backend: Optional[str] = None
 
     def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(sfi_alpha=self.sfi_alpha, backend=self.backend)
+        return MeasureConfig(sfi_alpha=self.sfi_alpha)
 
 
 def run_sensitivity(

@@ -62,13 +62,12 @@ class ServiceConfig:
     workers: int = 4
     seed: int = 97
     sfi_alpha: float = 0.5
-    backend: Optional[str] = None
 
     def measure_options(self) -> Dict[str, object]:
         return {"sfi_alpha": self.sfi_alpha}
 
     def session(self, relation) -> AfdSession:
-        return AfdSession(relation, backend=self.backend, **self.measure_options())
+        return AfdSession(relation, **self.measure_options())
 
 
 #: Smoke-scale override used by ``--smoke`` (CI): same code path and
@@ -138,13 +137,10 @@ def _throughput_mode(
     if mode == "sharded":
         server, _pool = make_sharded_server(
             workers=config.workers,
-            backend=config.backend,
             measure_options=config.measure_options(),
         )
     else:
-        state = ServiceState(
-            backend=config.backend, measure_options=config.measure_options()
-        )
+        state = ServiceState(measure_options=config.measure_options())
         server, _ = make_server(state=state)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

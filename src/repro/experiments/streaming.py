@@ -17,7 +17,7 @@ Protocol, mirroring the runtime driver where it applies:
   relation size (appends drawn from the relation's generation domains,
   plus a fraction of *novel* values that grow the dynamic code tables
   past the initial dictionary; deletes drawn uniformly from the live
-  rows), replayed identically for every backend;
+  rows);
 * **medians** — per-batch wall-clock is summarised by the median over
   batches, separately for the statistics phase (incremental: delta
   application + re-assembly; recompute: snapshot + ``compute``) and for
@@ -26,8 +26,9 @@ Protocol, mirroring the runtime driver where it applies:
 Artifacts: ``summary.json`` + ``summary.csv`` under
 ``<output_dir>/streaming/`` and a compact ``BENCH_streaming.json`` at
 the repository root whose ``speedup`` headline is the recompute-over-
-incremental statistics-phase median ratio on the largest fixed relation
-(per the process-default backend).
+incremental statistics-phase median ratio on the largest fixed relation.
+The recompute uses whichever statistics kernel the process picks
+(:mod:`repro.core.chunked`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from pathlib import Path
 from statistics import median
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.backends import available_backends, resolve_backend
 from repro.core.statistics import FdStatistics
 from repro.experiments.io import ensure_directory, write_csv, write_json
 from repro.experiments.runtime import build_fixed_relation, fixed_relation_parameters
@@ -56,28 +56,16 @@ class StreamingConfig:
     deletes form one batch (the small-Δ regime the incremental path is
     built for); ``novel_fraction`` of appended LHS values are brand new,
     so the dynamic dictionary encoding must grow its code tables
-    mid-stream.  ``backends`` restricts the benchmarked backend set
-    (default: every backend available in the process).
+    mid-stream.
     """
 
     sizes: Tuple[int, ...] = (1_000, 5_000, 20_000)
-    backends: Tuple[str, ...] = ()
     batches: int = 12
     batch_size: int = 16
     delete_fraction: float = 0.25
     novel_fraction: float = 0.1
     seed: int = 97
     sfi_alpha: float = 0.5
-
-    def resolved_backends(self) -> Tuple[str, ...]:
-        chosen = self.backends if self.backends else available_backends()
-        missing = [name for name in chosen if name not in available_backends()]
-        if missing:
-            raise ValueError(
-                f"backends {missing} are not available in this process "
-                f"(available: {list(available_backends())})"
-            )
-        return tuple(chosen)
 
     def build_measures(self):
         from repro.core.registry import all_measures
@@ -99,7 +87,7 @@ def build_workload(num_rows: int, config: StreamingConfig) -> List[Batch]:
     Returned deletes are *row ids* under the id assignment a
     :class:`DynamicRelation` seeded with the fixed relation performs
     (initial rows take ids ``0 .. num_rows - 1``, appends continue from
-    there), so the same workload replays identically on every backend.
+    there), so the same workload replays identically on every run.
     """
     import numpy as np
 
@@ -133,13 +121,10 @@ def build_workload(num_rows: int, config: StreamingConfig) -> List[Batch]:
     return batches
 
 
-def _replay_backend(
-    relation: Relation,
-    workload: List[Batch],
-    config: StreamingConfig,
-    backend: str,
+def _replay(
+    relation: Relation, workload: List[Batch], config: StreamingConfig
 ) -> Dict[str, object]:
-    """Timed incremental-vs-recompute passes of one (relation, backend) cell.
+    """Timed incremental-vs-recompute passes of one relation.
 
     Raises :class:`RuntimeError` on any score divergence — bit-identity
     of the incremental path is part of the benchmark's contract, not an
@@ -156,7 +141,7 @@ def _replay_backend(
     for measure in measures.values():
         measure.score_from_statistics(tracker.statistics())
         measure.score_from_statistics(
-            FdStatistics.compute(dynamic.snapshot(), SYNTHETIC_FD, backend=backend)
+            FdStatistics.compute(dynamic.snapshot(), SYNTHETIC_FD)
         )
 
     incremental_runs: List[float] = []
@@ -182,7 +167,7 @@ def _replay_backend(
 
         started = time.perf_counter()
         snapshot = dynamic.snapshot()
-        recomputed_statistics = FdStatistics.compute(snapshot, SYNTHETIC_FD, backend=backend)
+        recomputed_statistics = FdStatistics.compute(snapshot, SYNTHETIC_FD)
         recompute_seconds = time.perf_counter() - started
         recompute_scores = {}
         recompute_scoring = 0.0
@@ -193,9 +178,7 @@ def _replay_backend(
             recompute_measure_runs[name].append(seconds)
             recompute_scoring += seconds
 
-        assert_scores_identical(
-            incremental_scores, recompute_scores, f"{relation.name}, {backend} backend"
-        )
+        assert_scores_identical(incremental_scores, recompute_scores, relation.name)
         incremental_runs.append(incremental_seconds)
         recompute_runs.append(recompute_seconds)
         incremental_total_runs.append(incremental_seconds + incremental_scoring)
@@ -240,15 +223,10 @@ def run_streaming(
     with ``bench_path`` set, writes the compact benchmark record there
     (the repo-root ``BENCH_streaming.json`` by default).
     """
-    backends = config.resolved_backends()
-    default_backend = resolve_backend(None).name
     relations: List[Dict[str, object]] = []
     for num_rows in config.sizes:
         relation = build_fixed_relation(num_rows, config.seed)
         workload = build_workload(num_rows, config)
-        per_backend = {
-            name: _replay_backend(relation, workload, config, name) for name in backends
-        }
         relations.append(
             {
                 "name": relation.name,
@@ -257,39 +235,26 @@ def run_streaming(
                 "batches": config.batches,
                 "batch_size": config.batch_size,
                 "deletes_per_batch": int(config.batch_size * config.delete_fraction),
-                "backends": per_backend,
+                **_replay(relation, workload, config),
             }
         )
     largest = max(relations, key=lambda entry: entry["num_rows"]) if relations else None
-    headline_backend = default_backend if default_backend in backends else (
-        backends[0] if backends else None
-    )
     payload: Dict[str, object] = {
         "experiment": "streaming",
         "config": asdict(config),
-        "backends": list(backends),
-        "scores_verified": True,  # _replay_backend raises on any divergence
+        "scores_verified": True,  # _replay raises on any divergence
         "relations": relations,
-        "headline_backend": headline_backend,
         "largest": None
         if largest is None
         else {
             "name": largest["name"],
             "num_rows": largest["num_rows"],
-            "statistics_speedup": {
-                name: cell["statistics_speedup"]
-                for name, cell in largest["backends"].items()
-            },
-            "total_speedup": {
-                name: cell["total_speedup"] for name, cell in largest["backends"].items()
-            },
+            "statistics_speedup": largest["statistics_speedup"],
+            "total_speedup": largest["total_speedup"],
         },
         # The headline number: recompute-over-incremental median wall-clock
-        # of the statistics phase on the largest fixed relation, for the
-        # process-default backend.
-        "speedup": None
-        if largest is None or headline_backend is None
-        else largest["backends"][headline_backend]["statistics_speedup"],
+        # of the statistics phase on the largest fixed relation.
+        "speedup": None if largest is None else largest["statistics_speedup"],
     }
     if output_dir is not None:
         _write_artifacts(Path(output_dir) / "streaming", payload)
@@ -301,35 +266,29 @@ def run_streaming(
 def _write_artifacts(directory: Path, payload: Dict[str, object]) -> None:
     ensure_directory(directory)
     write_json(directory / "summary.json", payload)
-    fields = ["relation", "num_rows", "backend", "metric", "median_seconds"]
+    fields = ["relation", "num_rows", "metric", "median_seconds"]
 
     def rows():
         for entry in payload["relations"]:  # type: ignore[union-attr]
-            for backend, cell in entry["backends"].items():  # type: ignore[union-attr]
-                for metric in (
-                    "incremental_seconds_median",
-                    "recompute_seconds_median",
-                    "incremental_total_seconds_median",
-                    "recompute_total_seconds_median",
-                ):
+            for metric in (
+                "incremental_seconds_median",
+                "recompute_seconds_median",
+                "incremental_total_seconds_median",
+                "recompute_total_seconds_median",
+            ):
+                yield {
+                    "relation": entry["name"],
+                    "num_rows": entry["num_rows"],
+                    "metric": metric.replace("_seconds_median", ""),
+                    "median_seconds": entry[metric],
+                }
+            for path in ("incremental", "recompute"):
+                for measure, seconds in entry[f"{path}_measure_seconds_median"].items():
                     yield {
                         "relation": entry["name"],
                         "num_rows": entry["num_rows"],
-                        "backend": backend,
-                        "metric": metric.replace("_seconds_median", ""),
-                        "median_seconds": cell[metric],
+                        "metric": f"{path}:{measure}",
+                        "median_seconds": seconds,
                     }
-                for path, runs in (
-                    ("incremental", cell["incremental_measure_seconds_median"]),
-                    ("recompute", cell["recompute_measure_seconds_median"]),
-                ):
-                    for measure, seconds in runs.items():
-                        yield {
-                            "relation": entry["name"],
-                            "num_rows": entry["num_rows"],
-                            "backend": backend,
-                            "metric": f"{path}:{measure}",
-                            "median_seconds": seconds,
-                        }
 
     write_csv(directory / "summary.csv", fields, rows())

@@ -7,9 +7,8 @@ plus a lock, cheap enough to leave on in production), and exports a
 plain-JSON snapshot via :meth:`MetricsRegistry.to_dict`.  Snapshots
 merge associatively (:func:`merge_snapshots`), so the dispatcher folds
 per-worker snapshots collected over the existing pipe protocol into one
-fleet-wide view — the same discipline
-:class:`~repro.core.partial.PartialFdCounts` established for chunked
-statistics.  :func:`render_prometheus` turns any snapshot (local or
+fleet-wide view — the same discipline the chunked statistics pass
+(:mod:`repro.core.chunked`) follows for its per-chunk counts.  :func:`render_prometheus` turns any snapshot (local or
 merged) into the text exposition format ``GET /v1/metrics`` serves.
 
 Metric vocabulary:

@@ -24,8 +24,8 @@ per-chunk counts are keyed by codes that mean the same thing in every
 chunk.
 
 Without numpy the chunks fall back to ``array.array("i")`` — same 4-byte
-cells, pure stdlib — so the chunked path works wherever the ``python``
-statistics backend does.
+cells, pure stdlib — and the statistics pass counts them as code tuples,
+so the chunked path works without numpy too.
 """
 
 from __future__ import annotations

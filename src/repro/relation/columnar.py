@@ -10,7 +10,7 @@ operation: the statistics pass slices the code arrays into chunks
 (:mod:`repro.core.chunked`), and discovery's key check reads each
 attribute's cardinality and null count from the same view.
 
-Crucially for the statistics backends (:mod:`repro.core.backends`),
+Crucially for the statistics kernels (:mod:`repro.core.chunked`),
 codes are assigned in **first-occurrence order**, the same order as the
 streaming chunked ingest, so both kinds of chunk source feed the kernels
 identical codes.

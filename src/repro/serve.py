@@ -5,7 +5,7 @@ for the endpoint table and payload schemas.
 
 Example::
 
-    python -m repro.serve --port 8765 --backend numpy
+    python -m repro.serve --port 8765 --workers 2
 """
 
 from repro.service.server import build_parser, main  # noqa: F401 - re-export

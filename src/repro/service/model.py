@@ -195,7 +195,7 @@ class ProfileRequest:
 
     ``measures=None`` means "every measure the session holds" — the
     session, not the request, owns the measure parameterisation (SFI
-    smoothing, backend), so requests stay small and cacheable.
+    smoothing), so requests stay small and cacheable.
     """
 
     fd: FunctionalDependency

@@ -37,12 +37,7 @@ from repro.service.session import AfdSession
 class ServiceState:
     """The server's session registry (thread-safe)."""
 
-    def __init__(
-        self,
-        backend: Optional[str] = None,
-        measure_options: Optional[Dict[str, object]] = None,
-    ):
-        self._backend = backend
+    def __init__(self, measure_options: Optional[Dict[str, object]] = None):
         self._measure_options = dict(measure_options or {})
         self._sessions: Dict[str, AfdSession] = {}
         self._lock = threading.Lock()
@@ -93,9 +88,7 @@ class ServiceState:
             relation = ChunkedRelation(attributes, rows, name=name, **chunk_options)  # type: ignore[arg-type]
         else:
             relation = Relation(attributes, rows, name=name)  # type: ignore[arg-type]
-        session = AfdSession(
-            relation, backend=self._backend, name=name, **self._measure_options
-        )
+        session = AfdSession(relation, name=name, **self._measure_options)
         self.register_session(name, session, replace=bool(payload.get("replace", False)))
         return session
 

@@ -447,7 +447,6 @@ def make_sharded_server(
     host: str = "127.0.0.1",
     port: int = 0,
     workers: int = 2,
-    backend: Optional[str] = None,
     measure_options: Optional[Dict[str, object]] = None,
     logger: Optional[RequestLogger] = None,
 ) -> Tuple[AsyncHttpServer, ShardPool]:
@@ -457,7 +456,7 @@ def make_sharded_server(
     the thread that will own the server, then hand ``serve_forever`` to
     a thread).  ``server_close()`` stops the pool.
     """
-    pool = ShardPool(workers, backend=backend, measure_options=measure_options)
+    pool = ShardPool(workers, measure_options=measure_options)
     server = AsyncHttpServer(host, port)
     dispatcher = ShardDispatcher(pool, server.add_reader, server.remove_reader)
     server.handler = ServiceApp(
@@ -487,12 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
             "shard worker processes (default: 0 = in-process serving; "
             "N > 0 distributes relations over N session-owning processes)"
         ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "numpy"),
-        default=None,
-        help="statistics backend for every session (default: process default)",
     )
     parser.add_argument(
         "--sfi-alpha", type=float, default=0.5, help="SFI smoothing parameter (default: 0.5)"
@@ -528,13 +521,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.host,
             args.port,
             workers=args.workers,
-            backend=args.backend,
             measure_options=measure_options,
             logger=logger,
         )
         mode = f"sharded across {args.workers} workers"
     else:
-        state = ServiceState(backend=args.backend, measure_options=measure_options)
+        state = ServiceState(measure_options=measure_options)
         server, _ = make_server(args.host, args.port, state=state, logger=logger)
         mode = "in-process"
     host, port = server.server_address[:2]

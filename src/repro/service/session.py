@@ -38,7 +38,7 @@ path would produce — :meth:`score` equals ``FdStatistics.compute`` +
 (the static relation, the chunked store or the dynamic snapshot), and
 dynamic re-scoring equals a from-scratch recompute on the
 snapshot (the ``repro.stream`` contract) — so session results are
-``==``-identical to the direct calls on both statistics backends.
+``==``-identical to the direct calls whichever statistics kernel runs.
 
 **Concurrency.**  All public methods serialise on one reentrant
 per-session lock: concurrent callers (the HTTP server's worker threads)
@@ -86,9 +86,6 @@ class AfdSession:
         Optional pre-built ``name -> AfdMeasure`` mapping.  When omitted,
         the full registry is built from ``measure_options`` (the
         ``sfi_alpha`` option of :func:`repro.core.registry.all_measures`).
-    backend:
-        Statistics backend (``"python"`` / ``"numpy"`` / ``None`` for the
-        process default).  Scores are bit-identical either way.
     name:
         Session name (defaults to the relation's name).
 
@@ -102,7 +99,6 @@ class AfdSession:
         self,
         relation,
         measures: Optional[Mapping[str, AfdMeasure]] = None,
-        backend: Optional[str] = None,
         name: Optional[str] = None,
         **measure_options,
     ):
@@ -126,7 +122,6 @@ class AfdSession:
                 f"DynamicRelation, got {type(relation).__name__}"
             )
         self.name = name if name is not None else relation.name
-        self._backend = backend
         self._measures: Dict[str, AfdMeasure] = (
             dict(measures) if measures is not None else all_measures(**measure_options)
         )
@@ -196,10 +191,6 @@ class AfdSession:
         return self._epoch
 
     @property
-    def backend(self) -> Optional[str]:
-        return self._backend
-
-    @property
     def measure_names(self) -> List[str]:
         return list(self._measures)
 
@@ -230,7 +221,6 @@ class AfdSession:
                     self._chunked.chunk_size if self._chunked is not None else None
                 ),
                 "epoch": self._epoch,
-                "backend": self._backend,
                 "measures": list(self._measures),
                 # Cache levels only; hit/miss counts live in repro.obs.
                 "cache": {
@@ -280,14 +270,10 @@ class AfdSession:
                     result_label = "incremental"
                 statistics = tracker.statistics()
             else:
-                statistics = FdStatistics.compute(
-                    self._dynamic.snapshot(), fd, backend=self._backend
-                )
+                statistics = FdStatistics.compute(self._dynamic.snapshot(), fd)
         else:
             statistics = FdStatistics.compute(
-                self._chunked if self._chunked is not None else self._static,
-                fd,
-                backend=self._backend,
+                self._chunked if self._chunked is not None else self._static, fd
             )
         seconds = time.perf_counter() - started
         registry.inc("session_statistics_total", relation=self.name, result=result_label)
@@ -315,8 +301,7 @@ class AfdSession:
         """Profile one FD: scores, per-measure runtimes, cache provenance.
 
         Bit-identical (``==``) to ``FdStatistics.compute`` followed by
-        ``score_from_statistics`` with the same backend and measure
-        parameters.
+        ``score_from_statistics`` with the same measure parameters.
         """
         with self._lock:
             fd = fd_from_value(fd)
@@ -438,7 +423,6 @@ class AfdSession:
                     max_lhs_size=max_lhs_size,
                     lhs_attributes=lhs_attributes,
                     rhs_attributes=rhs_attributes,
-                    backend=self._backend,
                     statistics_provider=provider,
                 )
             if minimal_cover:

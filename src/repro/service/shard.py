@@ -159,7 +159,6 @@ def worker_main(
     worker_id: int,
     num_workers: int,
     replicas: int,
-    backend: Optional[str],
     measure_options: Dict[str, object],
 ) -> None:
     """The shard worker process: recv → execute → send, until stopped."""
@@ -170,7 +169,7 @@ def worker_main(
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     ring = HashRing(num_workers, replicas)
-    state = ServiceState(backend=backend, measure_options=measure_options)
+    state = ServiceState(measure_options=measure_options)
     while True:
         try:
             message = conn.recv()
@@ -219,7 +218,6 @@ class ShardPool:
     def __init__(
         self,
         num_workers: int,
-        backend: Optional[str] = None,
         measure_options: Optional[Dict[str, object]] = None,
         replicas: int = DEFAULT_REPLICAS,
         start_method: Optional[str] = None,
@@ -241,7 +239,6 @@ class ShardPool:
                     worker_id,
                     num_workers,
                     replicas,
-                    backend,
                     dict(measure_options or {}),
                 ),
                 name=f"repro-shard-{worker_id}",

@@ -11,7 +11,7 @@ deletes, sliding windows — without re-paying that pass per batch:
 * :class:`IncrementalFdStatistics` — count histograms and exact
   integer facts kept current in O(1) per inserted or deleted row; a
   refresh copies them into an :class:`~repro.core.statistics.FdStatistics`
-  bit-identical to a from-scratch ``compute()`` on either backend.
+  bit-identical to a from-scratch ``compute()``.
 
 Discovery on a dynamic session runs on the current snapshot, whose
 columnar view is seeded from the dynamic encoding.

@@ -17,8 +17,8 @@ Examples::
     python -m repro.stream --dataset R1 --rows 5000 --fd "icd_code -> icd_block" \\
         --window 1000 --measures g3,mu_plus
 
-    # cross-check every batch against a full recompute (both backends agree)
-    python -m repro.stream data.csv --fd "A -> B" --verify --backend numpy
+    # cross-check every batch against a full recompute
+    python -m repro.stream data.csv --fd "A -> B" --verify
 """
 
 from __future__ import annotations
@@ -115,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check every batch's statistics and scores against a full "
         "recompute on the snapshot (exits non-zero on any divergence)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "numpy"),
-        default=None,
-        help="statistics backend used by --verify recomputes "
-        "(default: process default)",
-    )
     return parser
 
 
@@ -133,7 +126,6 @@ def monitor(
     initial: Optional[int] = None,
     window: Optional[int] = None,
     verify: bool = False,
-    backend: Optional[str] = None,
 ) -> Iterator[Dict[str, object]]:
     """Replay ``relation`` as a stream, scoring ``fd`` after every batch.
 
@@ -155,7 +147,7 @@ def monitor(
     dynamic = DynamicRelation(
         relation.attributes, rows[:seed_count], name=relation.name, window=window
     )
-    session = AfdSession(dynamic, measures=dict(measures), backend=backend)
+    session = AfdSession(dynamic, measures=dict(measures))
     fd_key = str(fd)
     # Batch 0 scores the seeded prefix; each later batch appends one chunk.
     batches: List[List] = [[]] + [
@@ -180,7 +172,7 @@ def monitor(
         }
         if verify:
             started = time.perf_counter()
-            recomputed = FdStatistics.compute(dynamic.snapshot(), fd, backend=backend)
+            recomputed = FdStatistics.compute(dynamic.snapshot(), fd)
             reference = {
                 name: measure.score_from_statistics(recomputed)
                 for name, measure in measures.items()
@@ -235,7 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             initial=args.initial,
             window=args.window,
             verify=args.verify,
-            backend=args.backend,
         ):
             # Live feed: one JSON line per batch, flushed as it is scored.
             print(json.dumps(record, sort_keys=True), flush=True)

@@ -117,7 +117,7 @@ class IncrementalFdStatistics:
     Create via :meth:`DynamicRelation.track` (or directly — the
     constructor self-registers for mutation deltas).
     :meth:`statistics` assembles a fresh :class:`FdStatistics` ``==`` to
-    ``FdStatistics.compute(dynamic.snapshot(), fd)`` on either backend.
+    ``FdStatistics.compute(dynamic.snapshot(), fd)``.
     """
 
     def __init__(self, dynamic, fd: FunctionalDependency):

@@ -13,13 +13,13 @@ The second half is a seeded, stdlib-only generator of relations built
 from declared column shapes (key, NULL-heavy, skewed, constant, mixed
 types, small uniform domains, two-attribute LHS) and of insert / delete /
 window streams, plus :func:`check_case`, which scores each case on every
-path the library offers — both backends over a ``Relation``, over a
-``ChunkedRelation`` at chunk sizes 1, 7 and the default, through the
-incremental tracker (also compared with a recompute after every stream
-step, with one more tracker enrolled halfway), and through ``AfdSession.score``
-(one session per backend for all the case's FDs and the reverses of its
-single-attribute ones, so expectation cells come from the session's
-memo) — and reports every path that is not within :data:`ATOL` of the
+path the library offers — both statistics kernels (see :func:`kernel`)
+over a ``Relation``, over a ``ChunkedRelation`` at chunk sizes 1, 7 and
+the default, through the incremental tracker (also compared with a
+recompute after every stream step, with one more tracker enrolled
+halfway), and through ``AfdSession.score`` (one session per kernel for
+all the case's FDs and the reverses of its single-attribute ones, so
+expectation cells come from the session's memo) — and reports every path that is not within :data:`ATOL` of the
 oracle or not ``==`` to the others.  Discovery up to two LHS attributes
 runs on the same sources plus a session over the replayed dynamic store:
 every source must give the same result, each candidate must match the
@@ -41,7 +41,23 @@ import random
 import sys
 import time
 from collections import Counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import pytest
+
+try:
+    import numpy  # noqa: F401
+except ImportError:
+    HAVE_NUMPY = False
+else:
+    HAVE_NUMPY = True
+
+#: The statistics kernels this process can run: code tuples (``"python"``)
+#: always, packed ``int64`` keys (``"numpy"``) when numpy imports.
+KERNELS: Tuple[str, ...] = ("python", "numpy") if HAVE_NUMPY else ("python",)
+
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 #: The tolerance of every oracle comparison (the one perfbench answers use).
 ATOL = 1e-9
@@ -319,12 +335,51 @@ def generate_case(seed: int) -> Case:
 # ----------------------------------------------------------------------
 # Differential check of every library path against the oracle
 # ----------------------------------------------------------------------
-def _backends() -> Tuple[str, ...]:
+def without_numpy(monkeypatch) -> None:
+    """Run the statistics path as a process without numpy runs it.
+
+    Sets ``np = None`` in every module of that path that binds it, so the
+    encodings, the chunk stores, the dynamic store and every pass all take
+    their pure-python branches together, never a mix of the two.
+    """
+    import repro.core.chunked
+    import repro.core.partial
+    import repro.relation.chunked
+    import repro.relation.columnar
+    import repro.stream.dynamic
+
+    for module in (
+        repro.core.chunked,
+        repro.core.partial,
+        repro.relation.chunked,
+        repro.relation.columnar,
+        repro.stream.dynamic,
+    ):
+        monkeypatch.setattr(module, "np", None)
+
+
+@contextmanager
+def kernel(name: str) -> Iterator[None]:
+    """Run the block's statistics passes on one kernel.
+
+    ``"numpy"`` keeps the library's rule: packed ``int64`` keys while the
+    radix product fits ``repro.core.chunked._PACK_LIMIT``.  ``"python"``
+    sets that limit to 0, so every pass counts code tuples, the cached
+    full-tuple pass and ``is_key`` included, as a process without numpy
+    (or past 2^62) does.  A full-tuple sum cached on an encoding outlives
+    the block, so a comparison of kernels gives each its own encoding.
+    """
+    import repro.core.chunked as chunked
+
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; this process runs {KERNELS}")
+    saved = chunked._PACK_LIMIT
+    if name == "python":
+        chunked._PACK_LIMIT = 0
     try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return ("python",)
-    return ("python", "numpy")
+        yield
+    finally:
+        chunked._PACK_LIMIT = saved
 
 
 def holds(
@@ -349,8 +404,27 @@ def is_key(attributes: Sequence[str], rows: Sequence[Row], lhs: Sequence[str]) -
     return len({tuple(row[i] for i in positions) for row in rows}) == len(rows)
 
 
+def _apply_step(dynamic, kind: str, payload) -> None:
+    """One stream step: append rows, or delete the live rows at positions."""
+    if kind == "insert":
+        dynamic.append(payload)
+    else:
+        live = dynamic.live_ids()
+        dynamic.delete([live[i] for i in payload])
+
+
+def _replayed_store(case: Case):
+    """A new ``DynamicRelation`` with the case's whole stream applied."""
+    from repro.stream import DynamicRelation
+
+    dynamic = DynamicRelation(case.attributes, case.rows, name="oracle", window=case.window)
+    for kind, payload in case.stream:
+        _apply_step(dynamic, kind, payload)
+    return dynamic
+
+
 def _replay(case: Case, failures: List[str]):
-    """The case's stream applied to a ``DynamicRelation``; one tracker per FD.
+    """The case's stream replayed with one tracker per FD; returns the trackers.
 
     Every tracker is compared with a recompute on the snapshot after the
     initial rows and after each stream step; a mismatch is appended to
@@ -376,16 +450,12 @@ def _replay(case: Case, failures: List[str]):
         if index == len(case.stream) // 2:
             late = dynamic.track(trackers[0].fd)
             watched.append((f"tracker enrolled before step {index}", late))
-        if kind == "insert":
-            dynamic.append(payload)
-        else:
-            live = dynamic.live_ids()
-            dynamic.delete([live[i] for i in payload])
+        _apply_step(dynamic, kind, payload)
         check(f"after stream step {index} ({kind})")
-    return dynamic, trackers
+    return trackers
 
 
-def _check_discovery(case: Case, rows: List[Row], dynamic, failures: List[str]) -> None:
+def _check_discovery(case: Case, rows: List[Row], failures: List[str]) -> None:
     """Discovery (LHSs of up to two attributes) on every source against the oracle."""
     from itertools import combinations
 
@@ -394,17 +464,21 @@ def _check_discovery(case: Case, rows: List[Row], dynamic, failures: List[str]) 
     from repro.relation.chunked import DEFAULT_CHUNK_SIZE
 
     attributes = case.attributes
-    relation = Relation(attributes, rows, name="oracle")
     measures = all_measures()
+    options = dict(measures=measures, threshold=0.0, max_lhs_size=2)
     results = {}
-    for backend in _backends():
-        options = dict(measures=measures, threshold=0.0, max_lhs_size=2, backend=backend)
-        results[f"{backend}/relation"] = discover_afds(relation, **options)
-        for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
-            store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
-            results[f"{backend}/chunked-{chunk_size}"] = discover_afds(store, **options)
-        session = AfdSession(dynamic, measures=measures, backend=backend)
-        results[f"{backend}/dynamic"] = session.discover(threshold=0.0, max_lhs_size=2).to_discovery()
+    for kernel_name in KERNELS:
+        with kernel(kernel_name):
+            # Each kernel gets its own encodings (see kernel()).
+            relation = Relation(attributes, rows, name="oracle")
+            results[f"{kernel_name}/relation"] = discover_afds(relation, **options)
+            for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
+                store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+                results[f"{kernel_name}/chunked-{chunk_size}"] = discover_afds(store, **options)
+            session = AfdSession(_replayed_store(case), measures=measures)
+            results[f"{kernel_name}/dynamic"] = session.discover(
+                threshold=0.0, max_lhs_size=2
+            ).to_discovery()
     fingerprints = {
         path: ([(c.fd, c.scores, c.exact) for c in result.candidates], result.counters())
         for path, result in results.items()
@@ -461,7 +535,7 @@ def check_case(case: Case) -> List[str]:
     single-attribute one, each path scored all fourteen measures within
     :data:`ATOL` of the oracle, every path's scores were ``==`` to every
     other path's, and every path's statistics were ``==`` to every other
-    path's.  One ``AfdSession`` per backend scores all those FDs, so its
+    path's.  One ``AfdSession`` per kernel scores all those FDs, so its
     memo of expectation cells is shared as it is in service use.  It also
     means discovery agreed on every source and with the oracle
     (:func:`_check_discovery`).
@@ -472,17 +546,16 @@ def check_case(case: Case) -> List[str]:
 
     measures = all_measures()
     rows = case.final_rows()
-    relation = Relation(case.attributes, rows, name="oracle")
     failures: List[str] = []
-    dynamic, replayed = _replay(case, failures)
-    trackers = dict(zip(case.fds, replayed))
-    _check_discovery(case, rows, dynamic, failures)
+    trackers = dict(zip(case.fds, _replay(case, failures)))
+    _check_discovery(case, rows, failures)
     # Single-attribute FDs are also scored reversed: on the shared sessions
     # below, Y -> X finds every expectation cell of X -> Y in the memo.
     reverses = [(rhs, lhs) for lhs, rhs in case.fds if len(lhs) == len(rhs) == 1]
+    # Per kernel: its own relation (so its own encodings) and session.
+    relations = {name: Relation(case.attributes, rows, name="oracle") for name in KERNELS}
     sessions = {
-        backend: AfdSession(Relation(case.attributes, rows, name="oracle"), backend=backend)
-        for backend in _backends()
+        name: AfdSession(Relation(case.attributes, rows, name="oracle")) for name in KERNELS
     }
     for lhs, rhs in dict.fromkeys([*case.fds, *reverses]):
         fd = FunctionalDependency(lhs, rhs)
@@ -491,14 +564,16 @@ def check_case(case: Case) -> List[str]:
         if (lhs, rhs) in trackers:
             statistics["incremental"] = trackers[lhs, rhs].statistics()
         scores = {}
-        for backend, session in sessions.items():
-            statistics[f"{backend}/relation"] = FdStatistics.compute(relation, fd, backend)
-            for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
-                store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
-                statistics[f"{backend}/chunked-{chunk_size}"] = FdStatistics.compute(
-                    store, fd, backend
-                )
-            scores[f"{backend}/session"] = session.score(fd).scores
+        for kernel_name in KERNELS:
+            with kernel(kernel_name):
+                relation = relations[kernel_name]
+                statistics[f"{kernel_name}/relation"] = FdStatistics.compute(relation, fd)
+                for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
+                    store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+                    statistics[f"{kernel_name}/chunked-{chunk_size}"] = FdStatistics.compute(
+                        store, fd
+                    )
+                scores[f"{kernel_name}/session"] = sessions[kernel_name].score(fd).scores
         for path, computed in statistics.items():
             scores[path] = {
                 name: measure.score_from_statistics(computed) for name, measure in measures.items()

@@ -1,17 +1,17 @@
-"""Backend parity, the columnar substrate, and the runtime driver.
+"""Kernel parity, the columnar substrate, and the runtime driver.
 
-The central contract under test: the ``python`` and ``numpy`` statistics
-backends produce **bit-identical** results — ``==`` ``FdStatistics``
-(the same count histograms and exact integer facts, with the same
-``repr``), identical derived floats, and identical scores for all
-fourteen registered measures (``==``, not ``approx``).  The
-property tests drive randomised relations through both backends: with
-and without NULLs, with skewed domains, mixed value types, and the
-degenerate shapes (empty, constant, key LHS, single RHS value).
+The central contract under test: the two statistics kernels, packed
+``int64`` keys (``numpy``) and code tuples (``python``, selected through
+``tests/oracle.py::kernel``), produce **bit-identical** results — ``==``
+``FdStatistics`` (the same count histograms and exact integer facts, with
+the same ``repr``), identical derived floats, and identical scores for
+all fourteen registered measures (``==``, not ``approx``).  The property
+tests drive randomised relations through both kernels, each on its own
+encoding: with and without NULLs, with skewed domains, mixed value types,
+and the degenerate shapes (empty, constant, key LHS, single RHS value).
 
-Tests that need numpy are marked; the remainder (python backend,
-fallback resolution, integer-precision caching) also run in the
-no-numpy CI job.
+Tests that need numpy are marked; the remainder (python kernel,
+integer-precision caching) also run in the no-numpy CI job.
 """
 
 import random
@@ -19,26 +19,10 @@ from collections import Counter
 
 import pytest
 
-import repro.core.backends as backends
+from oracle import KERNELS, kernel, requires_numpy, without_numpy
 from repro.core import all_measures
-from repro.core.backends import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-)
 from repro.core.statistics import FdStatistics
 from repro.relation import FunctionalDependency, Relation
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 # ----------------------------------------------------------------------
@@ -91,6 +75,20 @@ DEGENERATE_CASES = [
 ]
 
 
+def _on_both_kernels(relation: Relation, fd: FunctionalDependency):
+    """``fd``'s statistics on the python and the numpy kernel.
+
+    Each kernel reads its own copy of ``relation``, so neither reuses the
+    full-tuple sum the other cached on a shared encoding.
+    """
+    results = []
+    for kernel_name in ("python", "numpy"):
+        with kernel(kernel_name):
+            copy = Relation(relation.attributes, relation.rows(), name=relation.name)
+            results.append(FdStatistics.compute(copy, fd))
+    return results
+
+
 def _assert_identical_statistics(left: FdStatistics, right: FdStatistics) -> None:
     """``==`` and ``repr`` equality, with exact ``int`` facts on both sides."""
     assert left == right
@@ -108,8 +106,7 @@ def _assert_identical_statistics(left: FdStatistics, right: FdStatistics) -> Non
 def test_backend_parity_on_random_relations(seed):
     relation = random_relation(seed)
     fd = random_fd(relation, seed + 10_000)
-    python_statistics = FdStatistics.compute(relation, fd, backend="python")
-    numpy_statistics = FdStatistics.compute(relation, fd, backend="numpy")
+    python_statistics, numpy_statistics = _on_both_kernels(relation, fd)
     _assert_identical_statistics(python_statistics, numpy_statistics)
     for name, measure in all_measures().items():
         python_score = measure.score_from_statistics(python_statistics)
@@ -121,8 +118,7 @@ def test_backend_parity_on_random_relations(seed):
 @pytest.mark.parametrize("case", DEGENERATE_CASES, ids=lambda c: c.name)
 def test_backend_parity_on_degenerate_relations(case):
     fd = FunctionalDependency("X", "Y")
-    python_statistics = FdStatistics.compute(case, fd, backend="python")
-    numpy_statistics = FdStatistics.compute(case, fd, backend="numpy")
+    python_statistics, numpy_statistics = _on_both_kernels(case, fd)
     _assert_identical_statistics(python_statistics, numpy_statistics)
     for name, measure in all_measures().items():
         assert measure.score_from_statistics(
@@ -135,60 +131,18 @@ def test_backend_parity_on_multi_attribute_lhs():
     relation = random_relation(17)
     attributes = list(relation.attributes)
     fd = FunctionalDependency(attributes[:2], attributes[-1])
-    python_statistics = FdStatistics.compute(relation, fd, backend="python")
-    numpy_statistics = FdStatistics.compute(relation, fd, backend="numpy")
+    python_statistics, numpy_statistics = _on_both_kernels(relation, fd)
     _assert_identical_statistics(python_statistics, numpy_statistics)
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# Without numpy
 # ----------------------------------------------------------------------
-def test_python_backend_always_available():
-    assert "python" in available_backends()
-    assert resolve_backend("python").name == "python"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown statistics backend"):
-        resolve_backend("polars")
-    with pytest.raises(ValueError, match="unknown statistics backend"):
-        set_default_backend("polars")
-
-
-def test_set_default_backend_round_trip():
-    try:
-        set_default_backend("python")
-        assert get_default_backend() == "python"
-        statistics = FdStatistics.compute(
-            Relation(["X", "Y"], [("a", 1), ("a", 2)]), FunctionalDependency("X", "Y")
-        )
-        assert statistics.num_rows == 2
-    finally:
-        set_default_backend(None)
-
-
-def test_environment_variable_override(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-    assert resolve_backend(None).name == "python"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-    assert resolve_backend(None).name in available_backends()
-
-
-def test_numpy_request_falls_back_without_numpy(monkeypatch):
-    """Requesting numpy when it is absent degrades to the python backend."""
-    monkeypatch.setattr(backends, "np", None)
-    assert resolve_backend("numpy").name == "python"
-    assert available_backends() == ("python",)
-    assert resolve_backend("auto").name == "python"
-
-
 def test_relation_encoded_once_without_numpy(monkeypatch):
     """Without numpy a relation is encoded into chunks once, not per FD."""
-    import repro.relation.columnar as columnar_module
     from repro.relation.chunked import ChunkedRelation
 
-    monkeypatch.setattr(backends, "np", None)
-    monkeypatch.setattr(columnar_module, "np", None)
+    without_numpy(monkeypatch)
     calls = []
     encode = ChunkedRelation.from_relation
 
@@ -260,24 +214,35 @@ def _streamed(relation: Relation, fd: FunctionalDependency, seed: int):
     return dynamic.snapshot(), tracker.statistics()
 
 
-@pytest.mark.parametrize("source", ["relation", "chunked-1", "chunked-7", "incremental"])
-@pytest.mark.parametrize(
-    "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
-)
-@pytest.mark.parametrize("case", _square_sum_cases(), ids=lambda case: case[0])
-def test_tuple_square_sum_matches_definition(case, backend, source):
+def _statistics_from(source: str, relation: Relation, fd: FunctionalDependency):
+    """``fd``'s statistics from one source of a copy of ``relation``'s rows.
+
+    Returns the relation the statistics describe (the stream's final
+    snapshot for ``"incremental"``, after checking the tracker against a
+    recompute) and the statistics.
+    """
     from repro.relation import ChunkedRelation
 
-    _, relation, fd = case
+    relation = Relation(relation.attributes, relation.rows(), name=relation.name)
     if source == "incremental":
         relation, statistics = _streamed(relation, fd, seed=len(relation))
-        assert statistics == FdStatistics.compute(relation, fd, backend=backend)
+        assert statistics == FdStatistics.compute(relation, fd)
     elif source == "relation":
-        statistics = FdStatistics.compute(relation, fd, backend=backend)
+        statistics = FdStatistics.compute(relation, fd)
     else:
         chunk_size = int(source.split("-")[1])
         store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
-        statistics = FdStatistics.compute(store, fd, backend=backend)
+        statistics = FdStatistics.compute(store, fd)
+    return relation, statistics
+
+
+@pytest.mark.parametrize("source", ["relation", "chunked-1", "chunked-7", "incremental"])
+@pytest.mark.parametrize("kernel_name", KERNELS)
+@pytest.mark.parametrize("case", _square_sum_cases(), ids=lambda case: case[0])
+def test_tuple_square_sum_matches_definition(case, kernel_name, source):
+    _, relation, fd = case
+    with kernel(kernel_name):
+        relation, statistics = _statistics_from(source, relation, fd)
     expected = sum(c * c for c in Counter(relation.drop_nulls(fd.attributes)).values())
     assert statistics.tuple_square_sum == expected
     assert isinstance(statistics.tuple_square_sum, int)
@@ -321,40 +286,42 @@ def _nullable_relation() -> Relation:
     return Relation(["A", "B", "C", "D", "E"], rows)
 
 
-def _score_every_pair(relation: Relation, backend: str) -> None:
+def _score_every_pair(relation: Relation) -> None:
     for lhs in relation.attributes:
         for rhs in relation.attributes:
             if lhs != rhs:
                 fd = FunctionalDependency(lhs, rhs)
-                statistics = FdStatistics.compute(relation, fd, backend=backend)
+                statistics = FdStatistics.compute(relation, fd)
                 expected = _square_sum_by_definition(relation, fd.attributes)
                 assert statistics.tuple_square_sum == expected, str(fd)
 
 
-@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
-def test_null_free_relation_counts_full_tuples_once(monkeypatch, backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_null_free_relation_counts_full_tuples_once(monkeypatch, kernel_name):
     calls = _count_full_tuple_passes(monkeypatch)
     rng = random.Random(3)
     attributes = [f"A{i}" for i in range(6)]
     rows = [tuple(rng.randrange(4) for _ in attributes) for _ in range(80)]
     relation = Relation(attributes, rows)
-    _score_every_pair(relation, backend)  # 30 FDs
+    with kernel(kernel_name):
+        _score_every_pair(relation)  # 30 FDs
     assert calls == [()]
 
 
-@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
-def test_full_tuples_counted_once_per_null_pattern(monkeypatch, backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_full_tuples_counted_once_per_null_pattern(monkeypatch, kernel_name):
     calls = _count_full_tuple_passes(monkeypatch)
     relation = _nullable_relation()
-    _score_every_pair(relation, backend)
-    # X ∪ Y holds neither, one or both of the nullable C and E.
-    assert sorted(calls) == [(), ("C",), ("C", "E"), ("E",)]
-    _score_every_pair(relation, backend)
+    with kernel(kernel_name):
+        _score_every_pair(relation)
+        # X ∪ Y holds neither, one or both of the nullable C and E.
+        assert sorted(calls) == [(), ("C",), ("C", "E"), ("E",)]
+        _score_every_pair(relation)
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
-def test_covering_fds_run_no_full_tuple_pass(monkeypatch, backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_covering_fds_run_no_full_tuple_pass(monkeypatch, kernel_name):
     # When X ∪ Y is the whole schema the full tuples are the (x, y) pairs,
     # so Σ_w R(w)² comes from the merged joint counts.
     from repro.relation import ChunkedRelation
@@ -366,7 +333,8 @@ def test_covering_fds_run_no_full_tuple_pass(monkeypatch, backend):
         expected = _square_sum_by_definition(relation, fd.attributes)
         stores = [ChunkedRelation.from_relation(relation, chunk_size=size) for size in (1, 7)]
         for source in [relation, *stores]:
-            statistics = FdStatistics.compute(source, fd, backend=backend)
+            with kernel(kernel_name):
+                statistics = FdStatistics.compute(source, fd)
             assert statistics.tuple_square_sum == expected, (name, source)
     assert calls == []
 
@@ -377,15 +345,11 @@ def test_chunked_tuple_square_sum_merges_before_squaring(monkeypatch, numpy_pres
     # squares would fall short of Σ_w R(w)² at every chunk size here.
     from itertools import combinations
 
-    import repro.core.chunked as core_chunked
-    import repro.relation.chunked as relation_chunked
-    import repro.relation.columnar as columnar
     from repro.core.chunked import tuple_square_sum
     from repro.relation import ChunkedRelation
 
     if not numpy_present:
-        for module in (core_chunked, relation_chunked, columnar):
-            monkeypatch.setattr(module, "np", None)
+        without_numpy(monkeypatch)
     relation = _nullable_relation()
     stores = [ChunkedRelation.from_relation(relation, chunk_size=size) for size in (1, 7)]
     for size in range(len(relation.attributes) + 1):
@@ -490,24 +454,12 @@ def _assert_facts_match(statistics: FdStatistics, relation, fd) -> None:
 
 
 @pytest.mark.parametrize("source", ["relation", "chunked-1", "chunked-7", "incremental"])
-@pytest.mark.parametrize(
-    "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
-)
+@pytest.mark.parametrize("kernel_name", KERNELS)
 @pytest.mark.parametrize("case", _group_fact_cases(), ids=lambda case: case[0])
-def test_group_facts_match_per_group_loops(case, backend, source):
-    from repro.relation import ChunkedRelation
-
+def test_group_facts_match_per_group_loops(case, kernel_name, source):
     _, relation, fd = case
-    if source == "incremental":
-        relation, statistics = _streamed(relation, fd, seed=len(relation))
-        computed = FdStatistics.compute(relation, fd, backend=backend)
-        assert statistics == computed
-    elif source == "relation":
-        statistics = FdStatistics.compute(relation, fd, backend=backend)
-    else:
-        chunk_size = int(source.split("-")[1])
-        store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
-        statistics = FdStatistics.compute(store, fd, backend=backend)
+    with kernel(kernel_name):
+        relation, statistics = _statistics_from(source, relation, fd)
     _assert_facts_match(statistics, relation, fd)
 
 
@@ -577,15 +529,11 @@ def test_columnar_view_distinguishes_equal_reprs():
 
 
 def test_columnar_absent_without_numpy(monkeypatch):
-    import repro.relation.columnar as columnar_module
-
-    monkeypatch.setattr(columnar_module, "np", None)
+    without_numpy(monkeypatch)
     relation = Relation(["A", "B"], [("x", 1)])
     assert relation.columnar() is None
-    # The python backend keeps working regardless.
-    statistics = FdStatistics.compute(
-        relation, FunctionalDependency("A", "B"), backend="python"
-    )
+    # The statistics pass counts code tuples instead.
+    statistics = FdStatistics.compute(relation, FunctionalDependency("A", "B"))
     assert statistics.num_rows == 1
 
 
@@ -643,12 +591,7 @@ def test_key_check_matches_definition(seed):
 
 
 def test_key_check_without_numpy(monkeypatch):
-    import repro.core.chunked as core_chunked
-    import repro.relation.chunked as relation_chunked
-    import repro.relation.columnar as columnar
-
-    for module in (core_chunked, relation_chunked, columnar):
-        monkeypatch.setattr(module, "np", None)
+    without_numpy(monkeypatch)
     for seed in range(12):
         relation = key_relation(seed)
         assert relation.columnar() is None
@@ -671,7 +614,7 @@ def test_key_check_past_the_packing_limit():
 
 
 # ----------------------------------------------------------------------
-# Harness / discovery threading
+# Harness / discovery on both kernels
 # ----------------------------------------------------------------------
 @requires_numpy
 def test_evaluate_specs_bit_identical_across_backends():
@@ -681,8 +624,9 @@ def test_evaluate_specs_bit_identical_across_backends():
 
     specs = benchmark_specs("err", steps=2, tables_per_step=1, max_rows=120)
     config = MeasureConfig()
-    python_result = evaluate_specs(specs, config, backend="python")
-    numpy_result = evaluate_specs(specs, config, backend="numpy")
+    with kernel("python"):
+        python_result = evaluate_specs(specs, config)
+    numpy_result = evaluate_specs(specs, config)
     for python_row, numpy_row in zip(python_result.rows, numpy_result.rows):
         assert python_row.scores == numpy_row.scores
 
@@ -692,8 +636,12 @@ def test_discovery_bit_identical_across_backends():
     from repro.discovery import discover_afds
 
     relation = random_relation(31)
-    python_result = discover_afds(relation, threshold=0.0, max_lhs_size=2, backend="python")
-    numpy_result = discover_afds(relation, threshold=0.0, max_lhs_size=2, backend="numpy")
+    results = []
+    for kernel_name in ("python", "numpy"):
+        with kernel(kernel_name):
+            copy = Relation(relation.attributes, relation.rows(), name=relation.name)
+            results.append(discover_afds(copy, threshold=0.0, max_lhs_size=2))
+    python_result, numpy_result = results
     assert len(python_result.candidates) == len(numpy_result.candidates)
     for left, right in zip(python_result.candidates, numpy_result.candidates):
         assert left.fd == right.fd
@@ -709,20 +657,18 @@ def test_runtime_driver_smoke(tmp_path):
 
     bench_path = tmp_path / "BENCH_runtime.json"
     payload = run_runtime(
-        RuntimeConfig(sizes=(120, 300), repeats=2, warmup_runs=1),
+        RuntimeConfig(sizes=(120, 300), repeats=2, warmup_runs=1, chunked_discovery_rows=400),
         output_dir=str(tmp_path / "results"),
         bench_path=str(bench_path),
     )
     assert payload["experiment"] == "runtime"
     assert [entry["num_rows"] for entry in payload["relations"]] == [120, 300]
     for entry in payload["relations"]:
-        assert set(entry["backends"]) == set(payload["backends"])
-        for cell in entry["backends"].values():
-            assert cell["statistics_seconds_median"] >= 0.0
-            assert len(cell["measure_seconds_median"]) == 14
-    assert payload["largest"]["num_rows"] == 300
-    if {"python", "numpy"} <= set(payload["backends"]):
-        assert payload["speedup"] is not None and payload["speedup"] > 0.0
+        assert entry["statistics_seconds_median"] >= 0.0
+        assert len(entry["measure_seconds_median"]) == 14
+    discovery = payload["chunked_discovery"]
+    assert discovery["identical_to_brute_force"] is True
+    assert discovery["candidates"] == 2 and discovery["seconds"] > 0.0
     assert (tmp_path / "results" / "runtime" / "summary.json").exists()
     assert (tmp_path / "results" / "runtime" / "summary.csv").exists()
 
@@ -730,24 +676,4 @@ def test_runtime_driver_smoke(tmp_path):
 
     record = json.loads(bench_path.read_text())
     assert record["relations"][0]["name"] == "runtime[120]"
-
-
-@requires_numpy
-def test_runtime_single_backend_has_no_speedup(tmp_path):
-    from repro.experiments.runtime import RuntimeConfig, run_runtime
-
-    payload = run_runtime(
-        RuntimeConfig(sizes=(80,), backends=("python",), repeats=1),
-        output_dir=None,
-        bench_path=None,
-    )
-    assert payload["speedup"] is None
-    assert list(payload["relations"][0]["backends"]) == ["python"]
-
-
-@requires_numpy
-def test_runtime_rejects_unavailable_backend():
-    from repro.experiments.runtime import RuntimeConfig
-
-    with pytest.raises(ValueError, match="not available"):
-        RuntimeConfig(backends=("polars",)).resolved_backends()
+    assert "backends" not in record and "speedup" not in record

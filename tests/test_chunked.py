@@ -1,7 +1,7 @@
 """Chunked map-merge statistics and out-of-core ingest.
 
 The central contract under test: for every registered measure, on both
-statistics backends, ``FdStatistics.compute`` over a ``ChunkedRelation``
+statistics kernels, ``FdStatistics.compute`` over a ``ChunkedRelation``
 of any chunk size produces ``FdStatistics`` **identical** (``==``, same
 ``repr``) to the same rows as one ``Relation`` — so chunking is purely a
 storage choice, never a semantics change.
@@ -27,8 +27,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from oracle import KERNELS, kernel, requires_numpy, without_numpy
 from repro.core import all_measures, get_measure
-from repro.core.partial import PartialFdCounts, merge_counts
 from repro.core.statistics import FdStatistics
 from repro.relation import ChunkedRelation, FunctionalDependency, Relation
 from repro.relation.chunked import DEFAULT_CHUNK_SIZE
@@ -40,17 +40,6 @@ from repro.relation.io import (
     stream_csv_rows,
     write_csv,
 )
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 
 # ----------------------------------------------------------------------
@@ -100,10 +89,10 @@ def assert_identical(chunked: FdStatistics, monolithic: FdStatistics) -> None:
     assert repr(chunked) == repr(monolithic)
 
 
-def compute_chunked(relation: Relation, fd, chunk_size: int, backend=None) -> FdStatistics:
+def compute_chunked(relation: Relation, fd, chunk_size: int) -> FdStatistics:
     """Statistics of ``relation`` stored as chunks of ``chunk_size`` rows."""
     store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
-    return FdStatistics.compute(store, fd, backend=backend)
+    return FdStatistics.compute(store, fd)
 
 
 def chunked_passes(path: str) -> float:
@@ -197,72 +186,41 @@ def seeded_cells(seed: int, count: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# Mergeable partials
-# ----------------------------------------------------------------------
-class TestPartialCounts:
-    def test_merge_counts_adds_keywise(self):
-        target = {("a",): 2, ("b",): 1}
-        merge_counts(target, {("b",): 4, ("c",): 3})
-        assert target == {("a",): 2, ("b",): 5, ("c",): 3}
-
-    def test_merge_is_in_place_and_returns_self(self):
-        left = PartialFdCounts.empty()
-        left.num_rows = 2
-        left.xy_counts[((0,), (1,))] = 2
-        right = PartialFdCounts.empty()
-        right.num_rows = 3
-        right.xy_counts[((0,), (1,))] = 1
-        right.xy_counts[((2,), (1,))] = 2
-        result = left.merge(right)
-        assert result is left
-        assert left.num_rows == 5
-        assert dict(left.xy_counts) == {((0,), (1,)): 3, ((2,), (1,)): 2}
-
-    def test_merge_all_equals_sequential_merges(self):
-        parts = []
-        for offset in range(3):
-            part = PartialFdCounts.empty()
-            part.num_rows = offset + 1
-            part.xy_counts[((offset,), (0,))] = offset + 1
-            parts.append(part)
-        merged = PartialFdCounts.merge_all(parts)
-        assert merged.num_rows == 6
-        assert merged.xy_counts == {((0,), (0,)): 1, ((1,), (0,)): 2, ((2,), (0,)): 3}
-
-
-# ----------------------------------------------------------------------
 # The bit-identity property: chunked == monolithic
 # ----------------------------------------------------------------------
 class TestChunkedParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel_name", KERNELS)
     @pytest.mark.parametrize("builder", RELATION_BUILDERS)
     @pytest.mark.parametrize("chunk_size", [1, 7, 1000])
-    def test_statistics_identical_across_chunk_sizes(self, backend, builder, chunk_size):
+    def test_statistics_identical_across_chunk_sizes(self, kernel_name, builder, chunk_size):
         relation = builder(seed=chunk_size)
-        monolithic = FdStatistics.compute(relation, FD, backend=backend)
-        chunked = compute_chunked(relation, FD, chunk_size=chunk_size, backend=backend)
+        with kernel(kernel_name):
+            monolithic = FdStatistics.compute(relation, FD)
+            chunked = compute_chunked(relation, FD, chunk_size=chunk_size)
         assert_identical(chunked, monolithic)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chunk_size_larger_than_relation(self, backend):
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_chunk_size_larger_than_relation(self, kernel_name):
         relation = null_relation(seed=5, num_rows=120)
-        monolithic = FdStatistics.compute(relation, FD, backend=backend)
-        chunked = compute_chunked(relation, FD, chunk_size=10_000, backend=backend)
+        with kernel(kernel_name):
+            monolithic = FdStatistics.compute(relation, FD)
+            chunked = compute_chunked(relation, FD, chunk_size=10_000)
         assert_identical(chunked, monolithic)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel_name", KERNELS)
     @pytest.mark.parametrize("builder", RELATION_BUILDERS)
-    def test_all_measures_score_identically(self, backend, builder):
+    def test_all_measures_score_identically(self, kernel_name, builder):
         relation = builder(seed=17)
-        monolithic = FdStatistics.compute(relation, FD, backend=backend)
-        chunked = compute_chunked(relation, FD, chunk_size=61, backend=backend)
+        with kernel(kernel_name):
+            monolithic = FdStatistics.compute(relation, FD)
+            chunked = compute_chunked(relation, FD, chunk_size=61)
         for name, measure in all_measures().items():
             assert measure.score_from_statistics(chunked) == measure.score_from_statistics(
                 monolithic
             ), name
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_covering_fd_fast_path(self, backend):
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_covering_fd_fast_path(self, kernel_name):
         # X ∪ Y is the whole schema, so the full tuples Σ_w R(w)² counts
         # are the (x, y) pairs of the rows non-NULL on Y.
         rng = random.Random(3)
@@ -272,23 +230,23 @@ class TestChunkedParity:
             name="covering",
         )
         fd = FunctionalDependency(("X",), ("Y",))
-        monolithic = FdStatistics.compute(relation, fd, backend=backend)
-        assert_identical(
-            compute_chunked(relation, fd, chunk_size=37, backend=backend), monolithic
-        )
-        # The reversed FD packs Y first.
         fd_reversed = FunctionalDependency(("Y",), ("X",))
-        assert_identical(
-            compute_chunked(relation, fd_reversed, chunk_size=37, backend=backend),
-            FdStatistics.compute(relation, fd_reversed, backend=backend),
-        )
+        with kernel(kernel_name):
+            monolithic = FdStatistics.compute(relation, fd)
+            assert_identical(compute_chunked(relation, fd, chunk_size=37), monolithic)
+            # The reversed FD packs Y first.
+            assert_identical(
+                compute_chunked(relation, fd_reversed, chunk_size=37),
+                FdStatistics.compute(relation, fd_reversed),
+            )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chunked_relation_source(self, backend):
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_chunked_relation_source(self, kernel_name):
         relation = null_relation(seed=31)
         store = ChunkedRelation.from_relation(relation, chunk_size=53)
-        monolithic = FdStatistics.compute(relation, FD, backend=backend)
-        assert_identical(FdStatistics.compute(store, FD, backend=backend), monolithic)
+        with kernel(kernel_name):
+            monolithic = FdStatistics.compute(relation, FD)
+            assert_identical(FdStatistics.compute(store, FD), monolithic)
 
     def test_compute_dispatches_on_chunk_knobs(self):
         # The source decides the chunking; compute has no knob for it.
@@ -296,7 +254,7 @@ class TestChunkedParity:
         monolithic = FdStatistics.compute(relation, FD)
         store = ChunkedRelation.from_relation(relation, chunk_size=19)
         assert_identical(FdStatistics.compute(store, FD), monolithic)
-        for knob in ({"chunk_size": 19}, {"jobs": 2}):
+        for knob in ({"chunk_size": 19}, {"jobs": 2}, {"backend": "python"}):
             with pytest.raises(TypeError):
                 FdStatistics.compute(relation, FD, **knob)
         with pytest.raises(TypeError, match="Relation or ChunkedRelation"):
@@ -597,36 +555,43 @@ class TestPeakMemory:
 # ----------------------------------------------------------------------
 # Array-keyed partials (the numpy kernel)
 # ----------------------------------------------------------------------
-@needs_numpy
+@requires_numpy
 class TestArrayPartials:
-    """The numpy kernel is bit-identical to the python kernel — and runs
-    exactly when the numpy backend is chosen with pack-safe cardinalities."""
+    """The packed kernel is bit-identical to the code-tuple kernel, and runs
+    exactly when numpy imports and the X ∪ Y radix product fits the
+    packing limit."""
 
     @pytest.mark.parametrize("builder", RELATION_BUILDERS)
     @pytest.mark.parametrize("chunk_size", [1, 7, 1000])
     def test_array_equals_tuple_partials(self, builder, chunk_size):
         relation = builder(seed=31)
         for fd in (FD, FunctionalDependency(("A", "C"), ("B",))):
-            via_arrays = compute_chunked(relation, fd, chunk_size, backend="numpy")
-            via_tuples = compute_chunked(relation, fd, chunk_size, backend="python")
+            # Each compute_chunked call builds its own store (its own
+            # cached full-tuple sums).
+            via_arrays = compute_chunked(relation, fd, chunk_size)
+            with kernel("python"):
+                via_tuples = compute_chunked(relation, fd, chunk_size)
             assert_identical(via_arrays, via_tuples)
-            assert_identical(
-                via_arrays, FdStatistics.compute(relation, fd, backend="numpy")
-            )
+            assert_identical(via_arrays, FdStatistics.compute(relation, fd))
 
-    def test_uses_array_partials_per_backend(self):
-        relation = random_relation(seed=2)
-        for backend, path in (("numpy", "array"), ("python", "tuple")):
-            before = chunked_passes(path)
-            FdStatistics.compute(relation, FD, backend=backend)
-            assert chunked_passes(path) == before + 1, backend
+    def test_uses_array_partials_per_backend(self, monkeypatch):
+        def passes_of_one_compute():
+            before = {path: chunked_passes(path) for path in ("array", "tuple")}
+            FdStatistics.compute(random_relation(seed=2), FD)
+            return {path: chunked_passes(path) - before[path] for path in before}
+
+        assert passes_of_one_compute() == {"array": 1, "tuple": 0}
+        with kernel("python"):
+            assert passes_of_one_compute() == {"array": 0, "tuple": 1}
+        without_numpy(monkeypatch)
+        assert passes_of_one_compute() == {"array": 0, "tuple": 1}
 
     def test_pack_overflow_falls_back_to_tuple_partials(self):
         # 16 attributes x cardinality ~30: the schema's radix product
         # passes 2**62, but only X ∪ Y is packed, so a0 -> a1 still runs
-        # the numpy kernel.  An FD over 13 attributes (31**13 > 2**62)
-        # makes the numpy backend run the python kernel instead; both
-        # give the python kernel's statistics.
+        # the packed kernel.  An FD over 13 attributes (31**13 > 2**62)
+        # counts code tuples instead; both give the code-tuple kernel's
+        # statistics.
         rng = random.Random(13)
         attributes = tuple(f"a{i}" for i in range(16))
         rows = [
@@ -636,9 +601,10 @@ class TestArrayPartials:
         wide_fd = FunctionalDependency(attributes[:12], attributes[12])
         for fd, path in ((FunctionalDependency(("a0",), ("a1",)), "array"), (wide_fd, "tuple")):
             before = chunked_passes(path)
-            chunked = compute_chunked(relation, fd, 50, backend="numpy")
+            chunked = compute_chunked(relation, fd, 50)
             assert chunked_passes(path) == before + 1, fd
-            assert_identical(chunked, FdStatistics.compute(relation, fd, backend="python"))
+            with kernel("python"):
+                assert_identical(chunked, FdStatistics.compute(relation, fd))
 
 
 # ----------------------------------------------------------------------

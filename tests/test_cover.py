@@ -1,5 +1,6 @@
 """Minimal-cover reduction of discovered AFD sets."""
 
+from oracle import kernel
 from repro.discovery import discover_afds, minimal_cover
 from repro.discovery.cover import is_implied, minimal_exact_lhs_sets
 from repro.discovery.single import CandidateScore, DiscoveryResult
@@ -77,7 +78,8 @@ def test_minimal_cover_on_real_lattice_result():
     B-superset LHS for RHS C is generated, marked exact, and implied."""
     rows = [(i % 6, i % 4, (i % 4) % 2, i % 3) for i in range(12)]
     relation = Relation(["A", "B", "C", "D"], rows)
-    result = discover_afds(relation, threshold=0.0, max_lhs_size=2, backend="python")
+    with kernel("python"):
+        result = discover_afds(relation, threshold=0.0, max_lhs_size=2)
     reduced = minimal_cover(result)
     assert reduced.dropped_non_minimal > 0
     implied_fd = FunctionalDependency(["A", "B"], "C")

@@ -2,16 +2,10 @@
 
 import pytest
 
+from oracle import KERNELS, kernel, requires_numpy
 from repro.core import FdStatistics, all_measures
 from repro.discovery import discover_afds
 from repro.relation import FunctionalDependency, Relation
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
 
 RELATION = Relation(
     ["zip", "city", "country"],
@@ -124,31 +118,26 @@ def test_key_lhs_is_always_exact():
 # ----------------------------------------------------------------------
 # Discovery on chunked sources
 # ----------------------------------------------------------------------
-def _chunked_backends():
-    return ["python", "numpy"] if HAVE_NUMPY else ["python"]
-
-
 def _discovery_fingerprint(result):
     return [(str(c.fd), c.scores, c.exact) for c in result.candidates]
 
 
-@pytest.mark.parametrize("backend", _chunked_backends())
-def test_chunked_discovery_matches_materialised(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_chunked_discovery_matches_materialised(kernel_name):
     from repro.discovery import brute_force_afds
     from repro.relation.chunked import ChunkedRelation
 
     relation = RELATION
     chunked = ChunkedRelation.from_relation(relation, chunk_size=2)
-    streamed = discover_afds(chunked, threshold=0.0, backend=backend)
-    materialised = brute_force_afds(
-        relation, threshold=0.0, max_lhs_size=1, backend=backend
-    )
+    with kernel(kernel_name):
+        streamed = discover_afds(chunked, threshold=0.0)
+        materialised = brute_force_afds(relation, threshold=0.0, max_lhs_size=1)
     assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
     assert streamed.counters()["candidates"] == materialised.counters()["candidates"]
 
 
-@pytest.mark.parametrize("backend", _chunked_backends())
-def test_chunked_discovery_matches_lattice_with_nulls(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_chunked_discovery_matches_lattice_with_nulls(kernel_name):
     from repro.relation.chunked import ChunkedRelation
 
     rows = [
@@ -162,10 +151,9 @@ def test_chunked_discovery_matches_lattice_with_nulls(backend):
     relation = Relation(("P", "Q", "R"), rows, name="nullish")
     chunked = ChunkedRelation.from_relation(relation, chunk_size=2)
     for depth in (1, 2, 3):
-        streamed = discover_afds(chunked, threshold=0.0, max_lhs_size=depth, backend=backend)
-        materialised = discover_afds(
-            relation, threshold=0.0, max_lhs_size=depth, backend=backend
-        )
+        with kernel(kernel_name):
+            streamed = discover_afds(chunked, threshold=0.0, max_lhs_size=depth)
+            materialised = discover_afds(relation, threshold=0.0, max_lhs_size=depth)
         assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
         assert streamed.counters() == materialised.counters()
 
@@ -180,7 +168,7 @@ def test_discover_afds_routes_chunked_relations():
     assert _discovery_fingerprint(via_facade) == _discovery_fingerprint(direct)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the RWD datasets need numpy")
+@requires_numpy  # the RWD datasets need numpy
 def test_discovery_cli_rfi_scores_equal_session_scores(tmp_path):
     """The CLI scores RFI+/RFI'+ exactly like the library: ``==``, not close."""
     import json

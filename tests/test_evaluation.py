@@ -8,7 +8,6 @@ from repro.core import registry
 from repro.evaluation import (
     MeasureConfig,
     TableScore,
-    evaluate_benchmark,
     evaluate_specs,
     normalized_rank_at_max_recall,
     pr_auc,
@@ -18,7 +17,7 @@ from repro.evaluation import (
     separation,
 )
 from repro.evaluation.harness import EvaluationResult
-from repro.synthetic import benchmark_specs, build_err_benchmark
+from repro.synthetic import benchmark_specs
 
 FAST_CONFIG = MeasureConfig()
 
@@ -202,14 +201,6 @@ def test_step_curves_cover_all_steps(tiny_specs):
         assert [point["step"] for point in points] == [0.0, 1.0]
         for point in points:
             assert 0.0 <= point["mean_positive_score"] <= 1.0
-
-
-def test_evaluate_benchmark_matches_evaluate_specs(tiny_specs):
-    benchmark = build_err_benchmark(steps=2, tables_per_step=2, max_rows=300)
-    eager = evaluate_benchmark(benchmark, FAST_CONFIG)
-    from_specs = evaluate_specs(tiny_specs, FAST_CONFIG, jobs=1)
-    for row_a, row_b in zip(eager.rows, from_specs.rows):
-        assert row_a.scores == row_b.scores
 
 
 def test_zero_error_positives_score_one_on_exactness_measures(tiny_specs):

@@ -207,6 +207,19 @@ def test_cli_rejects_non_positive_sweep_sizes(flag, value, capsys):
         (["--sfi-alpha", "0"], "argument --sfi-alpha: must be a positive number, got '0'"),
         (["--max-rows", "0"], "argument --max-rows: must be a positive integer, got '0'"),
         (["--min-rows", "500", "--max-rows", "200"], "--min-rows 500 exceeds --max-rows 200"),
+        *(
+            ([flag, value], f"argument {flag}: must be a positive integer, got {value!r}")
+            for flag, value in (
+                ("--max-lhs-size", "0"),
+                ("--runtime-repeats", "0"),
+                ("--runtime-chunk-size", "0"),
+                ("--rwde-num-rows", "0"),
+                ("--discovery-num-rows", "0"),
+                ("--streaming-batches", "0"),
+                ("--jobs", "-3"),
+                ("--streaming-batch-size", "0"),
+            )
+        ),
     ],
 )
 def test_cli_rejects_bad_flag_values_with_a_usage_error(flags, message, capsys):

@@ -5,20 +5,11 @@ import random
 
 import pytest
 
+from oracle import requires_numpy
 from repro.core import FdStatistics
 from repro.core.registry import subset
 from repro.discovery import brute_force_afds, discover_afds, lattice_discover
 from repro.relation import FunctionalDependency, Relation
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-#: The discovery CLI imports the RWD dataset builders, which need numpy.
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 LATTICE_MEASURES = ("rho", "g2", "g3", "g3_prime", "g1", "g1_prime", "pdep", "tau", "mu_plus")
 
@@ -146,9 +137,9 @@ def test_statistics_counter_beats_brute_force_on_wide_relation():
     compute_calls = {"lattice": 0}
     original = FdStatistics.compute.__func__
 
-    def counting(cls, rel, fd, backend=None):
+    def counting(cls, rel, fd):
         compute_calls["lattice"] += 1
-        return original(cls, rel, fd, backend=backend)
+        return original(cls, rel, fd)
 
     FdStatistics.compute = classmethod(counting)
     try:

@@ -12,8 +12,8 @@ observability surface of the service.
   the shard pipe, and the worker session, and comes back both as a
   response header and in the JSON request log with per-stage spans.
 * **Observability is read-only**: scoring and discovery are
-  bit-identical with instrumentation enabled and disabled, on every
-  available backend.
+  bit-identical with instrumentation enabled and disabled, on both
+  statistics kernels.
 """
 
 import json
@@ -28,6 +28,7 @@ import urllib.request
 
 import pytest
 
+from oracle import KERNELS, kernel
 from repro.obs import (
     RequestLogger,
     Trace,
@@ -50,15 +51,6 @@ from repro.obs.metrics import (
 from repro.relation import Relation
 from repro.service.server import make_server, make_sharded_server
 from repro.service.session import AfdSession
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 
 def small_relation(name="obs"):
@@ -363,12 +355,13 @@ def test_request_logger_slow_flag_and_filtering():
 # ----------------------------------------------------------------------
 # Bit-identity: instrumentation must never change a result
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_score_and_discover_identical_with_instrumentation_off(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_score_and_discover_identical_with_instrumentation_off(kernel_name):
     def run():
-        session = AfdSession(small_relation(), backend=backend)
-        result = session.score("zip -> city")
-        discovered = session.discover(threshold=0.1, max_lhs_size=2)
+        session = AfdSession(small_relation())
+        with kernel(kernel_name):
+            result = session.score("zip -> city")
+            discovered = session.discover(threshold=0.1, max_lhs_size=2)
         return result.scores, [scored.to_dict() for scored in discovered.candidates]
 
     assert get_registry().enabled

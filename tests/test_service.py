@@ -7,8 +7,8 @@ Contracts under test:
 * ``AfdSession.score`` / ``discover`` / ``apply_delta`` are
   ``==``-identical to the legacy direct-call paths
   (``FdStatistics.compute`` + ``score_from_statistics``,
-  ``discover_afds``, from-scratch recompute on the snapshot) on every
-  available backend;
+  ``discover_afds``, from-scratch recompute on the snapshot) on both
+  statistics kernels (``tests/oracle.py::kernel``);
 * the session's artifact caches are shared — across calls, across
   discovery-then-score, and across concurrent threads, with the
   ``repro.obs`` hit/miss counters proving it;
@@ -34,6 +34,7 @@ import urllib.request
 
 import pytest
 
+from oracle import KERNELS, kernel, requires_numpy
 from repro.core import all_measures
 from repro.core.statistics import FdStatistics
 from repro.discovery import discover_afds, minimal_cover
@@ -61,17 +62,6 @@ from repro.service.server import (
     match_route,
 )
 from repro.stream import DynamicRelation
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 MEASURES = all_measures()
 
@@ -253,13 +243,14 @@ def test_discovery_result_round_trip_and_views():
 # ----------------------------------------------------------------------
 # AfdSession: bit-identity with the direct call paths
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_score_matches_direct_path(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_score_matches_direct_path(kernel_name):
     relation = random_relation(1)
     fd = FunctionalDependency("A", "B")
-    session = AfdSession(relation, measures=MEASURES, backend=backend)
-    result = session.score(fd)
-    statistics = FdStatistics.compute(random_relation(1), fd, backend=backend)
+    session = AfdSession(relation, measures=MEASURES)
+    with kernel(kernel_name):
+        result = session.score(fd)
+        statistics = FdStatistics.compute(random_relation(1), fd)
     direct = {
         name: measure.score_from_statistics(statistics)
         for name, measure in MEASURES.items()
@@ -271,46 +262,43 @@ def test_score_matches_direct_path(backend):
     assert set(result.runtimes) == set(MEASURES)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_discover_matches_discover_afds(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_discover_matches_discover_afds(kernel_name):
     relation = random_relation(2)
-    session = AfdSession(relation, measures=MEASURES, backend=backend)
-    result = session.discover(threshold=0.7, max_lhs_size=2)
-    reference = discover_afds(
-        random_relation(2), measures=MEASURES, threshold=0.7, max_lhs_size=2,
-        backend=backend,
-    )
+    session = AfdSession(relation, measures=MEASURES)
+    with kernel(kernel_name):
+        result = session.discover(threshold=0.7, max_lhs_size=2)
+        reference = discover_afds(
+            random_relation(2), measures=MEASURES, threshold=0.7, max_lhs_size=2
+        )
     assert [(c.fd, c.scores, c.exact) for c in result.candidates] == [
         (c.fd, c.scores, c.exact) for c in reference.candidates
     ]
     assert result.counters == reference.counters()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_chunked_session_discover_matches_relation_discover(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_chunked_session_discover_matches_relation_discover(kernel_name):
     from repro.relation.chunked import ChunkedRelation
 
     store = ChunkedRelation.from_relation(random_relation(5), chunk_size=7)
-    session = AfdSession(store, measures=MEASURES, backend=backend)
+    session = AfdSession(store, measures=MEASURES)
     # A chunked session has no row list; discovery must not ask for one.
     with pytest.raises(ValueError, match="chunked"):
         session.relation
-    result = session.discover(threshold=0.5)
-    reference = discover_afds(
-        store.to_relation(), measures=MEASURES, threshold=0.5, backend=backend
-    )
-    assert result == DiscoveryResult.from_discovery(reference)
-    # The session kept every statistics pass: a rerun computes none.
-    again = session.discover(threshold=0.5)
-    assert again.candidates == result.candidates
-    assert again.counters["statistics_computed"] == 0
-    # Multi-attribute LHSs on a chunked store, counters included.
-    deep = AfdSession(store, measures=MEASURES, backend=backend).discover(
-        threshold=0.5, max_lhs_size=2
-    )
-    reference = discover_afds(
-        store.to_relation(), measures=MEASURES, threshold=0.5, max_lhs_size=2, backend=backend
-    )
+    with kernel(kernel_name):
+        result = session.discover(threshold=0.5)
+        reference = discover_afds(store.to_relation(), measures=MEASURES, threshold=0.5)
+        assert result == DiscoveryResult.from_discovery(reference)
+        # The session kept every statistics pass: a rerun computes none.
+        again = session.discover(threshold=0.5)
+        assert again.candidates == result.candidates
+        assert again.counters["statistics_computed"] == 0
+        # Multi-attribute LHSs on a chunked store, counters included.
+        deep = AfdSession(store, measures=MEASURES).discover(threshold=0.5, max_lhs_size=2)
+        reference = discover_afds(
+            store.to_relation(), measures=MEASURES, threshold=0.5, max_lhs_size=2
+        )
     assert deep == DiscoveryResult.from_discovery(reference)
     assert any(len(candidate.lhs) == 2 for candidate in deep.candidates)
 
@@ -430,21 +418,22 @@ def expectation_cells(session):
 
 
 @requires_numpy
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_shared_expectation_memo_keeps_every_score_identical(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_shared_expectation_memo_keeps_every_score_identical(kernel_name):
     from repro.rwd.datasets import build_dataset
 
     for key in ("R1", "R2", "R3", "R4", "R5"):
         relation = build_dataset(key, num_rows=300, seed=7).relation
-        shared = AfdSession(relation, measures=MEASURES, backend=backend)
+        shared = AfdSession(relation, measures=MEASURES)
         unshared_cells = 0
         for lhs in relation.attributes:
             for rhs in relation.attributes:
                 if lhs == rhs:
                     continue
                 fd = FunctionalDependency(lhs, rhs)
-                fresh = AfdSession(relation, measures=MEASURES, backend=backend)
-                assert shared.score(fd).scores == fresh.score(fd).scores, (key, str(fd))
+                fresh = AfdSession(relation, measures=MEASURES)
+                with kernel(kernel_name):
+                    assert shared.score(fd).scores == fresh.score(fd).scores, (key, str(fd))
                 unshared_cells += expectation_cells(fresh)
         # X -> Y and Y -> X (and candidates with equal marginal counts)
         # evaluate their common cells once.
@@ -499,33 +488,34 @@ def test_score_many_matches_sequential_scores():
 # ----------------------------------------------------------------------
 # AfdSession: dynamic sessions
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_apply_delta_matches_recompute(backend):
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_apply_delta_matches_recompute(kernel_name):
     rng = random.Random(5)
     relation = random_relation(5, rows=40)
     dynamic = DynamicRelation.from_relation(relation)
-    session = AfdSession(dynamic, measures=MEASURES, backend=backend)
+    session = AfdSession(dynamic, measures=MEASURES)
     fd = FunctionalDependency("A", "B")
-    session.score(fd)
-    assert session.tracked_fds() == [fd]
-    for step in range(8):
-        inserts = [
-            (rng.choice(["x", "new", None]), rng.choice(["p", "q"]), rng.randrange(9))
-            for _ in range(rng.randrange(0, 5))
-        ]
-        live = dynamic.live_ids()
-        deletes = rng.sample(live, k=min(2, len(live))) if step % 2 else []
-        update = session.apply_delta(inserts=inserts, deletes=deletes)
-        assert update.epoch == step + 1 == session.epoch
-        assert update.live_rows == dynamic.num_rows
-        assert update.inserted == len(inserts) and update.deleted == len(deletes)
-        recomputed = FdStatistics.compute(dynamic.snapshot(), fd, backend=backend)
-        reference = {
-            name: measure.score_from_statistics(recomputed)
-            for name, measure in MEASURES.items()
-        }
-        assert update.scores[str(fd)] == reference
-        assert update.restricted_rows[str(fd)] == recomputed.num_rows
+    with kernel(kernel_name):
+        session.score(fd)
+        assert session.tracked_fds() == [fd]
+        for step in range(8):
+            inserts = [
+                (rng.choice(["x", "new", None]), rng.choice(["p", "q"]), rng.randrange(9))
+                for _ in range(rng.randrange(0, 5))
+            ]
+            live = dynamic.live_ids()
+            deletes = rng.sample(live, k=min(2, len(live))) if step % 2 else []
+            update = session.apply_delta(inserts=inserts, deletes=deletes)
+            assert update.epoch == step + 1 == session.epoch
+            assert update.live_rows == dynamic.num_rows
+            assert update.inserted == len(inserts) and update.deleted == len(deletes)
+            recomputed = FdStatistics.compute(dynamic.snapshot(), fd)
+            reference = {
+                name: measure.score_from_statistics(recomputed)
+                for name, measure in MEASURES.items()
+            }
+            assert update.scores[str(fd)] == reference
+            assert update.restricted_rows[str(fd)] == recomputed.num_rows
 
 
 @pytest.mark.parametrize(
@@ -1061,12 +1051,7 @@ def test_streaming_benchmark_survives_total_delete_churn():
     # compaction (regression: KeyError "row id ... is not live").
     from repro.experiments.streaming import StreamingConfig, run_streaming
 
-    config = StreamingConfig(
-        sizes=(300,),
-        backends=("python",),
-        batches=25,
-        batch_size=16,
-        delete_fraction=1.0,
-    )
-    payload = run_streaming(config, output_dir=None, bench_path=None)
+    config = StreamingConfig(sizes=(300,), batches=25, batch_size=16, delete_fraction=1.0)
+    with kernel("python"):
+        payload = run_streaming(config, output_dir=None, bench_path=None)
     assert payload["scores_verified"] is True

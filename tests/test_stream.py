@@ -1,12 +1,12 @@
 """The ``repro.stream`` subsystem: incremental maintenance parity.
 
-The contract under test is the streaming analogue of the backend
+The contract under test is the streaming analogue of the kernel
 bit-identity contract: after *any* interleaving of appends and deletes,
 
 * :meth:`IncrementalFdStatistics.statistics` is ``==``-identical — same
   count histograms and integer facts, same scores under all fourteen
   measures — to a from-scratch ``FdStatistics.compute`` on the
-  snapshot, on both backends;
+  snapshot, on both statistics kernels (``tests/oracle.py::kernel``);
 * the snapshot's pre-seeded columnar view is indistinguishable from a
   fresh ``ColumnarRelation.encode``.
 
@@ -22,19 +22,11 @@ from typing import Optional
 
 import pytest
 
+from oracle import HAVE_NUMPY, KERNELS, kernel, requires_numpy, without_numpy
 from repro.core import all_measures
 from repro.core.statistics import FdStatistics
 from repro.relation import FunctionalDependency, Relation
 from repro.stream import DynamicRelation
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 MEASURES = all_measures()
 
@@ -92,16 +84,13 @@ def assert_statistics_identical(left: FdStatistics, right: FdStatistics) -> None
     assert repr(left) == repr(right)
 
 
-def reference_backends():
-    return ("python", "numpy") if HAVE_NUMPY else ("python",)
-
-
 def assert_tracker_matches_recompute(dynamic, tracker) -> None:
-    """The tracker's statistics against ``compute`` on both backends."""
+    """The tracker's statistics against ``compute`` on both kernels."""
     snapshot = dynamic.snapshot()
-    for backend in reference_backends():
+    for kernel_name in KERNELS:
         pristine = Relation(snapshot.attributes, snapshot.rows(), name=dynamic.name)
-        reference = FdStatistics.compute(pristine, tracker.fd, backend=backend)
+        with kernel(kernel_name):
+            reference = FdStatistics.compute(pristine, tracker.fd)
         assert_statistics_identical(tracker.statistics(), reference)
 
 
@@ -129,16 +118,17 @@ def test_incremental_statistics_parity_under_interleavings(seed):
     for step, _ in enumerate(script):
         incremental = tracker.statistics()
         snapshot = dynamic.snapshot()
-        for backend in reference_backends():
+        for kernel_name in KERNELS:
             # A pristine relation (no pre-seeded columnar cache) keeps the
             # reference computation fully independent of the stream path.
             pristine = Relation(snapshot.attributes, snapshot.rows(), name=dynamic.name)
-            reference = FdStatistics.compute(pristine, fd, backend=backend)
+            with kernel(kernel_name):
+                reference = FdStatistics.compute(pristine, fd)
             assert_statistics_identical(incremental, reference)
             for name, measure in MEASURES.items():
                 assert measure.score_from_statistics(
                     incremental
-                ) == measure.score_from_statistics(reference), (seed, step, backend, name)
+                ) == measure.score_from_statistics(reference), (seed, step, kernel_name, name)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -376,9 +366,7 @@ def test_preseeded_columnar_matches_fresh_encode(seed):
 
 
 def test_snapshot_without_numpy_has_no_columnar_cache(monkeypatch):
-    import repro.stream.dynamic as dynamic_module
-
-    monkeypatch.setattr(dynamic_module, "np", None)
+    without_numpy(monkeypatch)
     dynamic = DynamicRelation(["A", "B"], [(1, 1), (1, 1)])
     assert dynamic._columns is None
     assert dynamic.snapshot()._columnar_cache is None
@@ -386,10 +374,8 @@ def test_snapshot_without_numpy_has_no_columnar_cache(monkeypatch):
     tracker = dynamic.track(fd)
     dynamic.append([(2, 1)])
     assert dynamic.snapshot()._columnar_cache is None
-    assert_statistics_identical(
-        tracker.statistics(),
-        FdStatistics.compute(dynamic.snapshot(), fd, backend="python"),
-    )
+    recomputed = FdStatistics.compute(dynamic.snapshot(), fd)
+    assert_statistics_identical(tracker.statistics(), recomputed)
 
 
 def test_tracked_fd_validates_attributes():
@@ -423,40 +409,17 @@ def test_streaming_driver_smoke(tmp_path):
     assert payload["scores_verified"] is True
     assert [entry["num_rows"] for entry in payload["relations"]] == [150, 400]
     for entry in payload["relations"]:
-        assert set(entry["backends"]) == set(payload["backends"])
-        for cell in entry["backends"].values():
-            assert cell["incremental_seconds_median"] >= 0.0
-            assert cell["statistics_speedup"] is None or cell["statistics_speedup"] > 0.0
-            assert len(cell["incremental_measure_seconds_median"]) == 14
-            assert len(cell["recompute_measure_seconds_median"]) == 14
+        assert entry["incremental_seconds_median"] >= 0.0
+        assert entry["statistics_speedup"] is None or entry["statistics_speedup"] > 0.0
+        assert len(entry["incremental_measure_seconds_median"]) == 14
+        assert len(entry["recompute_measure_seconds_median"]) == 14
     assert payload["largest"]["num_rows"] == 400
-    assert payload["headline_backend"] in payload["backends"]
     assert payload["speedup"] is not None and payload["speedup"] > 0.0
     assert (tmp_path / "results" / "streaming" / "summary.json").exists()
     assert (tmp_path / "results" / "streaming" / "summary.csv").exists()
     record = json.loads(bench_path.read_text())
     assert record["relations"][0]["name"] == "runtime[150]"
-
-
-@requires_numpy
-def test_streaming_driver_single_backend(tmp_path):
-    from repro.experiments.streaming import StreamingConfig, run_streaming
-
-    payload = run_streaming(
-        StreamingConfig(sizes=(120,), backends=("python",), batches=2),
-        output_dir=None,
-        bench_path=None,
-    )
-    assert list(payload["relations"][0]["backends"]) == ["python"]
-    assert payload["headline_backend"] == "python"
-
-
-@requires_numpy
-def test_streaming_driver_rejects_unavailable_backend():
-    from repro.experiments.streaming import StreamingConfig
-
-    with pytest.raises(ValueError, match="not available"):
-        StreamingConfig(backends=("polars",)).resolved_backends()
+    assert "backends" not in record and "headline_backend" not in record
 
 
 # ----------------------------------------------------------------------
