@@ -14,9 +14,14 @@ picks one by the rule every count of this module follows:
 * packed — when numpy imports and the radix product of ``X ∪ Y`` fits
   :data:`_PACK_LIMIT`, each chunk packs to one ``int64`` key per row
   under a global mixed-radix scheme and groups vectorised; the merge is
-  ``np.concatenate`` plus one sorted grouping, and
+  ``np.concatenate`` plus one more grouping, and
   :func:`_array_statistics` builds the statistics straight from the
-  merged arrays (``chunked_passes_total{path="array"}``);
+  merged arrays (``chunked_passes_total{path="array"}``).  The
+  per-chunk counts, the merge, the Y marginal and the count histograms
+  all group through :func:`repro.core.partial.grouped`: it tallies keys
+  whose range (the radix product, or the largest count + 1 for a
+  histogram) is at most ``2 · len + 1024`` and sorts longer ranges,
+  with the same exact integers either way;
 * code tuples — otherwise, one ``Counter`` of ``(x, y)`` code tuples over
   the whole chunk stream, reduced by ``FdStatistics.from_joint_counts``
   (``chunked_passes_total{path="tuple"}``).
@@ -57,7 +62,7 @@ from collections import Counter
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.partial import ArrayFdCounts, group_sum, pack_rows, run_starts
+from repro.core.partial import ArrayFdCounts, grouped, pack_rows, run_starts
 from repro.core.statistics import FdStatistics
 from repro.obs.metrics import get_registry
 from repro.relation.chunked import DEFAULT_CHUNK_SIZE, NULL_CODE, ChunkedRelation, CodeChunk
@@ -133,11 +138,12 @@ def _packed_radices(encoding, attributes: Sequence[str]) -> Optional[Dict[str, i
 
 def _merged_arrays(chunks, attributes, radices, non_null) -> Optional[ArrayFdCounts]:
     """Packed counts of ``chunks`` merged key-wise (``None`` when no row survived)."""
-    accumulator = _ArrayMergeAccumulator()
+    bound = math.prod(radices[a] for a in attributes)
+    accumulator = _ArrayMergeAccumulator(bound)
     for chunk in chunks:
         # No name holds the raw keys: they are freed before the next chunk packs.
         accumulator.add(
-            ArrayFdCounts.from_raw_keys(pack_rows(chunk, attributes, radices, non_null))
+            ArrayFdCounts.from_raw_keys(pack_rows(chunk, attributes, radices, non_null), bound)
         )
     return accumulator.result()
 
@@ -223,10 +229,12 @@ class _ArrayMergeAccumulator:
 
     Partials are buffered and merged in one vectorised pass at the end;
     when the buffered distinct-key total crosses :data:`_COLLAPSE_KEYS`
-    the pending list is collapsed early.
+    the pending list is collapsed early.  ``bound`` is the radix product
+    the partials' keys lie below.
     """
 
-    def __init__(self):
+    def __init__(self, bound: int):
+        self._bound = bound
         self._pending: List[ArrayFdCounts] = []
         self._buffered = 0
 
@@ -236,13 +244,13 @@ class _ArrayMergeAccumulator:
         self._pending.append(partial)
         self._buffered += partial.num_keys
         if self._buffered > _COLLAPSE_KEYS and len(self._pending) > 1:
-            collapsed = ArrayFdCounts.merge_all(self._pending)
+            collapsed = ArrayFdCounts.merge_all(self._pending, self._bound)
             self._pending = [collapsed]
             self._buffered = collapsed.num_keys
 
     def result(self) -> Optional[ArrayFdCounts]:
         """The merged partial, or ``None`` when no row survived."""
-        return ArrayFdCounts.merge_all(self._pending) if self._pending else None
+        return ArrayFdCounts.merge_all(self._pending, self._bound) if self._pending else None
 
 
 def _array_statistics(
@@ -256,10 +264,14 @@ def _array_statistics(
 
     The merged joint keys are ascending and packed X-major, so equal X
     keys are adjacent: the per-``x`` facts are ``reduceat`` sums over
-    their runs, the Y marginal is one more grouping, and every histogram
-    is an ``np.unique``.  Only integer arrays are built here; the floats
-    are computed in Python from the histograms (the fsum contract of
-    :mod:`repro.core.statistics`).
+    their runs.  The Y marginal groups the Y digits (range: the RHS
+    radix product) weighted by the joint counts, and each count
+    histogram groups its counts (range: the largest + 1); both go
+    through :func:`~repro.core.partial.grouped`, which tallies a range of
+    at most ``2 · len + 1024`` and sorts a longer one.  The
+    ``(S_x, c_x)`` histogram sorts its pairs.  Only integer arrays are
+    built here; the floats are computed in Python from the histograms
+    (the fsum contract of :mod:`repro.core.statistics`).
     """
     rhs_product = 1
     for attribute in fd.rhs:
@@ -271,7 +283,7 @@ def _array_statistics(
     x_totals = np.add.reduceat(counts, starts)
     pairs_per_x = np.diff(np.append(starts, keys.shape[0]))
     squares = np.add.reduceat(counts * counts, starts)
-    _, y_totals = group_sum(keys % rhs_product, counts)
+    _, y_totals = grouped(keys % rhs_product, rhs_product, counts)
     return FdStatistics(
         fd=fd,
         num_rows=merged.num_rows,
@@ -287,8 +299,8 @@ def _array_statistics(
 
 
 def _histogram(values: "np.ndarray") -> Dict[int, int]:
-    """``{value: multiplicity}`` as Python ints, keys ascending."""
-    distinct, multiplicities = np.unique(values, return_counts=True)
+    """``{value: multiplicity}`` of non-empty counts as Python ints, keys ascending."""
+    distinct, multiplicities = grouped(values, int(values.max()) + 1)
     return dict(zip(distinct.tolist(), multiplicities.tolist()))
 
 

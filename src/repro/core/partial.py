@@ -18,12 +18,22 @@ by +1 so ``-1``-NULL packs as 0), so a packed key means the same code
 tuple in every chunk; the keys of one merge must come from one encoding.
 Keys are held ascending.  Where packing is not possible the pass counts
 code tuples in one ``Counter`` instead and needs nothing from here.
+
+The per-chunk counts, their merge, and (in :mod:`repro.core.chunked`)
+the Y marginal and the count histograms all group through
+:func:`grouped`.  Their keys lie in ``[0, bound)``: ``bound`` is the
+radix product of the packed attributes, or a histogram's largest count
++ 1.  A short key range is *tallied* (``np.bincount``, or ``np.add.at``
+into ``int64`` zeros when weighted) and a long one *sorted* (runs
+summed).  The rule is ``bound ≤ 2 · len + 1024``: a tally never holds
+more than about twice the memory of the keys it counts.  Both sides
+return the same exact integers, keys ascending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.relation.chunked import CodeChunk
 
@@ -31,6 +41,11 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
+
+#: Tally slots per grouped key: :func:`grouped` tallies a key range of at
+#: most ``_TALLY_RATIO · (len + 512)`` = ``2 · len + 1024`` slots and sorts
+#: a longer one.  At 0 every grouping sorts.
+_TALLY_RATIO = 2
 
 
 def pack_rows(
@@ -75,14 +90,39 @@ def run_starts(*ordered: "np.ndarray") -> "np.ndarray":
     return np.flatnonzero(changed)
 
 
-def group_sum(
-    keys: "np.ndarray", counts: "np.ndarray"
+def grouped(
+    values: "np.ndarray", bound: int, weights: Optional["np.ndarray"] = None
 ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Distinct ``keys`` ascending, with the exact ``int64`` sums of their ``counts``."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = run_starts(keys)
-    return keys[starts], np.add.reduceat(counts[order], starts)
+    """Distinct ``values`` ascending, with their exact ``int64`` totals.
+
+    ``values`` are integer keys in ``[0, bound)``; each adds 1 to its
+    key's total, or its entry of ``weights`` (positive ``int64``) when
+    given.  A key range of at most ``_TALLY_RATIO · (len + 512)`` slots is
+    tallied — ``np.bincount``, or ``np.add.at`` into ``int64`` zeros when
+    weighted, since a weighted ``bincount`` sums in floats — and a longer
+    one sorted, with each run of equal keys summed.  Both sides return
+    the same integers.
+    """
+    size = values.shape[0]
+    if size == 0:
+        return values, np.zeros(0, dtype=np.int64)
+    if bound <= _TALLY_RATIO * (size + 512):
+        if weights is None:
+            totals = np.bincount(values, minlength=bound)
+        else:
+            totals = np.zeros(bound, dtype=np.int64)
+            np.add.at(totals, values, weights)
+        # Non-zero over a bool mask: much faster than over the int64 tally.
+        keys = np.flatnonzero(totals != 0)
+        return keys, totals[keys]
+    if weights is None:
+        values = np.sort(values)
+        starts = run_starts(values)
+        return values[starts], np.diff(np.append(starts, size))
+    order = np.argsort(values)
+    values = values[order]
+    starts = run_starts(values)
+    return values[starts], np.add.reduceat(weights[order], starts)
 
 
 @dataclass
@@ -101,10 +141,10 @@ class ArrayFdCounts:
     counts: "np.ndarray"
 
     @classmethod
-    def from_raw_keys(cls, raw: "np.ndarray") -> "ArrayFdCounts":
-        """Compress a raw one-key-per-row array into a partial."""
-        keys, counts = np.unique(raw, return_counts=True)
-        return cls(int(raw.shape[0]), keys, counts.astype(np.int64, copy=False))
+    def from_raw_keys(cls, raw: "np.ndarray", bound: int) -> "ArrayFdCounts":
+        """Compress a raw one-key-per-row array (keys in ``[0, bound)``) into a partial."""
+        keys, counts = grouped(raw, bound)
+        return cls(int(raw.shape[0]), keys, counts)
 
     @property
     def num_keys(self) -> int:
@@ -112,13 +152,17 @@ class ArrayFdCounts:
         return int(self.keys.shape[0])
 
     @classmethod
-    def merge_all(cls, partials: Sequence["ArrayFdCounts"]) -> "ArrayFdCounts":
-        """One vectorised merge of many partials: the counts of one scan of their rows."""
+    def merge_all(cls, partials: Sequence["ArrayFdCounts"], bound: int) -> "ArrayFdCounts":
+        """One vectorised merge of many partials: the counts of one scan of their rows.
+
+        The partials' keys lie in ``[0, bound)``.
+        """
         partials = list(partials)
         if len(partials) == 1:
             return partials[0]
-        keys, counts = group_sum(
+        keys, counts = grouped(
             np.concatenate([partial.keys for partial in partials]),
+            bound,
             np.concatenate([partial.counts for partial in partials]),
         )
         return cls(sum(partial.num_rows for partial in partials), keys, counts)

@@ -57,8 +57,9 @@ class RuntimeConfig:
     seed: int = 97
     sfi_alpha: float = 0.5
     #: Row count of the chunked-discovery parity section (0 disables
-    #: it): discovery on a :class:`ChunkedRelation`,
-    #: asserted ``==`` brute force on the materialised relation.
+    #: it): discovery on the R3 stand-in stored as a
+    #: :class:`ChunkedRelation` of at least two chunks, asserted ``==``
+    #: brute force on the materialised relation.
     chunked_discovery_rows: int = 20_000
     #: Rows per stored chunk of the ChunkedRelations the discovery
     #: sections build.
@@ -152,23 +153,28 @@ def _time_relation(relation, config: RuntimeConfig) -> Dict[str, object]:
 def _run_chunked_discovery_section(config: RuntimeConfig) -> Optional[Dict[str, object]]:
     """Discovery on a chunked relation, timed and checked against brute force.
 
-    :func:`discover_afds` runs on a :class:`ChunkedRelation` encoding of
-    the relation while :func:`brute_force_afds` (``max_lhs_size=1``)
-    scores the same candidates monolithically on the row-list form —
-    candidate order, all fourteen scores and exactness flags are
-    asserted identical in-run, so the recorded seconds time a verified
-    result.
+    The relation is the R3 stand-in (six attributes, so 30
+    single-attribute candidates; the key ``encounter_id``; NULLs in
+    ``ward`` and ``clinic``), so the chunked pass runs the full-tuple
+    pass of ``Σ_w R(w)²``, the NULL restriction and key pruning.  It is
+    stored in at least two chunks: the configured chunk size, capped at
+    half the rows.  :func:`discover_afds` runs on that
+    :class:`ChunkedRelation` while :func:`brute_force_afds`
+    (``max_lhs_size=1``) scores the same candidates monolithically on
+    the row-list form — candidate order, all fourteen scores and
+    exactness flags are asserted identical in-run, so the recorded
+    seconds time a verified result.
     """
     from repro.discovery import brute_force_afds, discover_afds
     from repro.relation.chunked import ChunkedRelation
+    from repro.rwd.datasets import build_dataset
 
     if not config.chunked_discovery_rows:
         return None
     num_rows = config.chunked_discovery_rows
-    relation = build_fixed_relation(num_rows, config.seed)
-    chunked_relation = ChunkedRelation.from_relation(
-        relation, chunk_size=config.chunk_size
-    )
+    relation = build_dataset("R3", num_rows, seed=config.seed).relation
+    chunk_size = min(config.chunk_size, -(-num_rows // 2))
+    chunked_relation = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
     measures = config.measure_config().build()
     started = time.perf_counter()
     result = discover_afds(chunked_relation, measures=dict(measures))
@@ -190,7 +196,8 @@ def _run_chunked_discovery_section(config: RuntimeConfig) -> Optional[Dict[str, 
     return {
         "name": relation.name,
         "num_rows": num_rows,
-        "chunk_size": config.chunk_size,
+        "chunk_size": chunk_size,
+        "num_chunks": chunked_relation.num_chunks,
         "seconds": seconds,
         "candidates": len(result.candidates),
         "statistics_computed": result.statistics_computed,

@@ -398,13 +398,6 @@ class ChunkedRelation:
     def null_count(self, attribute: str) -> int:
         return self._column(attribute).null_count
 
-    def decode_tables(self) -> Dict[str, List[object]]:
-        """Per-attribute code -> value tables (live references; don't mutate)."""
-        return {
-            attribute: column.values
-            for attribute, column in zip(self._attributes, self._columns)
-        }
-
     def code_bytes(self) -> int:
         """Bytes held by the stored code arrays (4 per cell)."""
         total = 0

@@ -22,7 +22,7 @@ Python paths keep working when numpy is absent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -120,15 +120,8 @@ class ColumnarRelation:
         """Number of distinct non-NULL values of one attribute."""
         return self._column(attribute).cardinality
 
-    def decode_table(self, attribute: str) -> List[object]:
-        """Code -> value table of one attribute, in first-occurrence order."""
-        return self._column(attribute).values
-
     def null_count(self, attribute: str) -> int:
         return self._column(attribute).null_count
-
-    def has_nulls(self, attributes: Sequence[str]) -> bool:
-        return any(self._column(attribute).null_count > 0 for attribute in attributes)
 
     def _column(self, attribute: str) -> _EncodedColumn:
         try:

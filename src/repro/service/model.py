@@ -7,7 +7,8 @@ per subsystem:
 
 * :class:`ProfileRequest` — "score this FD with these measures";
 * :class:`BatchScoreRequest` — many :class:`ProfileRequest`\\ s against
-  one relation, answered by a single batched statistics pass;
+  one relation, answered under one lock acquisition: one statistics
+  pass per distinct FD not already cached, identical probes scored once;
 * :class:`ScoredFd` — one FD with its per-measure scores (the unified
   replacement of ``repro.discovery.single.CandidateScore`` in outputs);
 * :class:`ProfileResult` — the scores, per-measure runtimes and cache
@@ -334,14 +335,15 @@ class ProfileResult:
 
 @dataclass(frozen=True)
 class BatchScoreRequest:
-    """Many scoring requests against one relation, answered in one pass.
+    """Many scoring requests against one relation, answered under one lock.
 
     The batch is the unit of server-side coalescing: the owning shard
-    acquires the session lock once, shares the statistics cache across
-    all requests, and scores each *distinct* ``(fd, measures)`` probe
-    exactly once — duplicated probes (the common case under concurrent
-    clients) reuse the first result.  Results are bit-identical to
-    issuing the requests sequentially.
+    acquires the session lock once, runs one statistics pass per
+    distinct FD whose statistics are not already cached (the session's
+    statistics cache serves the rest), and scores each *distinct*
+    ``(fd, measures)`` probe exactly once — duplicated probes (the
+    common case under concurrent clients) reuse the first result.
+    Results are bit-identical to issuing the requests sequentially.
     """
 
     requests: Tuple[ProfileRequest, ...]
@@ -376,14 +378,14 @@ class BatchScoreRequest:
 
 @dataclass
 class BatchScoreResult:
-    """The per-request results of one batched scoring pass.
+    """The per-request results of one scored batch.
 
     ``results[i]`` answers ``requests[i]`` of the originating
     :class:`BatchScoreRequest` and is exactly the :class:`ProfileResult`
     a sequential ``score()`` of that request would have produced
     (volatile timing fields aside — see :func:`stable_view`).
     ``distinct`` counts the probes actually scored after in-batch
-    deduplication; ``seconds`` is the wall-clock of the whole pass.
+    deduplication; ``seconds`` is the wall-clock of the whole batch.
     """
 
     relation: str

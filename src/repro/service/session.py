@@ -337,11 +337,12 @@ class AfdSession:
     def score_many(
         self, requests: Union[BatchScoreRequest, Sequence[Union[ProfileRequest, Mapping]]]
     ) -> BatchScoreResult:
-        """Answer many scoring requests in one batched statistics pass.
+        """Answer many scoring requests under one lock acquisition.
 
-        The whole batch runs under a single lock acquisition: the first
-        probe of each FD pays (at most) one statistics pass, every later
-        probe is a cache hit, and *identical* ``(fd, measures)`` probes —
+        The whole batch runs under a single lock acquisition: one
+        statistics pass per distinct FD whose statistics are not already
+        cached (the first probe of that FD pays it, every later probe is
+        a cache hit), and *identical* ``(fd, measures)`` probes —
         the common shape when concurrent clients hammer one hot FD — are
         scored once and fanned out.  ``results[i]`` is bit-identical
         (``==`` on every non-volatile field, exactly equal scores) to

@@ -22,9 +22,10 @@ moving every session out of the front-end process:
 * :class:`ShardDispatcher` — the event-loop-side router: a per-worker
   FIFO with **at most one in-flight message per worker**.  While a
   worker is busy, queued same-relation ``score`` requests coalesce into
-  one ``score_batch`` message — a single pipe round trip and a single
-  batched statistics pass (with in-batch dedup of identical probes) —
-  and the reply is split back to the waiting clients.  Mutating
+  one ``score_batch`` message — a single pipe round trip and one
+  ``score_many`` under one session lock acquisition, with one statistics
+  pass per distinct FD not already cached and identical probes scored
+  once — and the reply is split back to the waiting clients.  Mutating
   operations are never reordered: only the *consecutive* run of
   same-relation scores at the queue head coalesces, so a ``delta``
   queued between two scores keeps its position and streaming sessions
@@ -477,9 +478,12 @@ class ShardDispatcher:
         first = queue.popleft()
         if first.op == "score":
             # Coalesce the *consecutive* run of same-relation single
-            # scores at the queue head into one batched pass.  Stopping
-            # at the first non-score (or other-relation) item preserves
-            # operation order, so deltas interleave exactly as queued.
+            # scores at the queue head into one score_batch message: one
+            # lock acquisition worker-side, one statistics pass per
+            # distinct uncached FD, identical probes scored once.
+            # Stopping at the first non-score (or other-relation) item
+            # preserves operation order, so deltas interleave exactly as
+            # queued.
             relation = first.payload.get("relation")
             group = [first]
             while (

@@ -13,7 +13,7 @@ The second half is a seeded, stdlib-only generator of relations built
 from declared column shapes (key, NULL-heavy, skewed, constant, mixed
 types, small uniform domains, two-attribute LHS) and of insert / delete /
 window streams, plus :func:`check_case`, which scores each case on every
-path the library offers — both statistics kernels (see :func:`kernel`)
+path the library offers — every statistics kernel (see :func:`kernel`)
 over a ``Relation``, over a ``ChunkedRelation`` at chunk sizes 1, 7 and
 the default, through the incremental tracker (also compared with a
 recompute after every stream step, with one more tracker enrolled
@@ -54,8 +54,10 @@ else:
     HAVE_NUMPY = True
 
 #: The statistics kernels this process can run: code tuples (``"python"``)
-#: always, packed ``int64`` keys (``"numpy"``) when numpy imports.
-KERNELS: Tuple[str, ...] = ("python", "numpy") if HAVE_NUMPY else ("python",)
+#: always; when numpy imports, packed ``int64`` keys grouped by the
+#: library's tally/sort rule (``"numpy"``) and packed keys with every
+#: grouping sorted (``"sorted"``).
+KERNELS: Tuple[str, ...] = ("python", "numpy", "sorted") if HAVE_NUMPY else ("python",)
 
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -362,24 +364,32 @@ def without_numpy(monkeypatch) -> None:
 def kernel(name: str) -> Iterator[None]:
     """Run the block's statistics passes on one kernel.
 
-    ``"numpy"`` keeps the library's rule: packed ``int64`` keys while the
-    radix product fits ``repro.core.chunked._PACK_LIMIT``.  ``"python"``
-    sets that limit to 0, so every pass counts code tuples, the cached
-    full-tuple pass and ``is_key`` included, as a process without numpy
-    (or past 2^62) does.  A full-tuple sum cached on an encoding outlives
-    the block, so a comparison of kernels gives each its own encoding.
+    ``"numpy"`` keeps the library's rules: packed ``int64`` keys while the
+    radix product fits ``repro.core.chunked._PACK_LIMIT``, and each
+    grouping tallied when its key range is short, sorted otherwise
+    (``repro.core.partial.grouped``).  ``"sorted"`` packs the same keys
+    but sets the tally ratio ``repro.core.partial._TALLY_RATIO`` to 0, so
+    every grouping sorts; small cases, which the library would tally,
+    then run the sort side too.  ``"python"`` sets the pack limit to 0,
+    so every pass counts code tuples, the cached full-tuple pass and
+    ``is_key`` included, as a process without numpy (or past 2^62) does.
+    A full-tuple sum cached on an encoding outlives the block, so a
+    comparison of kernels gives each its own encoding.
     """
     import repro.core.chunked as chunked
+    import repro.core.partial as partial
 
     if name not in KERNELS:
         raise ValueError(f"unknown kernel {name!r}; this process runs {KERNELS}")
-    saved = chunked._PACK_LIMIT
+    saved = chunked._PACK_LIMIT, partial._TALLY_RATIO
     if name == "python":
         chunked._PACK_LIMIT = 0
+    elif name == "sorted":
+        partial._TALLY_RATIO = 0
     try:
         yield
     finally:
-        chunked._PACK_LIMIT = saved
+        chunked._PACK_LIMIT, partial._TALLY_RATIO = saved
 
 
 def holds(

@@ -1,12 +1,14 @@
 """Kernel parity, the columnar substrate, and the runtime driver.
 
-The central contract under test: the two statistics kernels, packed
-``int64`` keys (``numpy``) and code tuples (``python``, selected through
-``tests/oracle.py::kernel``), produce **bit-identical** results — ``==``
-``FdStatistics`` (the same count histograms and exact integer facts, with
-the same ``repr``), identical derived floats, and identical scores for
-all fourteen registered measures (``==``, not ``approx``).  The property
-tests drive randomised relations through both kernels, each on its own
+The central contract under test: the statistics kernels — packed
+``int64`` keys with each grouping tallied or sorted by the library's rule
+(``numpy``), packed keys with every grouping sorted (``sorted``) and code
+tuples (``python``), selected through ``tests/oracle.py::kernel`` —
+produce **bit-identical** results — ``==`` ``FdStatistics`` (the same
+count histograms and exact integer facts, with the same ``repr``),
+identical derived floats, and identical scores for all fourteen
+registered measures (``==``, not ``approx``).  The property tests drive
+randomised relations through every kernel, each on its own
 encoding: with and without NULLs, with skewed domains, mixed value types,
 and the degenerate shapes (empty, constant, key LHS, single RHS value).
 
@@ -75,18 +77,29 @@ DEGENERATE_CASES = [
 ]
 
 
-def _on_both_kernels(relation: Relation, fd: FunctionalDependency):
-    """``fd``'s statistics on the python and the numpy kernel.
+def _on_every_kernel(relation: Relation, fd: FunctionalDependency):
+    """``fd``'s statistics on each kernel of ``KERNELS``, code tuples first.
 
-    Each kernel reads its own copy of ``relation``, so neither reuses the
-    full-tuple sum the other cached on a shared encoding.
+    Each kernel reads its own copy of ``relation``, so none reuses the
+    full-tuple sum another cached on a shared encoding.
     """
     results = []
-    for kernel_name in ("python", "numpy"):
+    for kernel_name in KERNELS:
         with kernel(kernel_name):
             copy = Relation(relation.attributes, relation.rows(), name=relation.name)
             results.append(FdStatistics.compute(copy, fd))
     return results
+
+
+def _assert_kernels_agree(statistics) -> None:
+    """Every kernel's statistics and scores identical to the first's."""
+    reference, *others = statistics
+    for other in others:
+        _assert_identical_statistics(reference, other)
+        for name, measure in all_measures().items():
+            expected = measure.score_from_statistics(reference)
+            actual = measure.score_from_statistics(other)
+            assert expected == actual, (name, expected, actual)
 
 
 def _assert_identical_statistics(left: FdStatistics, right: FdStatistics) -> None:
@@ -106,24 +119,14 @@ def _assert_identical_statistics(left: FdStatistics, right: FdStatistics) -> Non
 def test_backend_parity_on_random_relations(seed):
     relation = random_relation(seed)
     fd = random_fd(relation, seed + 10_000)
-    python_statistics, numpy_statistics = _on_both_kernels(relation, fd)
-    _assert_identical_statistics(python_statistics, numpy_statistics)
-    for name, measure in all_measures().items():
-        python_score = measure.score_from_statistics(python_statistics)
-        numpy_score = measure.score_from_statistics(numpy_statistics)
-        assert python_score == numpy_score, (name, python_score, numpy_score)
+    _assert_kernels_agree(_on_every_kernel(relation, fd))
 
 
 @requires_numpy
 @pytest.mark.parametrize("case", DEGENERATE_CASES, ids=lambda c: c.name)
 def test_backend_parity_on_degenerate_relations(case):
     fd = FunctionalDependency("X", "Y")
-    python_statistics, numpy_statistics = _on_both_kernels(case, fd)
-    _assert_identical_statistics(python_statistics, numpy_statistics)
-    for name, measure in all_measures().items():
-        assert measure.score_from_statistics(
-            python_statistics
-        ) == measure.score_from_statistics(numpy_statistics), name
+    _assert_kernels_agree(_on_every_kernel(case, fd))
 
 
 @requires_numpy
@@ -131,8 +134,7 @@ def test_backend_parity_on_multi_attribute_lhs():
     relation = random_relation(17)
     attributes = list(relation.attributes)
     fd = FunctionalDependency(attributes[:2], attributes[-1])
-    python_statistics, numpy_statistics = _on_both_kernels(relation, fd)
-    _assert_identical_statistics(python_statistics, numpy_statistics)
+    _assert_kernels_agree(_on_every_kernel(relation, fd))
 
 
 # ----------------------------------------------------------------------
@@ -498,9 +500,8 @@ def test_columnar_encoding_round_trip():
     assert columnar is relation.columnar()  # cached on the relation
     assert columnar.codes("A").tolist() == [0, 1, 0, -1, 2]
     assert columnar.cardinality("A") == 3
-    assert columnar.decode_table("A") == ["x", "y", "z"]
+    assert columnar._column("A").values == ["x", "y", "z"]
     assert columnar.null_count("A") == 1 and columnar.null_count("B") == 1
-    assert columnar.has_nulls(["A"]) and columnar.has_nulls(["A", "B"])
 
 
 @requires_numpy
@@ -514,7 +515,7 @@ def test_columnar_grouped_matches_counter_order():
         expected = Counter(v for v in relation.column(attribute) if v is not None)
         codes = columnar.codes(attribute)
         counts = np.bincount(codes[codes >= 0], minlength=columnar.cardinality(attribute))
-        assert columnar.decode_table(attribute) == list(expected)
+        assert columnar._column(attribute).values == list(expected)
         assert counts.tolist() == list(expected.values())
 
 
@@ -614,7 +615,7 @@ def test_key_check_past_the_packing_limit():
 
 
 # ----------------------------------------------------------------------
-# Harness / discovery on both kernels
+# Harness / discovery on every kernel
 # ----------------------------------------------------------------------
 @requires_numpy
 def test_evaluate_specs_bit_identical_across_backends():
@@ -624,11 +625,15 @@ def test_evaluate_specs_bit_identical_across_backends():
 
     specs = benchmark_specs("err", steps=2, tables_per_step=1, max_rows=120)
     config = MeasureConfig()
-    with kernel("python"):
-        python_result = evaluate_specs(specs, config)
-    numpy_result = evaluate_specs(specs, config)
-    for python_row, numpy_row in zip(python_result.rows, numpy_result.rows):
-        assert python_row.scores == numpy_row.scores
+    results = []
+    for kernel_name in KERNELS:
+        with kernel(kernel_name):
+            results.append(evaluate_specs(specs, config))
+    reference, *others = results
+    for other in others:
+        assert len(reference.rows) == len(other.rows)
+        for left, right in zip(reference.rows, other.rows):
+            assert left.scores == right.scores
 
 
 @requires_numpy
@@ -637,15 +642,16 @@ def test_discovery_bit_identical_across_backends():
 
     relation = random_relation(31)
     results = []
-    for kernel_name in ("python", "numpy"):
+    for kernel_name in KERNELS:
         with kernel(kernel_name):
             copy = Relation(relation.attributes, relation.rows(), name=relation.name)
             results.append(discover_afds(copy, threshold=0.0, max_lhs_size=2))
-    python_result, numpy_result = results
-    assert len(python_result.candidates) == len(numpy_result.candidates)
-    for left, right in zip(python_result.candidates, numpy_result.candidates):
-        assert left.fd == right.fd
-        assert left.scores == right.scores
+    reference, *others = results
+    for other in others:
+        assert len(reference.candidates) == len(other.candidates)
+        for left, right in zip(reference.candidates, other.candidates):
+            assert left.fd == right.fd
+            assert left.scores == right.scores
 
 
 # ----------------------------------------------------------------------
@@ -668,7 +674,11 @@ def test_runtime_driver_smoke(tmp_path):
         assert len(entry["measure_seconds_median"]) == 14
     discovery = payload["chunked_discovery"]
     assert discovery["identical_to_brute_force"] is True
-    assert discovery["candidates"] == 2 and discovery["seconds"] > 0.0
+    # The R3 stand-in: 6 attributes, so 30 single-attribute candidates;
+    # its key LHS needs no statistics pass.
+    assert discovery["name"] == "R3" and discovery["num_chunks"] >= 2
+    assert discovery["candidates"] == 30 and discovery["seconds"] > 0.0
+    assert discovery["statistics_computed"] < discovery["candidates"]
     assert (tmp_path / "results" / "runtime" / "summary.json").exists()
     assert (tmp_path / "results" / "runtime" / "summary.csv").exists()
 

@@ -22,6 +22,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -298,7 +299,7 @@ class TestChunkedRelation:
 
     def test_decode_tables_first_occurrence_order(self):
         store = ChunkedRelation(("A",), [("b",), ("a",), ("b",), ("c",)], chunk_size=3)
-        assert store.decode_tables()["A"] == ["b", "a", "c"]
+        assert store._column("A").values == ["b", "a", "c"]
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError, match="arity"):
@@ -340,9 +341,9 @@ class TestChunkedRelation:
             min(chunk_size, 1_500 - start) for start in range(0, 1_500, chunk_size)
         ]
         from_rows = ChunkedRelation.from_relation(materialised, chunk_size=chunk_size)
-        assert {a: typed([values]) for a, values in streamed.decode_tables().items()} == {
-            a: typed([values]) for a, values in from_rows.decode_tables().items()
-        }
+        assert [typed([streamed._column(a).values]) for a in RAW_HEADER] == [
+            typed([from_rows._column(a).values]) for a in RAW_HEADER
+        ]
         for attribute in RAW_HEADER:
             assert streamed.null_count(attribute) == from_rows.null_count(attribute)
         # ...and the statistics computed from the stream match too.
@@ -605,6 +606,110 @@ class TestArrayPartials:
             assert chunked_passes(path) == before + 1, fd
             with kernel("python"):
                 assert_identical(chunked, FdStatistics.compute(relation, fd))
+
+
+@requires_numpy
+class TestGrouped:
+    """``grouped`` (every grouping of the packed pass) against ``Counter``.
+
+    A key range of at most ``2 · len + 1024`` is tallied, a longer one
+    sorted.  The ``sorts`` fixture tells which side ran: within
+    ``repro.core.partial`` only the sort side calls ``run_starts``.
+    """
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """Lengths of the arrays ``grouped`` sorted while the test ran."""
+        # Imported first, repro.core.chunked keeps the unpatched run_starts.
+        import repro.core.chunked  # noqa: F401
+        import repro.core.partial as partial
+
+        calls = []
+        run_starts = partial.run_starts
+
+        def recording(*ordered):
+            calls.append(ordered[0].shape[0])
+            return run_starts(*ordered)
+
+        monkeypatch.setattr(partial, "run_starts", recording)
+        return calls
+
+    @staticmethod
+    def group(values, bound, weights=None):
+        """``grouped`` as ``[(key, total)]``."""
+        import numpy as np
+
+        from repro.core.partial import grouped
+
+        keys, totals = grouped(
+            np.asarray(values, dtype=np.int64),
+            bound,
+            None if weights is None else np.asarray(weights, dtype=np.int64),
+        )
+        assert totals.dtype == np.int64 and keys.dtype.kind == "i"
+        return list(zip(keys.tolist(), totals.tolist()))
+
+    @staticmethod
+    def by_counter(values, weights=None):
+        totals = Counter()
+        for i, value in enumerate(values):
+            totals[value] += 1 if weights is None else weights[i]
+        return sorted(totals.items())
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("past_limit", [0, 1], ids=["limit", "limit+1"])
+    def test_matches_counter_on_both_sides_of_the_limit(self, sorts, weighted, past_limit):
+        rng = random.Random(past_limit * 2 + weighted)
+        size = 300
+        bound = 2 * size + 1024 + past_limit
+        # Both ends of the key range, repeated keys, and gaps.
+        values = [0, bound - 1] + [rng.randrange(bound // 4) * 4 for _ in range(size - 2)]
+        weights = [rng.randrange(1, 1000) for _ in values] if weighted else None
+        assert self.group(values, bound, weights) == self.by_counter(values, weights)
+        assert sorts == ([size] if past_limit else [])
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("bound", [0, 1, 1024, 1025, 2**62])
+    def test_empty_input(self, sorts, weighted, bound):
+        assert self.group([], bound, [] if weighted else None) == []
+        assert sorts == []
+
+    @pytest.mark.parametrize("bound, expected_sorts", [(8, []), (2**40, [5])], ids=["tally", "sort"])
+    def test_weighted_merge_passes_2_31(self, sorts, bound, expected_sorts):
+        import numpy as np
+
+        from repro.core.partial import ArrayFdCounts
+
+        big = 2**31 - 1
+        raw = [([1, 5], [big, big]), ([5, 7], [big, 3]), ([5], [2])]
+        partials = [
+            ArrayFdCounts(
+                sum(counts), np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64)
+            )
+            for keys, counts in raw
+        ]
+        merged = ArrayFdCounts.merge_all(partials, bound)
+        values = [key for keys, _ in raw for key in keys]
+        weights = [count for _, counts in raw for count in counts]
+        assert list(zip(merged.keys.tolist(), merged.counts.tolist())) == self.by_counter(
+            values, weights
+        )
+        assert merged.counts.dtype == np.int64
+        assert merged.counts.tolist() == [big, 2**32, 3]
+        assert merged.num_rows == sum(weights)
+        assert sorts == expected_sorts
+
+    @pytest.mark.parametrize("kernel_name", ["numpy", "sorted"])
+    def test_sorted_kernel_sorts_small_cases(self, sorts, kernel_name):
+        # 1,000 rows of small domains (full-tuple radix product 13·7·21)
+        # tally every grouping; the oracle's "sorted" kernel makes the
+        # same pass sort them all.
+        relation = random_relation(seed=4, num_rows=1000)
+        with kernel(kernel_name):
+            statistics = FdStatistics.compute(relation, FD)
+        assert bool(sorts) is (kernel_name == "sorted")
+        with kernel("python"):
+            assert_identical(statistics, compute_chunked(relation, FD, 7))
 
 
 # ----------------------------------------------------------------------
