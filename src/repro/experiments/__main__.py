@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--runtime-repeats",
         type=positive_int,
-        default=5,
-        help="timed repetitions per relation (default: 5)",
+        default=RuntimeConfig.repeats,
+        help="timed repetitions per relation (default: %(default)s)",
     )
     parser.add_argument(
         "--runtime-chunked-discovery-rows",

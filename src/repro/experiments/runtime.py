@@ -17,7 +17,11 @@ with numpy, so at these sizes that is the packed ``int64`` kernel):
   window;
 * **medians** — each timed quantity (the statistics pass, every
   measure's scoring time, their total) is the median over ``repeats``
-  timed runs, the robust choice for wall-clock on shared hardware.
+  timed runs, the robust choice for wall-clock on shared hardware.  A
+  sub-millisecond pass needs many runs before its median settles, so
+  the default is 31, and the statistics pass and the total also record
+  their 25th and 75th percentiles, whose spread says what change the
+  record can resolve.
 
 Artifacts: ``summary.json`` + ``summary.csv`` under
 ``<output_dir>/runtime/`` and a compact ``BENCH_runtime.json`` at the
@@ -52,7 +56,7 @@ class RuntimeConfig:
     """
 
     sizes: Tuple[int, ...] = (1_000, 5_000, 20_000)
-    repeats: int = 5
+    repeats: int = 31
     warmup_runs: int = 1
     seed: int = 97
     sfi_alpha: float = 0.5
@@ -115,6 +119,14 @@ def build_fixed_relation(num_rows: int, seed: int):
     return relation
 
 
+def _quartiles(runs: List[float]) -> Tuple[float, float]:
+    """The 25th and 75th percentiles of ``runs`` by rank, rounded outward,
+    so ``p25 <= median <= p75`` holds exactly (one run is all three)."""
+    ordered = sorted(runs)
+    offset = (len(ordered) - 1) // 4
+    return ordered[offset], ordered[-1 - offset]
+
+
 def _time_relation(relation, config: RuntimeConfig) -> Dict[str, object]:
     """Timed statistics+scoring passes of one relation.
 
@@ -139,9 +151,15 @@ def _time_relation(relation, config: RuntimeConfig) -> Dict[str, object]:
         statistics_runs.append(result.statistics_seconds)
         for name, seconds in result.runtimes.items():
             measure_runs[name].append(seconds)
+    statistics_p25, statistics_p75 = _quartiles(statistics_runs)
+    total_p25, total_p75 = _quartiles(total_runs)
     return {
         "statistics_seconds_median": median(statistics_runs),
+        "statistics_seconds_p25": statistics_p25,
+        "statistics_seconds_p75": statistics_p75,
         "total_seconds_median": median(total_runs),
+        "total_seconds_p25": total_p25,
+        "total_seconds_p75": total_p75,
         "measure_seconds_median": {
             name: median(runs) for name, runs in measure_runs.items()
         },

@@ -10,10 +10,19 @@ of :data:`~repro.relation.io.READ_BATCH_ROWS` rows, dictionary-encoded
 incrementally with the same extendable value -> code tables the dynamic
 store grows (:mod:`repro.stream.dynamic`), and stored as fixed-size
 :class:`CodeChunk`\\ s of ``int32`` code arrays — 4 bytes per cell plus
-one decode table per attribute, never a full row list.  The batch
-encoder converts and codes each distinct cell of a batch column once and
-fills in the other cells at C speed; a batch's codes are ``int32`` as
-soon as they exist.
+one decode table per attribute, never a full row list.
+
+While a store is built, each column keeps a memo of raw cell -> code
+across batches, capped at :data:`_MEMO_LIMIT` cells.  A batch whose
+cells are all in the memo is coded in one C-level pass of lookups; only
+cells new to the memo are converted and coded, once each, in
+first-occurrence order, through the value -> code table, which stays
+authoritative (so ``"1"``, ``"01"`` and ``"1.0"`` share a code).  Cells
+that stay themselves and are new to that table take consecutive codes in
+one step.  Past the cap, new cells are coded through a batch-local
+lookup, so the memo never grows with the file.  A built store never
+changes, so it drops the memos and the value -> code tables and keeps
+only its decode tables, null counts and chunks.
 
 The chunk iterator feeds the statistics pass (:mod:`repro.core.chunked`)
 directly: each chunk becomes one partial count, merged in chunk order
@@ -31,9 +40,20 @@ so the chunked path works without numpy too.
 from __future__ import annotations
 
 from array import array
-from itertools import islice
+from itertools import filterfalse, islice
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.relation.io import READ_BATCH_ROWS, read_raw_batches
 from repro.relation.relation import Relation, Row
@@ -53,12 +73,20 @@ NULL_CODE = -1
 DEFAULT_CHUNK_SIZE = 65_536
 
 
+#: Raw cells one column's memo holds while a store is built.  A column
+#: with fewer distinct cells converts and codes each cell once per file;
+#: a key-like column stops memoizing here, so the memo's memory is fixed
+#: (about 0.3 MB for a column of numeric keys) however long the file is.
+_MEMO_LIMIT = 4_096
+
+
 def assign_code(mapping: Dict[object, int], values: List[object], value: object) -> int:
     """One step of extendable first-occurrence dictionary encoding.
 
     Shared by the encoders that grow a table value by value: the dynamic
     store's columns (once per appended cell) and the chunked ingest below
-    (once per distinct cell of a batch).  :meth:`ColumnarRelation.encode
+    (once per cell new to a column's memo, unless the whole batch's new
+    cells take consecutive codes at once).  :meth:`ColumnarRelation.encode
     <repro.relation.columnar.ColumnarRelation.encode>` inlines the same
     rule in its own loop.  NULL gets the reserved code, known values
     their existing code, novel values the next dense code — appended to
@@ -119,36 +147,87 @@ def _as_int_list(codes) -> List[int]:
     return tolist() if tolist is not None else list(codes)
 
 
-class _StreamingColumn:
-    """One attribute's growing value -> code table plus running stats."""
+class _Column(NamedTuple):
+    """One attribute of a built store: its decode table and NULL count."""
 
-    __slots__ = ("mapping", "values", "null_count")
+    values: List[object]
+    null_count: int
+
+
+class _StreamingColumn:
+    """One attribute while a store is built: its growing value -> code
+    table, its memo of raw cell -> code, and running stats."""
+
+    __slots__ = ("mapping", "values", "null_count", "memo", "has_null")
 
     def __init__(self):
         self.mapping: Dict[object, int] = {}
         self.values: List[object] = []
         self.null_count = 0
+        self.memo: Dict[object, int] = {}
+        #: Whether any cell so far was coded NULL (batches then count them).
+        self.has_null = False
 
     def encode(self, cells: Tuple[object, ...], convert: Optional[Callable] = None):
         """Code one batch of this attribute's cells as ``int32``.
 
-        Each distinct cell is converted (when ``convert`` is given) and
-        coded once, in first-occurrence order, so the decode table grows
-        exactly as a cell-by-cell pass would grow it; repeated cells reuse
-        the code at C speed.
+        A batch whose cells are all in the memo is coded by one C-level
+        pass of memo lookups.  Otherwise :meth:`_encode_fresh` converts
+        (when ``convert`` is given) and codes each cell new to the memo
+        once, in first-occurrence order, so the decode table grows exactly
+        as a cell-by-cell pass would grow it.
         """
+        try:
+            codes = _int32(map(self.memo.__getitem__, cells), len(cells))
+        except KeyError:
+            codes = self._encode_fresh(cells, convert)
+        if self.has_null:
+            self.null_count += _count_nulls(codes)
+        return codes
+
+    def _encode_fresh(self, cells: Tuple[object, ...], convert: Optional[Callable]):
+        """Code a batch that holds cells new to the memo."""
+        memo, mapping, values = self.memo, self.mapping, self.values
         distinct = dict.fromkeys(cells)
-        values = distinct if convert is None else convert(distinct)
-        codes = [assign_code(self.mapping, self.values, value) for value in values]
-        if NULL_CODE in codes:
-            self.null_count += sum(
-                cells.count(cell) for cell, code in zip(distinct, codes) if code == NULL_CODE
-            )
-        if len(codes) < len(cells):  # some cell repeats: look each one up
-            codes = map(dict(zip(distinct, codes)).__getitem__, cells)
-        if np is not None:
-            return np.fromiter(codes, dtype=np.int32, count=len(cells))
-        return array("i", codes)
+        fresh = list(filterfalse(memo.__contains__, distinct))
+        converted = fresh if convert is None else convert(fresh)
+        # While the memo has room it holds every cell coded so far, so a
+        # cell new to it that stays itself is new to the table too; past
+        # the cap, a cell may have been coded without being memoized.
+        if (
+            converted is fresh
+            and None not in distinct
+            and (len(memo) < _MEMO_LIMIT or mapping.keys().isdisjoint(fresh))
+        ):
+            start = len(values)
+            fresh_codes: Sequence[int] = range(start, start + len(fresh))
+            mapping.update(zip(fresh, fresh_codes))
+            values.extend(fresh)
+        else:
+            fresh_codes = [assign_code(mapping, values, value) for value in converted]
+            self.has_null = self.has_null or NULL_CODE in fresh_codes
+        room = _MEMO_LIMIT - len(memo)
+        memo.update(islice(zip(fresh, fresh_codes), room))
+        if len(fresh) == len(cells):  # no cell repeats or was known: codes in cell order
+            return _int32(fresh_codes, len(cells))
+        lookup = memo
+        if room < len(fresh):  # the memo is full: look this batch up locally
+            lookup = dict(zip(distinct, map(memo.get, distinct)))
+            lookup.update(zip(fresh, fresh_codes))
+        return _int32(map(lookup.__getitem__, cells), len(cells))
+
+
+def _int32(codes: Iterable[int], count: int):
+    """``count`` codes as an ``int32`` array (``array("i")`` without numpy)."""
+    if np is not None:
+        return np.fromiter(codes, dtype=np.int32, count=count)
+    return array("i", codes)
+
+
+def _count_nulls(codes) -> int:
+    if np is not None:
+        return int(np.count_nonzero(codes == NULL_CODE))
+    return codes.count(NULL_CODE)
 
 
 def _join_codes(parts: List[Sequence[int]]):
@@ -193,9 +272,7 @@ class ChunkedRelation:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.name = name
         self.chunk_size = chunk_size
-        self._columns: List[_StreamingColumn] = [
-            _StreamingColumn() for _ in self._attributes
-        ]
+        self._columns: List[_Column] = []
         self._chunks: List[CodeChunk] = []
         self._num_rows = 0
         #: ``Σ_w R(w)²`` per set of attributes the rows must be non-NULL
@@ -230,8 +307,8 @@ class ChunkedRelation:
         as :func:`repro.relation.io.read_csv` (identical NULL markers and
         type inference — the round-trip tests in ``tests/test_chunked.py``
         pin this), and each batch goes straight into the batch encoder,
-        which converts and codes each distinct raw cell of a column once:
-        neither the full row list nor a typed row ever exists.
+        which converts and codes each raw cell new to a column's memo
+        once: neither the full row list nor a typed row ever exists.
         ``csv_options`` are forwarded to
         :func:`~repro.relation.io.read_raw_batches` (``null_markers``,
         ``infer_types``, ``delimiter``).
@@ -336,15 +413,17 @@ class ChunkedRelation:
         """The batch encoder: code each batch column by column into chunks.
 
         A batch's codes are ``int32`` as soon as they exist; a chunk
-        joins the slices of the batches it spans when it fills up.
+        joins the slices of the batches it spans when it fills up.  Once
+        the batches run out the store keeps each column's decode table
+        and null count; the memos and value -> code tables are dropped.
         """
+        columns = [_StreamingColumn() for _ in self._attributes]
         chunk_size = self.chunk_size
         pending: List[List[Sequence[int]]] = [[] for _ in self._attributes]
         pending_rows = 0
         for batch in batches:
             codes = [
-                column.encode(cells, convert)
-                for column, cells in zip(self._columns, zip(*batch))
+                column.encode(cells, convert) for column, cells in zip(columns, zip(*batch))
             ]
             start = 0
             while start < len(batch):
@@ -359,6 +438,7 @@ class ChunkedRelation:
                     pending_rows = 0
         if pending_rows:
             self._flush(pending, pending_rows)
+        self._columns = [_Column(column.values, column.null_count) for column in columns]
 
     def _flush(self, pending: List[List[Sequence[int]]], num_rows: int) -> None:
         self._chunks.append(
@@ -407,7 +487,7 @@ class ChunkedRelation:
                 total += nbytes if nbytes is not None else len(codes) * codes.itemsize
         return total
 
-    def _column(self, attribute: str) -> _StreamingColumn:
+    def _column(self, attribute: str) -> _Column:
         try:
             return self._columns[self._attributes.index(attribute)]
         except ValueError:

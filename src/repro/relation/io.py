@@ -10,13 +10,17 @@ is not trusted) and written for ``.gz`` paths.
 
 Reading works on batches of :data:`READ_BATCH_ROWS` raw rows:
 :func:`read_raw_batches` yields them together with the per-cell rule
-(NULL markers, then :func:`_coerce`).  Within a batch each
-*distinct* raw cell of a column is converted once and every other cell
-reuses the result, so a column of repeated values costs one conversion
-per value per batch, while a key-like column's memo never holds more
-than one batch of cells.  :func:`stream_csv_rows` turns the batches into
-typed rows without materialising the file; the out-of-core ingest in
-:mod:`repro.relation.chunked` codes the same batches directly.
+(NULL markers, then :func:`_coerce`), which converts the distinct cells
+of one column at a time.  Two exact whole-column shortcuts skip the
+per-cell rule: cells that are all ASCII digit strings go through
+``int()`` in one call, and cells none of which is a NULL marker or can
+start a number stay themselves, decided by set operations.
+:func:`stream_csv_rows` turns the batches into typed rows without
+materialising the file, converting each distinct raw cell of a column
+once per batch.  The out-of-core ingest in :mod:`repro.relation.chunked`
+codes the same batches directly and remembers each column's raw cells
+across batches (up to a fixed number), so it converts a repeated cell
+once per file.
 """
 
 from __future__ import annotations
@@ -24,18 +28,21 @@ from __future__ import annotations
 import csv
 import gzip
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.relation.relation import Relation, Row
 
 DEFAULT_NULL_MARKERS = ("", "NULL", "null", "NA", "N/A", "?", "NaN", "nan")
 
-#: Raw rows per read batch.  The per-column memo of converted cells
-#: lives for one batch, so a column that never repeats a cell costs at
-#: most this many entries.  Ingest time is flat from 256 to 4,096 rows,
-#: while the batch's raw strings are held at once: 512 keeps the traced
-#: ingest peak of a 12k-row, 6-column file at 2.5 MB (4.9 MB at 4,096).
+#: Raw rows per read batch.  :func:`stream_csv_rows` converts each
+#: distinct cell of a batch column once and forgets the batch, so its
+#: lookup of converted cells never holds more than one batch of cells;
+#: the chunked ingest's memo outlives the batch but is capped on its own.
+#: Ingest time is flat from 256 to 4,096 rows, while the batch's raw
+#: strings are held at once: 512 keeps the traced ingest peak of a
+#: 12k-row, 6-column file at 2.5 MB (4.9 MB at 4,096).
 READ_BATCH_ROWS = 512
 
 #: The first characters (after leading whitespace) a cell must have for
@@ -44,6 +51,9 @@ READ_BATCH_ROWS = 512
 #: non-ASCII decimal digit also parses, but only to a number that
 #: :func:`_coerce` hands back as the string anyway.
 _NUMBER_STARTS = frozenset("0123456789+-.iInN")
+
+#: A string's first character (``""`` for the empty string).
+_first_character = itemgetter(slice(1))
 
 
 def _coerce(value: str) -> object:
@@ -85,22 +95,33 @@ def _coerce(value: str) -> object:
 
 def _cell_converter(
     null_markers: Sequence[str], infer_types: bool
-) -> Callable[[Dict[str, object]], List[object]]:
+) -> Callable[[Collection[str]], Collection[object]]:
     """The raw-cell -> value rule, applied to the distinct cells of one
     batch column.
 
     A NULL marker becomes ``None``; any other cell goes through
     :func:`_coerce` when ``infer_types`` (else it stays a string).  The
-    returned function takes a dict whose keys are the distinct raw cells
-    and returns their values in key order.  When every cell is a
-    non-empty ASCII digit string, it converts them with ``int()`` at C
-    speed — :func:`_coerce`'s first shortcut for a whole column — unless
-    a NULL marker could be such a string.
+    returned function takes a collection of distinct raw cells (a list,
+    or a dict's keys) and returns their values in the same order.  Two
+    whole-column shortcuts give the same values without a per-cell call:
+
+    * when no cell is a NULL marker and, under ``infer_types``, no cell
+      can start a number (:data:`_NUMBER_STARTS`, after leading
+      whitespace), every cell stays itself, and the argument itself is
+      returned, so a caller can test ``is`` and keep its cells;
+    * when every cell is a non-empty ASCII digit string, they convert
+      with ``int()`` at C speed (:func:`_coerce`'s first shortcut for a
+      whole column), unless a NULL marker could be such a string.
     """
     null_set = frozenset(null_markers)
     digits_are_numbers = not any(marker.isdigit() for marker in null_set)
 
-    def convert(distinct: Dict[str, object]) -> List[object]:
+    def convert(distinct: Collection[str]) -> Collection[object]:
+        if (
+            not infer_types
+            or _NUMBER_STARTS.isdisjoint(map(_first_character, map(str.lstrip, distinct)))
+        ) and null_set.isdisjoint(distinct):
+            return distinct
         if not infer_types:
             return [None if cell in null_set else cell for cell in distinct]
         # An empty cell would join as no digits at all; skip the try.
@@ -157,7 +178,7 @@ def read_raw_batches(
     infer_types: bool = True,
     delimiter: str = ",",
     max_rows: Optional[int] = None,
-) -> Tuple[List[str], Iterator[List[List[str]]], Callable[[Dict[str, object]], List[object]]]:
+) -> Tuple[List[str], Iterator[List[List[str]]], Callable[[Collection[str]], Collection[object]]]:
     """Open a CSV file and return ``(header, raw-row batches, convert)``.
 
     The batches are a lazy iterator of lists of up to
@@ -165,10 +186,10 @@ def read_raw_batches(
     to have one cell per header attribute.  ``max_rows`` caps the data
     rows before that check, so a ragged row past the cap is never
     checked.  The file stays open until the iterator is exhausted (or
-    closed by garbage collection).  ``convert`` takes the distinct raw
-    cells of one batch column (the keys of a dict, in first-occurrence
-    order) and returns their values under ``null_markers`` and
-    ``infer_types``.
+    closed by garbage collection).  ``convert`` takes distinct raw cells
+    of one column (a list, or a dict's keys, in first-occurrence order)
+    and returns their values under ``null_markers`` and ``infer_types``:
+    the argument itself when every cell stays itself.
     """
     path = Path(path)
     if max_rows is not None and max_rows < 0:
@@ -225,7 +246,9 @@ def stream_csv_rows(
         for cells in zip(*batch):
             distinct = dict.fromkeys(cells)
             values = convert(distinct)
-            if len(values) < len(cells):  # some cell repeats: look each one up
+            if values is distinct:  # every cell stays itself
+                values = cells
+            elif len(values) < len(cells):  # some cell repeats: look each one up
                 values = map(dict(zip(distinct, values)).__getitem__, cells)
             columns.append(values)
         # A header-less file still has rows: one empty tuple each.

@@ -15,9 +15,10 @@ types, small uniform domains, two-attribute LHS) and of insert / delete /
 window streams, plus :func:`check_case`, which scores each case on every
 path the library offers — every statistics kernel (see :func:`kernel`)
 over a ``Relation``, over a ``ChunkedRelation`` at chunk sizes 1, 7 and
-the default, through the incremental tracker (also compared with a
-recompute after every stream step, with one more tracker enrolled
-halfway), and through ``AfdSession.score`` (one session per kernel for
+the default (ingested in 3-row read batches with a 4-cell memo per
+column, see :func:`small_batches`), through the incremental tracker
+(also compared with a recompute after every stream step, with one more
+tracker enrolled halfway), and through ``AfdSession.score`` (one session per kernel for
 all the case's FDs and the reverses of its single-attribute ones, so
 expectation cells come from the session's memo) — and reports every path that is not within :data:`ATOL` of the
 oracle or not ``==`` to the others.  Discovery up to two LHS attributes
@@ -392,6 +393,30 @@ def kernel(name: str) -> Iterator[None]:
         chunked._PACK_LIMIT, partial._TALLY_RATIO = saved
 
 
+@contextmanager
+def small_batches(rows: int = 3, memo_cells: int = 4) -> Iterator[None]:
+    """Ingest in read batches of ``rows`` rows, each column memoizing at
+    most ``memo_cells`` raw cells.
+
+    A case of a few dozen rows fits in one 512-row read batch, so without
+    this the chunked stores of :func:`check_case` would never carry a
+    column's memo from one batch to the next, nor fill it.  Sets
+    ``READ_BATCH_ROWS`` in ``repro.relation.io`` (the CSV readers) and
+    ``repro.relation.chunked`` (typed rows), and the memo cap
+    ``repro.relation.chunked._MEMO_LIMIT``, for the block.
+    """
+    import repro.relation.chunked as chunked
+    import repro.relation.io as io
+
+    saved = io.READ_BATCH_ROWS, chunked.READ_BATCH_ROWS, chunked._MEMO_LIMIT
+    io.READ_BATCH_ROWS = chunked.READ_BATCH_ROWS = rows
+    chunked._MEMO_LIMIT = memo_cells
+    try:
+        yield
+    finally:
+        io.READ_BATCH_ROWS, chunked.READ_BATCH_ROWS, chunked._MEMO_LIMIT = saved
+
+
 def holds(
     attributes: Sequence[str], rows: Sequence[Row], lhs: Sequence[str], rhs: Sequence[str]
 ) -> bool:
@@ -483,7 +508,8 @@ def _check_discovery(case: Case, rows: List[Row], failures: List[str]) -> None:
             relation = Relation(attributes, rows, name="oracle")
             results[f"{kernel_name}/relation"] = discover_afds(relation, **options)
             for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
-                store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+                with small_batches():
+                    store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
                 results[f"{kernel_name}/chunked-{chunk_size}"] = discover_afds(store, **options)
             session = AfdSession(_replayed_store(case), measures=measures)
             results[f"{kernel_name}/dynamic"] = session.discover(
@@ -579,7 +605,8 @@ def check_case(case: Case) -> List[str]:
                 relation = relations[kernel_name]
                 statistics[f"{kernel_name}/relation"] = FdStatistics.compute(relation, fd)
                 for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
-                    store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+                    with small_batches():
+                        store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
                     statistics[f"{kernel_name}/chunked-{chunk_size}"] = FdStatistics.compute(
                         store, fd
                     )

@@ -658,6 +658,19 @@ def test_discovery_bit_identical_across_backends():
 # Runtime driver (Table V)
 # ----------------------------------------------------------------------
 @requires_numpy
+def test_runtime_quartiles_bracket_the_median():
+    from statistics import median
+
+    from repro.experiments.runtime import _quartiles
+
+    assert _quartiles([0.5]) == (0.5, 0.5)
+    assert _quartiles([float(i) for i in reversed(range(31))]) == (7.0, 23.0)
+    for runs in ([0.1, 0.1], [0.1, 0.1, 0.3], [0.2, 0.1, 0.1, 0.1, 0.2]):
+        p25, p75 = _quartiles(runs)
+        assert p25 <= median(runs) <= p75
+
+
+@requires_numpy
 def test_runtime_driver_smoke(tmp_path):
     from repro.experiments.runtime import RuntimeConfig, run_runtime
 
@@ -672,6 +685,12 @@ def test_runtime_driver_smoke(tmp_path):
     for entry in payload["relations"]:
         assert entry["statistics_seconds_median"] >= 0.0
         assert len(entry["measure_seconds_median"]) == 14
+        for timed in ("statistics", "total"):
+            runs = entry[f"{timed}_seconds_runs"]
+            assert len(runs) == 2
+            assert entry[f"{timed}_seconds_p25"] == min(runs)
+            assert entry[f"{timed}_seconds_p75"] == max(runs)
+            assert min(runs) <= entry[f"{timed}_seconds_median"] <= max(runs)
     discovery = payload["chunked_discovery"]
     assert discovery["identical_to_brute_force"] is True
     # The R3 stand-in: 6 attributes, so 30 single-attribute candidates;

@@ -15,6 +15,7 @@ Tests that need numpy are marked; the remainder also run in the
 no-numpy CI job.
 """
 
+import gc
 import gzip
 import os
 import random
@@ -28,10 +29,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from oracle import KERNELS, kernel, requires_numpy, without_numpy
+from oracle import KERNELS, kernel, requires_numpy, small_batches, without_numpy
 from repro.core import all_measures, get_measure
 from repro.core.statistics import FdStatistics
 from repro.relation import ChunkedRelation, FunctionalDependency, Relation
+from repro.relation import chunked as chunked_module
 from repro.relation.chunked import DEFAULT_CHUNK_SIZE
 from repro.relation.io import (
     DEFAULT_NULL_MARKERS,
@@ -351,6 +353,162 @@ class TestChunkedRelation:
         assert_identical(
             FdStatistics.compute(streamed, fd), FdStatistics.compute(materialised, fd)
         )
+
+
+# ----------------------------------------------------------------------
+# The ingest memo: raw cell -> code across read batches, capped
+# ----------------------------------------------------------------------
+def reference_encoding(columns, value_of) -> list:
+    """The cell-by-cell encoder: per column, its codes, decode table and
+    NULL count.  Each cell becomes ``value_of(cell)``; NULL takes code -1,
+    a known value its code, a new value the next code."""
+    encoded = []
+    for cells in columns:
+        mapping, values, codes = {}, [], []
+        for cell in cells:
+            value = value_of(cell)
+            if value is None:
+                codes.append(-1)
+                continue
+            if value not in mapping:
+                mapping[value] = len(values)
+                values.append(value)
+            codes.append(mapping[value])
+        encoded.append((codes, typed([values])[0], codes.count(-1)))
+    return encoded
+
+
+def stored_encoding(store: ChunkedRelation) -> list:
+    """The same triple per column, read back from a built store."""
+    encoded = []
+    for attribute in store.attributes:
+        codes = [code for chunk in store.iter_chunks() for code in chunk.column_list(attribute)]
+        column = store._column(attribute)
+        encoded.append((codes, typed([column.values])[0], column.null_count))
+    return encoded
+
+
+def assert_keeps_only_decode_tables(store: ChunkedRelation) -> None:
+    """A built store holds no memo and no value -> code dict."""
+    held = [value for value in vars(store).values() if isinstance(value, dict)]
+    assert held == [store.tuple_square_sums]
+    for attribute in store.attributes:
+        referents = gc.get_referents(store._column(attribute))
+        assert not any(isinstance(referent, dict) for referent in referents), attribute
+
+
+#: Memo cap of the memo tests: 4-row read batches fill it in one batch.
+MEMO_CELLS = 3
+
+#: One CSV column per case, 40 cells each, so 10 read batches of 4 rows.
+MEMO_COLUMNS = {
+    # "x" is memoized and comes back late; "r" is coded once the memo is
+    # full, so it comes back as a string that is coded but not memoized.
+    "returning": ["x", "p", "q", "r"]
+    + [f"s{i}" for i in range(24)]
+    + ["r", "x", "s3", "r", "x", "s0", "r", "p", "s20", "s21", "x", "q"],
+    # Each spelling of one is first seen in a different batch.
+    "numerals": [
+        cell
+        for spelling in ("1", "01", "1.0", " 1", "1e0")
+        for cell in (spelling, "word", "2", spelling)
+    ]
+    + ["1e0", " 1", "1.0", "01", "1", "2.0", "word", "02"]
+    + ["x1", "1", "+1", "2", "3", "01", "1.", "word", "1", "1", "2", "3"],
+    # Every default NULL marker and NaN spelling, spread over the batches.
+    "nulls": [
+        "", "v", "NULL", "3", "null", "NA", "v", "N/A", "?", "NaN", "3", "nan",
+        "-nan", "+NAN", "v", "nAn", "", "v", "w", "NULL", "3", "?", "NaN", "v",
+        "x", "y", "z", "-nan", "w", "v", "3", "", "nan", "N/A", "NA", "null",
+        "v", "w", "x", "3",
+    ],
+    # Non-numeric strings until one numeric-looking cell in batch 6.
+    "turns_numeric": [f"a{i % 9}" for i in range(24)]
+    + ["a1", " 7", "a9", "a2"]
+    + [f"a{i % 11}" for i in range(12)],
+    # Every cell new, but for one key coded past the cap that comes back.
+    "key": [f"k{i}" for i in range(39)] + ["k5"],
+    # ASCII digit strings; "007" and "7" share a code.
+    "digits": [str(i % 6 * 7) for i in range(20)] + ["007"] + [str(i % 13) for i in range(19)],
+}
+
+
+@pytest.fixture()
+def memo_sizes(monkeypatch):
+    """Small read batches and memo; records the memo's size after each batch."""
+    sizes = []
+    encode = chunked_module._StreamingColumn.encode
+
+    def recording(self, cells, convert=None):
+        codes = encode(self, cells, convert)
+        sizes.append(len(self.memo))
+        return codes
+
+    monkeypatch.setattr(chunked_module._StreamingColumn, "encode", recording)
+    with small_batches(rows=4, memo_cells=MEMO_CELLS):
+        yield sizes
+
+
+class TestIngestMemo:
+    @pytest.mark.parametrize("numpy_present", [True, False], ids=["numpy", "no_numpy"])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"infer_types": False}, {"delimiter": ";"}],
+        ids=["inferred", "no_inference", "semicolon"],
+    )
+    def test_read_csv_matches_cell_by_cell_encoder(
+        self, tmp_path, monkeypatch, memo_sizes, options, numpy_present
+    ):
+        if not numpy_present:
+            without_numpy(monkeypatch)
+        delimiter = options.get("delimiter", ",")
+        header = list(MEMO_COLUMNS)
+        rows = list(zip(*MEMO_COLUMNS.values()))
+        path = tmp_path / "memo.csv"
+        path.write_text(
+            "".join(delimiter.join(row) + "\n" for row in [header, *rows]), encoding="utf-8"
+        )
+        inferred = options.get("infer_types", True)
+
+        def value_of(cell):
+            if cell in DEFAULT_NULL_MARKERS:
+                return None
+            return _coerce(cell) if inferred else cell
+
+        expected = reference_encoding(MEMO_COLUMNS.values(), value_of)
+        for chunk_size in (1, 5, 64):
+            store = ChunkedRelation.read_csv(path, chunk_size=chunk_size, **options)
+            assert stored_encoding(store) == expected, chunk_size
+            assert_keeps_only_decode_tables(store)
+        assert max(memo_sizes) == MEMO_CELLS
+        if inferred:  # every spelling of one shares the first one's code
+            codes, values, _ = expected[header.index("numerals")]
+            assert values[0] == ("int", "1") and {codes[i] for i in range(0, 20, 4)} == {0}
+        # 17 NULL markers, and 4 more NaN spellings when types are inferred.
+        assert expected[header.index("nulls")][2] == (21 if inferred else 17)
+
+    @pytest.mark.parametrize("numpy_present", [True, False], ids=["numpy", "no_numpy"])
+    def test_typed_rows_match_cell_by_cell_encoder(self, monkeypatch, memo_sizes, numpy_present):
+        if not numpy_present:
+            without_numpy(monkeypatch)
+        reused = float("nan")
+        columns = {
+            "number": [1, 1.0, True, None, 2, "1", 2.0, 1, None, 3, True, 1.0, 4, 5, 6, 3.0],
+            "mixed": [None, "a", 2, 2.0, False, 0, None, "a", "b", "c", "d", 0.0, "a", 2, 7, 8],
+            "nan": [reused, 0.5, float("nan"), reused, None, 0.5, float("nan"), reused]
+            + [1.5, 2.5, 3.5, reused, float("nan"), None, reused, 0.5],
+        }
+        relation = Relation(tuple(columns), list(zip(*columns.values())))
+        expected = reference_encoding(columns.values(), lambda value: value)
+        for chunk_size in (1, 5, 64):
+            store = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+            assert stored_encoding(store) == expected, chunk_size
+            assert_keeps_only_decode_tables(store)
+        assert max(memo_sizes) == MEMO_CELLS
+        # The reused NaN keeps one code; each fresh NaN takes its own.
+        nan_codes = expected[2][0]
+        assert len({nan_codes[i] for i in (0, 3, 7, 11, 14)}) == 1
+        assert len({nan_codes[i] for i in (0, 2, 6, 12)}) == 4
 
 
 # ----------------------------------------------------------------------

@@ -683,8 +683,8 @@ def service():
     host, port = server.server_address[:2]
     yield f"http://{host}:{port}", state
     server.shutdown()
-    server.server_close()
     thread.join(timeout=5)
+    server.server_close()
 
 
 def _get(url):
