@@ -11,14 +11,16 @@
   ground truth (the paper's Section VII discovery discussion);
 * :mod:`repro.experiments.runtime` — the Table V runtime protocol on
   the statistics kernel the process runs (``BENCH_runtime.json``);
-* :mod:`repro.experiments.streaming` — the incremental-vs-recompute
-  benchmark of :mod:`repro.stream` (``BENCH_streaming.json``);
 * :mod:`repro.experiments.plotting` — figure generation from persisted
   ``curves.csv`` artifacts (matplotlib optional).
 
-All drivers share the parallel evaluation harness and write their
-artifacts under ``results/`` by default; ``python -m repro.experiments``
-is the command-line front end.
+The sensitivity sweeps and the property check score through the
+parallel evaluation harness of :mod:`repro.evaluation`, and the RWDe
+grid spreads its cells over a process pool (both sized by ``--jobs``);
+discovery, the runtime protocol and plotting run in one process.  Every
+driver writes its artifacts under ``results/`` by default; ``python -m
+repro.experiments`` is the command-line front end.  The repository's
+performance benchmark is ``perfbench/``, not these drivers.
 """
 
 from repro.experiments.discovery import DiscoveryConfig, run_discovery
@@ -26,18 +28,15 @@ from repro.experiments.plotting import run_plot
 from repro.experiments.properties import PropertiesConfig, run_properties
 from repro.experiments.rwde import RwdeConfig, run_rwde
 from repro.experiments.sensitivity import SensitivityConfig, run_sensitivity
-from repro.experiments.streaming import StreamingConfig, run_streaming
 
 __all__ = [
     "DiscoveryConfig",
     "PropertiesConfig",
     "RwdeConfig",
     "SensitivityConfig",
-    "StreamingConfig",
     "run_discovery",
     "run_plot",
     "run_properties",
     "run_rwde",
     "run_sensitivity",
-    "run_streaming",
 ]

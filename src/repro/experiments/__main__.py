@@ -12,8 +12,8 @@ Examples::
     # multi-attribute lattice discovery over the RWD benchmark
     python -m repro.experiments --benchmark discovery --max-lhs-size 2
 
-    # incremental-vs-recompute streaming benchmark (repro.stream)
-    python -m repro.experiments --benchmark streaming
+    # the Table V runtime protocol (writes BENCH_runtime.json)
+    python -m repro.experiments --benchmark runtime
 
     # render results/*/curves.csv to PNG (requires matplotlib)
     python -m repro.experiments --plot
@@ -29,8 +29,15 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.cli import positive_float, positive_int
+from repro.cli import (
+    comma_list,
+    non_negative_int,
+    positive_float,
+    positive_int,
+    unit_fraction,
+)
 from repro.core.registry import paper_label
+from repro.errors.channels import ErrorType
 from repro.experiments.discovery import DiscoveryConfig, run_discovery
 from repro.experiments.plotting import PLOT_FORMATS, run_plot
 from repro.experiments.properties import PropertiesConfig, run_properties
@@ -43,26 +50,7 @@ from repro.experiments.runtime import (
     run_runtime,
 )
 from repro.experiments.rwde import RwdeConfig, run_rwde
-from repro.experiments.service import (
-    SMOKE_REPEATS as SERVICE_SMOKE_REPEATS,
-)
-from repro.experiments.service import (
-    SMOKE_REQUESTS,
-    SMOKE_THREADS,
-    SMOKE_WORKERS,
-    ServiceConfig,
-    run_service,
-)
-from repro.experiments.service import (
-    SMOKE_SIZES as SERVICE_SMOKE_SIZES,
-)
 from repro.experiments.sensitivity import SensitivityConfig, run_sensitivity
-from repro.experiments.streaming import (
-    SMOKE_BATCHES,
-    StreamingConfig,
-    run_streaming,
-)
-from repro.experiments.streaming import SMOKE_SIZES as STREAMING_SMOKE_SIZES
 
 SENSITIVITY_BENCHMARKS = ("err", "uniq", "skew")
 BENCHMARK_CHOICES = SENSITIVITY_BENCHMARKS + (
@@ -70,17 +58,8 @@ BENCHMARK_CHOICES = SENSITIVITY_BENCHMARKS + (
     "discovery",
     "properties",
     "runtime",
-    "streaming",
-    "service",
     "all",
 )
-
-#: Per-benchmark default target of the repo-root benchmark record.
-DEFAULT_BENCH_PATHS = {
-    "runtime": "BENCH_runtime.json",
-    "streaming": "BENCH_streaming.json",
-    "service": "BENCH_service.json",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,13 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rwde-error-levels",
+        type=comma_list(unit_fraction),
         default="0.01,0.02,0.05",
-        help="comma-separated RWDe error levels (default: 0.01,0.02,0.05)",
+        help="comma-separated RWDe error levels, each in (0, 1] (default: 0.01,0.02,0.05)",
     )
     parser.add_argument(
         "--rwde-error-types",
+        type=comma_list(lambda name: ErrorType(name).value),
         default="copy,typo,bogus",
-        help="comma-separated RWDe error types (default: copy,typo,bogus)",
+        help="comma-separated RWDe error types out of copy, typo and bogus "
+        "(default: copy,typo,bogus)",
     )
     parser.add_argument(
         "--max-lhs-size",
@@ -164,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--runtime-sizes",
+        type=comma_list(positive_int),
         default="1000,5000,20000",
         help="comma-separated fixed relation sizes of the runtime benchmark "
         "(default: 1000,5000,20000)",
@@ -176,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--runtime-chunked-discovery-rows",
-        type=int,
+        type=non_negative_int,
         default=RuntimeConfig.chunked_discovery_rows,
         help="row count of the runtime benchmark's chunked-discovery parity "
         "section; 0 disables it (default: %(default)s)",
@@ -190,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--runtime-discovery-rows",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="row count of the out-of-core chunked-discovery smoke (streamed "
         "ingest + discovery under a tracemalloc row-list "
@@ -198,76 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
         "10M-row smoke)",
     )
     parser.add_argument(
-        "--streaming-sizes",
-        default="1000,5000,20000",
-        help="comma-separated fixed relation sizes of the streaming benchmark "
-        "(default: 1000,5000,20000)",
-    )
-    parser.add_argument(
-        "--streaming-batches",
-        type=positive_int,
-        default=12,
-        help="insert/delete batches per relation of the streaming benchmark "
-        "(default: 12)",
-    )
-    parser.add_argument(
-        "--streaming-batch-size",
-        type=positive_int,
-        default=16,
-        help="appended rows per streaming batch, the Δ of the incremental path "
-        "(default: 16)",
-    )
-    parser.add_argument(
-        "--streaming-delete-fraction",
-        type=float,
-        default=0.25,
-        help="deletes per streaming batch as a fraction of the batch size "
-        "(default: 0.25)",
-    )
-    parser.add_argument(
-        "--service-sizes",
-        default="1000,5000,20000",
-        help="comma-separated fixed relation sizes of the service benchmark "
-        "(default: 1000,5000,20000)",
-    )
-    parser.add_argument(
-        "--service-threads",
-        default="1,4,8,16",
-        help="comma-separated client thread counts of the service throughput "
-        "run (default: 1,4,8,16)",
-    )
-    parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=4,
-        help="shard worker processes of the sharded throughput run "
-        "(default: 4)",
-    )
-    parser.add_argument(
-        "--service-requests",
-        type=int,
-        default=25,
-        help="/score requests per client thread (default: 25)",
-    )
-    parser.add_argument(
-        "--service-repeats",
-        type=int,
-        default=7,
-        help="timed cold/warm requests per relation of the service benchmark "
-        "(default: 7)",
-    )
-    parser.add_argument(
         "--bench-path",
-        default=None,
-        help="where the runtime/streaming/service benchmark record is written "
-        "(default: BENCH_runtime.json / BENCH_streaming.json / "
-        "BENCH_service.json at the repo root; '-' to skip)",
+        default="BENCH_runtime.json",
+        help="where the runtime benchmark record is written "
+        "(default: %(default)s; '-' to skip)",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="smoke-scale runtime/streaming benchmark (small fixed relations, "
-        "fewer repeats/batches) for CI artifact validation",
+        help="smoke-scale runtime benchmark (small fixed relations, fewer "
+        "repeats, a smaller parity section) for CI artifact validation",
     )
     parser.add_argument(
         "--plot",
@@ -327,10 +250,8 @@ def _run_sensitivity(
 
 def _run_rwde(args: argparse.Namespace, output_dir: Optional[str]) -> None:
     config = RwdeConfig(
-        error_types=tuple(part.strip() for part in args.rwde_error_types.split(",") if part.strip()),
-        error_levels=tuple(
-            float(part) for part in args.rwde_error_levels.split(",") if part.strip()
-        ),
+        error_types=args.rwde_error_types,
+        error_levels=args.rwde_error_levels,
         num_rows=args.rwde_num_rows,
         seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs,
@@ -387,14 +308,6 @@ def _run_discovery(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         print(f"artifacts: {output_dir}/discovery/{{summary.json,summary.csv}}")
 
 
-def _bench_path(args: argparse.Namespace, benchmark: str) -> Optional[str]:
-    if args.bench_path == "-":
-        return None
-    if args.bench_path is None:
-        return DEFAULT_BENCH_PATHS[benchmark]
-    return args.bench_path
-
-
 def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
     if args.smoke:
         sizes: tuple = SMOKE_SIZES
@@ -402,9 +315,7 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         chunked_discovery_rows = SMOKE_CHUNKED_DISCOVERY_ROWS
         chunk_size = SMOKE_CHUNK_SIZE
     else:
-        sizes = tuple(
-            int(part) for part in args.runtime_sizes.split(",") if part.strip()
-        )
+        sizes = args.runtime_sizes
         repeats = args.runtime_repeats
         chunked_discovery_rows = args.runtime_chunked_discovery_rows
         chunk_size = args.runtime_chunk_size
@@ -416,7 +327,7 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
         chunk_size=chunk_size,
         discovery_rows=args.runtime_discovery_rows,
     )
-    bench_path = _bench_path(args, "runtime")
+    bench_path = None if args.bench_path == "-" else args.bench_path
     started = time.perf_counter()
     payload = run_runtime(config, output_dir=output_dir, bench_path=bench_path)
     elapsed = time.perf_counter() - started
@@ -450,132 +361,6 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
             )
     if output_dir is not None:
         print(f"artifacts: {output_dir}/runtime/{{summary.json,summary.csv}}")
-    if bench_path is not None:
-        print(f"benchmark record: {bench_path}")
-
-
-def _run_streaming(args: argparse.Namespace, output_dir: Optional[str]) -> None:
-    if args.smoke:
-        sizes: tuple = STREAMING_SMOKE_SIZES
-        batches = SMOKE_BATCHES
-    else:
-        sizes = tuple(
-            int(part) for part in args.streaming_sizes.split(",") if part.strip()
-        )
-        batches = args.streaming_batches
-    config = StreamingConfig(
-        sizes=sizes,
-        batches=batches,
-        batch_size=args.streaming_batch_size,
-        delete_fraction=args.streaming_delete_fraction,
-        sfi_alpha=args.sfi_alpha,
-    )
-    bench_path = _bench_path(args, "streaming")
-    started = time.perf_counter()
-    payload = run_streaming(config, output_dir=output_dir, bench_path=bench_path)
-    elapsed = time.perf_counter() - started
-    print(
-        f"\nStreaming benchmark ({config.batches} batches x "
-        f"{config.batch_size} appends + "
-        f"{int(config.batch_size * config.delete_fraction)} deletes, {elapsed:.1f}s)"
-    )
-    header = f"{'relation':<16} {'incr ms':>9} {'recomp ms':>10} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    for entry in payload["relations"]:  # type: ignore[union-attr]
-        speedup = entry["statistics_speedup"]
-        speedup_text = "n/a" if speedup is None else f"{speedup:.1f}x"
-        print(
-            f"{entry['name']:<16} "
-            f"{entry['incremental_seconds_median'] * 1000:>9.3f} "
-            f"{entry['recompute_seconds_median'] * 1000:>10.3f} "
-            f"{speedup_text:>8}"
-        )
-    if payload["speedup"] is not None:
-        print(
-            f"largest relation statistics-phase speedup "
-            f"(incremental over recompute): {payload['speedup']:.1f}x"
-        )
-    print("scores verified bit-identical on every batch")
-    if output_dir is not None:
-        print(f"artifacts: {output_dir}/streaming/{{summary.json,summary.csv}}")
-    if bench_path is not None:
-        print(f"benchmark record: {bench_path}")
-
-
-def _run_service(args: argparse.Namespace, output_dir: Optional[str]) -> None:
-    if args.smoke:
-        sizes: tuple = SERVICE_SMOKE_SIZES
-        threads: tuple = SMOKE_THREADS
-        requests = SMOKE_REQUESTS
-        repeats = SERVICE_SMOKE_REPEATS
-        workers = SMOKE_WORKERS
-    else:
-        sizes = tuple(int(part) for part in args.service_sizes.split(",") if part.strip())
-        threads = tuple(
-            int(part) for part in args.service_threads.split(",") if part.strip()
-        )
-        requests = args.service_requests
-        repeats = args.service_repeats
-        workers = args.service_workers
-    config = ServiceConfig(
-        sizes=sizes,
-        client_threads=threads,
-        requests_per_thread=requests,
-        repeats=repeats,
-        workers=workers,
-        sfi_alpha=args.sfi_alpha,
-    )
-    bench_path = _bench_path(args, "service")
-    started = time.perf_counter()
-    payload = run_service(config, output_dir=output_dir, bench_path=bench_path)
-    elapsed = time.perf_counter() - started
-    print(f"\nService benchmark (warm session vs cold recompute, {elapsed:.1f}s)")
-    header = f"{'relation':<16} {'cold ms':>9} {'warm ms':>9} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    for entry in payload["relations"]:  # type: ignore[union-attr]
-        speedup = entry["warm_speedup"]
-        print(
-            f"{entry['name']:<16} "
-            f"{entry['cold_seconds_median'] * 1000:>9.3f} "
-            f"{entry['warm_seconds_median'] * 1000:>9.3f} "
-            f"{'n/a' if speedup is None else f'{speedup:.1f}x':>8}"
-        )
-        for mode, cells in entry["throughput"].items():
-            for cell in cells:
-                print(
-                    f"{'':<16} {mode:<8} {cell['threads']:>2} client thread(s): "
-                    f"{cell['requests_per_second']:.0f} req/s "
-                    f"({cell['requests']} requests)"
-                )
-        scaling = entry["sharded_scaling"]
-        serial_scaling = entry["serial_scaling"]
-        serial_text = "n/a" if serial_scaling is None else f"{serial_scaling:.2f}x"
-        if scaling is not None:
-            print(
-                f"{'':<16} sharded peak-over-base-thread scaling: {scaling:.2f}x "
-                f"(serial: {serial_text})"
-            )
-    if payload["speedup"] is not None:
-        print(
-            f"largest relation warm-session speedup over cold per-request "
-            f"recompute: {payload['speedup']:.1f}x"
-        )
-    print("warm scores verified identical to cold recompute")
-    print("sharded responses verified bit-identical to serial serving")
-    observability = payload.get("observability")  # type: ignore[union-attr]
-    if observability is not None:
-        overhead = observability["overhead_fraction"]
-        overhead_text = "n/a" if overhead is None else f"{overhead * 100:.1f}%"
-        print(
-            f"observability overhead on {observability['relation']}: "
-            f"{overhead_text} ({observability['enabled_rps_best']:.0f} req/s "
-            f"instrumented vs {observability['disabled_rps_best']:.0f} req/s "
-            f"disabled)"
-        )
-    if output_dir is not None:
-        print(f"artifacts: {output_dir}/service/{{summary.json,summary.csv}}")
     if bench_path is not None:
         print(f"benchmark record: {bench_path}")
 
@@ -641,10 +426,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _run_discovery(args, output_dir)
     elif args.benchmark == "runtime":
         _run_runtime(args, output_dir)
-    elif args.benchmark == "streaming":
-        _run_streaming(args, output_dir)
-    elif args.benchmark == "service":
-        _run_service(args, output_dir)
     elif args.benchmark == "properties":
         _run_properties(args, output_dir)
     else:  # all

@@ -1,9 +1,11 @@
 """Sharded multi-process serving: consistent hashing, workers, dispatch.
 
-The GIL wall (``BENCH_service.json``, PR 5): a thread-per-request server
-serialises CPU-bound statistics passes, so ``/score`` throughput
-*collapses* as client concurrency grows.  This module breaks it by
-moving every session out of the front-end process:
+A thread-per-request server serialises CPU-bound statistics passes on
+the GIL, so ``/score`` throughput collapses as client concurrency grows.
+This module moves every session out of the front-end process instead.
+No committed record yet shows that the pool pays: perfbench's ``serve``
+workload runs it (one worker per core) with no in-process baseline
+beside it.  The parts:
 
 * :class:`HashRing` — deterministic consistent hashing of relation
   names onto worker ids (virtual nodes, SHA-1; identical on every

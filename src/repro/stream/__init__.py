@@ -18,8 +18,8 @@ columnar view is seeded from the dynamic encoding.
 
 ``python -m repro.stream`` is the monitoring front end: it replays a CSV
 file or a named RWD dataset as a stream and emits per-batch measure
-scores as JSON lines.  ``python -m repro.experiments --benchmark
-streaming`` benchmarks incremental re-scoring against full recompute.
+scores as JSON lines (``--verify`` checks each batch against a full
+recompute).
 """
 
 from repro.stream.dynamic import DynamicRelation

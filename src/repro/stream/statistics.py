@@ -55,9 +55,8 @@ def assert_scores_identical(
 ) -> None:
     """Raise :class:`RuntimeError` unless the score maps are ``==``-identical.
 
-    The bit-identity cross-check shared by the streaming benchmark and
-    the ``--verify`` mode of the monitoring CLI; the error names every
-    diverging measure with both values.
+    The bit-identity cross-check of the monitoring CLI's ``--verify``
+    mode; the error names every diverging measure with both values.
     """
     if incremental == recomputed:
         return

@@ -215,10 +215,40 @@ def test_cli_rejects_non_positive_sweep_sizes(flag, value, capsys):
                 ("--runtime-chunk-size", "0"),
                 ("--rwde-num-rows", "0"),
                 ("--discovery-num-rows", "0"),
-                ("--streaming-batches", "0"),
-                ("--jobs", "-3"),
-                ("--streaming-batch-size", "0"),
             )
+        ),
+        (
+            ["--runtime-chunked-discovery-rows", "-5"],
+            "argument --runtime-chunked-discovery-rows: must be a non-negative integer, got '-5'",
+        ),
+        (["--jobs", "-3"], "argument --jobs: must be a positive integer, got '-3'"),
+        (
+            ["--runtime-discovery-rows", "-5"],
+            "argument --runtime-discovery-rows: must be a non-negative integer, got '-5'",
+        ),
+        *(
+            ([flag, ","], f"argument {flag}: must be a non-empty comma-separated list, got ','")
+            for flag in ("--runtime-sizes", "--rwde-error-levels", "--rwde-error-types")
+        ),
+        (
+            ["--runtime-sizes", "0"],
+            "argument --runtime-sizes: must be a positive integer, got '0' (in '0')",
+        ),
+        (
+            ["--runtime-sizes", "10,x"],
+            "argument --runtime-sizes: must be a positive integer, got 'x' (in '10,x')",
+        ),
+        (
+            ["--rwde-error-levels", "0.01,x"],
+            "argument --rwde-error-levels: must be a number in (0, 1], got 'x' (in '0.01,x')",
+        ),
+        (
+            ["--rwde-error-levels", "2"],
+            "argument --rwde-error-levels: must be a number in (0, 1], got '2' (in '2')",
+        ),
+        (
+            ["--rwde-error-types", "copy,nope"],
+            "argument --rwde-error-types: 'nope' is not a valid ErrorType (in 'copy,nope')",
         ),
     ],
 )

@@ -1042,16 +1042,3 @@ def test_server_unknown_measure_is_400_not_404(service):
     envelope = _error_envelope(excinfo)
     assert envelope["code"] == "unknown_measure"
     assert "unknown measures" in envelope["message"]
-
-
-@requires_numpy
-def test_streaming_benchmark_survives_total_delete_churn():
-    # Heavy delete churn exceeds the compaction threshold; the driver's
-    # precomputed delete ids require the benchmark store to opt out of
-    # compaction (regression: KeyError "row id ... is not live").
-    from repro.experiments.streaming import StreamingConfig, run_streaming
-
-    config = StreamingConfig(sizes=(300,), batches=25, batch_size=16, delete_fraction=1.0)
-    with kernel("python"):
-        payload = run_streaming(config, output_dir=None, bench_path=None)
-    assert payload["scores_verified"] is True

@@ -393,36 +393,6 @@ def test_untrack_stops_delta_delivery():
 
 
 # ----------------------------------------------------------------------
-# Streaming benchmark driver
-# ----------------------------------------------------------------------
-@requires_numpy
-def test_streaming_driver_smoke(tmp_path):
-    from repro.experiments.streaming import StreamingConfig, run_streaming
-
-    bench_path = tmp_path / "BENCH_streaming.json"
-    payload = run_streaming(
-        StreamingConfig(sizes=(150, 400), batches=3, batch_size=8),
-        output_dir=str(tmp_path / "results"),
-        bench_path=str(bench_path),
-    )
-    assert payload["experiment"] == "streaming"
-    assert payload["scores_verified"] is True
-    assert [entry["num_rows"] for entry in payload["relations"]] == [150, 400]
-    for entry in payload["relations"]:
-        assert entry["incremental_seconds_median"] >= 0.0
-        assert entry["statistics_speedup"] is None or entry["statistics_speedup"] > 0.0
-        assert len(entry["incremental_measure_seconds_median"]) == 14
-        assert len(entry["recompute_measure_seconds_median"]) == 14
-    assert payload["largest"]["num_rows"] == 400
-    assert payload["speedup"] is not None and payload["speedup"] > 0.0
-    assert (tmp_path / "results" / "streaming" / "summary.json").exists()
-    assert (tmp_path / "results" / "streaming" / "summary.csv").exists()
-    record = json.loads(bench_path.read_text())
-    assert record["relations"][0]["name"] == "runtime[150]"
-    assert "backends" not in record and "headline_backend" not in record
-
-
-# ----------------------------------------------------------------------
 # Monitoring CLI
 # ----------------------------------------------------------------------
 def test_stream_cli_monitors_csv(tmp_path, capsys):
@@ -631,6 +601,38 @@ def test_append_remaps_returned_ids_across_compaction():
     assert surviving == dynamic.live_ids()
     assert [dynamic.row(row_id) for row_id in surviving] == [(8,), (9,), (10,), (11,)]
     assert dynamic.compactions > 0
+
+
+def test_total_delete_churn_with_compaction_off_keeps_ids_stable():
+    """25 batches of 16 appends and 16 deletes on 300 rows, compaction off.
+
+    The dead history passes the default compaction threshold, yet every
+    id taken from the append order names the same row until deleted;
+    one novel X value per batch grows the code tables, and every tracker
+    stays ``==`` a recompute after each batch.
+    """
+    rng = random.Random(97)
+    rows = [(rng.randrange(20), rng.randrange(5)) for _ in range(300)]
+    dynamic = DynamicRelation(["X", "Y"], rows, compact_threshold=None)
+    trackers = [
+        dynamic.track(FunctionalDependency("X", "Y")),
+        dynamic.track(FunctionalDependency("Y", "X")),
+    ]
+    live = list(range(len(rows)))
+    for batch in range(25):
+        appends = [(f"novel-{batch}", rng.randrange(5))]
+        appends += [(rng.randrange(20), rng.randrange(5)) for _ in range(15)]
+        next_id = len(rows)
+        assert dynamic.append(appends) == list(range(next_id, next_id + 16))
+        rows += appends
+        live += range(next_id, next_id + 16)
+        deletes = [live.pop(rng.randrange(len(live))) for _ in range(16)]
+        dynamic.delete(deletes)
+        for tracker in trackers:
+            assert_tracker_matches_recompute(dynamic, tracker)
+        assert dynamic.snapshot().rows() == [rows[row_id] for row_id in sorted(live)]
+    assert dynamic.compactions == 0
+    assert dynamic.tombstone_fraction > 0.5
 
 
 def test_compaction_configuration_validation():
