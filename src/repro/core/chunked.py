@@ -39,15 +39,13 @@ all its candidates.  When ``X ∪ Y`` is the whole schema the full tuples
 are the ``(x, y)`` pairs, and :func:`map_merge` reads the sum off the
 merged joint counts instead.
 
-Chunk sources:
-
-* a :class:`~repro.relation.chunked.ChunkedRelation` — its stored chunks;
-* a :class:`~repro.relation.relation.Relation` with numpy — zero-copy
-  slices of the cached columnar ``int32`` code arrays,
-  :data:`~repro.relation.chunked.DEFAULT_CHUNK_SIZE` rows each, so a
-  relation of up to 65,536 rows is one chunk;
-* a :class:`Relation` without numpy — its cached ``array.array``
-  encoding (:meth:`Relation.chunked`), built once per relation.
+Chunk sources: a :class:`~repro.relation.chunked.ChunkedRelation` is its
+own encoding, and a :class:`~repro.relation.relation.Relation` answers with
+its cached encoding (:meth:`Relation.columnar`), a ``ChunkedRelation``
+built once per relation in chunks of
+:data:`~repro.relation.chunked.DEFAULT_CHUNK_SIZE` rows, so a relation of
+up to 65,536 rows is one chunk.  Every pass reads the encoding's
+:meth:`~repro.relation.chunked.ChunkedRelation.iter_chunks`.
 
 :func:`is_key` reads the same encodings and chunk stream: discovery's
 key check (NULL counted as a value) is O(1) for one attribute and one
@@ -65,7 +63,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.partial import ArrayFdCounts, grouped, pack_rows, run_starts
 from repro.core.statistics import FdStatistics
 from repro.obs.metrics import get_registry
-from repro.relation.chunked import DEFAULT_CHUNK_SIZE, NULL_CODE, ChunkedRelation, CodeChunk
+from repro.relation.chunked import NULL_CODE, ChunkedRelation
 from repro.relation.fd import FunctionalDependency
 from repro.relation.relation import Relation
 
@@ -84,14 +82,12 @@ _PACK_LIMIT = 2**62
 _COLLAPSE_KEYS = 4_000_000
 
 
-def _encoding(source):
+def _encoding(source) -> ChunkedRelation:
     """The cached encoding a source's chunks come from.
 
     A :class:`ChunkedRelation` is its own encoding; a :class:`Relation`
-    answers with its columnar view, or without numpy with its cached
-    :meth:`Relation.chunked` store.  Both kinds answer ``attributes``,
-    ``cardinality(attribute)`` and ``null_count(attribute)``, and hold
-    the ``tuple_square_sums`` cache.
+    answers with :meth:`Relation.columnar`.  The encoding holds the
+    ``tuple_square_sums`` cache.
     """
     if isinstance(source, ChunkedRelation):
         return source
@@ -99,28 +95,7 @@ def _encoding(source):
         raise TypeError(
             f"statistics need a Relation or ChunkedRelation, got {type(source).__name__}"
         )
-    columnar = source.columnar()
-    return columnar if columnar is not None else source.chunked()
-
-
-def _chunks(encoding, attributes: Sequence[str]) -> Iterator[CodeChunk]:
-    """The chunk stream of an encoding (see :func:`_encoding`).
-
-    Each chunk holds at least the columns of ``attributes``: a stored
-    chunk holds all of them, a slice of a columnar view only those.
-    """
-    if isinstance(encoding, ChunkedRelation):
-        yield from encoding.iter_chunks()
-        return
-    codes = {a: encoding.codes(a) for a in attributes}
-    total = encoding.num_rows
-    for start in range(0, total, DEFAULT_CHUNK_SIZE):
-        stop = min(start + DEFAULT_CHUNK_SIZE, total)
-        yield CodeChunk(
-            tuple(codes),
-            {a: column[start:stop] for a, column in codes.items()},
-            stop - start,
-        )
+    return source.columnar()
 
 
 def _packed_radices(encoding, attributes: Sequence[str]) -> Optional[Dict[str, int]]:
@@ -169,10 +144,10 @@ def _distinct_tuple_counts(
     """
     radices = _packed_radices(encoding, attributes)
     if radices is not None:
-        merged = _merged_arrays(_chunks(encoding, attributes), attributes, radices, non_null)
+        merged = _merged_arrays(encoding.iter_chunks(), attributes, radices, non_null)
         return np.zeros(0, dtype=np.int64) if merged is None else merged.counts
     counts: Counter = Counter()
-    for chunk in _chunks(encoding, attributes):
+    for chunk in encoding.iter_chunks():
         lists = {a: chunk.column_list(a) for a in attributes}
         counts.update(_without_nulls(zip(*lists.values()), lists, non_null))
     return list(counts.values())
@@ -339,15 +314,10 @@ def map_merge(source, fd: FunctionalDependency) -> FdStatistics:
     radices = _packed_radices(encoding, fd.attributes)
     registry = get_registry()
     registry.inc("chunked_passes_total", path="tuple" if radices is None else "array")
-
-    def counted_chunks() -> Iterator[CodeChunk]:
-        for chunk in _chunks(encoding, fd.attributes):
-            registry.inc("chunked_chunks_total")
-            yield chunk
-
+    registry.inc("chunked_chunks_total", encoding.num_chunks)
     if radices is None:
         xy_counts: Counter = Counter()
-        for chunk in counted_chunks():
+        for chunk in encoding.iter_chunks():
             lists = {a: chunk.column_list(a) for a in fd.attributes}
             pairs = zip(zip(*(lists[a] for a in fd.lhs)), zip(*(lists[a] for a in fd.rhs)))
             # Counter counts at C level: the pairs are the kernel's only
@@ -359,7 +329,7 @@ def map_merge(source, fd: FunctionalDependency) -> FdStatistics:
             fd, sum(xy_counts.values()), xy_counts, square_sum, relation_name
         )
 
-    merged = _merged_arrays(counted_chunks(), fd.lhs + fd.rhs, radices, non_null)
+    merged = _merged_arrays(encoding.iter_chunks(), fd.lhs + fd.rhs, radices, non_null)
     if merged is None:
         return FdStatistics.from_joint_counts(fd, 0, {}, 0, relation_name)
     if square_sum is None:

@@ -4,8 +4,8 @@
 (:mod:`repro.core.chunked`) from the restricted row count, the joint
 ``(x, y)`` counts and ``Σ_w R(w)²``.  The first two are the key-wise sums
 of the counts of any row-partition of the relation, so the statistics
-pass runs chunk by chunk (one chunk per slice of the dictionary-encoded
-code arrays) and merges into exactly the counts of a single scan.
+pass runs chunk by chunk (the stored chunks of the relation's
+dictionary encoding) and merges into exactly the counts of a single scan.
 ``Σ_w R(w)²`` is not counted per FD: it depends on the FD only through
 which NULL-bearing attributes ``X ∪ Y`` holds, so the pass reads it from
 a per-relation cache (:func:`repro.core.chunked.tuple_square_sum`), or

@@ -166,7 +166,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.dataset is not None:
         relation = build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
     else:
-        relation = read_csv(args.csv)
+        try:
+            relation = read_csv(args.csv)
+        except (OSError, ValueError, csv.Error) as error:
+            print(f"cannot read {args.csv}: {error}", file=sys.stderr)
+            return 2
     try:
         measures = select_measures(all_measures(sfi_alpha=args.sfi_alpha), args.measures)
     except KeyError as error:

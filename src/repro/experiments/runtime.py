@@ -12,7 +12,7 @@ with numpy, so at these sizes that is the packed ``int64`` kernel):
   across machines and across PRs;
 * **warm-up discipline** — per relation the full statistics+scoring pass
   runs untimed ``warmup_runs`` times first; the warm-up also pays
-  one-off costs (the columnar dictionary encoding, the cached
+  one-off costs (the relation's dictionary encoding, the cached
   full-tuple pass, allocator warm-up) exactly once, outside the timed
   window;
 * **medians** — each timed quantity (the statistics pass, every

@@ -3,8 +3,9 @@
 This subpackage implements the relational machinery the paper relies on:
 bag-based relations (Section III of the paper), attribute handling,
 functional dependencies and their satisfaction, bag projection and
-selection, NULL handling (Section VI-A), dictionary-encoded columnar
-and chunked storage, and CSV input/output.
+selection, NULL handling (Section VI-A), dictionary-encoded chunked
+storage (the one encoding of every relation: :meth:`Relation.columnar`
+caches a :class:`ChunkedRelation` of its rows), and CSV input/output.
 """
 
 from repro.relation.attribute import canonical_attributes, validate_attributes

@@ -5,12 +5,16 @@ Python tuple — fine at paper scale, ruinous at millions of rows (a 1M-row
 relation costs hundreds of MB of tuple/object overhead before a single
 statistic is computed).  :class:`ChunkedRelation` is the out-of-core
 counterpart: rows are consumed **streamed** (raw cells from the CSV
-reader, typed rows from a generator or an existing relation) in batches
-of :data:`~repro.relation.io.READ_BATCH_ROWS` rows, dictionary-encoded
-incrementally with the same extendable value -> code tables the dynamic
-store grows (:mod:`repro.stream.dynamic`), and stored as fixed-size
-:class:`CodeChunk`\\ s of ``int32`` code arrays — 4 bytes per cell plus
-one decode table per attribute, never a full row list.
+reader, typed rows from a generator) in batches of
+:data:`~repro.relation.io.READ_BATCH_ROWS` rows, dictionary-encoded
+incrementally with one extendable value -> code table per attribute,
+and stored as fixed-size :class:`CodeChunk`\\ s of ``int32`` code arrays
+— 4 bytes per cell plus one decode table per attribute, never a full row
+list.  It is also the one encoding of an in-memory relation, whose rows
+go to the same encoder one chunk at a time:
+:meth:`Relation.columnar <repro.relation.relation.Relation.columnar>`
+caches :meth:`ChunkedRelation.from_relation` on the relation, so every
+statistics pass reads chunks of this class.
 
 While a store is built, each column keeps a memo of raw cell -> code
 across batches, capped at :data:`_MEMO_LIMIT` cells.  A batch whose
@@ -40,7 +44,7 @@ so the chunked path works without numpy too.
 from __future__ import annotations
 
 from array import array
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 from typing import (
     Callable,
@@ -63,13 +67,13 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-#: Reserved code for NULL cells (the columnar convention).
+#: Reserved code for NULL cells in every encoded column.
 NULL_CODE = -1
 
-#: Default rows per stored chunk (and per slice of a relation's code
-#: arrays in the statistics pass): big enough that per-chunk numpy
-#: group-bys amortise, small enough that one chunk's transient Python
-#: objects stay a rounding error next to the relation.
+#: Default rows per stored chunk (a relation's cached encoding uses it
+#: too): big enough that per-chunk numpy group-bys amortise, small
+#: enough that one chunk's transient Python objects stay a rounding
+#: error next to the relation.
 DEFAULT_CHUNK_SIZE = 65_536
 
 
@@ -83,14 +87,11 @@ _MEMO_LIMIT = 4_096
 def assign_code(mapping: Dict[object, int], values: List[object], value: object) -> int:
     """One step of extendable first-occurrence dictionary encoding.
 
-    Shared by the encoders that grow a table value by value: the dynamic
-    store's columns (once per appended cell) and the chunked ingest below
-    (once per cell new to a column's memo, unless the whole batch's new
-    cells take consecutive codes at once).  :meth:`ColumnarRelation.encode
-    <repro.relation.columnar.ColumnarRelation.encode>` inlines the same
-    rule in its own loop.  NULL gets the reserved code, known values
-    their existing code, novel values the next dense code — appended to
-    ``values`` so the decode table stays in first-occurrence order.
+    The batch encoder below takes it once per cell new to a column's
+    memo, unless the whole batch's new cells take consecutive codes at
+    once.  NULL gets the reserved code, known values their existing
+    code, novel values the next dense code — appended to ``values`` so
+    the decode table stays in first-occurrence order.
     """
     if value is None:
         return NULL_CODE
@@ -106,7 +107,7 @@ class CodeChunk:
     """One fixed-size slice of dictionary-encoded rows.
 
     ``columns[attribute]`` holds the chunk's codes for that attribute —
-    an ``int32`` numpy array, an ``array.array("i")``, or a plain list —
+    an ``int32`` numpy array, or an ``array.array("i")`` without numpy —
     with ``-1`` marking NULL.
     """
 
@@ -133,18 +134,10 @@ class CodeChunk:
 
     def column_list(self, attribute: str) -> List[int]:
         """The codes as a plain list of Python ints (the scalar hot-loop form)."""
-        codes = self.column(attribute)
-        if isinstance(codes, list):
-            return codes
-        return list(codes) if np is None else _as_int_list(codes)
+        return self.column(attribute).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<CodeChunk: {self.num_rows} rows x {len(self.attributes)} attributes>"
-
-
-def _as_int_list(codes) -> List[int]:
-    tolist = getattr(codes, "tolist", None)
-    return tolist() if tolist is not None else list(codes)
 
 
 class _Column(NamedTuple):
@@ -168,7 +161,7 @@ class _StreamingColumn:
         #: Whether any cell so far was coded NULL (batches then count them).
         self.has_null = False
 
-    def encode(self, cells: Tuple[object, ...], convert: Optional[Callable] = None):
+    def encode(self, cells: Sequence[object], convert: Optional[Callable] = None):
         """Code one batch of this attribute's cells as ``int32``.
 
         A batch whose cells are all in the memo is coded by one C-level
@@ -185,7 +178,7 @@ class _StreamingColumn:
             self.null_count += _count_nulls(codes)
         return codes
 
-    def _encode_fresh(self, cells: Tuple[object, ...], convert: Optional[Callable]):
+    def _encode_fresh(self, cells: Sequence[object], convert: Optional[Callable]):
         """Code a batch that holds cells new to the memo."""
         memo, mapping, values = self.memo, self.mapping, self.values
         distinct = dict.fromkeys(cells)
@@ -200,20 +193,24 @@ class _StreamingColumn:
             and (len(memo) < _MEMO_LIMIT or mapping.keys().isdisjoint(fresh))
         ):
             start = len(values)
-            fresh_codes: Sequence[int] = range(start, start + len(fresh))
-            mapping.update(zip(fresh, fresh_codes))
+            coded = dict(zip(fresh, range(start, start + len(fresh))))
+            mapping.update(coded)
             values.extend(fresh)
         else:
-            fresh_codes = [assign_code(mapping, values, value) for value in converted]
-            self.has_null = self.has_null or NULL_CODE in fresh_codes
+            coded = {
+                cell: assign_code(mapping, values, value) for cell, value in zip(fresh, converted)
+            }
+            self.has_null = self.has_null or NULL_CODE in coded.values()
+        # ``coded`` (fresh cell -> code) is a dict so that whole merges of it
+        # reuse its stored hashes instead of hashing every cell again.
         room = _MEMO_LIMIT - len(memo)
-        memo.update(islice(zip(fresh, fresh_codes), room))
-        if len(fresh) == len(cells):  # no cell repeats or was known: codes in cell order
-            return _int32(fresh_codes, len(cells))
+        memo.update(coded if len(coded) <= room else islice(coded.items(), room))
+        if len(coded) == len(cells):  # no cell repeats or was known: codes in cell order
+            return _int32(coded.values(), len(cells))
         lookup = memo
-        if room < len(fresh):  # the memo is full: look this batch up locally
+        if room < len(coded):  # the memo is full: look this batch up locally
             lookup = dict(zip(distinct, map(memo.get, distinct)))
-            lookup.update(zip(fresh, fresh_codes))
+            lookup.update(coded)
         return _int32(map(lookup.__getitem__, cells), len(cells))
 
 
@@ -287,10 +284,15 @@ class ChunkedRelation:
     def from_relation(
         cls, relation: Relation, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> "ChunkedRelation":
-        """Encode an in-memory relation into chunks (rows are streamed)."""
-        return cls(
-            relation.attributes, iter(relation), name=relation.name, chunk_size=chunk_size
-        )
+        """Encode an in-memory relation into chunks.
+
+        Its rows were checked when the relation was built, so each
+        chunk's rows go to the batch encoder as one batch.
+        """
+        store = cls(relation.attributes, name=relation.name, chunk_size=chunk_size)
+        rows = relation._rows
+        store._encode(rows[start : start + chunk_size] for start in range(0, len(rows), chunk_size))
+        return store
 
     @classmethod
     def read_csv(
@@ -418,12 +420,19 @@ class ChunkedRelation:
         and null count; the memos and value -> code tables are dropped.
         """
         columns = [_StreamingColumn() for _ in self._attributes]
+        arity = len(columns)
         chunk_size = self.chunk_size
         pending: List[List[Sequence[int]]] = [[] for _ in self._attributes]
         pending_rows = 0
         for batch in batches:
+            # Every row has ``arity`` cells, so column ``i`` is every
+            # ``arity``-th cell of the flattened batch.  ``zip(*batch)``
+            # would hold one iterator object per row at once: enough new
+            # objects to start a garbage collection in most encodes.
+            cells = list(chain.from_iterable(batch))
             codes = [
-                column.encode(cells, convert) for column, cells in zip(columns, zip(*batch))
+                column.encode(cells[position::arity], convert)
+                for position, column in enumerate(columns)
             ]
             start = 0
             while start < len(batch):

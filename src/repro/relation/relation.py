@@ -55,8 +55,7 @@ class Relation:
             self._rows.append(value_tuple)
         self._index_cache: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
         self._frequency_cache: Dict[Tuple[str, ...], Counter] = {}
-        self._columnar_cache: Optional[object] = None
-        self._chunked_cache: Optional[object] = None
+        self._encoding: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -114,56 +113,41 @@ class Relation:
     # Cache invalidation
     # ------------------------------------------------------------------
     def invalidate_caches(self) -> None:
-        """Drop every derived cache: frequencies, attribute indices, encodings.
+        """Drop every derived cache: frequencies, attribute indices, the encoding.
 
         The public API never mutates a relation, so the caches are
         normally valid for the relation's lifetime.  Anything that *does*
         change the row store in place — external code reaching into
         ``_rows``, or future mutable wrappers — must call this before the
-        next read, or cached frequencies and the cached columnar and
-        chunked encodings keep answering for the old rows
-        (``repro.stream`` sidesteps the problem entirely:
-        :class:`~repro.stream.dynamic.DynamicRelation` copies the rows it
-        wraps and re-snapshots instead of mutating).
+        next read, or cached frequencies and the cached encoding keep
+        answering for the old rows (``repro.stream`` sidesteps the
+        problem entirely: :class:`~repro.stream.dynamic.DynamicRelation`
+        copies the rows it wraps and re-snapshots instead of mutating).
         """
         self._index_cache.clear()
         self._frequency_cache.clear()
-        self._columnar_cache = None
-        self._chunked_cache = None
+        self._encoding = None
 
     # ------------------------------------------------------------------
-    # Encoded views
+    # Encoding
     # ------------------------------------------------------------------
     def columnar(self):
-        """The dictionary-encoded columnar view of this relation, or ``None``.
+        """The relation's one dictionary encoding, a cached ``ChunkedRelation``.
 
-        Built lazily on first request and cached for the relation's
-        lifetime, so the encoding cost is paid once and amortised over
-        every candidate FD scored on the relation (the cost discipline of
-        the paper's runtime experiment).  Returns ``None`` when numpy is
-        unavailable.
+        :meth:`ChunkedRelation.from_relation
+        <repro.relation.chunked.ChunkedRelation.from_relation>` builds it
+        on first request and it is kept for the relation's lifetime, so
+        the encoding cost is paid once and amortised over every candidate
+        FD scored on the relation (the cost discipline of the paper's
+        runtime experiment).  Every statistics pass and key check on the
+        relation reads its chunks: ``int32`` numpy arrays, or
+        ``array.array("i")`` without numpy.
         """
-        if self._columnar_cache is None:
-            from repro.relation.columnar import ColumnarRelation, numpy_available
-
-            if not numpy_available():
-                return None
-            self._columnar_cache = ColumnarRelation.encode(self)
-        return self._columnar_cache
-
-    def chunked(self):
-        """This relation encoded as a :class:`~repro.relation.chunked.ChunkedRelation`.
-
-        Built on first request and cached like :meth:`columnar`: it is the
-        statistics pass's chunk source when numpy is absent (``array.array``
-        codes), so every candidate FD scored on the relation shares one
-        encoding instead of re-encoding the rows per FD.
-        """
-        if self._chunked_cache is None:
+        if self._encoding is None:
             from repro.relation.chunked import ChunkedRelation
 
-            self._chunked_cache = ChunkedRelation.from_relation(self)
-        return self._chunked_cache
+            self._encoding = ChunkedRelation.from_relation(self)
+        return self._encoding
 
     # ------------------------------------------------------------------
     # Frequencies and active domains

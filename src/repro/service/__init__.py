@@ -3,7 +3,7 @@
 One front door for every caller:
 
 * :class:`AfdSession` — a facade owning one relation plus every
-  expensive derived artifact (columnar encoding, sufficient
+  expensive derived artifact (dictionary encoding, sufficient
   statistics, incremental trackers), with ``score()`` / ``score_many()``
   / ``discover()`` / ``minimal_cover()`` / ``apply_delta()`` /
   ``snapshot_scores()`` methods that never recompute what the session

@@ -4,7 +4,10 @@ A session owns one :class:`~repro.relation.relation.Relation` (static)
 or one :class:`~repro.stream.dynamic.DynamicRelation` (mutable) together
 with every expensive artifact derived from it:
 
-* the **columnar encoding** (cached on the relation itself, built once);
+* the **dictionary encoding** (:meth:`Relation.columnar`, cached on the
+  relation itself and built once; on a dynamic session only discovery
+  reads a snapshot, which is encoded on that first pass, while scores
+  come from the trackers);
 * **sufficient statistics** keyed by FD (one :class:`FdStatistics` per
   FD per epoch, shared by :meth:`score`, :meth:`discover` and
   :meth:`snapshot_scores` — and with it every derived quantity cached on

@@ -24,12 +24,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
 from typing import Dict, Iterator, List, Optional
 
-from repro.cli import positive_float, positive_int
+from repro.cli import non_negative_int, positive_float, positive_int
 from repro.core.registry import all_measures, select_measures
 from repro.core.statistics import FdStatistics
 from repro.relation.fd import FunctionalDependency
@@ -80,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--initial",
-        type=int,
+        type=non_negative_int,
         default=None,
         help="rows seeding the stream before the first batch "
         "(default: one batch worth)",
     )
     parser.add_argument(
         "--batch-size",
-        type=int,
+        type=positive_int,
         default=100,
         help="rows appended per monitoring batch (default: 100)",
     )
@@ -188,16 +189,14 @@ def monitor(
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.batch_size < 1:
-        print(f"--batch-size must be >= 1, got {args.batch_size}", file=sys.stderr)
-        return 2
-    if args.initial is not None and args.initial < 0:
-        print(f"--initial must be >= 0, got {args.initial}", file=sys.stderr)
-        return 2
     if args.dataset is not None:
         relation = build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
     else:
-        relation = read_csv(args.csv)
+        try:
+            relation = read_csv(args.csv)
+        except (OSError, ValueError, csv.Error) as error:
+            print(f"cannot read {args.csv}: {error}", file=sys.stderr)
+            return 2
     try:
         fd = FunctionalDependency.parse(args.fd)
     except ValueError as error:

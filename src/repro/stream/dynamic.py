@@ -7,7 +7,7 @@ shifting positions, so callers can name rows stably across mutations.
 The live rows, in ascending id order, define the *current* relation —
 the one a from-scratch :meth:`FdStatistics.compute` would see.
 
-Four design points carry the subsystem:
+Three design points carry the subsystem:
 
 * **Delta notification.**  Trackers created via :meth:`track` (one
   :class:`~repro.stream.statistics.IncrementalFdStatistics` per FD)
@@ -22,39 +22,31 @@ Four design points carry the subsystem:
   and :meth:`delete` checks that every id is live and distinct before
   the first mutation, so a rejected batch leaves the store, its
   version and every tracker untouched.
-* **Extendable dictionary encoding.**  When numpy is available the
-  store keeps one growing ``int32`` code array per attribute (amortised
-  doubling) plus the value -> code table of
-  :mod:`repro.relation.columnar`, extended in place as new values
-  arrive; NULL keeps the reserved code ``-1`` (the columnar null-mask
-  convention).  :meth:`snapshot` re-densifies the live slice of those
-  arrays into a first-occurrence-ordered
-  :class:`~repro.relation.columnar.ColumnarRelation` and pre-seeds the
-  snapshot's columnar cache — bit-identical to a fresh
-  :meth:`ColumnarRelation.encode`, but without re-paying the Python
-  per-row encoding pass.
 * **Cache ownership.**  A :class:`DynamicRelation` never shares mutable
   state with the :class:`Relation` it was built from
   (:meth:`from_relation` copies the row list), and every mutation
   invalidates the cached snapshot, so stale reads through previously
   returned snapshots are impossible: old snapshots keep their own
-  immutable rows and caches, new snapshots are rebuilt on demand.
+  immutable rows and caches, new snapshots are rebuilt on demand.  A
+  snapshot is a plain :class:`Relation`: the first statistics pass over
+  it encodes it once (:meth:`Relation.columnar`), and trackers never
+  need a snapshot at all.
 
 Sliding-window semantics: with ``window=n`` every append beyond ``n``
 live rows evicts the oldest live row through the regular delete path
 (trackers observe the eviction as an ordinary delete).
 
 **Memory model and compaction.**  Stable ids are bought with
-tombstoning: evicted and deleted rows keep their slot in the row list
-and their codes in the dynamic arrays, so without intervention a
-long-running windowed stream holds O(total rows ever appended) state
-even though only ``window`` rows are live.  *History compaction* caps
-that: once the tombstone fraction exceeds ``compact_threshold``
-(default 0.5; ``None`` disables) and at least ``compact_min`` rows have
-been appended, the store re-bases the live rows to ids ``0 .. n-1`` and
-drops all dead history, preserving live order.  Trackers hold counts,
-not ids, so compaction never touches them.  Compaction only ever runs at
-the *end* of an :meth:`append` / :meth:`delete` call, never mid-batch.
+tombstoning: evicted and deleted rows keep their slot in the row list,
+so without intervention a long-running windowed stream holds O(total
+rows ever appended) state even though only ``window`` rows are live.
+*History compaction* caps that: once the tombstone fraction exceeds
+``compact_threshold`` (default 0.5; ``None`` disables) and at least
+``compact_min`` rows have been appended, the store re-bases the live
+rows to ids ``0 .. n-1`` and drops all dead history, preserving live
+order.  Trackers hold counts, not ids, so compaction never touches
+them.  Compaction only ever runs at the *end* of an :meth:`append` /
+:meth:`delete` call, never mid-batch.
 The one caller-visible effect: row ids obtained before a compaction no
 longer name the same rows afterwards, so callers that hold ids across
 batches on a compacting store should re-derive them
@@ -66,61 +58,10 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.relation.chunked import assign_code
 from repro.relation.relation import Relation, Row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.stream.statistics import IncrementalFdStatistics
-
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-#: Initial capacity of a dynamic code array (doubled on overflow).
-_INITIAL_CAPACITY = 16
-
-
-class _DynamicColumn:
-    """One growing dictionary-encoded column of the dynamic store.
-
-    ``codes[:length]`` holds the historical code of every appended row
-    (``-1`` for NULL); ``values`` is the code -> value table in
-    historical first-occurrence order.  Codes are never rewritten:
-    deletions leave them in place (the live-row selection happens at
-    snapshot time), and the code table only grows.
-    """
-
-    __slots__ = ("codes", "length", "mapping", "values")
-
-    def __init__(self):
-        self.codes = np.empty(_INITIAL_CAPACITY, dtype=np.int32)
-        self.length = 0
-        self.mapping: Dict[object, int] = {}
-        self.values: List[object] = []
-
-    def append(self, value: object) -> None:
-        if self.length == self.codes.shape[0]:
-            grown = np.empty(max(self.codes.shape[0] * 2, _INITIAL_CAPACITY), dtype=np.int32)
-            grown[: self.length] = self.codes[: self.length]
-            self.codes = grown
-        self.codes[self.length] = assign_code(self.mapping, self.values, value)
-        self.length += 1
-
-    @property
-    def cardinality(self) -> int:
-        """Distinct non-NULL values ever appended (live or not)."""
-        return len(self.values)
-
-    def compact(self, live: "np.ndarray") -> None:
-        """Keep only the codes of ``live`` (ascending historical ids).
-
-        The value -> code table is retained as-is: codes stay valid, and
-        the table is bounded by the distinct values of the data rather
-        than by its row count.
-        """
-        self.codes = self.codes[: self.length][live].copy()
-        self.length = int(self.codes.shape[0])
 
 
 class DynamicRelation:
@@ -175,9 +116,6 @@ class DynamicRelation:
         # Liveness is membership in this ordered id set; deleted rows keep
         # their slot in _all_rows (tombstoning by omission).
         self._live: Dict[int, None] = {}
-        self._columns: Optional[List[_DynamicColumn]] = (
-            [_DynamicColumn() for _ in self._attributes] if np is not None else None
-        )
         #: Live multiplicity of every distinct row, shared by all trackers.
         self._row_counts: Dict[Row, int] = {}
         self._trackers: List[object] = []
@@ -194,9 +132,9 @@ class DynamicRelation:
     ) -> "DynamicRelation":
         """A dynamic view over a copy of ``relation``'s rows.
 
-        The dynamic relation *owns* its store: it copies the row list and
-        builds its own encoding, so mutations never reach the source
-        relation or its cached columnar view / frequency caches.
+        The dynamic relation *owns* its store: it copies the row list, so
+        mutations never reach the source relation or its cached encoding
+        and frequency caches.
         ``options`` (``compact_threshold`` / ``compact_min``) are
         forwarded to the constructor.
         """
@@ -284,9 +222,6 @@ class DynamicRelation:
             row_id = len(self._all_rows)
             self._all_rows.append(value_tuple)
             self._live[row_id] = None
-            if self._columns is not None:
-                for column, value in zip(self._columns, value_tuple):
-                    column.append(value)
             self._invalidate()
             repeats = self._row_counts.get(value_tuple, 0)
             self._row_counts[value_tuple] = repeats + 1
@@ -360,10 +295,6 @@ class DynamicRelation:
         and after; only the id labels change.
         """
         mapping = {old: new for new, old in enumerate(self._live)}
-        if self._columns is not None:
-            live = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
-            for column in self._columns:
-                column.compact(live)
         self._all_rows = [self._all_rows[old] for old in mapping]
         self._live = {new: None for new in range(len(mapping))}
         self._invalidate()
@@ -397,61 +328,13 @@ class DynamicRelation:
     def snapshot(self) -> Relation:
         """The current live rows as an immutable :class:`Relation`.
 
-        Cached until the next mutation.  When the dynamic encoding
-        exists, the snapshot's columnar cache is pre-seeded from the
-        live slice of the dynamic code arrays (see
-        :func:`_redensify_column`), so ``snapshot().columnar()`` costs a
-        few vectorised passes instead of the O(rows x attributes)
-        Python encoding loop.
+        Cached until the next mutation; its encoding is built on the
+        first statistics pass over it.
         """
         if self._snapshot_cache is None:
-            relation = Relation(
+            self._snapshot_cache = Relation(
                 self._attributes,
                 (self._all_rows[row_id] for row_id in self._live),
                 name=self.name,
             )
-            if self._columns is not None:
-                relation._columnar_cache = self._columnar_view(relation)
-            self._snapshot_cache = relation
         return self._snapshot_cache
-
-    def _columnar_view(self, relation: Relation):
-        """Re-densified columnar view of the live rows (numpy only)."""
-        from repro.relation.columnar import ColumnarRelation
-
-        live = np.fromiter(self._live, dtype=np.int64, count=len(self._live))
-        columns = {
-            attribute: _redensify_column(column, live)
-            for attribute, column in zip(self._attributes, self._columns)
-        }
-        return ColumnarRelation(self._attributes, relation.num_rows, columns)
-
-
-def _redensify_column(column: _DynamicColumn, live: "np.ndarray"):
-    """First-occurrence re-densification of a dynamic column's live slice.
-
-    Historical codes are first-occurrence-ordered over *all* appended
-    rows; after deletions the live slice may skip codes entirely or
-    first-encounter them in a different order.  This maps the live slice
-    to exactly what :meth:`ColumnarRelation.encode` would assign on the
-    snapshot: dense ``int32`` codes in live-first-occurrence order, NULL
-    staying ``-1``, plus the matching decode table and null count.
-    """
-    from repro.relation.columnar import NULL_CODE, _EncodedColumn
-
-    historical = column.codes[: column.length][live]
-    non_null = historical >= 0
-    null_count = int(historical.shape[0] - np.count_nonzero(non_null))
-    selected = historical if null_count == 0 else historical[non_null]
-    unique, first, inverse = np.unique(selected, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(order.shape[0], dtype=np.int64)
-    rank[order] = np.arange(order.shape[0], dtype=np.int64)
-    dense = rank[inverse].astype(np.int32)
-    if null_count == 0:
-        codes = dense
-    else:
-        codes = np.full(historical.shape[0], NULL_CODE, dtype=np.int32)
-        codes[non_null] = dense
-    values = [column.values[code] for code in unique[order].tolist()]
-    return _EncodedColumn(codes, values, null_count)

@@ -62,6 +62,17 @@ KERNELS: Tuple[str, ...] = ("python", "numpy", "sorted") if HAVE_NUMPY else ("py
 
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
+#: CSV files ``repro.relation.io.read_csv`` cannot read, by what is wrong
+#: with them (``None``: there is no file); a CLI given one must exit 2.
+#: The last one passes the csv module's field limit (``csv.Error``).
+UNREADABLE_CSVS: Dict[str, Optional[bytes]] = {
+    "missing": None,
+    "empty": b"",
+    "ragged": b"a,b\n1,2\n1,2,3\n",
+    "not-utf8": b"\xff\xfea,b\n",
+    "oversized-cell": b"a,b\n" + b"x" * 200_000 + b",1\n",
+}
+
 #: The tolerance of every oracle comparison (the one perfbench answers use).
 ATOL = 1e-9
 
@@ -342,22 +353,14 @@ def without_numpy(monkeypatch) -> None:
     """Run the statistics path as a process without numpy runs it.
 
     Sets ``np = None`` in every module of that path that binds it, so the
-    encodings, the chunk stores, the dynamic store and every pass all take
-    their pure-python branches together, never a mix of the two.
+    encodings (chunk stores, a relation's included) and every pass all
+    take their pure-python branches together, never a mix of the two.
     """
     import repro.core.chunked
     import repro.core.partial
     import repro.relation.chunked
-    import repro.relation.columnar
-    import repro.stream.dynamic
 
-    for module in (
-        repro.core.chunked,
-        repro.core.partial,
-        repro.relation.chunked,
-        repro.relation.columnar,
-        repro.stream.dynamic,
-    ):
+    for module in (repro.core.chunked, repro.core.partial, repro.relation.chunked):
         monkeypatch.setattr(module, "np", None)
 
 

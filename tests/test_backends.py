@@ -1,4 +1,4 @@
-"""Kernel parity, the columnar substrate, and the runtime driver.
+"""Kernel parity, the relation's encoding, and the runtime driver.
 
 The central contract under test: the statistics kernels — packed
 ``int64`` keys with each grouping tallied or sorted by the library's rule
@@ -17,6 +17,7 @@ integer-precision caching) also run in the no-numpy CI job.
 """
 
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -24,7 +25,7 @@ import pytest
 from oracle import KERNELS, kernel, requires_numpy, without_numpy
 from repro.core import all_measures
 from repro.core.statistics import FdStatistics
-from repro.relation import FunctionalDependency, Relation
+from repro.relation import ChunkedRelation, FunctionalDependency, Relation
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +143,6 @@ def test_backend_parity_on_multi_attribute_lhs():
 # ----------------------------------------------------------------------
 def test_relation_encoded_once_without_numpy(monkeypatch):
     """Without numpy a relation is encoded into chunks once, not per FD."""
-    from repro.relation.chunked import ChunkedRelation
-
     without_numpy(monkeypatch)
     calls = []
     encode = ChunkedRelation.from_relation
@@ -223,8 +222,6 @@ def _statistics_from(source: str, relation: Relation, fd: FunctionalDependency):
     snapshot for ``"incremental"``, after checking the tracker against a
     recompute) and the statistics.
     """
-    from repro.relation import ChunkedRelation
-
     relation = Relation(relation.attributes, relation.rows(), name=relation.name)
     if source == "incremental":
         relation, statistics = _streamed(relation, fd, seed=len(relation))
@@ -326,8 +323,6 @@ def test_full_tuples_counted_once_per_null_pattern(monkeypatch, kernel_name):
 def test_covering_fds_run_no_full_tuple_pass(monkeypatch, kernel_name):
     # When X ∪ Y is the whole schema the full tuples are the (x, y) pairs,
     # so Σ_w R(w)² comes from the merged joint counts.
-    from repro.relation import ChunkedRelation
-
     calls = _count_full_tuple_passes(monkeypatch)
     for name, relation, fd in _square_sum_cases():
         if not name.startswith("covering"):
@@ -348,7 +343,6 @@ def test_chunked_tuple_square_sum_merges_before_squaring(monkeypatch, numpy_pres
     from itertools import combinations
 
     from repro.core.chunked import tuple_square_sum
-    from repro.relation import ChunkedRelation
 
     if not numpy_present:
         without_numpy(monkeypatch)
@@ -488,38 +482,40 @@ def test_integer_statistics_are_exact_beyond_float_precision():
 
 
 # ----------------------------------------------------------------------
-# Columnar substrate
+# The relation's encoding
 # ----------------------------------------------------------------------
-@requires_numpy
+def encoded_column(encoding, attribute):
+    """``(codes, decode table)`` of one attribute across the encoding's chunks."""
+    codes = [code for chunk in encoding.iter_chunks() for code in chunk.column_list(attribute)]
+    return codes, encoding._column(attribute).values
+
+
 def test_columnar_encoding_round_trip():
     relation = Relation(
         ["A", "B"],
         [("x", 1), ("y", None), ("x", 1), (None, 2), ("z", 1)],
     )
-    columnar = relation.columnar()
-    assert columnar is relation.columnar()  # cached on the relation
-    assert columnar.codes("A").tolist() == [0, 1, 0, -1, 2]
-    assert columnar.cardinality("A") == 3
-    assert columnar._column("A").values == ["x", "y", "z"]
-    assert columnar.null_count("A") == 1 and columnar.null_count("B") == 1
+    encoding = relation.columnar()
+    assert isinstance(encoding, ChunkedRelation)
+    assert encoding is relation.columnar()  # cached on the relation
+    assert encoded_column(encoding, "A") == ([0, 1, 0, -1, 2], ["x", "y", "z"])
+    assert encoding.cardinality("A") == 3
+    assert encoding.null_count("A") == 1 and encoding.null_count("B") == 1
+    assert encoding.to_relation() == relation
 
 
-@requires_numpy
 def test_columnar_grouped_matches_counter_order():
     """The encoding is a first-occurrence group-by: code order == Counter order."""
-    import numpy as np
-
     relation = random_relation(23)
-    columnar = relation.columnar()
+    encoding = relation.columnar()
     for attribute in relation.attributes:
         expected = Counter(v for v in relation.column(attribute) if v is not None)
-        codes = columnar.codes(attribute)
-        counts = np.bincount(codes[codes >= 0], minlength=columnar.cardinality(attribute))
-        assert columnar._column(attribute).values == list(expected)
-        assert counts.tolist() == list(expected.values())
+        codes, values = encoded_column(encoding, attribute)
+        counts = Counter(code for code in codes if code >= 0)
+        assert values == list(expected)
+        assert [counts[code] for code in range(len(values))] == list(expected.values())
 
 
-@requires_numpy
 def test_columnar_view_distinguishes_equal_reprs():
     """Dictionary encoding must key on value equality, not representation."""
     relation = Relation(["A", "B"], [(1, "a"), (True, "a"), ("1", "a"), (1.0, "a")])
@@ -529,13 +525,39 @@ def test_columnar_view_distinguishes_equal_reprs():
     assert statistics.distinct_x == 2
 
 
+def assert_array_encoding(relation):
+    """Without numpy the relation's encoding holds ``array("i")`` chunk columns."""
+    encoding = relation.columnar()
+    assert isinstance(encoding, ChunkedRelation) and encoding is relation.columnar()
+    for chunk in encoding.iter_chunks():
+        for codes in chunk.columns.values():
+            assert isinstance(codes, array) and codes.typecode == "i"
+
+
 def test_columnar_absent_without_numpy(monkeypatch):
     without_numpy(monkeypatch)
     relation = Relation(["A", "B"], [("x", 1)])
-    assert relation.columnar() is None
-    # The statistics pass counts code tuples instead.
+    assert_array_encoding(relation)
+    # The statistics pass counts code tuples over it.
     statistics = FdStatistics.compute(relation, FunctionalDependency("A", "B"))
     assert statistics.num_rows == 1
+
+
+def test_statistics_pass_counts_its_chunks():
+    from repro.obs.metrics import get_registry
+    from repro.relation.chunked import DEFAULT_CHUNK_SIZE
+
+    registry = get_registry()
+    relation = Relation(["A", "B"], [(index % 3, index % 2) for index in range(20)])
+    fd = FunctionalDependency("A", "B")
+    for source, chunks in (
+        (ChunkedRelation.from_relation(relation, chunk_size=7), 3),
+        (relation, 1),
+    ):
+        before = registry.value("chunked_chunks_total")
+        FdStatistics.compute(source, fd)
+        assert registry.value("chunked_chunks_total") - before == chunks
+    assert relation.columnar().chunk_size == DEFAULT_CHUNK_SIZE
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +597,6 @@ def attribute_sets(relation, max_size=3):
 
 def assert_key_check_matches_definition(relation):
     from repro.core.chunked import is_key
-    from repro.relation.chunked import ChunkedRelation
 
     sources = [relation] + [
         ChunkedRelation.from_relation(relation, chunk_size=size) for size in (1, 7)
@@ -595,7 +616,7 @@ def test_key_check_without_numpy(monkeypatch):
     without_numpy(monkeypatch)
     for seed in range(12):
         relation = key_relation(seed)
-        assert relation.columnar() is None
+        assert_array_encoding(relation)
         assert_key_check_matches_definition(relation)
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracle import requires_numpy
+from oracle import UNREADABLE_CSVS, requires_numpy
 from repro.core import FdStatistics
 from repro.core.registry import subset
 from repro.discovery import brute_force_afds, discover_afds, lattice_discover
@@ -328,3 +328,14 @@ def test_cli_rejects_unknown_measures(tmp_path, capsys):
     exit_code = discovery_main([str(csv_path), "--measures", "nope"])
     assert exit_code == 2
     assert "unknown measures" in capsys.readouterr().err
+
+
+@requires_numpy
+@pytest.mark.parametrize("kind", UNREADABLE_CSVS)
+def test_cli_unreadable_csv_is_a_usage_error(kind, tmp_path, capsys):
+    csv_path = tmp_path / "input.csv"
+    if UNREADABLE_CSVS[kind] is not None:
+        csv_path.write_bytes(UNREADABLE_CSVS[kind])
+    assert discovery_main([str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {csv_path}: ") and err.count("\n") == 1

@@ -2,18 +2,16 @@
 
 The contract under test is the streaming analogue of the kernel
 bit-identity contract: after *any* interleaving of appends and deletes,
+:meth:`IncrementalFdStatistics.statistics` is ``==``-identical — same
+count histograms and integer facts, same scores under all fourteen
+measures — to a from-scratch ``FdStatistics.compute`` on the snapshot,
+on every statistics kernel (``tests/oracle.py::kernel``).
 
-* :meth:`IncrementalFdStatistics.statistics` is ``==``-identical — same
-  count histograms and integer facts, same scores under all fourteen
-  measures — to a from-scratch ``FdStatistics.compute`` on the
-  snapshot, on every statistics kernel (``tests/oracle.py::kernel``);
-* the snapshot's pre-seeded columnar view is indistinguishable from a
-  fresh ``ColumnarRelation.encode``.
-
-Random workloads include NULLs (the Section VI-A fall-through), novel
-values that grow the dynamic code tables past the initial dictionary,
-deletions of first occurrences, and window evictions.  Tests that need
-numpy are marked; the remainder also run in the no-numpy CI job.
+The snapshot is a plain ``Relation``, encoded on its first statistics
+pass like any other.  Random workloads include NULLs (the Section VI-A
+fall-through), values never seen at construction, deletions of first
+occurrences, and window evictions.  Every test also runs in the no-numpy
+CI job.
 """
 
 import json
@@ -22,7 +20,7 @@ from typing import Optional
 
 import pytest
 
-from oracle import HAVE_NUMPY, KERNELS, kernel, requires_numpy, without_numpy
+from oracle import KERNELS, UNREADABLE_CSVS, kernel
 from repro.core import all_measures
 from repro.core.statistics import FdStatistics
 from repro.relation import FunctionalDependency, Relation
@@ -119,8 +117,8 @@ def test_incremental_statistics_parity_under_interleavings(seed):
         incremental = tracker.statistics()
         snapshot = dynamic.snapshot()
         for kernel_name in KERNELS:
-            # A pristine relation (no pre-seeded columnar cache) keeps the
-            # reference computation fully independent of the stream path.
+            # A fresh relation per kernel: each pass builds its own encoding,
+            # so no cached full-tuple sum crosses from one kernel to the next.
             pristine = Relation(snapshot.attributes, snapshot.rows(), name=dynamic.name)
             with kernel(kernel_name):
                 reference = FdStatistics.compute(pristine, fd)
@@ -253,8 +251,7 @@ def test_code_table_growth_past_initial_dictionary():
     reference = FdStatistics.compute(snapshot, FunctionalDependency("X", "Y"))
     assert_statistics_identical(tracker.statistics(), reference)
     assert snapshot.distinct_count("X") == 4 + 30
-    if HAVE_NUMPY:
-        assert snapshot.columnar().cardinality("X") == 4 + 30
+    assert snapshot.columnar().cardinality("X") == 4 + 30
 
 
 # ----------------------------------------------------------------------
@@ -309,75 +306,52 @@ def test_snapshot_is_cached_until_mutation():
     assert second.rows() == [(1,), (2,)]
 
 
+def test_snapshot_encodes_on_its_first_statistics_pass():
+    dynamic = DynamicRelation(["A", "B"], [(1, "x"), (2, "x"), (None, "y")])
+    snapshot = dynamic.snapshot()
+    assert snapshot._encoding is None  # the store keeps no encoding of its own
+    FdStatistics.compute(snapshot, FunctionalDependency("A", "B"))
+    encoding = snapshot._encoding
+    assert encoding is snapshot.columnar() and encoding.null_count("A") == 1
+    dynamic.append([(3, "y")])
+    assert dynamic.snapshot()._encoding is None
+    assert encoding.num_rows == 3  # the old snapshot keeps its own encoding
+
+
 # ----------------------------------------------------------------------
 # Stale-cache guard
 # ----------------------------------------------------------------------
 def test_relation_invalidate_caches_prevents_stale_reads():
     relation = Relation(["A", "B"], [("x", 1), ("y", 2)])
     assert relation.frequencies("A")[("x",)] == 1
-    if HAVE_NUMPY:
-        assert relation.columnar().num_rows == 2
+    assert relation.columnar().num_rows == 2
     # In-place mutation of the row store (the documented hazard): the
-    # cached frequencies and columnar view now answer for the old rows.
+    # cached frequencies and encoding now answer for the old rows.
     relation._rows.append(("x", 3))
     assert relation.frequencies("A")[("x",)] == 1  # stale read!
     relation.invalidate_caches()
     assert relation.frequencies("A")[("x",)] == 2
     assert relation.distinct_count("B") == 3
-    if HAVE_NUMPY:
-        assert relation.columnar().num_rows == 3
+    assert relation.columnar().num_rows == 3
 
 
 def test_dynamic_relation_owns_its_store():
     """Mutating the dynamic view must never reach the source relation."""
     source = Relation(["A", "B"], [("x", 1), ("y", 2)], name="src")
     source.frequencies("A")
-    if HAVE_NUMPY:
-        source.columnar()
+    source.columnar()
     dynamic = DynamicRelation.from_relation(source)
     dynamic.append([("z", 3)])
     dynamic.delete([0])
     assert source.rows() == [("x", 1), ("y", 2)]
     assert source.frequencies("A")[("x",)] == 1  # source caches still valid
-    if HAVE_NUMPY:
-        assert source.columnar().num_rows == 2
+    assert source.columnar().num_rows == 2
     assert dynamic.snapshot().rows() == [("y", 2), ("z", 3)]
 
 
 # ----------------------------------------------------------------------
-# Pre-seeded columnar view (numpy)
+# Tracker registration
 # ----------------------------------------------------------------------
-@requires_numpy
-@pytest.mark.parametrize("seed", range(10))
-def test_preseeded_columnar_matches_fresh_encode(seed):
-    from repro.relation.columnar import ColumnarRelation
-
-    dynamic, script = random_workload(seed)
-    for _ in script:
-        pass
-    snapshot = dynamic.snapshot()
-    preseeded = snapshot._columnar_cache
-    assert preseeded is not None and snapshot.columnar() is preseeded
-    fresh = ColumnarRelation.encode(Relation(snapshot.attributes, snapshot.rows()))
-    for attribute in snapshot.attributes:
-        assert preseeded.codes(attribute).tolist() == fresh.codes(attribute).tolist()
-        assert preseeded._column(attribute).values == fresh._column(attribute).values
-        assert preseeded.null_count(attribute) == fresh.null_count(attribute)
-
-
-def test_snapshot_without_numpy_has_no_columnar_cache(monkeypatch):
-    without_numpy(monkeypatch)
-    dynamic = DynamicRelation(["A", "B"], [(1, 1), (1, 1)])
-    assert dynamic._columns is None
-    assert dynamic.snapshot()._columnar_cache is None
-    fd = FunctionalDependency("A", "B")
-    tracker = dynamic.track(fd)
-    dynamic.append([(2, 1)])
-    assert dynamic.snapshot()._columnar_cache is None
-    recomputed = FdStatistics.compute(dynamic.snapshot(), fd)
-    assert_statistics_identical(tracker.statistics(), recomputed)
-
-
 def test_tracked_fd_validates_attributes():
     dynamic = DynamicRelation(["A", "B"], [(1, 2)])
     with pytest.raises(KeyError):
@@ -462,7 +436,8 @@ def test_stream_cli_rejects_unknown_fd_attribute(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--window", "0"], ["--rows", "0"], ["--sfi-alpha", "0"]]
+    "flags",
+    [["--window", "0"], ["--rows", "0"], ["--sfi-alpha", "0"], ["--initial", "-1"]],
 )
 def test_stream_cli_rejects_bad_flag_values_with_a_usage_error(flags, tmp_path, capsys):
     from repro.stream.__main__ import main
@@ -480,10 +455,24 @@ def test_stream_cli_validates_batch_size_and_measures(tmp_path, capsys):
 
     csv_path = tmp_path / "stream.csv"
     csv_path.write_text("A,B\n1,2\n")
-    assert main([str(csv_path), "--fd", "A -> B", "--batch-size", "0"]) == 2
-    assert "--batch-size" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(csv_path), "--fd", "A -> B", "--batch-size", "0"])
+    assert excinfo.value.code == 2
+    assert "argument --batch-size: must be" in capsys.readouterr().err
     assert main([str(csv_path), "--fd", "A -> B", "--measures", "nope"]) == 2
     assert "unknown measures" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_CSVS)
+def test_stream_cli_unreadable_csv_is_a_usage_error(kind, tmp_path, capsys):
+    from repro.stream.__main__ import main
+
+    csv_path = tmp_path / "input.csv"
+    if UNREADABLE_CSVS[kind] is not None:
+        csv_path.write_bytes(UNREADABLE_CSVS[kind])
+    assert main([str(csv_path), "--fd", "a -> b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {csv_path}: ") and err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------
@@ -646,27 +635,3 @@ def test_compaction_configuration_validation():
     assert disabled.tombstone_fraction == 0.8
 
 
-@requires_numpy
-def test_compacted_snapshot_columnar_matches_fresh_encode():
-    from repro.relation.columnar import ColumnarRelation
-
-    rng = random.Random(13)
-    dynamic = DynamicRelation(
-        ["A", "B"], window=25, compact_threshold=0.5, compact_min=32
-    )
-    for _ in range(40):
-        dynamic.append(
-            [
-                (rng.choice(["x", "y", None]), rng.randint(0, 9))
-                for _ in range(rng.randint(1, 6))
-            ]
-        )
-    assert dynamic.compactions > 0
-    snapshot = dynamic.snapshot()
-    preseeded = snapshot._columnar_cache
-    assert preseeded is not None
-    fresh = ColumnarRelation.encode(Relation(snapshot.attributes, snapshot.rows()))
-    for attribute in snapshot.attributes:
-        assert preseeded.codes(attribute).tolist() == fresh.codes(attribute).tolist()
-        assert preseeded._column(attribute).values == fresh._column(attribute).values
-        assert preseeded.null_count(attribute) == fresh.null_count(attribute)
