@@ -249,6 +249,7 @@ class ChunkedRelation:
         Any iterable of row tuples — consumed once, streamed; rows are
         encoded and discarded chunk by chunk, so peak Python-object
         memory is O(``chunk_size``) regardless of the total row count.
+        Without rows the store is empty.
     name:
         Relation name stamped on derived statistics.
     chunk_size:
@@ -258,7 +259,7 @@ class ChunkedRelation:
     def __init__(
         self,
         attributes: Sequence[str],
-        rows: Iterable[Sequence[object]] = (),
+        rows: Optional[Iterable[Sequence[object]]] = None,
         name: str = "",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ):
@@ -269,13 +270,15 @@ class ChunkedRelation:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.name = name
         self.chunk_size = chunk_size
-        self._columns: List[_Column] = []
+        self._columns = [_Column([], 0) for _ in self._attributes]
         self._chunks: List[CodeChunk] = []
         self._num_rows = 0
         #: ``Σ_w R(w)²`` per set of attributes the rows must be non-NULL
         #: on, filled by :func:`repro.core.chunked.tuple_square_sum`.
         self.tuple_square_sums: Dict[Tuple[str, ...], int] = {}
-        self._ingest(rows)
+        # The classmethods pass no rows: they encode their own batches.
+        if rows is not None:
+            self._ingest(rows)
 
     # ------------------------------------------------------------------
     # Construction

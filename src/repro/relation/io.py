@@ -8,6 +8,16 @@ writes one) and written as UTF-8 without one, whatever the locale.
 Gzip-compressed files are detected by magic bytes on read (the extension
 is not trusted) and written for ``.gz`` paths.
 
+A file is read as bytes in blocks of about :data:`_READ_BLOCK_BYTES`
+bytes, each cut after its last line end and decoded at once.  A block
+with no quote character, no NUL, no blank line, no line past the csv
+module's field limit and one kind of line end (all ``\\n`` or all
+``\\r\\n``) is split into rows with ``str.split``.  From the first block
+that fails any of these, the rest of the file goes to ``csv.reader`` in
+the lines ``open(..., newline="")`` would give it, so ``csv.reader``
+stays the one parser of quoted input and every file reads as it reads
+it.  A truncated or corrupt gzip file is a ``ValueError`` naming it.
+
 Reading works on batches of :data:`READ_BATCH_ROWS` raw rows:
 :func:`read_raw_batches` yields them together with the per-cell rule
 (NULL markers, then :func:`_coerce`), which converts the distinct cells
@@ -27,10 +37,14 @@ from __future__ import annotations
 
 import csv
 import gzip
-from itertools import chain, islice
+import zlib
+from contextlib import closing
+from functools import partial
+from io import StringIO
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.relation.relation import Relation, Row
 
@@ -42,8 +56,18 @@ DEFAULT_NULL_MARKERS = ("", "NULL", "null", "NA", "N/A", "?", "NaN", "nan")
 #: the chunked ingest's memo outlives the batch but is capped on its own.
 #: Ingest time is flat from 256 to 4,096 rows, while the batch's raw
 #: strings are held at once: 512 keeps the traced ingest peak of a
-#: 12k-row, 6-column file at 2.5 MB (4.9 MB at 4,096).
+#: 12k-row, 6-column file at 2.5 MB (4.9 MB at 4,096).  Rows are split
+#: a :data:`_READ_BLOCK_BYTES` block at a time and handed on in batches
+#: of this many.
 READ_BATCH_ROWS = 512
+
+#: Bytes read per block of a CSV file (decompressed bytes for gzip).  A
+#: block is decoded and, when :func:`_split_block` can, split into rows
+#: at once, so all its rows are held together: about 500 rows of the
+#: 12k-row, 6-column R1 stand-in per 32 KB.  Ingest time is flat from 8
+#: to 128 KB; 32 KB puts that file's traced ingest peak at 3.0 MB
+#: (2.7 MB when ``csv.reader`` read it line by line, 3.25 MB at 64 KB).
+_READ_BLOCK_BYTES = 1 << 15
 
 #: The first characters (after leading whitespace) a cell must have for
 #: ``int()`` or ``float()`` to give a kept number or NaN: digits, a sign,
@@ -153,23 +177,92 @@ def _is_gzip_file(path: Path) -> bool:
         return handle.read(2) == _GZIP_MAGIC
 
 
-def _open_text(path: Path, mode: str = "r"):
-    """Open a possibly gzip-compressed text file for csv reading/writing.
+def _read_blocks(path: Path) -> Iterator[str]:
+    """The file's text in blocks of about :data:`_READ_BLOCK_BYTES` bytes.
 
-    Reads sniff the gzip magic bytes instead of trusting the ``.gz``
-    extension and drop a leading UTF-8 byte-order mark (``utf-8-sig``);
-    writes (nothing to sniff yet) keep the extension convention and write
-    plain UTF-8.  The encoding is explicit so the locale never matters.
+    Gzip content (sniffed, :func:`_is_gzip_file`) is read through
+    ``GzipFile.read``, so multi-member files and CRC checks work as in
+    the :mod:`gzip` module; a truncated or corrupt stream is a
+    ``ValueError`` naming the file.  Each block is cut after its last
+    line end (``\\n``, or a ``\\r`` that is not the last byte read, since
+    a ``\\n`` may follow it), so no block ends inside a ``\\r\\n``, and a
+    block holds less than twice :data:`_READ_BLOCK_BYTES` bytes unless
+    one of its lines is longer.  A line-end byte never occurs inside a
+    UTF-8 sequence, so each block decodes on its own: the first as
+    ``utf-8-sig`` (dropping a byte-order mark), the rest as ``utf-8``.
     """
-    if "r" in mode:
+    with gzip.open(path, "rb") if _is_gzip_file(path) else path.open("rb") as handle:
         encoding = "utf-8-sig"
-        compressed = _is_gzip_file(path)
-    else:
-        encoding = "utf-8"
-        compressed = path.suffix == ".gz"
-    if compressed:
-        return gzip.open(path, mode + "t", encoding=encoding, newline="")
-    return path.open(mode, encoding=encoding, newline="")
+        pending: List[bytes] = []  # the bytes read since the last cut
+        while True:
+            try:
+                data = handle.read(_READ_BLOCK_BYTES)
+            except (EOFError, zlib.error) as error:
+                raise ValueError(f"{path} is a truncated or corrupt gzip file: {error}") from None
+            if not data:
+                break
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+            if not cut:
+                pending.append(data)
+                continue
+            pending.append(data[:cut])
+            yield b"".join(pending).decode(encoding)
+            encoding = "utf-8"
+            pending = [data[cut:]]
+        text = b"".join(pending).decode(encoding)
+        if text:
+            yield text
+
+
+def _split_block(text: str, delimiter: str, field_limit: int) -> Optional[List[List[str]]]:
+    """A block's rows by ``str.split``, or ``None`` when only ``csv.reader``
+    reads it right.
+
+    Splitting gives ``csv.reader``'s rows when the block has no quote
+    character and no NUL (an error to ``csv.reader`` before Python 3.11),
+    its line ends are all ``\\n`` or all ``\\r\\n``, it has no blank line
+    (``csv.reader`` yields ``[]`` for one) and no line longer than the
+    csv module's field limit (so no field passes it).
+    """
+    if '"' in text or "\0" in text:
+        return None
+    newline = "\r\n" if "\r" in text else "\n"
+    lines = text.split(newline)
+    # Each \r and each \n must belong to one of the cuts just made.
+    if newline == "\r\n" and not len(lines) - 1 == text.count("\r") == text.count("\n"):
+        return None
+    if not lines[-1]:  # the block ends with a line end
+        lines.pop()
+    if not all(lines):  # a blank line
+        return None
+    if len(text) > field_limit and max(map(len, lines)) > field_limit:
+        return None
+    return list(map(str.split, lines, repeat(delimiter)))
+
+
+def _raw_rows(blocks: Iterator[str], delimiter: str) -> Iterator[List[str]]:
+    """Every row of a file's blocks, header first, as lists of raw cells.
+
+    Blocks that :func:`_split_block` can split are split; from the first
+    one it cannot, the rest of the text goes to ``csv.reader`` in lines
+    cut where ``open(..., newline="")`` cuts them (``\\n``, ``\\r\\n`` and
+    a bare ``\\r``; never ``str.splitlines``, which also cuts at
+    ``\\x0c``, ``\\x85`` or U+2028).  A bad delimiter is the error
+    ``csv.reader`` raises for it, before the file is read.
+    """
+    dialect = csv.reader((), delimiter=delimiter).dialect
+    field_limit = csv.field_size_limit()
+
+    def row_groups() -> Iterator[Iterable[List[str]]]:
+        for text in blocks:
+            rows = _split_block(text, delimiter, field_limit)
+            if rows is None:
+                lines = map(partial(StringIO, newline=""), chain((text,), blocks))
+                yield csv.reader(chain.from_iterable(lines), dialect)
+                return
+            yield rows
+
+    return chain.from_iterable(row_groups())
 
 
 def read_raw_batches(
@@ -181,34 +274,39 @@ def read_raw_batches(
 ) -> Tuple[List[str], Iterator[List[List[str]]], Callable[[Collection[str]], Collection[object]]]:
     """Open a CSV file and return ``(header, raw-row batches, convert)``.
 
-    The batches are a lazy iterator of lists of up to
-    :data:`READ_BATCH_ROWS` rows of raw string cells, every row checked
-    to have one cell per header attribute.  ``max_rows`` caps the data
-    rows before that check, so a ragged row past the cap is never
-    checked.  The file stays open until the iterator is exhausted (or
-    closed by garbage collection).  ``convert`` takes distinct raw cells
-    of one column (a list, or a dict's keys, in first-occurrence order)
-    and returns their values under ``null_markers`` and ``infer_types``:
-    the argument itself when every cell stays itself.
+    The file is read in blocks of :data:`_READ_BLOCK_BYTES` bytes; a
+    block with no quote character, NUL, blank line, overlong line or
+    mixed line ends is split with ``str.split``, and from the first block
+    that has one the rest of the file goes through ``csv.reader``
+    (:func:`_raw_rows`), so every file reads as ``csv.reader`` over
+    ``open(..., newline="")`` reads it.  The batches are a lazy iterator
+    of lists of up to :data:`READ_BATCH_ROWS` rows of raw string cells,
+    every row checked to have one cell per header attribute.
+    ``max_rows`` caps the data rows before that check, so a ragged row
+    past the cap is never checked.  The file stays open until the
+    iterator is exhausted (or closed by garbage collection).  ``convert``
+    takes distinct raw cells of one column (a list, or a dict's keys, in
+    first-occurrence order) and returns their values under
+    ``null_markers`` and ``infer_types``: the argument itself when every
+    cell stays itself.
     """
     path = Path(path)
     if max_rows is not None and max_rows < 0:
         raise ValueError(f"max_rows must be >= 0, got {max_rows}")
     convert = _cell_converter(null_markers, infer_types)
-    handle = _open_text(path)
-    reader = csv.reader(handle, delimiter=delimiter)
+    blocks = _read_blocks(path)
+    rows = _raw_rows(blocks, delimiter)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
-        handle.close()
         raise ValueError(f"CSV file {path} is empty (no header row)") from None
 
     def batches() -> Iterator[List[List[str]]]:
         width = len(header)
-        with handle:
-            rows = islice(reader, max_rows)
+        with closing(blocks):
+            capped = islice(rows, max_rows)
             while True:
-                batch = list(islice(rows, READ_BATCH_ROWS))
+                batch = list(islice(capped, READ_BATCH_ROWS))
                 if not batch:
                     return
                 if any(map(width.__ne__, map(len, batch))):
@@ -296,7 +394,8 @@ def write_csv(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with _open_text(path, "w") as handle:
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "wt", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(relation.attributes)
         for row in relation:

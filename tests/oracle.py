@@ -36,6 +36,7 @@ Every failure prints its seed and the relation's rows.
 from __future__ import annotations
 
 import argparse
+import gzip
 import math
 import os
 import random
@@ -62,15 +63,22 @@ KERNELS: Tuple[str, ...] = ("python", "numpy", "sorted") if HAVE_NUMPY else ("py
 
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
+#: A small gzip CSV, cut short and corrupted in :data:`UNREADABLE_CSVS`.
+_GZIP_CSV = gzip.compress(b"a,b\n" + b"1,2\n" * 50, mtime=0)
+
 #: CSV files ``repro.relation.io.read_csv`` cannot read, by what is wrong
 #: with them (``None``: there is no file); a CLI given one must exit 2.
-#: The last one passes the csv module's field limit (``csv.Error``).
+#: The oversized cell passes the csv module's field limit (``csv.Error``);
+#: the truncated gzip stream ends early (``EOFError`` in ``gzip``), and the
+#: corrupt one's first deflate block has the reserved type (``zlib.error``).
 UNREADABLE_CSVS: Dict[str, Optional[bytes]] = {
     "missing": None,
     "empty": b"",
     "ragged": b"a,b\n1,2\n1,2,3\n",
     "not-utf8": b"\xff\xfea,b\n",
     "oversized-cell": b"a,b\n" + b"x" * 200_000 + b",1\n",
+    "truncated-gzip": _GZIP_CSV[: len(_GZIP_CSV) // 2],
+    "corrupt-gzip": _GZIP_CSV[:10] + b"\xff" + _GZIP_CSV[11:],
 }
 
 #: The tolerance of every oracle comparison (the one perfbench answers use).
@@ -397,27 +405,41 @@ def kernel(name: str) -> Iterator[None]:
 
 
 @contextmanager
-def small_batches(rows: int = 3, memo_cells: int = 4) -> Iterator[None]:
+def small_batches(rows: int = 3, memo_cells: int = 4, block_bytes: int = 16) -> Iterator[None]:
     """Ingest in read batches of ``rows`` rows, each column memoizing at
-    most ``memo_cells`` raw cells.
+    most ``memo_cells`` raw cells, reading CSV files ``block_bytes``
+    bytes at a time.
 
     A case of a few dozen rows fits in one 512-row read batch, so without
     this the chunked stores of :func:`check_case` would never carry a
-    column's memo from one batch to the next, nor fill it.  Sets
-    ``READ_BATCH_ROWS`` in ``repro.relation.io`` (the CSV readers) and
-    ``repro.relation.chunked`` (typed rows), and the memo cap
-    ``repro.relation.chunked._MEMO_LIMIT``, for the block.
+    column's memo from one batch to the next, nor fill it; a small CSV
+    file likewise fits in one 64 KB read block.
+    Sets ``READ_BATCH_ROWS`` in ``repro.relation.io`` (the CSV readers)
+    and ``repro.relation.chunked`` (typed rows), the memo cap
+    ``repro.relation.chunked._MEMO_LIMIT`` and the CSV reader's block
+    size ``repro.relation.io._READ_BLOCK_BYTES``, for the block.
     """
     import repro.relation.chunked as chunked
     import repro.relation.io as io
 
-    saved = io.READ_BATCH_ROWS, chunked.READ_BATCH_ROWS, chunked._MEMO_LIMIT
+    saved = (
+        io.READ_BATCH_ROWS,
+        chunked.READ_BATCH_ROWS,
+        chunked._MEMO_LIMIT,
+        io._READ_BLOCK_BYTES,
+    )
     io.READ_BATCH_ROWS = chunked.READ_BATCH_ROWS = rows
     chunked._MEMO_LIMIT = memo_cells
+    io._READ_BLOCK_BYTES = block_bytes
     try:
         yield
     finally:
-        io.READ_BATCH_ROWS, chunked.READ_BATCH_ROWS, chunked._MEMO_LIMIT = saved
+        (
+            io.READ_BATCH_ROWS,
+            chunked.READ_BATCH_ROWS,
+            chunked._MEMO_LIMIT,
+            io._READ_BLOCK_BYTES,
+        ) = saved
 
 
 def holds(

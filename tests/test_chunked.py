@@ -8,38 +8,52 @@ storage choice, never a semantics change.
 Alongside it: the streamed CSV ingest (``ChunkedRelation.read_csv``)
 matches ``read_csv`` row for row at every batch/chunk alignment, cells
 convert exactly as the per-cell definition says, NaN cells become NULL,
-``max_rows``/``.gz``/UTF-8 with a byte-order mark work, and the
+``max_rows``/``.gz``/UTF-8 with a byte-order mark work, the block reader
+gives ``csv.reader``'s rows and errors on seeded files, and the
 out-of-core path actually stays out of core (tracemalloc peak guard).
 
 Tests that need numpy are marked; the remainder also run in the
 no-numpy CI job.
 """
 
+import csv
 import gc
 import gzip
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import repro
-from oracle import KERNELS, kernel, requires_numpy, small_batches, without_numpy
+from oracle import (
+    KERNELS,
+    UNREADABLE_CSVS,
+    kernel,
+    requires_numpy,
+    small_batches,
+    without_numpy,
+)
 from repro.core import all_measures, get_measure
 from repro.core.statistics import FdStatistics
 from repro.relation import ChunkedRelation, FunctionalDependency, Relation
 from repro.relation import chunked as chunked_module
+from repro.relation import io as io_module
 from repro.relation.chunked import DEFAULT_CHUNK_SIZE
 from repro.relation.io import (
     DEFAULT_NULL_MARKERS,
     _cell_converter,
     _coerce,
+    _read_blocks,
     read_csv,
+    read_raw_batches,
     stream_csv_rows,
     write_csv,
 )
@@ -306,6 +320,37 @@ class TestChunkedRelation:
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError, match="arity"):
             ChunkedRelation(("A", "B"), [(1, 2), (3,)])
+
+    def test_store_without_rows_is_empty(self):
+        store = ChunkedRelation(("A", "B"))
+        assert store.num_rows == store.num_chunks == 0
+        assert store.cardinality("A") == store.null_count("B") == 0
+        assert list(store.iter_rows()) == []
+        with pytest.raises(KeyError, match="unknown attribute"):
+            store.null_count("C")
+
+    def test_classmethods_build_one_streaming_column_per_attribute(
+        self, monkeypatch, tmp_path
+    ):
+        # The classmethods encode their own batches: the constructor they
+        # call must not build a set of columns of its own first.
+        built = []
+        init = chunked_module._StreamingColumn.__init__
+
+        def counting(column):
+            built.append(column)
+            init(column)
+
+        monkeypatch.setattr(chunked_module._StreamingColumn, "__init__", counting)
+        relation = null_relation(seed=3, num_rows=50)
+        path = write_csv(relation, tmp_path / "data.csv")
+        for build in (
+            lambda: ChunkedRelation.from_relation(relation, chunk_size=7),
+            lambda: ChunkedRelation.read_csv(path, chunk_size=7),
+        ):
+            built.clear()
+            assert list(build().iter_rows()) == list(relation)
+            assert len(built) == len(relation.attributes)
 
     @pytest.mark.parametrize(
         "chunk_size, options",
@@ -671,6 +716,182 @@ class TestCsvIngest:
             timeout=60,
         )
         assert completed.returncode == 0, completed.stderr
+
+
+# ----------------------------------------------------------------------
+# The block reader: str.split where it gives csv.reader's rows
+# ----------------------------------------------------------------------
+#: The csv module's field limit while the reader tests run: a generated
+#: line can pass it, and a long cell can reach it or pass it by one.
+FIELD_LIMIT = 24
+
+#: Cells that need quoting, quotes doubled: the delimiter (``{d}``), a
+#: quote, each line end, a NUL.
+QUOTED_CELLS = ["x{d}y", 'say "hi"', "two\nlines", "cr\r\nlf", "bare\rcr", "", "q\x00"]
+
+#: Cells that need none: form feed, NEL and U+2028 are no line end to
+#: ``csv`` or ``str.split``.
+PLAIN_CELLS = ["a", "1", "2.5", "", "NULL", "f\x0cf", "n\x85l", "l\u2028s", " s p "]
+
+#: Rarer unquoted cells: a NUL (a csv error before Python 3.11, a
+#: character since), and cells that reach the field limit or pass it by one.
+RARE_CELLS = ["n\x00l", "z" * FIELD_LIMIT, "z" * (FIELD_LIMIT + 1)]
+
+
+def random_csv_text(rng: random.Random, delimiter: str) -> str:
+    """A seeded CSV text whose every feature ``csv.reader`` cares about
+    may sit anywhere: quoted cells, each line end or a mix, blank first,
+    middle or last lines, a missing final line end, a BOM, NUL, cells at
+    and past the field limit, ragged rows."""
+    endings = rng.choice([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]])
+    quote_rate = rng.choice([0.0, 0.0, 0.03, 0.3])
+    rare_rate = rng.choice([0.0, 0.0, 0.02])
+    width = rng.randint(1, 4)
+
+    def cell() -> str:
+        if rng.random() < quote_rate:
+            text = rng.choice(QUOTED_CELLS).replace("{d}", delimiter)
+            return '"' + text.replace('"', '""') + '"'
+        return rng.choice(RARE_CELLS if rng.random() < rare_rate else PLAIN_CELLS)
+
+    lines = [delimiter.join(f"c{i}" for i in range(width))]
+    for _ in range(rng.randint(0, 40)):
+        ragged = rng.random() < 0.01
+        lines.append(delimiter.join(cell() for _ in range(width + ragged)))
+    for _ in range(rng.choice([0] * 6 + [1, 2])):  # blank lines, the header's place included
+        lines.insert(rng.randint(0, len(lines)), "")
+    text = "".join(line + rng.choice(endings) for line in lines)
+    if rng.random() < 0.3:  # no final line end
+        text = text[: -1 - text.endswith("\r\n")]
+    return ("\ufeff" if rng.random() < 0.2 else "") + text
+
+
+def csv_module_read(path, compressed, delimiter, max_rows, batch_rows):
+    """``csv.reader`` over ``open(..., newline="")``, batched and checked
+    as :func:`read_raw_batches` batches and checks."""
+    if compressed:
+        handle = gzip.open(path, "rt", encoding="utf-8-sig", newline="")
+    else:
+        handle = open(path, encoding="utf-8-sig", newline="")
+    with handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty")
+        rows = islice(reader, max_rows)
+        read = []
+        while True:
+            batch = list(islice(rows, batch_rows))
+            if not batch:
+                return header, read
+            if any(len(row) != len(header) for row in batch):
+                raise ValueError("ragged")
+            read += batch
+
+
+def block_read(path, delimiter, max_rows):
+    header, batches, _ = read_raw_batches(path, delimiter=delimiter, max_rows=max_rows)
+    return header, [row for batch in batches for row in batch]
+
+
+def outcome(read, *args):
+    """What a read gives: its result, or the type of the error it raises."""
+    try:
+        return read(*args)
+    except (ValueError, csv.Error) as error:
+        return type(error)
+
+
+@pytest.fixture()
+def small_field_limit():
+    saved = csv.field_size_limit(FIELD_LIMIT)
+    yield
+    csv.field_size_limit(saved)
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("numpy_present", [True, False], ids=["numpy", "no_numpy"])
+    def test_reads_as_the_csv_module_reads(
+        self, tmp_path, monkeypatch, small_field_limit, numpy_present
+    ):
+        if not numpy_present:
+            without_numpy(monkeypatch)
+        split_block = io_module._split_block
+        splits = Counter()  # blocks split by str.split (True) or not
+
+        def counting(*args):
+            rows = split_block(*args)
+            splits[rows is not None] += 1
+            return rows
+
+        monkeypatch.setattr(io_module, "_split_block", counting)
+        rng = random.Random(28)
+        kinds = Counter()
+        for case in range(300):
+            delimiter = rng.choice([",", ";", "\t"])
+            raw = random_csv_text(rng, delimiter).encode("utf-8")
+            compression = rng.choice(["plain", "gzip", "multi-member"])
+            path = tmp_path / f"case{case}.csv"
+            if compression == "plain":
+                path.write_bytes(raw)
+            elif compression == "gzip":
+                path.write_bytes(gzip.compress(raw))
+            else:  # members split anywhere, even inside a character
+                cut = rng.randint(0, len(raw))
+                path.write_bytes(gzip.compress(raw[:cut]) + gzip.compress(raw[cut:]))
+            max_rows = rng.choice([None, None, rng.randint(0, 30)])
+            batch_rows = rng.choice([1, 2, 3, 512])
+            expected = outcome(
+                csv_module_read, path, compression != "plain", delimiter, max_rows, batch_rows
+            )
+            kinds[expected if isinstance(expected, type) else "rows"] += 1
+            context = (case, raw[:200], compression, max_rows, batch_rows)
+            for block_bytes in (1, 2, 5, 16, 64, 1 << 16):
+                with small_batches(rows=batch_rows, block_bytes=block_bytes):
+                    assert outcome(block_read, path, delimiter, max_rows) == expected, (
+                        block_bytes,
+                        context,
+                    )
+            # The typed readers see the same rows, or raise the same error.
+            with small_batches(rows=batch_rows, block_bytes=rng.choice([3, 64])):
+                typed_reads = [
+                    outcome(lambda: list(read_csv(path, delimiter=delimiter, max_rows=max_rows))),
+                    outcome(
+                        lambda: list(
+                            ChunkedRelation.read_csv(
+                                path, chunk_size=5, delimiter=delimiter, max_rows=max_rows
+                            ).iter_rows()
+                        )
+                    ),
+                ]
+            if isinstance(expected, type):
+                assert typed_reads == [expected, expected], context
+            else:
+                rows = typed([tuple(map(reference_cell, row)) for row in expected[1]])
+                assert [typed(read) for read in typed_reads] == [rows, rows], context
+        # Each outcome occurs: rows, a ragged or blank line, and a field
+        # past the limit (or, before Python 3.11, a NUL); and both parsers run.
+        assert kinds["rows"] > 120 and kinds[ValueError] > 60 and kinds[csv.Error] > 10, kinds
+        assert splits[True] > 3_000 and splits[False] > 1_000, splits
+
+    def test_blocks_stay_bounded_for_every_line_end(self, tmp_path):
+        # A block ends at its last line end, a bare carriage return
+        # included, so no block holds much more than the block size.
+        for ending in ("\n", "\r\n", "\r"):
+            path = tmp_path / "lines.csv"
+            path.write_bytes(("a,b" + ending + ("1,22" + ending) * 2_000).encode())
+            with small_batches(block_bytes=64):
+                blocks = list(_read_blocks(path))
+            assert "".join(blocks) == path.read_bytes().decode()
+            assert len(blocks) > 100 and max(map(len, blocks)) < 2 * 64, ending
+
+    @pytest.mark.parametrize("kind", ["truncated-gzip", "corrupt-gzip"])
+    def test_unreadable_gzip_is_a_value_error_naming_the_file(self, tmp_path, kind):
+        path = tmp_path / "damaged.csv"
+        path.write_bytes(UNREADABLE_CSVS[kind])
+        for reader in (read_csv, ChunkedRelation.read_csv):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is a truncated"):
+                reader(path)
 
 
 # ----------------------------------------------------------------------
