@@ -60,7 +60,6 @@ _LAZY_SUBMODULES = (
 _LAZY_ATTRIBUTES = {
     "brute_force_afds": "repro.discovery",
     "discover_afds": "repro.discovery",
-    "lattice_discover": "repro.discovery",
     "minimal_cover": "repro.discovery",
     "evaluate_specs": "repro.evaluation",
     "benchmark_specs": "repro.synthetic",
@@ -90,7 +89,6 @@ __all__ = [
     "benchmark_specs",
     "brute_force_afds",
     "discover_afds",
-    "lattice_discover",
     "minimal_cover",
     "evaluate_specs",
     "get_measure",

@@ -50,9 +50,6 @@ class RwdeBenchmark:
     error_level: float
     relations: List[RwdeRelation]
 
-    def total_afds(self) -> int:
-        return sum(len(relation.ground_truth) for relation in self.relations)
-
     def __iter__(self):
         return iter(self.relations)
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.discovery.single import discover_afds
+from repro.discovery import discover_afds
 from repro.evaluation.metrics import ranking_summary
 from repro.evaluation.scoring import MeasureConfig
 from repro.experiments.io import ensure_directory, write_csv, write_json
@@ -84,7 +84,6 @@ def _run_relation(rwd, config: DiscoveryConfig, measures) -> Dict[str, object]:
         entry = ranking_summary(labels, scores_per_measure[name])
         entry["accepted"] = float(len(result.accepted(name)))
         per_measure[name] = entry
-    counters = result.counters()
     return {
         "key": rwd.key,
         "title": rwd.title,
@@ -97,7 +96,7 @@ def _run_relation(rwd, config: DiscoveryConfig, measures) -> Dict[str, object]:
         "brute_force_statistics": brute_force_statistics(
             relation.num_attributes, config.max_lhs_size
         ),
-        **counters,
+        **result.counters,
         "measures": per_measure,
     }
 

@@ -218,7 +218,7 @@ def _run_chunked_discovery_section(config: RuntimeConfig) -> Optional[Dict[str, 
         "num_chunks": chunked_relation.num_chunks,
         "seconds": seconds,
         "candidates": len(result.candidates),
-        "statistics_computed": result.statistics_computed,
+        "statistics_computed": result.counters["statistics_computed"],
         "identical_to_brute_force": True,
     }
 
@@ -338,7 +338,7 @@ def run_discovery_smoke(
         "discover_seconds": discover_seconds,
         "measures": list(measures),
         "candidates": len(result.candidates),
-        "statistics_computed": result.statistics_computed,
+        "statistics_computed": result.counters["statistics_computed"],
         "peak_bytes": peak_bytes,
         "budget_bytes": budget_bytes,
         "row_list_free": True,

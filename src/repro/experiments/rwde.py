@@ -24,7 +24,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.discovery.single import discover_afds
+from repro.discovery import discover_afds
 from repro.errors.channels import ErrorType
 from repro.errors.rwde import build_rwde_benchmark
 from repro.evaluation.metrics import pr_auc, rank_at_max_recall, separation

@@ -215,14 +215,14 @@ def _read_blocks(path: Path) -> Iterator[str]:
 
 
 def _split_block(text: str, delimiter: str, field_limit: int) -> Optional[List[List[str]]]:
-    """A block's rows by ``str.split``, or ``None`` when only ``csv.reader``
-    reads it right.
+    """A block's non-blank rows by ``str.split``, or ``None`` when only
+    ``csv.reader`` reads it right.
 
-    Splitting gives ``csv.reader``'s rows when the block has no quote
-    character and no NUL (an error to ``csv.reader`` before Python 3.11),
-    its line ends are all ``\\n`` or all ``\\r\\n``, it has no blank line
-    (``csv.reader`` yields ``[]`` for one) and no line longer than the
-    csv module's field limit (so no field passes it).
+    Splitting gives ``csv.reader``'s rows, less the ``[]`` it yields for
+    a blank line, when the block has no quote character and no NUL (an
+    error to ``csv.reader`` before Python 3.11), its line ends are all
+    ``\\n`` or all ``\\r\\n`` and it has no line longer than the csv
+    module's field limit (so no field passes it).
     """
     if '"' in text or "\0" in text:
         return None
@@ -233,21 +233,23 @@ def _split_block(text: str, delimiter: str, field_limit: int) -> Optional[List[L
         return None
     if not lines[-1]:  # the block ends with a line end
         lines.pop()
-    if not all(lines):  # a blank line
-        return None
-    if len(text) > field_limit and max(map(len, lines)) > field_limit:
+    if not all(lines):
+        lines = list(filter(None, lines))  # drop the blank lines
+    if len(text) > field_limit and max(map(len, lines), default=0) > field_limit:
         return None
     return list(map(str.split, lines, repeat(delimiter)))
 
 
 def _raw_rows(blocks: Iterator[str], delimiter: str) -> Iterator[List[str]]:
-    """Every row of a file's blocks, header first, as lists of raw cells.
+    """Every non-blank row of a file's blocks, header first, as lists of
+    raw cells.
 
     Blocks that :func:`_split_block` can split are split; from the first
     one it cannot, the rest of the text goes to ``csv.reader`` in lines
     cut where ``open(..., newline="")`` cuts them (``\\n``, ``\\r\\n`` and
     a bare ``\\r``; never ``str.splitlines``, which also cuts at
-    ``\\x0c``, ``\\x85`` or U+2028).  A bad delimiter is the error
+    ``\\x0c``, ``\\x85`` or U+2028), less the ``[]`` rows of blank lines.
+    A whitespace-only line is a row.  A bad delimiter is the error
     ``csv.reader`` raises for it, before the file is read.
     """
     dialect = csv.reader((), delimiter=delimiter).dialect
@@ -258,7 +260,7 @@ def _raw_rows(blocks: Iterator[str], delimiter: str) -> Iterator[List[str]]:
             rows = _split_block(text, delimiter, field_limit)
             if rows is None:
                 lines = map(partial(StringIO, newline=""), chain((text,), blocks))
-                yield csv.reader(chain.from_iterable(lines), dialect)
+                yield filter(None, csv.reader(chain.from_iterable(lines), dialect))
                 return
             yield rows
 
@@ -275,15 +277,17 @@ def read_raw_batches(
     """Open a CSV file and return ``(header, raw-row batches, convert)``.
 
     The file is read in blocks of :data:`_READ_BLOCK_BYTES` bytes; a
-    block with no quote character, NUL, blank line, overlong line or
-    mixed line ends is split with ``str.split``, and from the first block
-    that has one the rest of the file goes through ``csv.reader``
+    block with no quote character, NUL, overlong line or mixed line ends
+    is split with ``str.split``, and from the first block that has one
+    the rest of the file goes through ``csv.reader``
     (:func:`_raw_rows`), so every file reads as ``csv.reader`` over
-    ``open(..., newline="")`` reads it.  The batches are a lazy iterator
-    of lists of up to :data:`READ_BATCH_ROWS` rows of raw string cells,
-    every row checked to have one cell per header attribute.
-    ``max_rows`` caps the data rows before that check, so a ragged row
-    past the cap is never checked.  The file stays open until the
+    ``open(..., newline="")`` reads it, except that blank lines are no
+    rows: they are skipped before the header is taken, before
+    ``max_rows`` counts and before the width check.  The batches are a
+    lazy iterator of lists of up to :data:`READ_BATCH_ROWS` rows of raw
+    string cells, every row checked to have one cell per header
+    attribute.  ``max_rows`` caps the data rows before that check, so a
+    ragged row past the cap is never checked.  The file stays open until the
     iterator is exhausted (or closed by garbage collection).  ``convert``
     takes distinct raw cells of one column (a list, or a dict's keys, in
     first-occurrence order) and returns their values under

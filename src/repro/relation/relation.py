@@ -100,10 +100,6 @@ class Relation:
         """A copy of the underlying row list."""
         return list(self._rows)
 
-    def records(self) -> List[Dict[str, object]]:
-        """Rows as dictionaries keyed by attribute name."""
-        return [dict(zip(self._attributes, row)) for row in self._rows]
-
     def column(self, attribute: str) -> List[object]:
         """All values (with multiplicity) of a single attribute."""
         index = self._attribute_index(attribute)
@@ -180,29 +176,6 @@ class Relation:
     # ------------------------------------------------------------------
     # Relational operations (bag semantics)
     # ------------------------------------------------------------------
-    def project(self, attributes: Iterable[str] | str) -> "Relation":
-        """Bag projection ``π_attributes(R)`` (duplicates preserved)."""
-        key = validate_attributes(
-            canonical_attributes(attributes), self._attributes, "projection"
-        )
-        indices = self._attribute_indices(key)
-        rows = [tuple(row[i] for i in indices) for row in self._rows]
-        return Relation(key, rows, name=self.name)
-
-    def select_equal(self, attributes: Iterable[str] | str, values: Sequence[object]) -> "Relation":
-        """Bag selection ``σ_{attributes=values}(R)``."""
-        key = validate_attributes(
-            canonical_attributes(attributes), self._attributes, "selection"
-        )
-        target = tuple(values) if not isinstance(values, tuple) else values
-        if len(target) != len(key):
-            raise ValueError(
-                f"selection values {target!r} do not match attributes {key!r}"
-            )
-        indices = self._attribute_indices(key)
-        rows = [row for row in self._rows if tuple(row[i] for i in indices) == target]
-        return Relation(self._attributes, rows, name=self.name)
-
     def drop_nulls(self, attributes: Optional[Iterable[str] | str] = None) -> "Relation":
         """Subrelation of tuples with no NULL on any of ``attributes``.
 
@@ -250,32 +223,6 @@ class Relation:
             elif previous != rhs_value:
                 return False
         return True
-
-    def violations(self, fd: FunctionalDependency, ignore_nulls: bool = True) -> List[Row]:
-        """All rows that participate in at least one violating pair for ``fd``.
-
-        This is the tuple set ``G2(X -> Y, R)`` of the paper.
-        """
-        validate_attributes(fd.lhs, self._attributes, "FD LHS")
-        validate_attributes(fd.rhs, self._attributes, "FD RHS")
-        relation = self.drop_nulls(fd.attributes) if ignore_nulls else self
-        lhs_indices = relation._attribute_indices(fd.lhs)
-        rhs_indices = relation._attribute_indices(fd.rhs)
-        rhs_values_per_group: Dict[Row, set] = {}
-        for row in relation._rows:
-            lhs_value = tuple(row[i] for i in lhs_indices)
-            rhs_value = tuple(row[i] for i in rhs_indices)
-            rhs_values_per_group.setdefault(lhs_value, set()).add(rhs_value)
-        violating_groups = {
-            lhs_value
-            for lhs_value, rhs_values in rhs_values_per_group.items()
-            if len(rhs_values) > 1
-        }
-        return [
-            row
-            for row in relation._rows
-            if tuple(row[i] for i in lhs_indices) in violating_groups
-        ]
 
     # ------------------------------------------------------------------
     # Internals

@@ -32,14 +32,8 @@ class RwdBenchmark:
                 return relation
         raise KeyError(f"no relation {key!r} in the benchmark")
 
-    def total_design_fds(self) -> int:
-        return sum(len(relation.design_schema) for relation in self.relations)
-
     def total_approximate_fds(self) -> int:
         return sum(len(relation.approximate_fds) for relation in self.relations)
-
-    def total_perfect_fds(self) -> int:
-        return sum(len(relation.perfect_fds) for relation in self.relations)
 
 
 def build_rwd_benchmark(

@@ -20,7 +20,7 @@ every dataset is reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -148,10 +148,6 @@ class TableBuilder:
             if injective:
                 self._fds.append(FunctionalDependency(name, source))
 
-    def add_fd(self, lhs: str | Sequence[str], rhs: str | Sequence[str]) -> None:
-        """Explicitly add an FD to the planted design schema."""
-        self._fds.append(FunctionalDependency(lhs, rhs))
-
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
@@ -169,14 +165,6 @@ class TableBuilder:
             design_schema=DesignSchema(self._fds),
             description=description,
         )
-
-    @property
-    def attribute_names(self) -> List[str]:
-        return list(self._order)
-
-    @property
-    def planted_fds(self) -> List[FunctionalDependency]:
-        return list(self._fds)
 
     # ------------------------------------------------------------------
     # Internals

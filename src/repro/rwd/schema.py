@@ -35,10 +35,6 @@ class DesignSchema:
     def __contains__(self, fd: FunctionalDependency) -> bool:
         return fd in self.fds
 
-    def linear_fds(self) -> List[FunctionalDependency]:
-        """Only the linear FDs of the schema (the paper's RWD restriction)."""
-        return sorted(fd for fd in self.fds if fd.is_linear)
-
     def partition(
         self, relation: Relation
     ) -> Tuple[List[FunctionalDependency], List[FunctionalDependency]]:

@@ -5,9 +5,8 @@ One front door for every caller:
 * :class:`AfdSession` — a facade owning one relation plus every
   expensive derived artifact (dictionary encoding, sufficient
   statistics, incremental trackers), with ``score()`` / ``score_many()``
-  / ``discover()`` / ``minimal_cover()`` / ``apply_delta()`` /
-  ``snapshot_scores()`` methods that never recompute what the session
-  already holds;
+  / ``discover()`` / ``apply_delta()`` / ``snapshot_scores()`` methods
+  that never recompute what the session already holds;
 * the typed request/result model (:mod:`repro.service.model`) with
   stable ``to_dict()`` / ``from_dict()`` JSON schemas shared by the
   library API, the CLIs and the HTTP server, plus the

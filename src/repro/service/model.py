@@ -9,13 +9,14 @@ per subsystem:
 * :class:`BatchScoreRequest` — many :class:`ProfileRequest`\\ s against
   one relation, answered under one lock acquisition: one statistics
   pass per distinct FD not already cached, identical probes scored once;
-* :class:`ScoredFd` — one FD with its per-measure scores (the unified
-  replacement of ``repro.discovery.single.CandidateScore`` in outputs);
+* :class:`ScoredFd` — one FD with its per-measure scores and
+  exactness flag;
 * :class:`ProfileResult` — the scores, per-measure runtimes and cache
   provenance of one profiled FD;
 * :class:`BatchScoreResult` — the per-request results of one batch;
 * :class:`DiscoveryResult` — the full scored candidate set of one
-  discovery run plus its pruning counters and acceptance view;
+  discovery run plus its pruning counters and acceptance view, as
+  :func:`repro.discovery.discover_afds` builds it;
 * :class:`StreamUpdate` — the state of a dynamic session after a
   mutation batch (epoch, live rows, per-FD scores).
 
@@ -239,16 +240,6 @@ class ScoredFd:
     def fd(self) -> FunctionalDependency:
         return FunctionalDependency(self.lhs, self.rhs)
 
-    @classmethod
-    def from_candidate(cls, candidate) -> "ScoredFd":
-        """Lift a :class:`repro.discovery.single.CandidateScore`."""
-        return cls(
-            lhs=tuple(candidate.fd.lhs),
-            rhs=tuple(candidate.fd.rhs),
-            scores=dict(candidate.scores),
-            exact=candidate.exact,
-        )
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema": SCHEMA_VERSION,
@@ -423,12 +414,19 @@ class BatchScoreResult:
 
 @dataclass
 class DiscoveryResult:
-    """All scored candidates of one discovery run, service-model form.
+    """All scored candidates of one discovery run.
 
-    The typed sibling of :class:`repro.discovery.single.DiscoveryResult`
-    (which remains the engine-internal carrier): candidates are
-    :class:`ScoredFd` objects, counters are one plain mapping, and the
-    whole result round-trips through JSON.
+    The one result record of discovery: the engine
+    (:func:`repro.discovery.discover_afds`), :func:`minimal_cover
+    <repro.discovery.minimal_cover>`, the session, the HTTP API and the
+    CLI all hand this object on.  Candidates are :class:`ScoredFd`
+    objects in traversal order; ``counters`` holds the work counters
+    ``candidates``, ``pruned_exact`` (supersets of an exact LHS scored
+    without a pass), ``pruned_key`` (key LHSs), ``statistics_computed``
+    (statistics passes performed) and ``dropped_non_minimal``
+    (candidates a minimal-cover reduction removed); ``epoch`` is the
+    session epoch the scores are valid for (0 outside dynamic sessions).
+    The whole result round-trips through JSON.
     """
 
     relation: str
@@ -438,43 +436,6 @@ class DiscoveryResult:
     counters: Dict[str, int] = field(default_factory=dict)
     max_lhs_size: int = 1
     epoch: int = 0
-
-    @classmethod
-    def from_discovery(cls, result, epoch: int = 0) -> "DiscoveryResult":
-        """Lift an engine result (:mod:`repro.discovery.single`)."""
-        return cls(
-            relation=result.relation_name,
-            measure_names=list(result.measure_names),
-            thresholds=dict(result.thresholds),
-            candidates=[ScoredFd.from_candidate(c) for c in result.candidates],
-            counters=result.counters(),
-            max_lhs_size=result.max_lhs_size,
-            epoch=epoch,
-        )
-
-    def to_discovery(self):
-        """Lower back to the engine result model (for e.g. minimal cover)."""
-        from repro.discovery.single import CandidateScore
-        from repro.discovery.single import DiscoveryResult as EngineResult
-
-        result = EngineResult(
-            relation_name=self.relation,
-            measure_names=list(self.measure_names),
-            thresholds=dict(self.thresholds),
-            candidates=[
-                CandidateScore(fd=c.fd, scores=dict(c.scores), exact=c.exact)
-                for c in self.candidates
-            ],
-            max_lhs_size=self.max_lhs_size,
-        )
-        for name in (
-            "pruned_exact",
-            "pruned_key",
-            "statistics_computed",
-            "dropped_non_minimal",
-        ):
-            setattr(result, name, int(self.counters.get(name, 0)))
-        return result
 
     def accepted(self, measure: str) -> List[ScoredFd]:
         """Candidates meeting the measure's threshold, best score first."""

@@ -37,7 +37,7 @@ holds.  The ``repro.obs`` counters prove it:
 **Bit-identity.**  Every cached artifact is exactly what the direct call
 path would produce — :meth:`score` equals ``FdStatistics.compute`` +
 ``score_from_statistics``, :meth:`discover` equals
-:func:`~repro.discovery.single.discover_afds` on the session's source
+:func:`~repro.discovery.discover_afds` on the session's source
 (the static relation, the chunked store or the dynamic snapshot), and
 dynamic re-scoring equals a from-scratch recompute on the
 snapshot (the ``repro.stream`` contract) — so session results are
@@ -140,7 +140,6 @@ class AfdSession:
         self._expectation_cells: ExpectationCells = {}
         #: ``dynamic.version`` the statistics cache was built against.
         self._cache_version = None if self._dynamic is None else self._dynamic.version
-        self._last_discovery: Optional[DiscoveryResult] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -407,8 +406,8 @@ class AfdSession:
         Statistics computed here stay in the session, so a follow-up
         :meth:`score` of any non-pruned candidate is a cache hit.
         """
-        from repro.discovery.cover import minimal_cover as reduce_cover
-        from repro.discovery.lattice import lattice_discover
+        from repro.discovery import discover_afds
+        from repro.discovery import minimal_cover as reduce_cover
 
         with self._lock:
             chosen = self._select(measures)
@@ -420,7 +419,7 @@ class AfdSession:
             # A chunked store has no row list: never touch self.relation.
             source = self._chunked if self._chunked is not None else self.relation
             with span("discovery", relation=self.name):
-                raw = lattice_discover(
+                result = discover_afds(
                     source,
                     measures=chosen,
                     threshold=threshold,
@@ -430,32 +429,12 @@ class AfdSession:
                     statistics_provider=provider,
                 )
             if minimal_cover:
-                raw = reduce_cover(raw)
+                result = reduce_cover(result)
             get_registry().inc(
                 "session_operations_total", relation=self.name, op="discover"
             )
-            result = DiscoveryResult.from_discovery(raw, epoch=self._epoch)
-            self._last_discovery = result
+            result.epoch = self._epoch
             return result
-
-    def minimal_cover(
-        self, result: Optional[DiscoveryResult] = None
-    ) -> DiscoveryResult:
-        """Minimal-cover reduction of ``result`` (default: last discovery)."""
-        from repro.discovery.cover import minimal_cover as reduce_cover
-
-        with self._lock:
-            if result is None:
-                result = self._last_discovery
-            if result is None:
-                raise ValueError(
-                    "no discovery result to reduce; run discover() first or pass one"
-                )
-            reduced = DiscoveryResult.from_discovery(
-                reduce_cover(result.to_discovery()), epoch=result.epoch
-            )
-            self._last_discovery = reduced
-            return reduced
 
     # ------------------------------------------------------------------
     # Dynamic sessions

@@ -539,9 +539,9 @@ def _check_discovery(case: Case, rows: List[Row], failures: List[str]) -> None:
             session = AfdSession(_replayed_store(case), measures=measures)
             results[f"{kernel_name}/dynamic"] = session.discover(
                 threshold=0.0, max_lhs_size=2
-            ).to_discovery()
+            )
     fingerprints = {
-        path: ([(c.fd, c.scores, c.exact) for c in result.candidates], result.counters())
+        path: ([(c.fd, c.scores, c.exact) for c in result.candidates], result.counters)
         for path, result in results.items()
     }
     first_path, first = next(iter(fingerprints.items()))
@@ -573,7 +573,7 @@ def _check_discovery(case: Case, rows: List[Row], failures: List[str]) -> None:
             counters["pruned_key"] += 1
         else:
             counters["statistics_computed"] += 1
-    reported = {name: results[first_path].counters()[name] for name in counters}
+    reported = {name: results[first_path].counters[name] for name in counters}
     if reported != counters:
         failures.append(f"discovery counters {reported}, expected {counters}")
     for candidate in results[first_path].candidates:

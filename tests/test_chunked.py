@@ -766,15 +766,30 @@ def random_csv_text(rng: random.Random, delimiter: str) -> str:
     return ("\ufeff" if rng.random() < 0.2 else "") + text
 
 
-def csv_module_read(path, compressed, delimiter, max_rows, batch_rows):
-    """``csv.reader`` over ``open(..., newline="")``, batched and checked
-    as :func:`read_raw_batches` batches and checks."""
+def open_text(path, compressed):
     if compressed:
-        handle = gzip.open(path, "rt", encoding="utf-8-sig", newline="")
-    else:
-        handle = open(path, encoding="utf-8-sig", newline="")
-    with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        return gzip.open(path, "rt", encoding="utf-8-sig", newline="")
+    return open(path, encoding="utf-8-sig", newline="")
+
+
+def blank_rows(path, compressed, delimiter):
+    """The ``[]`` rows (blank lines) ``csv.reader`` yields before any error."""
+    count = 0
+    with open_text(path, compressed) as handle:
+        try:
+            for row in csv.reader(handle, delimiter=delimiter):
+                count += not row
+        except csv.Error:
+            pass
+    return count
+
+
+def csv_module_read(path, compressed, delimiter, max_rows, batch_rows):
+    """``csv.reader`` over ``open(..., newline="")`` less the ``[]`` rows
+    of blank lines, batched and checked as :func:`read_raw_batches`
+    batches and checks."""
+    with open_text(path, compressed) as handle:
+        reader = filter(None, csv.reader(handle, delimiter=delimiter))
         header = next(reader, None)
         if header is None:
             raise ValueError("empty")
@@ -844,7 +859,12 @@ class TestBlockReader:
             expected = outcome(
                 csv_module_read, path, compression != "plain", delimiter, max_rows, batch_rows
             )
-            kinds[expected if isinstance(expected, type) else "rows"] += 1
+            if isinstance(expected, type):
+                kinds[expected] += 1
+            else:
+                kinds["rows"] += 1
+                if blank_rows(path, compression != "plain", delimiter):
+                    kinds["rows past a blank line"] += 1
             context = (case, raw[:200], compression, max_rows, batch_rows)
             for block_bytes in (1, 2, 5, 16, 64, 1 << 16):
                 with small_batches(rows=batch_rows, block_bytes=block_bytes):
@@ -869,10 +889,27 @@ class TestBlockReader:
             else:
                 rows = typed([tuple(map(reference_cell, row)) for row in expected[1]])
                 assert [typed(read) for read in typed_reads] == [rows, rows], context
-        # Each outcome occurs: rows, a ragged or blank line, and a field
-        # past the limit (or, before Python 3.11, a NUL); and both parsers run.
-        assert kinds["rows"] > 120 and kinds[ValueError] > 60 and kinds[csv.Error] > 10, kinds
+        # Each outcome occurs: rows (some read past blank lines), a ragged
+        # line or no header, and a field past the limit (or, before Python
+        # 3.11, a NUL); and both parsers run.
+        assert kinds["rows"] > 120 and kinds["rows past a blank line"] > 40, kinds
+        assert kinds[ValueError] > 20 and kinds[csv.Error] > 10, kinds
         assert splits[True] > 3_000 and splits[False] > 1_000, splits
+
+    def test_blank_lines_are_no_rows(self, tmp_path):
+        # A blank line anywhere, a trailing one included, is skipped by the
+        # split path and by csv.reader (the quoted cell sends it there).
+        path = tmp_path / "blank.csv"
+        for text in ("a,b\n1,2\n\n3,4\n\n", 'a,b\r\n\r\n"1",2\r\n\r\n3,4\r\n'):
+            path.write_bytes(text.encode())
+            assert list(read_csv(path)) == [(1, 2), (3, 4)], text
+            assert list(ChunkedRelation.read_csv(path).iter_rows()) == [(1, 2), (3, 4)], text
+        # Only blank lines is still no header; a whitespace-only line is a row.
+        for text, error in (("\n\r\n\n", "is empty"), ("a,b\n \n", r"row \[' '\]")):
+            path.write_bytes(text.encode())
+            for reader in (read_csv, ChunkedRelation.read_csv):
+                with pytest.raises(ValueError, match=error):
+                    reader(path)
 
     def test_blocks_stay_bounded_for_every_line_end(self, tmp_path):
         # A block ends at its last line end, a bare carriage return

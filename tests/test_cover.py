@@ -1,25 +1,27 @@
 """Minimal-cover reduction of discovered AFD sets."""
 
 from oracle import kernel
-from repro.discovery import discover_afds, minimal_cover
+from repro.discovery import DiscoveryResult, discover_afds, minimal_cover
 from repro.discovery.cover import is_implied, minimal_exact_lhs_sets
-from repro.discovery.single import CandidateScore, DiscoveryResult
 from repro.relation import FunctionalDependency, Relation
+from repro.service import ScoredFd
 
 
 def make_result(candidates):
     names = ["g3"]
     return DiscoveryResult(
-        relation_name="t",
+        relation="t",
         measure_names=names,
         thresholds={"g3": 0.5},
         candidates=candidates,
+        counters={"candidates": len(candidates)},
         max_lhs_size=2,
     )
 
 
 def candidate(lhs, rhs, score=1.0, exact=False):
-    return CandidateScore(FunctionalDependency(lhs, rhs), {"g3": score}, exact=exact)
+    fd = FunctionalDependency(lhs, rhs)
+    return ScoredFd(fd.lhs, fd.rhs, {"g3": score}, exact=exact)
 
 
 def test_minimal_cover_drops_superset_of_exact_lhs():
@@ -28,8 +30,7 @@ def test_minimal_cover_drops_superset_of_exact_lhs():
     other = candidate(["B"], "C", score=0.7, exact=False)
     reduced = minimal_cover(make_result([exact, implied, other]))
     assert [c.fd for c in reduced.candidates] == [exact.fd, other.fd]
-    assert reduced.dropped_non_minimal == 1
-    assert reduced.counters()["dropped_non_minimal"] == 1
+    assert reduced.counters == {"candidates": 2, "dropped_non_minimal": 1}
 
 
 def test_minimal_cover_keeps_unrelated_rhs():
@@ -37,7 +38,7 @@ def test_minimal_cover_keeps_unrelated_rhs():
     different_rhs = candidate(["A", "B"], "D", exact=True)
     reduced = minimal_cover(make_result([exact, different_rhs]))
     assert len(reduced.candidates) == 2
-    assert reduced.dropped_non_minimal == 0
+    assert reduced.counters["dropped_non_minimal"] == 0
 
 
 def test_minimal_cover_never_drops_approximate_candidates():
@@ -57,7 +58,7 @@ def test_minimal_cover_is_idempotent():
     once = minimal_cover(result)
     twice = minimal_cover(once)
     assert [c.fd for c in once.candidates] == [c.fd for c in twice.candidates]
-    assert twice.dropped_non_minimal == once.dropped_non_minimal
+    assert twice.counters == once.counters
 
 
 def test_minimal_exact_lhs_sets_keeps_only_inclusion_minimal():
@@ -81,7 +82,12 @@ def test_minimal_cover_on_real_lattice_result():
     with kernel("python"):
         result = discover_afds(relation, threshold=0.0, max_lhs_size=2)
     reduced = minimal_cover(result)
-    assert reduced.dropped_non_minimal > 0
+    dropped = reduced.counters["dropped_non_minimal"]
+    assert dropped > 0
+    assert reduced.counters == dict(
+        result.counters, candidates=len(reduced.candidates), dropped_non_minimal=dropped
+    )
+    assert len(reduced.candidates) + dropped == len(result.candidates)
     implied_fd = FunctionalDependency(["A", "B"], "C")
     assert implied_fd in {c.fd for c in result.candidates}
     assert implied_fd not in {c.fd for c in reduced.candidates}

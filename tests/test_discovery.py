@@ -41,7 +41,7 @@ def test_exact_fds_are_pruned_and_score_one():
         (("city", "zip"), ("country",)),
         (("city", "country"), ("zip",)),
     }
-    assert deep.pruned_exact == len(pruned) == 2
+    assert deep.counters["pruned_exact"] == len(pruned) == 2
     for candidate in pruned:
         assert all(score == 1.0 for score in candidate.scores.values())
 
@@ -102,7 +102,7 @@ def test_nulls_fall_back_to_paper_semantics():
     # is satisfied on the remaining rows and every measure scores 1.
     assert candidate.exact
     assert all(score == 1.0 for score in candidate.scores.values())
-    assert result.pruned_exact == 0  # decided by the statistics pass
+    assert result.counters["pruned_exact"] == 0  # decided by the statistics pass
 
 
 def test_key_lhs_is_always_exact():
@@ -133,7 +133,7 @@ def test_chunked_discovery_matches_materialised(kernel_name):
         streamed = discover_afds(chunked, threshold=0.0)
         materialised = brute_force_afds(relation, threshold=0.0, max_lhs_size=1)
     assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
-    assert streamed.counters()["candidates"] == materialised.counters()["candidates"]
+    assert streamed.counters["candidates"] == materialised.counters["candidates"]
 
 
 @pytest.mark.parametrize("kernel_name", KERNELS)
@@ -155,7 +155,7 @@ def test_chunked_discovery_matches_lattice_with_nulls(kernel_name):
             streamed = discover_afds(chunked, threshold=0.0, max_lhs_size=depth)
             materialised = discover_afds(relation, threshold=0.0, max_lhs_size=depth)
         assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
-        assert streamed.counters() == materialised.counters()
+        assert streamed.counters == materialised.counters
 
 
 def test_discover_afds_routes_chunked_relations():

@@ -101,8 +101,8 @@ def test_discovery_reports_the_passes_brute_force_runs():
     entry = run_discovery(config, output_dir=None)["relations"][0]
     relation = build_dataset("R1", num_rows=400, seed=0).relation
     brute = brute_force_afds(relation, measures=subset(("g3",)), max_lhs_size=2)
-    assert entry["brute_force_statistics"] == brute.statistics_computed
-    assert entry["candidates"] < brute.statistics_computed
+    assert entry["brute_force_statistics"] == brute.counters["statistics_computed"]
+    assert entry["candidates"] < brute.counters["statistics_computed"]
 
 
 def test_cli_discovery_benchmark(tmp_path):

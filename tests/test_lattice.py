@@ -8,7 +8,7 @@ import pytest
 from oracle import UNREADABLE_CSVS, requires_numpy
 from repro.core import FdStatistics
 from repro.core.registry import subset
-from repro.discovery import brute_force_afds, discover_afds, lattice_discover
+from repro.discovery import brute_force_afds, discover_afds
 from repro.relation import FunctionalDependency, Relation
 
 LATTICE_MEASURES = ("rho", "g2", "g3", "g3_prime", "g1", "g1_prime", "pdep", "tau", "mu_plus")
@@ -81,7 +81,7 @@ def test_lattice_candidate_grid_without_keys_is_exhaustive():
     relation = random_relation(1)  # 4 attributes, no keys at 30 rows
     result = discover_afds(relation, measures=lattice_measures(), threshold=0.0, max_lhs_size=2)
     # level 1: 4*3 ordered pairs; level 2: C(4,2)=6 LHS sets x 2 remaining RHS.
-    assert result.pruned_key == 0
+    assert result.counters["pruned_key"] == 0
     assert len(result.candidates) == 12 + 12
     lhs_sizes = {len(candidate.fd.lhs) for candidate in result.candidates}
     assert lhs_sizes == {1, 2}
@@ -104,7 +104,7 @@ def test_multi_attribute_candidates_flow_through_measures():
 def test_key_lhs_candidates_score_one_and_are_not_expanded():
     relation = wide_relation()
     result = discover_afds(relation, measures=lattice_measures(), threshold=0.0, max_lhs_size=2)
-    assert result.pruned_key >= 9  # the key column against every other attribute
+    assert result.counters["pruned_key"] >= 9  # the key column against every other attribute
     for candidate in result.candidates:
         if "a0" in candidate.fd.lhs:
             # a0 is a key: only level-1 candidates, all exact 1.0 — supersets
@@ -148,11 +148,11 @@ def test_statistics_counter_beats_brute_force_on_wide_relation():
         FdStatistics.compute = classmethod(original)
     brute = brute_force_afds(relation, measures=measures, threshold=0.0, max_lhs_size=2)
     # The counter reflects the real number of statistics passes...
-    assert compute_calls["lattice"] == lattice.statistics_computed
+    assert compute_calls["lattice"] == lattice.counters["statistics_computed"]
     # ...which beats one-pass-per-candidate brute force on both pool sizes.
-    assert lattice.statistics_computed < len(lattice.candidates)
-    assert lattice.statistics_computed < brute.statistics_computed
-    assert lattice.pruned_exact > 0 and lattice.pruned_key > 0
+    assert lattice.counters["statistics_computed"] < len(lattice.candidates)
+    assert lattice.counters["statistics_computed"] < brute.counters["statistics_computed"]
+    assert lattice.counters["pruned_exact"] > 0 and lattice.counters["pruned_key"] > 0
     # Identical scores wherever both enumerate the candidate.
     brute_by_fd = {candidate.fd: candidate for candidate in brute.candidates}
     for candidate in lattice.candidates:
@@ -190,7 +190,7 @@ def test_invalid_parameters_raise():
     with pytest.raises(ValueError):
         discover_afds(relation, max_lhs_size=0)
     with pytest.raises(ValueError):
-        lattice_discover(relation, max_lhs_size=-1)
+        discover_afds(relation, max_lhs_size=-1)
     # A repeated attribute would enumerate every candidate twice.
     with pytest.raises(ValueError, match="'a'"):
         discover_afds(relation, lhs_attributes=["a", "a"], max_lhs_size=2)
@@ -231,7 +231,7 @@ def test_lhs_restriction_bounds_the_lattice():
 def test_counters_mapping_is_consistent():
     relation = wide_relation()
     result = discover_afds(relation, measures=subset(("g3",)), threshold=0.0, max_lhs_size=2)
-    counters = result.counters()
+    counters = result.counters
     assert counters["candidates"] == len(result.candidates)
     assert (
         counters["pruned_exact"] + counters["pruned_key"] + counters["statistics_computed"]
@@ -328,6 +328,16 @@ def test_cli_rejects_unknown_measures(tmp_path, capsys):
     exit_code = discovery_main([str(csv_path), "--measures", "nope"])
     assert exit_code == 2
     assert "unknown measures" in capsys.readouterr().err
+
+
+@requires_numpy
+def test_cli_skips_blank_lines(tmp_path):
+    csv_path = tmp_path / "blank.csv"
+    csv_path.write_text("a,b\n1,2\n\n3,4\n\n")
+    out_path = tmp_path / "result.json"
+    assert discovery_main([str(csv_path), "--output", str(out_path)]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["num_rows"] == 2 and payload["counters"]["candidates"] == 2
 
 
 @requires_numpy

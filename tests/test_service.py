@@ -25,6 +25,7 @@ Tests that need numpy are marked; the remainder also run in the
 no-numpy CI job.
 """
 
+import contextlib
 import json
 import random
 import threading
@@ -274,7 +275,7 @@ def test_discover_matches_discover_afds(kernel_name):
     assert [(c.fd, c.scores, c.exact) for c in result.candidates] == [
         (c.fd, c.scores, c.exact) for c in reference.candidates
     ]
-    assert result.counters == reference.counters()
+    assert result.counters == reference.counters
 
 
 @pytest.mark.parametrize("kernel_name", KERNELS)
@@ -289,7 +290,7 @@ def test_chunked_session_discover_matches_relation_discover(kernel_name):
     with kernel(kernel_name):
         result = session.discover(threshold=0.5)
         reference = discover_afds(store.to_relation(), measures=MEASURES, threshold=0.5)
-        assert result == DiscoveryResult.from_discovery(reference)
+        assert result == reference
         # The session kept every statistics pass: a rerun computes none.
         again = session.discover(threshold=0.5)
         assert again.candidates == result.candidates
@@ -299,28 +300,23 @@ def test_chunked_session_discover_matches_relation_discover(kernel_name):
         reference = discover_afds(
             store.to_relation(), measures=MEASURES, threshold=0.5, max_lhs_size=2
         )
-    assert deep == DiscoveryResult.from_discovery(reference)
+    assert deep == reference
     assert any(len(candidate.lhs) == 2 for candidate in deep.candidates)
 
 
 def test_minimal_cover_matches_cover_reduction():
-    relation = small_relation()
-    session = AfdSession(relation, measures=MEASURES)
-    session.discover(threshold=0.9, max_lhs_size=2)
-    reduced = session.minimal_cover()
-    reference = minimal_cover(
-        discover_afds(small_relation(), measures=MEASURES, threshold=0.9, max_lhs_size=2)
+    # One reduction for every caller: the session's flag, and the library
+    # function over a session result or over the engine's result.
+    options = dict(threshold=0.9, max_lhs_size=2)
+    flagged = AfdSession(small_relation(), measures=MEASURES).discover(
+        minimal_cover=True, **options
     )
-    assert [(c.fd, c.exact) for c in reduced.candidates] == [
-        (c.fd, c.exact) for c in reference.candidates
-    ]
-    assert reduced.counters["dropped_non_minimal"] == reference.dropped_non_minimal
-
-
-def test_minimal_cover_without_discovery_raises():
-    session = AfdSession(small_relation(), measures=MEASURES)
-    with pytest.raises(ValueError):
-        session.minimal_cover()
+    reduced = minimal_cover(AfdSession(small_relation(), measures=MEASURES).discover(**options))
+    full = discover_afds(small_relation(), measures=MEASURES, **options)
+    assert flagged == reduced == minimal_cover(full)
+    dropped = flagged.counters["dropped_non_minimal"]
+    assert dropped > 0
+    assert flagged.counters["candidates"] + dropped == len(full.candidates)
 
 
 def test_score_accepts_text_and_request_forms():
@@ -594,7 +590,8 @@ def test_dynamic_discover_matches_static_discovery():
     assert [(c.fd, c.scores, c.exact) for c in result.candidates] == [
         (c.fd, c.scores, c.exact) for c in reference.candidates
     ]
-    assert result.counters == reference.counters()
+    assert result.counters == reference.counters
+    assert result.epoch == session.epoch == 2 and reference.epoch == 0
     # Discovery did not enrol trackers for the whole candidate grid.
     assert session.tracked_fds() == []
 
@@ -841,18 +838,28 @@ def test_routing_table_dispatch():
     assert excinfo.value.code == "unknown_route"
 
 
-@pytest.mark.parametrize("mode", ["inline", "sharded"])
-@pytest.mark.parametrize("name", ["a b", "a/b", "é"])
-def test_percent_encoded_relation_names_are_addressable(mode, name):
-    """``/v1/relations/<quote(name)>/...`` reaches the relation ``name``."""
+@contextlib.contextmanager
+def serving(mode):
+    """The base URL of an in-process (``inline``) or 2-worker sharded server."""
     if mode == "inline":
         server, _ = make_server()
     else:
         server, _ = make_sharded_server(workers=2)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    base = "http://{0}:{1}".format(*server.server_address)
     try:
+        yield "http://{0}:{1}".format(*server.server_address)
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+
+
+@pytest.mark.parametrize("mode", ["inline", "sharded"])
+@pytest.mark.parametrize("name", ["a b", "a/b", "é"])
+def test_percent_encoded_relation_names_are_addressable(mode, name):
+    """``/v1/relations/<quote(name)>/...`` reaches the relation ``name``."""
+    with serving(mode) as base:
         status, body, _ = _register(base, name=name)
         assert status == 201 and body["name"] == name
         quoted = urllib.parse.quote(name, safe="")
@@ -862,10 +869,21 @@ def test_percent_encoded_relation_names_are_addressable(mode, name):
         assert status == 200 and scored["relation"] == name
         reference = AfdSession(small_relation(name), measures=MEASURES).score("zip -> city")
         assert scored["scores"] == reference.scores
-    finally:
-        server.shutdown()
-        thread.join(timeout=10)
-        server.server_close()
+
+
+@pytest.mark.parametrize("mode", ["inline", "sharded"])
+def test_http_discover_equals_library_discovery(mode):
+    """``POST /v1/relations/<name>/discover`` answers the library's result."""
+    with serving(mode) as base:
+        _register(base)
+        status, found, _ = _post(
+            f"{base}/v1/relations/demo/discover",
+            {"threshold": 0.5, "max_lhs_size": 2, "minimal_cover": True},
+        )
+    assert status == 200
+    reference = minimal_cover(discover_afds(small_relation(), threshold=0.5, max_lhs_size=2))
+    assert reference.counters["dropped_non_minimal"] > 0
+    assert stable_view(found) == stable_view(reference.to_dict())
 
 
 def test_server_error_paths(service):
@@ -962,7 +980,7 @@ def test_dispatcher_version_and_usage(capsys):
 
 
 @requires_numpy  # the discovery CLI imports the numpy-backed RWD datasets
-def test_dispatcher_routes_to_discovery(tmp_path, capsys):
+def test_dispatcher_runs_the_discovery_cli(tmp_path, capsys):
     from repro.__main__ import main
 
     csv_path = tmp_path / "demo.csv"
