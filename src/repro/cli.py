@@ -1,16 +1,21 @@
-"""argparse value types shared by the command-line tools.
+"""argparse value types and the relation source shared by the command-line tools.
 
 A value that would make a run meaningless (no rows, a zero smoothing
 parameter, an empty window or list) is rejected while the arguments are
 parsed, so the tool exits with a usage error (status 2) instead of a
-traceback.
+traceback.  So is a CSV file that cannot be read (:func:`load_source`).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import math
-from typing import Callable, Tuple, TypeVar
+import sys
+from typing import Callable, Optional, Tuple, TypeVar
+
+from repro.relation.io import read_csv
+from repro.relation.relation import Relation
 
 T = TypeVar("T")
 
@@ -75,3 +80,59 @@ def comma_list(item: Callable[[str], T]) -> Callable[[str], Tuple[T, ...]]:
         return tuple(values)
 
     return parse
+
+
+def _dataset_keys() -> Tuple[str, ...]:
+    try:  # The named RWD datasets need numpy; a CSV file does not.
+        from repro.rwd.datasets import dataset_keys
+    except ImportError:
+        return ()
+    return tuple(dataset_keys())
+
+
+def add_source_arguments(parser: argparse.ArgumentParser, rows: int) -> None:
+    """Add the relation source: a CSV file, or ``--dataset`` with ``--rows`` and ``--seed``.
+
+    ``rows`` is the tool's default ``--rows``.  Without numpy no RWD
+    dataset can be built, so ``--dataset`` accepts no name and only a
+    CSV file is read.
+    """
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "csv",
+        nargs="?",
+        default=None,
+        help="relation CSV file (header row; empty/NULL/NA cells become NULL)",
+    )
+    source.add_argument(
+        "--dataset",
+        choices=_dataset_keys(),
+        help="named RWD stand-in dataset instead of a CSV file (needs numpy)",
+    )
+    parser.add_argument(
+        "--rows",
+        type=positive_int,
+        default=rows,
+        help=f"rows for --dataset relations (default: {rows})",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed for --dataset relations (default: 0)"
+    )
+
+
+def load_source(args: argparse.Namespace) -> Optional[Relation]:
+    """The relation :func:`add_source_arguments` named in ``args``.
+
+    ``None`` when the CSV file cannot be read (missing, empty, ragged,
+    not UTF-8, a truncated or corrupt gzip); one line naming the file
+    has then gone to stderr, and the tool exits 2.
+    """
+    if args.dataset is not None:
+        from repro.rwd.datasets import build_dataset
+
+        return build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
+    try:
+        return read_csv(args.csv)
+    except (OSError, ValueError, csv.Error) as error:
+        print(f"cannot read {args.csv}: {error}", file=sys.stderr)
+        return None

@@ -26,12 +26,10 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.cli import positive_float, positive_int
+from repro.cli import add_source_arguments, load_source, positive_float, positive_int
 from repro.core.registry import all_measures, select_measures
 from repro.relation.attribute import attribute_label
-from repro.relation.io import read_csv
 from repro.relation.relation import Relation
-from repro.rwd.datasets import build_dataset, dataset_keys
 from repro.service.model import DiscoveryResult
 from repro.service.session import AfdSession
 
@@ -42,27 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discover approximate functional dependencies with every "
         "registered AFD measure.",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "csv",
-        nargs="?",
-        default=None,
-        help="relation CSV file (header row; empty/NULL/NA cells become NULL)",
-    )
-    source.add_argument(
-        "--dataset",
-        choices=dataset_keys(),
-        help="named RWD stand-in dataset instead of a CSV file",
-    )
-    parser.add_argument(
-        "--rows",
-        type=positive_int,
-        default=400,
-        help="rows for --dataset relations (default: 400)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for --dataset relations (default: 0)"
-    )
+    add_source_arguments(parser, rows=400)
     parser.add_argument(
         "--max-lhs-size",
         type=positive_int,
@@ -163,14 +141,9 @@ def _write_output(text: str, output: str) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.dataset is not None:
-        relation = build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
-    else:
-        try:
-            relation = read_csv(args.csv)
-        except (OSError, ValueError, csv.Error) as error:
-            print(f"cannot read {args.csv}: {error}", file=sys.stderr)
-            return 2
+    relation = load_source(args)
+    if relation is None:
+        return 2
     try:
         measures = select_measures(all_measures(sfi_alpha=args.sfi_alpha), args.measures)
     except KeyError as error:

@@ -1,10 +1,10 @@
 """The evaluation harness: PR-AUC, rank-at-max-recall, separation, runtimes.
 
-Labels benchmark tables via :attr:`BenchmarkTable.positive`, scores every
-registered measure over a benchmark (sharing one sufficient-statistics
-computation per table across all measures), and aggregates the ranking
-metrics the paper compares measures by (Section VI-B), with wall-clock
-runtime statistics on the side (Table V).
+Labels benchmark tables via :attr:`~repro.synthetic.TableSpec.positive`,
+scores every registered measure over a benchmark (sharing one
+sufficient-statistics computation per table across all measures), and
+aggregates the ranking metrics the paper compares measures by (Section
+VI-B), with wall-clock runtime statistics on the side (Table V).
 """
 
 from repro.evaluation.harness import EvaluationResult, evaluate_specs

@@ -47,8 +47,8 @@ def _score_spec(task: Tuple[TableSpec, MeasureConfig]) -> TableScore:
     from repro.service.session import AfdSession
 
     spec, config = task
-    table = spec.materialize()
-    session = AfdSession(table.relation, measures=config.build())
+    relation = spec.materialize()
+    session = AfdSession(relation, measures=config.build())
     profile = session.score(SYNTHETIC_FD)
     return TableScore(
         table=spec.name,
@@ -57,7 +57,7 @@ def _score_spec(task: Tuple[TableSpec, MeasureConfig]) -> TableScore:
         index=spec.index,
         positive=spec.positive,
         parameter_value=spec.parameter_value,
-        num_rows=table.relation.num_rows,
+        num_rows=relation.num_rows,
         statistics_seconds=profile.statistics_seconds,
         scores=profile.scores,
         runtimes=profile.runtimes,

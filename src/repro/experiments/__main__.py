@@ -29,26 +29,13 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.cli import (
-    comma_list,
-    non_negative_int,
-    positive_float,
-    positive_int,
-    unit_fraction,
-)
+from repro.cli import comma_list, positive_float, positive_int, unit_fraction
 from repro.core.registry import paper_label
 from repro.errors.channels import ErrorType
 from repro.experiments.discovery import DiscoveryConfig, run_discovery
 from repro.experiments.plotting import PLOT_FORMATS, run_plot
 from repro.experiments.properties import PropertiesConfig, run_properties
-from repro.experiments.runtime import (
-    SMOKE_CHUNK_SIZE,
-    SMOKE_CHUNKED_DISCOVERY_ROWS,
-    SMOKE_REPEATS,
-    SMOKE_SIZES,
-    RuntimeConfig,
-    run_runtime,
-)
+from repro.experiments.runtime import RuntimeConfig, run_runtime
 from repro.experiments.rwde import RwdeConfig, run_rwde
 from repro.experiments.sensitivity import SensitivityConfig, run_sensitivity
 
@@ -158,39 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="timed repetitions per relation (default: %(default)s)",
     )
     parser.add_argument(
-        "--runtime-chunked-discovery-rows",
-        type=non_negative_int,
-        default=RuntimeConfig.chunked_discovery_rows,
-        help="row count of the runtime benchmark's chunked-discovery parity "
-        "section; 0 disables it (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--runtime-chunk-size",
-        type=positive_int,
-        default=RuntimeConfig.chunk_size,
-        help="rows per stored chunk of the runtime benchmark's chunked "
-        "relations (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--runtime-discovery-rows",
-        type=non_negative_int,
-        default=0,
-        help="row count of the out-of-core chunked-discovery smoke (streamed "
-        "ingest + discovery under a tracemalloc row-list "
-        "guard); 0 disables it (default: 0; pass e.g. 10000000 for the "
-        "10M-row smoke)",
-    )
-    parser.add_argument(
         "--bench-path",
         default="BENCH_runtime.json",
         help="where the runtime benchmark record is written "
         "(default: %(default)s; '-' to skip)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smoke-scale runtime benchmark (small fixed relations, fewer "
-        "repeats, a smaller parity section) for CI artifact validation",
     )
     parser.add_argument(
         "--plot",
@@ -309,23 +267,8 @@ def _run_discovery(args: argparse.Namespace, output_dir: Optional[str]) -> None:
 
 
 def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
-    if args.smoke:
-        sizes: tuple = SMOKE_SIZES
-        repeats = SMOKE_REPEATS
-        chunked_discovery_rows = SMOKE_CHUNKED_DISCOVERY_ROWS
-        chunk_size = SMOKE_CHUNK_SIZE
-    else:
-        sizes = args.runtime_sizes
-        repeats = args.runtime_repeats
-        chunked_discovery_rows = args.runtime_chunked_discovery_rows
-        chunk_size = args.runtime_chunk_size
     config = RuntimeConfig(
-        sizes=sizes,
-        repeats=repeats,
-        sfi_alpha=args.sfi_alpha,
-        chunked_discovery_rows=chunked_discovery_rows,
-        chunk_size=chunk_size,
-        discovery_rows=args.runtime_discovery_rows,
+        sizes=args.runtime_sizes, repeats=args.runtime_repeats, sfi_alpha=args.sfi_alpha
     )
     bench_path = None if args.bench_path == "-" else args.bench_path
     started = time.perf_counter()
@@ -341,24 +284,6 @@ def _run_runtime(args: argparse.Namespace, output_dir: Optional[str]) -> None:
             f"{entry['statistics_seconds_median'] * 1000:>9.2f} "
             f"{entry['total_seconds_median'] * 1000:>9.2f}"
         )
-    discovery = payload.get("chunked_discovery")
-    if discovery is not None:
-        if "seconds" in discovery:  # type: ignore[operator]
-            print(
-                f"\nChunked discovery ({discovery['name']}, "  # type: ignore[index]
-                f"parity-asserted vs brute force): "
-                f"{discovery['seconds'] * 1000:.2f} ms for "  # type: ignore[index]
-                f"{discovery['candidates']} candidates"  # type: ignore[index]
-            )
-        smoke = discovery.get("smoke")  # type: ignore[union-attr]
-        if smoke is not None:
-            print(
-                f"out-of-core smoke: {smoke['num_rows']} rows ingested in "
-                f"{smoke['ingest_seconds']:.1f}s, discovered in "
-                f"{smoke['discover_seconds']:.1f}s, peak "
-                f"{smoke['peak_bytes'] / 1e6:.0f} MB < budget "
-                f"{smoke['budget_bytes'] / 1e6:.0f} MB (row-list free)"
-            )
     if output_dir is not None:
         print(f"artifacts: {output_dir}/runtime/{{summary.json,summary.csv}}")
     if bench_path is not None:

@@ -17,14 +17,13 @@ the worker's histogram registry (where the stage actually ran), not
 double-counted at the front end.
 
 Stage vocabulary (the ``stage_seconds{stage=...}`` histogram): ``parse``
-(request body decode), ``pipe`` (dispatch + pipe round-trip), ``execute``
-(worker/inline operation), ``statistics`` (one FD statistics pass),
-``scoring`` (measure evaluation), ``expectation`` (the RFI+/RFI'+
-permutation expectation of one statistics object; its time is also part
-of ``scoring``), ``delta`` (one accepted ``apply_delta`` batch's row
-mutation plus its incremental-tracker maintenance; the re-scores that
-follow record their own ``statistics`` spans), ``discovery`` (lattice /
-chunked screen).
+(request body decode), ``pipe`` (dispatch + pipe round-trip),
+``statistics`` (one FD statistics pass), ``scoring`` (measure
+evaluation), ``expectation`` (the RFI+/RFI'+ permutation expectation of
+one statistics object; its time is also part of ``scoring``), ``delta``
+(one accepted ``apply_delta`` batch's row mutation plus its
+incremental-tracker maintenance; the re-scores that follow record their
+own ``statistics`` spans), ``discovery`` (one lattice traversal).
 
 Like all of ``repro.obs``, tracing is read-only with respect to
 results: with no current trace (or a disabled registry) every call here
@@ -66,7 +65,12 @@ class Trace:
         self.spans: List[Dict[str, object]] = []
 
     def record(self, name: str, seconds: float, **extra) -> None:
-        """Append one span (also observed into ``stage_seconds``)."""
+        """Append one span to this trace.
+
+        Only the trace changes: :func:`add_span` observes
+        ``stage_seconds`` before it calls this, and so does the shard
+        dispatcher before it records a ``pipe`` span.
+        """
         span_ = {"name": name, "seconds": seconds}
         span_.update(extra)
         self.spans.append(span_)

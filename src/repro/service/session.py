@@ -402,9 +402,11 @@ class AfdSession:
 
         Bit-identical to :func:`repro.discovery.discover_afds` with the
         same arguments on the session's source: the static relation, the
-        chunked store (never materialised) or the dynamic snapshot.
-        Statistics computed here stay in the session, so a follow-up
-        :meth:`score` of any non-pruned candidate is a cache hit.
+        chunked store (never materialised) or the dynamic snapshot.  Like
+        every session answer, the result names the session's relation
+        (``name``) and epoch.  Statistics computed here stay in the
+        session, so a follow-up :meth:`score` of any non-pruned candidate
+        is a cache hit.
         """
         from repro.discovery import discover_afds
         from repro.discovery import minimal_cover as reduce_cover
@@ -433,6 +435,7 @@ class AfdSession:
             get_registry().inc(
                 "session_operations_total", relation=self.name, op="discover"
             )
+            result.relation = self.name
             result.epoch = self._epoch
             return result
 

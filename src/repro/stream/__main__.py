@@ -24,28 +24,24 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 from typing import Dict, Iterator, List, Optional
 
-from repro.cli import non_negative_int, positive_float, positive_int
+from repro.cli import (
+    add_source_arguments,
+    load_source,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 from repro.core.registry import all_measures, select_measures
 from repro.core.statistics import FdStatistics
 from repro.relation.fd import FunctionalDependency
-from repro.relation.io import read_csv
 from repro.service.session import AfdSession
 from repro.stream.dynamic import DynamicRelation
 from repro.stream.statistics import assert_scores_identical, assert_statistics_identical
-
-try:  # The named RWD datasets need numpy; CSV monitoring does not.
-    from repro.rwd.datasets import build_dataset, dataset_keys
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    build_dataset = None  # type: ignore[assignment]
-
-    def dataset_keys():
-        return ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,27 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.stream",
         description="Monitor AFD measure scores over a streamed relation.",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "csv",
-        nargs="?",
-        default=None,
-        help="relation CSV file (header row; empty/NULL/NA cells become NULL)",
-    )
-    source.add_argument(
-        "--dataset",
-        choices=dataset_keys(),
-        help="named RWD stand-in dataset instead of a CSV file",
-    )
-    parser.add_argument(
-        "--rows",
-        type=positive_int,
-        default=2000,
-        help="rows for --dataset relations (default: 2000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for --dataset relations (default: 0)"
-    )
+    add_source_arguments(parser, rows=2000)
     parser.add_argument(
         "--fd",
         required=True,
@@ -189,14 +165,9 @@ def monitor(
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.dataset is not None:
-        relation = build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
-    else:
-        try:
-            relation = read_csv(args.csv)
-        except (OSError, ValueError, csv.Error) as error:
-            print(f"cannot read {args.csv}: {error}", file=sys.stderr)
-            return 2
+    relation = load_source(args)
+    if relation is None:
+        return 2
     try:
         fd = FunctionalDependency.parse(args.fd)
     except ValueError as error:

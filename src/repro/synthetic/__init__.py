@@ -1,8 +1,8 @@
 """Synthetic data generation for the sensitivity analysis (Section V).
 
 Provides the Beta-distribution value sampler, the B+/B- relation
-generation process, the controlled error channel, and builders for the
-three synthetic benchmarks ERR, UNIQ and SKEW.
+generation process, the controlled error channel, and the seeded table
+specs of the three synthetic benchmarks ERR, UNIQ and SKEW.
 """
 
 from repro.synthetic.beta import (
@@ -17,33 +17,15 @@ from repro.synthetic.generator import (
     generate_positive_relation,
     sample_parameters,
 )
-from repro.synthetic.benchmarks import (
-    BENCHMARK_KINDS,
-    BenchmarkTable,
-    SyntheticBenchmark,
-    TableSpec,
-    benchmark_specs,
-    build_benchmark_from_specs,
-    build_err_benchmark,
-    build_skew_benchmark,
-    build_uniq_benchmark,
-    iter_benchmark_tables,
-)
+from repro.synthetic.benchmarks import BENCHMARK_KINDS, TableSpec, benchmark_specs
 
 __all__ = [
     "BENCHMARK_KINDS",
-    "BenchmarkTable",
     "GenerationParameters",
-    "SyntheticBenchmark",
     "TableSpec",
     "benchmark_specs",
-    "build_benchmark_from_specs",
-    "iter_benchmark_tables",
     "beta_parameters_for_skewness",
     "beta_skewness",
-    "build_err_benchmark",
-    "build_skew_benchmark",
-    "build_uniq_benchmark",
     "generate_negative_relation",
     "generate_positive_relation",
     "sample_beta_parameters",

@@ -6,54 +6,39 @@ independently), organised in *steps*: per step one controlled parameter —
 the error rate, the LHS-uniqueness, or the RHS-skew — is fixed while the
 other generation parameters are drawn at random (Section V-A).
 
-The paper uses 50 steps x 50 tables per subset; the builders accept both
-values as parameters so laptop-scale runs can use smaller grids while the
-full-paper configuration remains one call away.
+The paper uses 50 steps x 50 tables per subset; :func:`benchmark_specs`
+accepts both values as parameters so laptop-scale runs can use smaller
+grids while the full-paper configuration remains one call away.
 
-Construction is split into two phases so that large benchmarks never have
-to be fully materialised:
+A benchmark is never materialised as a whole:
 
 1. :func:`benchmark_specs` deterministically samples lightweight, picklable
    :class:`TableSpec` descriptions (generation parameters plus a per-table
    seed) from a single root generator;
-2. :meth:`TableSpec.materialize` turns one spec into a concrete
-   :class:`BenchmarkTable`, independently of every other spec.
+2. :meth:`TableSpec.materialize` turns one spec into its concrete
+   :class:`~repro.relation.relation.Relation`, independently of every
+   other spec.
 
 Because each spec carries its own seed, materialisation order — and in
 particular the number of worker processes sharding the specs — has no
-effect on the generated relations.  :func:`iter_benchmark_tables` streams
-tables one at a time; the classical ``build_*_benchmark`` functions remain
-as eager wrappers.
+effect on the generated relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.relation.fd import FunctionalDependency
 from repro.relation.relation import Relation
 from repro.synthetic.beta import beta_parameters_for_skewness
 from repro.synthetic.generator import (
-    SYNTHETIC_FD,
     GenerationParameters,
     generate_negative_relation,
     generate_positive_relation,
     sample_parameters,
 )
-
-
-@dataclass(frozen=True)
-class BenchmarkTable:
-    """One synthetic relation together with its generation metadata."""
-
-    relation: Relation
-    positive: bool
-    step: int
-    parameter_value: float
-    parameters: GenerationParameters
 
 
 @dataclass(frozen=True)
@@ -77,40 +62,16 @@ class TableSpec:
 
     @property
     def name(self) -> str:
-        """The relation name the eager builders have always used."""
+        """The name of the materialised relation, e.g. ``ERR+[step=0,i=1]``."""
         sign = "+" if self.positive else "-"
         return f"{self.benchmark}{sign}[step={self.step},i={self.index}]"
 
-    def materialize(self) -> BenchmarkTable:
-        """Generate the concrete table (deterministic per spec)."""
+    def materialize(self) -> Relation:
+        """Generate the concrete relation (deterministic per spec)."""
         rng = np.random.default_rng(self.seed)
         if self.positive:
-            relation = generate_positive_relation(self.parameters, rng, name=self.name)
-        else:
-            relation = generate_negative_relation(self.parameters, rng, name=self.name)
-        return BenchmarkTable(
-            relation, self.positive, self.step, self.parameter_value, self.parameters
-        )
-
-
-@dataclass
-class SyntheticBenchmark:
-    """A full synthetic benchmark (ERR, UNIQ or SKEW)."""
-
-    name: str
-    parameter_name: str
-    fd: FunctionalDependency
-    tables: List[BenchmarkTable]
-
-    def steps(self) -> List[int]:
-        return sorted({table.step for table in self.tables})
-
-    def parameter_values(self) -> Dict[int, float]:
-        """Controlled parameter value per step."""
-        return {table.step: table.parameter_value for table in self.tables}
-
-    def __len__(self) -> int:
-        return len(self.tables)
+            return generate_positive_relation(self.parameters, rng, name=self.name)
+        return generate_negative_relation(self.parameters, rng, name=self.name)
 
 
 # ----------------------------------------------------------------------
@@ -219,94 +180,13 @@ def benchmark_specs(
     """Deterministic table specs of the ``kind`` benchmark.
 
     ``seed`` defaults to the family's classical seed (0/1/2 for
-    ERR/UNIQ/SKEW), so ``benchmark_specs("err")`` describes exactly the
-    benchmark that :func:`build_err_benchmark` materialises.  ``options``
-    forwards the family-specific sweep bounds (``max_error_rate``,
-    ``min_uniqueness``/``max_uniqueness``, ``max_skew``).
+    ERR/UNIQ/SKEW), so ``benchmark_specs("err")`` describes the paper's
+    50x50 ERR grid.  ``options`` forwards the family-specific sweep
+    bounds: ``max_error_rate`` (default 0.10), ``min_uniqueness`` and
+    ``max_uniqueness`` (0.2 and 0.9), and ``max_skew`` (10.0).
     """
     family = benchmark_kind(kind)
     root_seed = family.default_seed if seed is None else seed
     rng = np.random.default_rng(root_seed)
     values = family.values(steps, options)
     return _build_specs(family, values, tables_per_step, rng, min_rows, max_rows)
-
-
-def iter_benchmark_tables(specs: Sequence[TableSpec]) -> Iterator[BenchmarkTable]:
-    """Stream tables one at a time; only one relation is alive per iteration."""
-    for spec in specs:
-        yield spec.materialize()
-
-
-def build_benchmark_from_specs(specs: Sequence[TableSpec]) -> SyntheticBenchmark:
-    """Eagerly materialise a benchmark from its specs."""
-    if not specs:
-        raise ValueError("cannot build a benchmark from an empty spec list")
-    first = specs[0]
-    tables = [spec.materialize() for spec in specs]
-    return SyntheticBenchmark(first.benchmark, first.parameter_name, SYNTHETIC_FD, tables)
-
-
-def _build_eager(
-    kind: str,
-    steps: int,
-    tables_per_step: int,
-    rng: Optional[np.random.Generator],
-    min_rows: int,
-    max_rows: int,
-    **options,
-) -> SyntheticBenchmark:
-    family = benchmark_kind(kind)
-    root = rng if rng is not None else np.random.default_rng(family.default_seed)
-    values = family.values(steps, options)
-    specs = _build_specs(family, values, tables_per_step, root, min_rows, max_rows)
-    return build_benchmark_from_specs(specs)
-
-
-def build_err_benchmark(
-    steps: int = 50,
-    tables_per_step: int = 50,
-    rng: Optional[np.random.Generator] = None,
-    min_rows: int = 100,
-    max_rows: int = 10_000,
-    max_error_rate: float = 0.10,
-) -> SyntheticBenchmark:
-    """The ERR benchmark: error rate swept from 0 to ``max_error_rate``."""
-    return _build_eager(
-        "err", steps, tables_per_step, rng, min_rows, max_rows, max_error_rate=max_error_rate
-    )
-
-
-def build_uniq_benchmark(
-    steps: int = 50,
-    tables_per_step: int = 50,
-    rng: Optional[np.random.Generator] = None,
-    min_rows: int = 100,
-    max_rows: int = 10_000,
-    min_uniqueness: float = 0.2,
-    max_uniqueness: float = 0.9,
-) -> SyntheticBenchmark:
-    """The UNIQ benchmark: LHS-uniqueness (``|dom(X)| / |R|``) swept upward."""
-    return _build_eager(
-        "uniq",
-        steps,
-        tables_per_step,
-        rng,
-        min_rows,
-        max_rows,
-        min_uniqueness=min_uniqueness,
-        max_uniqueness=max_uniqueness,
-    )
-
-
-def build_skew_benchmark(
-    steps: int = 50,
-    tables_per_step: int = 50,
-    rng: Optional[np.random.Generator] = None,
-    min_rows: int = 100,
-    max_rows: int = 10_000,
-    max_skew: float = 10.0,
-) -> SyntheticBenchmark:
-    """The SKEW benchmark: RHS-skew (skewness of the Y Beta distribution) swept up to 10."""
-    return _build_eager(
-        "skew", steps, tables_per_step, rng, min_rows, max_rows, max_skew=max_skew
-    )

@@ -4,14 +4,7 @@ import pytest
 
 from repro.errors import ErrorType, build_rwde_benchmark
 from repro.rwd import build_rwd_benchmark, enumerate_inspection_candidates, overview_table
-from repro.synthetic import (
-    BENCHMARK_KINDS,
-    SyntheticBenchmark,
-    benchmark_specs,
-    build_benchmark_from_specs,
-    build_err_benchmark,
-    iter_benchmark_tables,
-)
+from repro.synthetic import BENCHMARK_KINDS, benchmark_specs
 from repro.synthetic.generator import SYNTHETIC_FD
 
 
@@ -36,32 +29,17 @@ def test_spec_grid_shape_and_labels():
 
 def test_materialization_is_independent_of_order():
     specs = benchmark_specs("uniq", steps=2, tables_per_step=1, max_rows=300)
-    forward = [spec.materialize().relation for spec in specs]
-    backward = [spec.materialize().relation for spec in reversed(specs)]
+    forward = [spec.materialize() for spec in specs]
+    backward = [spec.materialize() for spec in reversed(specs)]
     for relation_a, relation_b in zip(forward, reversed(backward)):
         assert relation_a == relation_b
-
-
-def test_eager_builder_matches_spec_materialization():
-    specs = benchmark_specs("err", steps=2, tables_per_step=2, max_rows=300)
-    eager = build_err_benchmark(steps=2, tables_per_step=2, max_rows=300)
-    assert isinstance(eager, SyntheticBenchmark)
-    for spec, table in zip(specs, eager.tables):
-        assert spec.materialize().relation == table.relation
-
-
-def test_iter_benchmark_tables_streams_lazily():
-    specs = benchmark_specs("err", steps=50, tables_per_step=50)  # paper-sized grid
-    stream = iter_benchmark_tables(specs)
-    first = next(stream)  # materialises exactly one table; must be instant
-    assert first.positive and first.step == 0
 
 
 def test_zero_error_positive_tables_satisfy_the_planted_fd():
     specs = benchmark_specs("err", steps=2, tables_per_step=2, max_rows=300)
     for spec in specs:
         if spec.positive and spec.parameter_value == 0.0:
-            assert spec.materialize().relation.satisfies(SYNTHETIC_FD)
+            assert spec.materialize().satisfies(SYNTHETIC_FD)
 
 
 def test_uniq_benchmark_controls_lhs_uniqueness():
@@ -76,7 +54,7 @@ def test_uniq_benchmark_controls_lhs_uniqueness():
     low, high = (s for s in specs if s.positive)
     assert low.parameter_value < high.parameter_value
     uniqueness = [
-        s.materialize().relation.distinct_count("X") / s.parameters.num_rows
+        s.materialize().distinct_count("X") / s.parameters.num_rows
         for s in (low, high)
     ]
     assert uniqueness[0] < uniqueness[1]
@@ -86,14 +64,6 @@ def test_unknown_kind_raises():
     with pytest.raises(KeyError):
         benchmark_specs("nope")
     assert set(BENCHMARK_KINDS) == {"err", "uniq", "skew"}
-
-
-def test_build_from_specs_round_trip():
-    specs = benchmark_specs("skew", steps=2, tables_per_step=1, max_rows=300)
-    benchmark = build_benchmark_from_specs(specs)
-    assert benchmark.name == "SKEW"
-    assert len(benchmark) == len(specs)
-    assert benchmark.steps() == [0, 1]
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ from oracle import (
 )
 from repro.core import all_measures, get_measure
 from repro.core.statistics import FdStatistics
+from repro.discovery import discover_afds
 from repro.relation import ChunkedRelation, FunctionalDependency, Relation
 from repro.relation import chunked as chunked_module
 from repro.relation import io as io_module
@@ -950,6 +951,7 @@ class TestPeakMemory:
         tracemalloc.start()
         store = ChunkedRelation.read_csv(path, chunk_size=4_096)
         chunked_stats = FdStatistics.compute(store, fd)
+        chunked_result = discover_afds(store, threshold=0.0)
         _, streamed_peak = tracemalloc.get_traced_memory()
         del store
         tracemalloc.stop()
@@ -957,12 +959,15 @@ class TestPeakMemory:
         tracemalloc.start()
         relation = read_csv(path)
         monolithic_stats = FdStatistics.compute(relation, fd)
+        monolithic_result = discover_afds(relation, threshold=0.0)
         _, materialised_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
         assert chunked_stats == monolithic_stats
-        # The streamed path never builds the row list: its peak must stay
-        # well below the materialised one (4-byte codes vs row tuples).
+        assert chunked_result.candidates == monolithic_result.candidates
+        # Neither ingest nor discovery builds the row list: the streamed
+        # peak must stay well below the materialised one (4-byte codes vs
+        # row tuples).
         assert streamed_peak < materialised_peak * 0.6, (
             f"streamed peak {streamed_peak} not below materialised "
             f"peak {materialised_peak}"
@@ -1022,6 +1027,43 @@ class TestArrayPartials:
             assert chunked_passes(path) == before + 1, fd
             with kernel("python"):
                 assert_identical(chunked, FdStatistics.compute(relation, fd))
+
+    def test_early_collapse_of_buffered_partials_changes_nothing(self, monkeypatch):
+        # Past _COLLAPSE_KEYS buffered keys the pending partials are merged
+        # early.  A limit of 16 collapses them every few chunks on the R3
+        # stand-in (a key, NULLs); statistics and discovery stay ==.
+        from repro.core import chunked as core_chunked
+        from repro.rwd.datasets import build_dataset
+
+        relation = build_dataset("R3", num_rows=2_000, seed=0).relation
+        fds = [
+            FunctionalDependency(lhs, rhs)
+            for lhs in relation.attributes
+            for rhs in relation.attributes
+            if lhs != rhs
+        ]
+
+        def statistics_and_discovery():
+            # A new store each time: no cached full-tuple sum is reused.
+            store = ChunkedRelation.from_relation(relation, chunk_size=7)
+            statistics = [FdStatistics.compute(store, fd) for fd in fds]
+            return statistics, discover_afds(store, threshold=0.0, max_lhs_size=2)
+
+        expected = statistics_and_discovery()
+        collapses = 0
+        add = core_chunked._ArrayMergeAccumulator.add
+
+        def counting_add(accumulator, partial):
+            nonlocal collapses
+            pending = len(accumulator._pending)
+            add(accumulator, partial)
+            # Without a collapse a non-empty partial lengthens the list.
+            collapses += partial.num_rows > 0 and len(accumulator._pending) <= pending
+
+        monkeypatch.setattr(core_chunked, "_COLLAPSE_KEYS", 16)
+        monkeypatch.setattr(core_chunked._ArrayMergeAccumulator, "add", counting_add)
+        assert statistics_and_discovery() == expected
+        assert collapses > 100
 
 
 @requires_numpy

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracle import KERNELS, kernel, requires_numpy
+from oracle import HAVE_NUMPY, KERNELS, kernel, requires_numpy
 from repro.core import FdStatistics, all_measures
 from repro.discovery import discover_afds
 from repro.relation import FunctionalDependency, Relation
@@ -127,13 +127,22 @@ def test_chunked_discovery_matches_materialised(kernel_name):
     from repro.discovery import brute_force_afds
     from repro.relation.chunked import ChunkedRelation
 
-    relation = RELATION
-    chunked = ChunkedRelation.from_relation(relation, chunk_size=2)
-    with kernel(kernel_name):
-        streamed = discover_afds(chunked, threshold=0.0)
-        materialised = brute_force_afds(relation, threshold=0.0, max_lhs_size=1)
-    assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
-    assert streamed.counters["candidates"] == materialised.counters["candidates"]
+    sources = [(RELATION, 2)]
+    if HAVE_NUMPY:
+        from repro.rwd.datasets import build_dataset
+
+        # The R3 stand-in in four chunks: the key encounter_id is pruned
+        # without a statistics pass, and ward and clinic hold NULLs.
+        sources.append((build_dataset("R3", num_rows=2_000, seed=0).relation, 512))
+    for relation, chunk_size in sources:
+        chunked = ChunkedRelation.from_relation(relation, chunk_size=chunk_size)
+        with kernel(kernel_name):
+            streamed = discover_afds(chunked, threshold=0.0)
+            materialised = brute_force_afds(relation, threshold=0.0, max_lhs_size=1)
+        assert _discovery_fingerprint(streamed) == _discovery_fingerprint(materialised)
+        assert streamed.counters["candidates"] == materialised.counters["candidates"]
+    # R3's key LHS: encounter_id -> each of its five other attributes.
+    assert streamed.counters["pruned_key"] == (5 if HAVE_NUMPY else 0)
 
 
 @pytest.mark.parametrize("kernel_name", KERNELS)

@@ -208,24 +208,18 @@ def test_cli_rejects_non_positive_sweep_sizes(flag, value, capsys):
         (["--max-rows", "0"], "argument --max-rows: must be a positive integer, got '0'"),
         (["--min-rows", "500", "--max-rows", "200"], "--min-rows 500 exceeds --max-rows 200"),
         *(
-            ([flag, value], f"argument {flag}: must be a positive integer, got {value!r}")
-            for flag, value in (
-                ("--max-lhs-size", "0"),
-                ("--runtime-repeats", "0"),
-                ("--runtime-chunk-size", "0"),
-                ("--rwde-num-rows", "0"),
-                ("--discovery-num-rows", "0"),
-            )
+            ([flag, "0"], f"argument {flag}: must be a positive integer, got '0'")
+            for flag in ("--max-lhs-size", "--runtime-repeats")
         ),
-        (
-            ["--runtime-chunked-discovery-rows", "-5"],
-            "argument --runtime-chunked-discovery-rows: must be a non-negative integer, got '-5'",
+        # --smoke is gone: spell out --runtime-sizes 500,2000 --runtime-repeats 2.
+        (["--smoke"], "unrecognized arguments: --smoke"),
+        *(
+            ([flag, "0"], f"argument {flag}: must be a positive integer, got '0'")
+            for flag in ("--rwde-num-rows", "--discovery-num-rows")
         ),
+        (["--sfi-alpha", "inf"], "argument --sfi-alpha: must be a positive number, got 'inf'"),
         (["--jobs", "-3"], "argument --jobs: must be a positive integer, got '-3'"),
-        (
-            ["--runtime-discovery-rows", "-5"],
-            "argument --runtime-discovery-rows: must be a non-negative integer, got '-5'",
-        ),
+        (["--sfi-alpha", "nan"], "argument --sfi-alpha: must be a positive number, got 'nan'"),
         *(
             ([flag, ","], f"argument {flag}: must be a non-empty comma-separated list, got ','")
             for flag in ("--runtime-sizes", "--rwde-error-levels", "--rwde-error-types")

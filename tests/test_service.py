@@ -304,6 +304,24 @@ def test_chunked_session_discover_matches_relation_discover(kernel_name):
     assert any(len(candidate.lhs) == 2 for candidate in deep.candidates)
 
 
+@pytest.mark.parametrize("kind", ["relation", "chunked", "dynamic"])
+def test_session_name_names_every_answer(kind):
+    from repro.relation.chunked import ChunkedRelation
+
+    relation = small_relation(name="orders")
+    source = {
+        "relation": lambda: relation,
+        "chunked": lambda: ChunkedRelation.from_relation(relation, chunk_size=2),
+        "dynamic": lambda: DynamicRelation.from_relation(relation),
+    }[kind]()
+    assert source.name == "orders"
+    session = AfdSession(source, measures=MEASURES, name="orders-2024")
+    assert session.score("zip -> city").relation == "orders-2024"
+    assert session.score_many([{"fd": "zip -> city"}]).relation == "orders-2024"
+    assert session.discover(threshold=0.5).relation == "orders-2024"
+    assert session.discover(threshold=0.5, minimal_cover=True).relation == "orders-2024"
+
+
 def test_minimal_cover_matches_cover_reduction():
     # One reduction for every caller: the session's flag, and the library
     # function over a session result or over the engine's result.
