@@ -3,7 +3,8 @@
 A value that would make a run meaningless (no rows, a zero smoothing
 parameter, an empty window or list) is rejected while the arguments are
 parsed, so the tool exits with a usage error (status 2) instead of a
-traceback.  So is a CSV file that cannot be read (:func:`load_source`).
+traceback.  So is a CSV file that cannot be read, and a ``--dataset``
+when numpy cannot be imported (:func:`load_source`).
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ def comma_list(item: Callable[[str], T]) -> Callable[[str], Tuple[T, ...]]:
     return parse
 
 
-def _dataset_keys() -> Tuple[str, ...]:
+def _dataset_keys() -> Optional[Tuple[str, ...]]:
     try:  # The named RWD datasets need numpy; a CSV file does not.
         from repro.rwd.datasets import dataset_keys
     except ImportError:
-        return ()
+        return None
     return tuple(dataset_keys())
 
 
@@ -94,8 +95,8 @@ def add_source_arguments(parser: argparse.ArgumentParser, rows: int) -> None:
     """Add the relation source: a CSV file, or ``--dataset`` with ``--rows`` and ``--seed``.
 
     ``rows`` is the tool's default ``--rows``.  Without numpy no RWD
-    dataset can be built, so ``--dataset`` accepts no name and only a
-    CSV file is read.
+    dataset can be built: ``--dataset`` then parses any name, and
+    :func:`load_source` refuses it with one line naming numpy.
     """
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -124,12 +125,16 @@ def load_source(args: argparse.Namespace) -> Optional[Relation]:
     """The relation :func:`add_source_arguments` named in ``args``.
 
     ``None`` when the CSV file cannot be read (missing, empty, ragged,
-    not UTF-8, a truncated or corrupt gzip); one line naming the file
+    not UTF-8, a truncated or corrupt gzip) or ``--dataset`` is given
+    and numpy cannot be imported; one line naming the file, or numpy,
     has then gone to stderr, and the tool exits 2.
     """
     if args.dataset is not None:
-        from repro.rwd.datasets import build_dataset
-
+        try:
+            from repro.rwd.datasets import build_dataset
+        except ImportError as error:
+            print(f"--dataset {args.dataset} needs numpy: {error}", file=sys.stderr)
+            return None
         return build_dataset(args.dataset, num_rows=args.rows, seed=args.seed).relation
     try:
         return read_csv(args.csv)

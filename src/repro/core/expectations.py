@@ -21,7 +21,15 @@ remaining attributes.
   statistics object it computes, so a session evaluates each distinct
   cell once across all its candidates and both directions of an FD.
   The memo holds at most ``_MAX_CELLS`` entries and dies with its
-  session; a call outside a session uses a fresh one.
+  session; a call outside a session uses a fresh one.  A cell the memo
+  misses reads each ``ln k`` of its recurrence from ``_LOGS``, one
+  process-wide table of ``math.log`` over the integers.  It holds no
+  cell and no score, only logarithms, so it is not a cache of
+  expectations: it grows by doubling up to the largest ``min(a, b)`` a
+  missing cell needs, never past ``_LOG_CAP`` entries (2^14, about
+  0.5 MB), and a cell past the cap calls ``math.log`` itself.  A table
+  entry is the float ``math.log`` returns, so no score depends on the
+  cap, on the order of the calls or on which thread grew the table.
 """
 
 from __future__ import annotations
@@ -39,6 +47,15 @@ _TAIL_TOLERANCE = 2.0 ** -53
 #: The most hypergeometric cells one memo holds (~190 B each, so ~3 MB);
 #: a full memo is cleared before its next insert.
 _MAX_CELLS = 1 << 14
+
+#: ``_LOGS[k] == math.log(k)`` for ``1 <= k < len(_LOGS)``; ``_LOGS[0]``
+#: is never read, since ``k = 0`` adds no term.  ``_log_table`` replaces
+#: the list, never changes it, so a reader keeps a complete table
+#: without a lock.
+_LOGS = [-math.inf]
+
+#: The most entries ``_LOGS`` grows to (~32 B each, so ~0.5 MB).
+_LOG_CAP = 1 << 14
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +78,38 @@ def expected_pdep(statistics: FdStatistics) -> float:
 # Expected mutual information under the permutation model
 # ----------------------------------------------------------------------
 
+class _LogsPastTheCap:
+    """``logs[k] == math.log(k)``, computed on each read: the table of a
+    cell whose ``min(a, b)`` is at or past ``_LOG_CAP``."""
+
+    __slots__ = ()
+    __getitem__ = staticmethod(math.log)
+
+
+_LOGS_PAST_THE_CAP = _LogsPastTheCap()
+
+
+def _log_table(high: int):
+    """A sequence ``logs`` with ``logs[k] == math.log(k)`` for ``1 <= k <= high``.
+
+    ``_LOGS`` when it reaches ``high``; otherwise ``_LOGS`` doubles until
+    it does, a new list rebound whole, unless that would take it past
+    ``_LOG_CAP``, when every read calls ``math.log``.
+    """
+    global _LOGS
+    logs = _LOGS
+    if high < len(logs):
+        return logs
+    if high >= _LOG_CAP:
+        return _LOGS_PAST_THE_CAP
+    size = len(logs)
+    while size <= high:
+        size *= 2
+    logs = logs + [math.log(k) for k in range(len(logs), min(size, _LOG_CAP))]
+    _LOGS = logs
+    return logs
+
+
 def _hypergeometric_cell(a: int, b: int, n: int) -> float:
     """``Σ_k P(k) k ln(n k / (a b))`` for ``k ~ Hypergeometric(n, a, b)``.
 
@@ -72,15 +121,23 @@ def _hypergeometric_cell(a: int, b: int, n: int) -> float:
     later ones and the rest of a tail weighs at most ``p / (1 - r)``; a
     tail stops once that bound is below ``_TAIL_TOLERANCE`` of the mass
     accumulated so far.
+
+    Each ``ln(n k / (a b))`` is ``ln k − ln μ``: ``ln μ`` is taken once
+    per cell, as the log of the correctly rounded quotient ``a b / n``
+    (two roundings, where ``ln a + ln b − ln n`` takes five), and
+    ``ln k`` is read from ``_log_table`` (the support never passes
+    ``min(a, b)``).  A table entry is the float ``math.log(k)`` itself,
+    so the cell does not depend on whether the table or ``math.log``
+    supplied it.
     """
-    log = math.log
     low = max(0, a + b - n)
     high = min(a, b)
     mode = min(max((a + 1) * (b + 1) // (n + 2), low), high)
-    scale = n / (a * b)
+    logs = _log_table(high)
+    log_mu = math.log(a * b / n)
     slack = n - a - b
     mass = 1.0
-    weighted = mode * log(mode * scale) if mode else 0.0
+    weighted = mode * (logs[mode] - log_mu) if mode else 0.0
     p = 1.0
     k = mode
     while k < high:
@@ -90,7 +147,7 @@ def _hypergeometric_cell(a: int, b: int, n: int) -> float:
         p *= r
         k += 1
         mass += p
-        weighted += p * k * log(k * scale)
+        weighted += p * k * (logs[k] - log_mu)
     p = 1.0
     k = mode
     while k > low:
@@ -101,7 +158,7 @@ def _hypergeometric_cell(a: int, b: int, n: int) -> float:
         k -= 1
         mass += p
         if k:
-            weighted += p * k * log(k * scale)
+            weighted += p * k * (logs[k] - log_mu)
     return weighted / mass
 
 
@@ -131,8 +188,9 @@ def expected_mutual_information_exact(
 
     ``cells`` memoises the inner sums under ``(min(a, b), max(a, b), N)``
     (the sum is bit-for-bit symmetric in ``a`` and ``b``: every product
-    in its recurrence is an exact integer product), so a memo shared by
-    many calls changes no result; ``None`` uses a fresh one.
+    in its recurrence, ``a b`` included, is an exact integer product), so
+    a memo shared by many calls changes no result; ``None`` uses a fresh
+    one.
     """
     n = sum(a * multiplicity for a, multiplicity in x_histogram.items())
     if n == 0 or n != sum(b * multiplicity for b, multiplicity in y_histogram.items()):

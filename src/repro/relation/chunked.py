@@ -324,72 +324,6 @@ class ChunkedRelation:
         relation._encode(batches, convert)
         return relation
 
-    @classmethod
-    def read_parquet(
-        cls,
-        path: Union[str, Path],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        name: Optional[str] = None,
-        max_rows: Optional[int] = None,
-        columns: Optional[Sequence[str]] = None,
-    ) -> "ChunkedRelation":
-        """Stream a Parquet file into a chunked relation (needs pyarrow).
-
-        Record batches are read one at a time (``iter_batches``) and fed
-        straight into the incremental encoder — like :meth:`read_csv`,
-        the full row list never exists, so peak memory is one batch plus
-        the code chunks.  Float NaN cells become NULL (the CSV reader's
-        convention: NaN != NaN would break grouping equality).
-        ``columns`` restricts and orders the ingested attributes;
-        ``max_rows`` caps the number of data rows.
-
-        ``pyarrow`` is an optional dependency: when it is absent this
-        raises ``ImportError`` with an actionable message instead of a
-        bare module-not-found deep in the stack.
-        """
-        try:
-            import pyarrow.parquet as parquet_module
-        except ImportError as error:
-            raise ImportError(
-                "ChunkedRelation.read_parquet requires the optional "
-                "'pyarrow' package, which is not installed; install "
-                "pyarrow or convert the file to CSV and use read_csv"
-            ) from error
-
-        path = Path(path)
-        if max_rows is not None and max_rows < 0:
-            raise ValueError(f"max_rows must be >= 0, got {max_rows}")
-        parquet_file = parquet_module.ParquetFile(path)
-        if columns is not None:
-            attributes: Tuple[str, ...] = tuple(columns)
-        else:
-            attributes = tuple(parquet_file.schema_arrow.names)
-
-        def rows() -> Iterator[Row]:
-            emitted = 0
-            for batch in parquet_file.iter_batches(columns=list(attributes)):
-                batch_columns = [
-                    batch.column(position).to_pylist()
-                    for position in range(batch.num_columns)
-                ]
-                for row in zip(*batch_columns):
-                    if max_rows is not None and emitted >= max_rows:
-                        return
-                    yield tuple(
-                        None
-                        if value is None or (isinstance(value, float) and value != value)
-                        else value
-                        for value in row
-                    )
-                    emitted += 1
-
-        return cls(
-            attributes,
-            rows(),
-            name=name if name is not None else path.stem,
-            chunk_size=chunk_size,
-        )
-
     def _ingest(self, rows: Iterable[Sequence[object]]) -> None:
         """Encode already-typed rows, checked for arity batch by batch."""
         arity = len(self._attributes)

@@ -1195,52 +1195,3 @@ class TestGzipSniffing:
         write_csv(Relation(("A",), [(1,), (2,)]), path)
         with gzip.open(path, "rt") as handle:
             assert handle.read().splitlines() == ["A", "1", "2"]
-
-
-# ----------------------------------------------------------------------
-# Parquet ingest (optional pyarrow)
-# ----------------------------------------------------------------------
-HAVE_PYARROW = True
-try:
-    import pyarrow  # noqa: F401
-    import pyarrow.parquet  # noqa: F401
-except ImportError:
-    HAVE_PYARROW = False
-
-
-class TestParquetIngest:
-    def test_missing_pyarrow_raises_actionable_import_error(self, monkeypatch, tmp_path):
-        import sys
-
-        monkeypatch.setitem(sys.modules, "pyarrow", None)
-        monkeypatch.setitem(sys.modules, "pyarrow.parquet", None)
-        with pytest.raises(ImportError, match="pyarrow"):
-            ChunkedRelation.read_parquet(tmp_path / "whatever.parquet")
-
-    @pytest.mark.skipif(not HAVE_PYARROW, reason="pyarrow not installed")
-    def test_read_parquet_matches_streamed_csv(self, tmp_path):  # pragma: no cover
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        table = pa.table(
-            {
-                "A": [1, 2, None, 1],
-                "B": ["x", None, "y", "x"],
-                "C": [0.5, float("nan"), 1.5, 0.5],
-            }
-        )
-        path = tmp_path / "demo.parquet"
-        pq.write_table(table, path)
-        store = ChunkedRelation.read_parquet(path, chunk_size=2)
-        assert store.name == "demo"
-        assert store.attributes == ("A", "B", "C")
-        # NaN floats coerce to NULL, like the CSV reader.
-        assert list(store.iter_rows()) == [
-            (1, "x", 0.5),
-            (2, None, None),
-            (None, "y", 1.5),
-            (1, "x", 0.5),
-        ]
-        restricted = ChunkedRelation.read_parquet(path, columns=("B",), max_rows=2)
-        assert restricted.attributes == ("B",)
-        assert list(restricted.iter_rows()) == [("x",), (None,)]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core.registry import MEASURE_ORDER
+from repro.core.registry import MEASURE_ORDER, paper_label
 from repro.experiments import (
     DiscoveryConfig,
     PropertiesConfig,
@@ -270,4 +270,30 @@ def test_cli_dash_output_dir_skips_artifacts(tmp_path, monkeypatch):
         ]
     )
     assert exit_code == 0
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, printed",
+    [
+        (
+            ["--benchmark", "rwde", "--rwde-num-rows", "200", "--rwde-error-levels", "0.01",
+             "--rwde-error-types", "copy"],
+            ["\nRWDe grid (1 cells, ", "\n  copy   eta=0.01 "],
+        ),
+        (
+            ["--benchmark", "properties", "--steps", "2", "--tables-per-step", "2",
+             "--max-rows", "200"],
+            ["\nTable III property check (", "\n  static catalogue consistency: OK\n"]
+            + [f"\n  {paper_label(name):<8} err-corr=" for name in MEASURE_ORDER],
+        ),
+    ],
+    ids=["rwde", "properties"],
+)
+def test_cli_prints_each_benchmark_summary(flags, printed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*flags, "--output-dir", "-"]) == 0
+    out = capsys.readouterr().out
+    for text in printed:
+        assert text in out
     assert not (tmp_path / "results").exists()

@@ -372,3 +372,29 @@ def test_cli_reads_a_csv_without_numpy(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert json.loads(completed.stdout)["counters"]["candidates"] == 2
+
+
+@pytest.mark.parametrize(
+    "cli, flags",
+    [("repro.discovery", []), ("repro.stream", ["--fd", "a -> b"])],
+)
+def test_cli_dataset_without_numpy_names_numpy(cli, flags):
+    # A named RWD dataset needs numpy: the refusal says so in one line.
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        f"from {cli}.__main__ import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    source = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", script, "--dataset", "R1", *flags],
+        env=dict(os.environ, PYTHONPATH=source),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 2, completed.stderr
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1 and "numpy" in lines[0], completed.stderr
+    assert completed.stdout == ""

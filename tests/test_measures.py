@@ -9,6 +9,8 @@ partition/entropy bookkeeping cannot cancel out.
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -22,6 +24,7 @@ from repro.core import (
     get_measure,
     measure_names,
 )
+from repro.core import expectations
 from repro.core.expectations import (
     _MAX_CELLS,
     _hypergeometric_cell,
@@ -204,6 +207,88 @@ def test_hypergeometric_cell_is_bit_for_bit_symmetric():
     triples += [(a, b, 100) for a in (60, 75, 99) for b in (50, 80, 100)]  # a + b > n
     for a, b, n in triples:
         assert _hypergeometric_cell(a, b, n) == _hypergeometric_cell(b, a, n), (a, b, n)
+
+
+def test_log_table_and_math_log_give_the_same_cells(monkeypatch):
+    """A cell reads each ``ln k`` from the shared table or from ``math.log``
+    past its cap; both give the same float, so no cell depends on which."""
+    rng = random.Random(31)
+    triples = []
+
+    def log_uniform(high):
+        return max(1, min(high, int(high ** rng.random())))
+
+    for _ in range(2_000):
+        n = log_uniform(200_000)
+        triples.append((log_uniform(n), log_uniform(n), n))
+    for n in (1, 2, 7, 1_000, 200_000):
+        triples += [(1, b, n) for b in {1, max(1, n // 2), n}]  # a = 1
+        triples += [(n, b, n) for b in {1, max(1, n // 3), n}]  # a = n
+    triples += [(a, b, 100) for a in (60, 75, 99) for b in (50, 80, 100)]  # a + b > n
+    cap = expectations._LOG_CAP
+    highs = [min(a, b) for a, b, _ in triples]
+    assert min(highs) < cap <= max(highs)  # both sides of the cap are reached
+
+    monkeypatch.setattr(expectations, "_LOGS", [-math.inf])
+    tabled = [_hypergeometric_cell(a, b, n) for a, b, n in triples]
+    logs = expectations._LOGS
+    assert len(logs) <= cap
+    # Grown to the largest min(a, b) below the cap, not to n.
+    assert len(logs) <= 2 * max(high for high in highs if high < cap)
+    assert all(logs[k] == math.log(k) for k in range(1, len(logs)))
+
+    monkeypatch.setattr(expectations, "_LOGS", [-math.inf])
+    monkeypatch.setattr(expectations, "_LOG_CAP", 0)
+    direct = [_hypergeometric_cell(a, b, n) for a, b, n in triples]
+    assert len(expectations._LOGS) == 1  # every log came from math.log
+    for triple, from_table, from_math_log in zip(triples, tabled, direct):
+        assert from_table == from_math_log, triple
+
+
+def test_threads_growing_the_log_table_at_once_change_no_cell(monkeypatch):
+    """The table takes no lock: a growth rebinds a new list, so a thread
+    keeps the complete one it fetched while others grow or replace it."""
+    rng = random.Random(47)
+    cap = expectations._LOG_CAP
+    triples = []
+    for exponent in range(1, 14):  # min(a, b) up to the cap, each doubling crossed
+        for _ in range(3):
+            a = 2 ** exponent + rng.randrange(2 ** exponent)
+            b = a + rng.randrange(2 * a)
+            triples.append((a, b, a + b + rng.randrange(2 * b)))
+    monkeypatch.setattr(expectations, "_LOG_CAP", 0)
+    reference = {triple: _hypergeometric_cell(*triple) for triple in triples}
+    monkeypatch.setattr(expectations, "_LOG_CAP", cap)
+
+    rounds, workers = 10, 4
+    start = threading.Barrier(workers)
+    finished = []  # one list per thread that ran to the end
+
+    def score(order):
+        start.wait(timeout=60)
+        finished.append([(triple, _hypergeometric_cell(*triple)) for triple in order])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            # Every thread climbs the same doublings at once, from an empty table.
+            monkeypatch.setattr(expectations, "_LOGS", [-math.inf])
+            threads = [threading.Thread(target=score, args=(triples,)) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            logs = expectations._LOGS
+            assert 1 < len(logs) <= cap
+            assert all(logs[k] == math.log(k) for k in range(1, len(logs)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(finished) == rounds * workers
+    for cells in finished:
+        for triple, cell in cells:
+            assert cell == reference[triple], triple
 
 
 def random_histograms(rng, n):
